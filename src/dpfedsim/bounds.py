@@ -167,7 +167,10 @@ def nearest_divisor(total: int, target: int) -> int:
     """Divisor of ``total`` closest to ``target``; ties break downward."""
     if total < 1:
         raise ConfigError("total must be >= 1")
-    divisors = [d for d in range(1, total + 1) if total % d == 0]
+    divisors = []
+    for d in range(1, math.isqrt(total) + 1):
+        if total % d == 0:
+            divisors += (d, total // d)
     return min(divisors, key=lambda d: (abs(d - target), d))
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "synth_regression",
     "sorted_partition",
     "load_csv",
+    "csv_column_indices",
 ]
 
 
@@ -136,13 +137,35 @@ def sorted_partition(
 
 
 def _column_index(header: list[str], column, what: str) -> int:
-    if isinstance(column, int):
-        if not 0 <= column < len(header):
-            raise ConfigError(f"{what} index {column} out of range")
-        return column
-    if column in header:
-        return header.index(column)
-    raise ConfigError(f"{what} {column!r} not found in CSV header {header}")
+    """Resolve a column given by header name or by 0-based index.
+
+    A header name wins; otherwise a non-negative integer, or a string of
+    decimal digits, is a column index.
+    """
+    if isinstance(column, str):
+        if column in header:
+            return header.index(column)
+        if not (column.isascii() and column.isdigit()):
+            raise ConfigError(f"{what} {column!r} not found in CSV header {header}")
+        column = int(column)
+    if not 0 <= column < len(header):
+        raise ConfigError(f"{what} index {column} out of range for CSV header {header}")
+    return column
+
+
+def _read_header(reader, path) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty CSV, a header row is required") from None
+    return [h.strip() for h in header]
+
+
+def csv_column_indices(path, columns) -> list[int]:
+    """0-based header indices of CSV columns given by name or index, as ``load_csv`` resolves them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = _read_header(csv.reader(fh), path)
+    return [_column_index(header, c, "column") for c in columns]
 
 
 def load_csv(
@@ -164,11 +187,7 @@ def load_csv(
         raise ConfigError("train_fraction must lie in (0, 1]")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty CSV, a header row is required") from None
-        header = [h.strip() for h in header]
+        header = _read_header(reader, path)
         target_idx = _column_index(header, target_column, "target column")
         if feature_columns is None:
             feature_idx = [i for i in range(len(header)) if i != target_idx]

@@ -3,14 +3,18 @@
 A run executes T_g rounds. Each round selects a pool of b clients round-robin,
 lets every pool client take E full-batch clipped gradient steps from the
 current server parameters, adds that client's calibrated noise to the result,
-and aggregates the noisy parameters with size weights. Client work inside a
-round is embarrassingly parallel; aggregation always reduces in ascending
-client-id order, so results are bit-identical at any worker count.
+and aggregates the noisy parameters with size weights.
+
+A round's pool is a contiguous block of client ids, so the local steps of the
+whole pool run as one vectorised block on a zero-padded copy of the shards:
+the number of numpy calls per step does not grow with the pool size. Noise is
+drawn from each client's own stream in ascending client-id order and
+aggregation is one reduction over the pool block in a fixed order, so results
+are bit-reproducible.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +135,7 @@ class FederationConfig:
     theta_0: np.ndarray | None = None
     seed: int = 0
     repeats: int = 20
-    workers: int = 1
+    workers: int = 1  # accepted for compatibility; client work runs as one block
 
     def __post_init__(self):
         if self.n_clients < 1 or self.pool_size < 1:
@@ -191,15 +195,23 @@ class RunResult:
     trajectory: list[np.ndarray] | None = None
 
 
+def _pool_slice(t: int, n_clients: int, pool_size: int) -> slice:
+    # b divides N, so the start (t*b) mod N is a multiple of b and the pool never wraps
+    start = (t * pool_size) % n_clients
+    return slice(start, start + pool_size)
+
+
 def select_pool(t: int, n_clients: int, pool_size: int) -> list[int]:
     """Round-robin pool for round t: client ids (t*b) mod N ... (t*b+b-1) mod N."""
     if n_clients % pool_size != 0:
         raise ConfigError("pool size must divide the client count")
-    return [(t * pool_size + j) % n_clients for j in range(pool_size)]
+    pool = _pool_slice(t, n_clients, pool_size)
+    return list(range(pool.start, pool.stop))
 
 
 def _check_params(theta: np.ndarray) -> None:
-    if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > PARAM_LIMIT:
+    # NaN fails the comparison, so one reduction also catches non-finite entries
+    if not np.abs(theta).max() <= PARAM_LIMIT:
         raise DivergenceError("parameters exceeded the divergence limit")
 
 
@@ -246,6 +258,115 @@ def aggregate(
     return (n_clients / pool_size) * acc
 
 
+def _aggregate_block(
+    block: np.ndarray, weights: np.ndarray, n_clients: int, pool_size: int
+) -> np.ndarray:
+    """``aggregate`` on a (b, p) block of rows in ascending client-id order.
+
+    The reduction order is numpy's: for p > 1 it adds the rows in order, for
+    p = 1 it may sum pairwise, so results agree with ``aggregate`` to rounding.
+    """
+    return (n_clients / pool_size) * np.add.reduce(weights[:, None] * block, axis=0)
+
+
+@dataclass(frozen=True)
+class _PaddedShards:
+    """All shards stacked in client-id order, zero-padded to the largest shard.
+
+    Zero rows add nothing to a residual, a gradient or a loss, so client l's
+    data is ``x[l]``/``y[l]`` and a pool is the slice of its id block. Memory
+    is N * max(n_l) * p floats.
+    """
+
+    x: np.ndarray  # (N, n_max, p)
+    y: np.ndarray  # (N, n_max)
+    sizes: np.ndarray  # (N,) shard sizes as floats
+    weights: np.ndarray  # (N,) aggregation weights n_l / n
+    n: int
+
+    @classmethod
+    def build(cls, shards: list[ClientShard], n_clients: int) -> "_PaddedShards":
+        shards = sorted(shards, key=lambda s: s.client_id)
+        if len(shards) != n_clients:
+            raise ConfigError(
+                f"config expects {n_clients} shards, dataset has {len(shards)}"
+            )
+        if [s.client_id for s in shards] != list(range(n_clients)):
+            raise ConfigError("shard client ids must be exactly 0..N-1")
+        sizes = [s.n_l for s in shards]
+        x = np.zeros((n_clients, max(sizes), shards[0].dim))
+        y = np.zeros((n_clients, max(sizes)))
+        for cid, shard in enumerate(shards):
+            x[cid, : shard.n_l] = shard.features
+            y[cid, : shard.n_l] = shard.targets
+        n = sum(sizes)
+        sizes = np.array(sizes, dtype=float)
+        return cls(x=x, y=y, sizes=sizes, weights=sizes / n, n=n)
+
+    @property
+    def dim(self) -> int:
+        return self.x.shape[2]
+
+    def loss(self, theta: np.ndarray) -> float:
+        """Pooled loss (1/n) ||X theta - y||^2 over every client's samples."""
+        resid = self.x.reshape(-1, self.dim) @ theta - self.y.ravel()
+        return float(resid @ resid) / self.n
+
+
+def _initial_theta(config: FederationConfig, dim: int) -> np.ndarray:
+    theta = (
+        np.zeros(dim)
+        if config.theta_0 is None
+        else np.asarray(config.theta_0, dtype=float)
+    )
+    if theta.shape != (dim,):
+        raise ConfigError("theta_0 dimension does not match the dataset")
+    return theta
+
+
+def _local_steps(
+    data: _PaddedShards,
+    pool: slice,
+    theta: np.ndarray,
+    t: int,
+    config: FederationConfig,
+    on_grad=None,
+) -> np.ndarray:
+    """Round t's E clipped full-batch steps for every client of the pool.
+
+    ``pool`` is the round's block of client ids; each client starts from
+    ``theta``. Returns the (b, p) pre-noise local parameters, one row per
+    client in ascending id order. ``on_grad`` sees every step's (b, p) block
+    of clipped gradients.
+    """
+    x, y = data.x[pool], data.y[pool]
+    x_t = x.transpose(0, 2, 1)
+    scale = (2.0 / data.sizes[pool])[:, None]
+    # theta broadcasts over the pool until the first step gives each client a row
+    block = theta
+    k0 = t * config.local_iters
+    for i in range(config.local_iters):
+        resid = np.matmul(x, block[..., None])[..., 0] - y
+        grad = clip_gradient(
+            scale * np.matmul(x_t, resid[:, :, None])[:, :, 0],
+            config.clip.zeta,
+            config.clip.norm,
+        )
+        if on_grad is not None:
+            on_grad(grad)
+        block = block - config.schedule.rate(k0 + i) * grad
+        _check_params(block)
+    return block
+
+
+def _pool_noise(config: FederationConfig, ctx: NoiseContext, t: int, pool: slice) -> np.ndarray:
+    """The (b, p) noise block of round t: each client's own stream, ascending ids."""
+    return np.array([
+        sample_noise(config.mechanism, ctx, noise_stream(config.seed, t, cid))
+        for cid in range(pool.start, pool.stop)
+    ])
+
+
 def _noise_context(config: FederationConfig, p: int, eta_tilde: float, n: int,
                    n_bar_sq: float) -> NoiseContext:
     return NoiseContext(
@@ -271,32 +392,14 @@ def run_federation(
 
     ``constants`` (when given) supplies the optimum for the y_k column and,
     together with a decay schedule, the per-round convergence bound. The
-    result is deterministic in (config, seed) regardless of ``workers``; a
-    divergent repeat returns the trajectory up to the last valid round with
-    ``diverged=True``.
+    result is deterministic in (config, seed) and does not depend on
+    ``workers``; a divergent repeat returns the trajectory up to the last
+    valid round with ``diverged=True``.
     """
-    shards = sorted(shards, key=lambda s: s.client_id)
-    if len(shards) != config.n_clients:
-        raise ConfigError(
-            f"config expects {config.n_clients} shards, dataset has {len(shards)}"
-        )
-    if [s.client_id for s in shards] != list(range(config.n_clients)):
-        raise ConfigError("shard client ids must be exactly 0..N-1")
-
-    dim = shards[0].dim
-    theta = (
-        np.zeros(dim)
-        if config.theta_0 is None
-        else np.asarray(config.theta_0, dtype=float)
-    )
-    if theta.shape != (dim,):
-        raise ConfigError("theta_0 dimension does not match the dataset")
-
-    sizes = [s.n_l for s in shards]
-    n = sum(sizes)
-    n_bar_sq = sum(s * s for s in sizes) / config.n_clients
-    pooled_x = np.concatenate([s.features for s in shards], axis=0)
-    pooled_y = np.concatenate([s.targets for s in shards], axis=0)
+    data = _PaddedShards.build(shards, config.n_clients)
+    dim = data.dim
+    theta = _initial_theta(config, dim)
+    n_bar_sq = float(data.sizes @ data.sizes) / config.n_clients
 
     bound_params = None
     if (
@@ -317,75 +420,46 @@ def run_federation(
     records: list[RoundRecord] = []
     trajectory = [theta.copy()] if record_trajectory else None
     diverged = False
+    n_clients, b = config.n_clients, config.pool_size
 
-    def round_task(args):
-        t, cid = args
-        nu = client_update(theta, shards[cid], t, config.local_iters, config.schedule,
-                           config.clip)
-        noise = sample_noise(
-            config.mechanism, round_ctx, noise_stream(config.seed, t, cid)
+    for t in range(config.global_iters):
+        pool = _pool_slice(t, config.n_clients, config.pool_size)
+        eta_tilde = config.schedule.rate(t * config.local_iters)
+        round_ctx = _noise_context(config, dim, eta_tilde, data.n, n_bar_sq)
+
+        try:
+            local = _local_steps(data, pool, theta, t, config)
+            noise = _pool_noise(config, round_ctx, t, pool)
+            theta_new = _aggregate_block(local + noise, data.weights[pool], n_clients, b)
+            _check_params(theta_new)
+        except DivergenceError:
+            diverged = True
+            break
+
+        noise_agg = _aggregate_block(noise, data.weights[pool], n_clients, b)
+        theta = theta_new
+        if trajectory is not None:
+            trajectory.append(theta.copy())
+
+        k = (t + 1) * config.local_iters
+        y_k = math.nan
+        bound_y_k = math.nan
+        if constants is not None:
+            diff = theta - constants.theta_star
+            y_k = float(diff @ diff)
+            if bound_params is not None:
+                bound_y_k = bounds.convergence_bound(k, bound_params, constants.y0)
+        records.append(
+            RoundRecord(
+                t=t,
+                k=k,
+                eta_k=eta_tilde,
+                global_loss=data.loss(theta),
+                y_k=y_k,
+                bound_y_k=bound_y_k,
+                noise_l2=float(np.linalg.norm(noise_agg)),
+            )
         )
-        return cid, nu + noise, noise
-
-    executor = (
-        ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-    )
-    try:
-        for t in range(config.global_iters):
-            pool = sorted(select_pool(t, config.n_clients, config.pool_size))
-            eta_tilde = config.schedule.rate(t * config.local_iters)
-            round_ctx = _noise_context(config, dim, eta_tilde, n, n_bar_sq)
-
-            try:
-                tasks = [(t, cid) for cid in pool]
-                if executor is None:
-                    results = [round_task(a) for a in tasks]
-                else:
-                    results = list(executor.map(round_task, tasks))
-                theta_new = aggregate(
-                    [(th, shards[cid].n_l) for cid, th, _ in results],
-                    config.n_clients,
-                    config.pool_size,
-                    n,
-                )
-                _check_params(theta_new)
-            except DivergenceError:
-                diverged = True
-                break
-
-            noise_agg = aggregate(
-                [(w, shards[cid].n_l) for cid, _, w in results],
-                config.n_clients,
-                config.pool_size,
-                n,
-            )
-            theta = theta_new
-            if trajectory is not None:
-                trajectory.append(theta.copy())
-
-            k = (t + 1) * config.local_iters
-            resid = pooled_x @ theta - pooled_y
-            y_k = math.nan
-            bound_y_k = math.nan
-            if constants is not None:
-                diff = theta - constants.theta_star
-                y_k = float(diff @ diff)
-                if bound_params is not None:
-                    bound_y_k = bounds.convergence_bound(k, bound_params, constants.y0)
-            records.append(
-                RoundRecord(
-                    t=t,
-                    k=k,
-                    eta_k=eta_tilde,
-                    global_loss=float(resid @ resid) / n,
-                    y_k=y_k,
-                    bound_y_k=bound_y_k,
-                    noise_l2=float(np.linalg.norm(noise_agg)),
-                )
-            )
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
     return RunResult(records=records, theta=theta, diverged=diverged, trajectory=trajectory)
 
@@ -397,36 +471,27 @@ def pilot_gradient_bound(config: FederationConfig, shards: list[ClientShard]) ->
     clipping is done in the L1 norm (under L2 clipping the threshold itself is
     the bound). A diverging pilot returns the maximum observed so far: clipped
     norms never exceed the threshold, so the partial measurement still bounds
-    every step the real runs will take.
+    every step the real runs will take. The pool's clients step in lockstep,
+    so "so far" covers every pool client's steps up to and including the one
+    that diverged.
     """
-    shards = sorted(shards, key=lambda s: s.client_id)
-    dim = shards[0].dim
-    theta = (
-        np.zeros(dim)
-        if config.theta_0 is None
-        else np.asarray(config.theta_0, dtype=float)
-    )
-    sizes = [s.n_l for s in shards]
-    n = sum(sizes)
-    max_norm = 0.0
+    data = _PaddedShards.build(shards, config.n_clients)
+    theta = _initial_theta(config, data.dim)
+    max_sq = 0.0
+
+    def record_max(grad):
+        nonlocal max_sq
+        # one dot product per row, as np.linalg.norm takes for a vector
+        max_sq = max(max_sq, float(np.max(np.matmul(grad[:, None, :], grad[:, :, None]))))
+
     try:
         for t in range(config.global_iters):
-            pool = sorted(select_pool(t, config.n_clients, config.pool_size))
-            updated = []
-            for cid in pool:
-                theta_l = theta
-                k0 = t * config.local_iters
-                for i in range(config.local_iters):
-                    grad = clip_gradient(
-                        mse_gradient(theta_l, shards[cid]), config.clip.zeta,
-                        config.clip.norm,
-                    )
-                    max_norm = max(max_norm, float(np.linalg.norm(grad)))
-                    theta_l = theta_l - config.schedule.rate(k0 + i) * grad
-                    _check_params(theta_l)
-                updated.append((theta_l, shards[cid].n_l))
-            theta = aggregate(updated, config.n_clients, config.pool_size, n)
+            pool = _pool_slice(t, config.n_clients, config.pool_size)
+            local = _local_steps(data, pool, theta, t, config, on_grad=record_max)
+            theta = _aggregate_block(
+                local, data.weights[pool], config.n_clients, config.pool_size
+            )
             _check_params(theta)
     except DivergenceError:
         pass
-    return max_norm
+    return math.sqrt(max_sq)

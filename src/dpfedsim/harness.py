@@ -17,7 +17,13 @@ import numpy as np
 
 from . import bounds
 from .config import E_RULES, RawConfig, parse_config, parse_sweep_values
-from .data import FederatedDataset, load_csv, sorted_partition, synth_regression
+from .data import (
+    FederatedDataset,
+    csv_column_indices,
+    load_csv,
+    sorted_partition,
+    synth_regression,
+)
 from .engine import (
     ClipSpec,
     FederationConfig,
@@ -26,6 +32,7 @@ from .engine import (
     pilot_gradient_bound,
     run_federation,
     schedule_offset,
+    select_pool,
 )
 from .mechanisms import (
     MechanismSpec,
@@ -108,10 +115,20 @@ def _build_dataset(raw: RawConfig) -> FederatedDataset:
     )
     # sorting key defaults to the target, which sits in the last record column
     sort_key = -1
-    if d["sort_key"] and d["sort_key"] != d["target_column"]:
-        if features is None:
-            raise ConfigError("sort_key other than the target needs feature_columns")
-        sort_key = features.index(d["sort_key"])
+    if d["sort_key"]:
+        # compare header indices, so a column may be named one way here and another there
+        target_idx, key_idx, *feature_idx = csv_column_indices(
+            d["path"], [d["target_column"], d["sort_key"], *(features or [])]
+        )
+        if key_idx != target_idx:
+            if features is None:
+                raise ConfigError("sort_key other than the target needs feature_columns")
+            if key_idx not in feature_idx:
+                raise ConfigError(
+                    f"sort_key {d['sort_key']!r} is neither the target column nor one of "
+                    f"feature_columns {features}"
+                )
+            sort_key = feature_idx.index(key_idx)
     return sorted_partition(train, sort_key, n_clients, add_bias=d["add_bias"])
 
 
@@ -171,7 +188,7 @@ def build_experiment(raw: RawConfig) -> Experiment:
 
     if norm == "l1" and math.isfinite(zeta):
         pilot_cfg = dataclasses.replace(
-            config, mechanism=MechanismSpec(), seed=0, workers=1
+            config, mechanism=MechanismSpec(), seed=0
         )
         measured = pilot_gradient_bound(pilot_cfg, dataset.shards)
         constants = dataclasses.replace(constants, g_bound=measured)
@@ -677,9 +694,8 @@ def _simulate_noise_aggregates(
     total = 0.0
     count = 0
     for t in range(n_pools):
-        pool = [(t * cfg.pool_size + j) % cfg.n_clients for j in range(cfg.pool_size)]
         weights = (cfg.n_clients / cfg.pool_size) * np.array(
-            [sizes[cid] / n for cid in sorted(pool)]
+            [sizes[cid] / n for cid in select_pool(t, cfg.n_clients, cfg.pool_size)]
         )
         left = per_pool
         while left > 0:

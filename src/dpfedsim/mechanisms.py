@@ -6,8 +6,8 @@ rounds a client joins, the closed-form predictor for the expected squared
 norm of the aggregated noise, and the growth exponent z of that variance in
 the number of global iterations (2 for Laplace, 1 for Gaussian).
 
-Noise streams are derived per (seed, round, client id), so concurrent client
-execution can never reorder draws.
+Noise streams are derived per (seed, round, client id), so the order in which
+clients are processed can never change a draw.
 """
 from __future__ import annotations
 
@@ -145,9 +145,9 @@ def gaussian_sigma(ctx: NoiseContext, spec: MechanismSpec) -> float:
 def noise_stream(seed: int, t: int, client_id: int) -> np.random.Generator:
     """Dedicated random stream for one (run seed, round, client) triple.
 
-    Streams are derived with a counter-based seed sequence, so parallel
-    client execution cannot reorder draws and repeated calls return an
-    identical stream.
+    Streams are derived with a counter-based seed sequence, so processing
+    clients in any order or in blocks cannot change a draw, and repeated
+    calls return an identical stream.
     """
     if seed < 0 or t < 0 or client_id < 0:
         raise ConfigError("seed, round index and client id must be non-negative")

@@ -129,23 +129,50 @@ def _norm(g: np.ndarray, norm_kind: str) -> float:
     raise ConfigError(f"unknown norm kind {norm_kind!r} (expected 'l1' or 'l2')")
 
 
+def _row_norms(g: np.ndarray, norm_kind: str) -> np.ndarray:
+    if norm_kind == "l1":
+        return np.abs(g).sum(axis=-1)
+    if norm_kind == "l2":
+        # one dot product per row: the same reduction as ``g @ g`` on a vector
+        return np.sqrt(np.matmul(g[..., None, :], g[..., :, None])[..., 0, 0])
+    raise ConfigError(f"unknown norm kind {norm_kind!r} (expected 'l1' or 'l2')")
+
+
 def clip_gradient(g: np.ndarray, zeta: float, norm_kind: str = "l2") -> np.ndarray:
     """Rescale ``g`` to g / max(1, ||g||/zeta) so its norm never exceeds ``zeta``.
 
     Direction is preserved. The map is idempotent bitwise: vectors at or below
     the threshold are returned unchanged, and rescaled vectors are renormalized
     until the recomputed norm is <= zeta in floating point (a single rescale
-    can land a few ulps above it).
+    can land a few ulps above it). An array of shape (..., p) is clipped row by
+    row along its last axis, each row bitwise as if clipped on its own; it is
+    returned unchanged when no row exceeds the threshold.
     """
     if not zeta > 0:
         raise ConfigError("clip threshold zeta must be > 0")
     g = np.asarray(g, dtype=float)
+    if g.ndim > 1:
+        return _clip_rows(g, zeta, norm_kind)
     norm = _norm(g, norm_kind)
     if norm <= zeta:
         return g
     clipped = g / (norm / zeta)
     while _norm(clipped, norm_kind) > zeta:
         clipped = clipped / (_norm(clipped, norm_kind) / zeta)
+    return clipped
+
+
+def _clip_rows(g: np.ndarray, zeta: float, norm_kind: str) -> np.ndarray:
+    # mirrors the vector path row by row: a row at or below the threshold has
+    # norm/zeta <= 1 and is divided by exactly 1.0, which leaves it unchanged
+    norms = _row_norms(g, norm_kind)
+    if (norms <= zeta).all():
+        return g
+    clipped = g / np.maximum(norms / zeta, 1.0)[..., None]
+    norms = _row_norms(clipped, norm_kind)
+    while (norms > zeta).any():
+        clipped = clipped / np.maximum(norms / zeta, 1.0)[..., None]
+        norms = _row_norms(clipped, norm_kind)
     return clipped
 
 

@@ -197,3 +197,25 @@ def test_optimal_total_iterations_rejects_nondivisor():
     pc = constants()
     with pytest.raises(ConfigError):
         optimal_total_iterations([10], 3, pc, LAPLACE, 2, 4, 2, pc.y0)
+
+
+def _brute_force_nearest_divisor(divisors, target):
+    return min(divisors, key=lambda d: (abs(d - target), d))
+
+
+def test_nearest_divisor_matches_brute_force():
+    for total in range(1, 2001):
+        divisors = [d for d in range(1, total + 1) if total % d == 0]
+        targets = {0, 1, 2, total // 3, math.isqrt(total), total // 2 + 1, total - 1,
+                   total, total + 5}
+        for target in targets:
+            assert nearest_divisor(total, target) == _brute_force_nearest_divisor(
+                divisors, target), (total, target)
+
+
+def test_nearest_divisor_large_prime_breaks_ties_downward():
+    prime = 1_000_003  # divisors 1 and itself
+    assert nearest_divisor(prime, 500_002) == 1  # equidistant from both
+    assert nearest_divisor(prime, 500_003) == prime
+    assert nearest_divisor(prime, 10**7) == prime
+    assert nearest_divisor(10**7, 3163) == 3200  # 3200 is 37 away, 3125 is 38

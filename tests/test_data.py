@@ -205,3 +205,26 @@ def test_load_csv_errors(tmp_path):
         load_csv(write_csv(tmp_path), "missing")
     with pytest.raises(OSError):
         load_csv(tmp_path / "absent.csv", "rate")
+
+
+def test_load_csv_target_by_index_string(tmp_path):
+    path = write_csv(tmp_path)
+    with pytest.warns(UserWarning):
+        by_name, _ = load_csv(path, "rate", train_fraction=1.0, seed=0)
+    with pytest.warns(UserWarning):
+        by_index, _ = load_csv(path, "2", train_fraction=1.0, seed=0)
+    assert np.array_equal(by_name, by_index)
+
+
+def test_load_csv_header_name_wins_over_index(tmp_path):
+    path = write_csv(tmp_path, "a,0,b\n1,2,3\n4,5,6\n")
+    train, _ = load_csv(path, "0", train_fraction=1.0, seed=0)
+    assert sorted(train[:, -1]) == [2.0, 5.0]  # the column named "0", not column 0
+
+
+def test_load_csv_target_index_out_of_range(tmp_path):
+    path = write_csv(tmp_path)
+    with pytest.raises(ConfigError, match="index 3 out of range"):
+        load_csv(path, "3")
+    with pytest.raises(ConfigError, match="not found"):
+        load_csv(path, "-1")

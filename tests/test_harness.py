@@ -483,6 +483,79 @@ features = 2
     assert code == 2
 
 
+CSV_TASK = """
+[federation]
+clients = 4
+pool_size = 2
+local_iters = 1
+global_iters = 4
+clip_threshold = 20
+clip_norm = l2
+repeats = 1
+
+[data]
+kind = csv
+path = {csv_path}
+train_fraction = 1.0
+"""
+
+
+def write_rate_csv(tmp_path):
+    rows = ["f1,f2,rate"]
+    rng = np.random.default_rng(0)
+    for _ in range(24):
+        a, b = rng.standard_normal(2)
+        rows.append(f"{a},{b},{a * 2 - b}")
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    return csv_path
+
+
+def test_cli_sort_key_outside_feature_columns_is_config_error(tmp_path, capsys):
+    body = CSV_TASK.format(csv_path=write_rate_csv(tmp_path)) + (
+        "target_column = rate\nfeature_columns = f1\nsort_key = f2\n"
+    )
+    path = write(tmp_path, body)
+    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'f2'" in err
+
+
+@pytest.mark.parametrize("columns", [
+    "target_column = 2\nfeature_columns = f1,f2\nsort_key = rate\n",
+    "target_column = rate\nfeature_columns = 0,1\nsort_key = f1\n",
+    "target_column = rate\nfeature_columns = f1,f2\nsort_key = 0\n",
+])
+def test_cli_sort_key_matches_columns_named_another_way(tmp_path, columns):
+    csv_body = CSV_TASK.format(csv_path=write_rate_csv(tmp_path))
+    sort_key = "rate" if "sort_key = rate" in columns else "f1"
+    canonical = f"target_column = rate\nfeature_columns = f1,f2\nsort_key = {sort_key}\n"
+    outs = []
+    for name, tail in (("mixed.cfg", columns), ("names.cfg", canonical)):
+        out = tmp_path / name.removesuffix(".cfg")
+        path = write(tmp_path, csv_body + tail, name)
+        assert cli_main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        outs.append((out / "rounds.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("target,code", [("rate", 0), ("2", 0), ("3", 1)])
+def test_cli_target_column_by_name_or_index(tmp_path, capsys, target, code):
+    body = CSV_TASK.format(csv_path=write_rate_csv(tmp_path)) + f"target_column = {target}\n"
+    path = write(tmp_path, body)
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == code
+    if code == 0:
+        by_name = tmp_path / "by_name"
+        name_cfg = write(tmp_path, body.replace(f"target_column = {target}",
+                                                "target_column = rate"), "name.cfg")
+        cli_main(["run", "--config", str(name_cfg), "--out", str(by_name), "--quiet"])
+        assert (out / "rounds.csv").read_bytes() == (by_name / "rounds.csv").read_bytes()
+    else:
+        assert "index 3 out of range" in capsys.readouterr().err
+
+
 def test_cli_validate_and_plan(tmp_path, capsys):
     body = SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 1.0\nxi1 = 2.0\n"
     path = write(tmp_path, body)

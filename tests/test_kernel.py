@@ -1,0 +1,256 @@
+"""The pool-batched local-step kernel against a plain per-client reference loop."""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from dpfedsim import bounds
+from dpfedsim.data import sorted_partition
+from dpfedsim.engine import (
+    PARAM_LIMIT,
+    ClipSpec,
+    DivergenceError,
+    FederationConfig,
+    RoundRecord,
+    Schedule,
+    aggregate,
+    client_update,
+    pilot_gradient_bound,
+    run_federation,
+    schedule_offset,
+)
+from dpfedsim.harness import cmd_run
+from dpfedsim.mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
+from dpfedsim.regression import (
+    clip_gradient,
+    mse_gradient,
+    pooled_design,
+    problem_constants,
+)
+
+REL_TOL = 1e-12
+
+
+def _diverged(theta):
+    return not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > PARAM_LIMIT
+
+
+def reference_run(config, shards, constants=None):
+    """One repeat, client by client: client_update, the client's own noise
+    stream, and aggregate over ascending client ids."""
+    shards = sorted(shards, key=lambda s: s.client_id)
+    N, b, E = config.n_clients, config.pool_size, config.local_iters
+    sizes = [s.n_l for s in shards]
+    n = sum(sizes)
+    n_bar_sq = sum(s * s for s in sizes) / N
+    X, y = pooled_design(shards)
+    dim = X.shape[1]
+    theta = np.zeros(dim) if config.theta_0 is None else np.asarray(config.theta_0, float)
+    bound_params = None
+    if constants is not None and constants.assumptions_ok and config.schedule.kind == "decay":
+        bound_params = bounds.bound_params(
+            constants, config.mechanism, p=dim, local_iters=E,
+            global_iters=config.global_iters, n_clients=N, pool_size=b,
+        )
+    records = []
+    diverged = False
+    for t in range(config.global_iters):
+        pool = sorted((t * b + j) % N for j in range(b))
+        eta_tilde = config.schedule.rate(t * E)
+        ctx = NoiseContext(p=dim, eta_tilde=eta_tilde, E=E, T_l=config.rounds_per_client,
+                           T_g=config.global_iters, b=b, N=N, n=n, n_bar_sq=n_bar_sq)
+        try:
+            uploads, noises = [], []
+            for cid in pool:
+                nu = client_update(theta, shards[cid], t, E, config.schedule, config.clip)
+                w = sample_noise(config.mechanism, ctx, noise_stream(config.seed, t, cid))
+                uploads.append((nu + w, sizes[cid]))
+                noises.append((w, sizes[cid]))
+            theta_new = aggregate(uploads, N, b, n)
+            if _diverged(theta_new):
+                raise DivergenceError
+        except DivergenceError:
+            diverged = True
+            break
+        theta = theta_new
+        k = (t + 1) * E
+        resid = X @ theta - y
+        y_k = bound_y_k = math.nan
+        if constants is not None:
+            diff = theta - constants.theta_star
+            y_k = float(diff @ diff)
+            if bound_params is not None:
+                bound_y_k = bounds.convergence_bound(k, bound_params, constants.y0)
+        records.append(RoundRecord(
+            t=t, k=k, eta_k=eta_tilde, global_loss=float(resid @ resid) / n, y_k=y_k,
+            bound_y_k=bound_y_k, noise_l2=float(np.linalg.norm(aggregate(noises, N, b, n))),
+        ))
+    return records, theta, diverged
+
+
+def reference_pilot(config, shards):
+    """Max clipped-gradient L2 norm of a noise-free run, client by client."""
+    shards = sorted(shards, key=lambda s: s.client_id)
+    N, b, E = config.n_clients, config.pool_size, config.local_iters
+    n = sum(s.n_l for s in shards)
+    theta = np.zeros(shards[0].dim)
+    max_norm = 0.0
+    for t in range(config.global_iters):
+        updated = []
+        for cid in sorted((t * b + j) % N for j in range(b)):
+            theta_l = theta
+            for i in range(E):
+                grad = clip_gradient(mse_gradient(theta_l, shards[cid]), config.clip.zeta,
+                                     config.clip.norm)
+                max_norm = max(max_norm, float(np.linalg.norm(grad)))
+                theta_l = theta_l - config.schedule.rate(t * E + i) * grad
+            updated.append((theta_l, shards[cid].n_l))
+        theta = aggregate(updated, N, b, n)
+    return max_norm
+
+
+def assert_close(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    a, b = a[~np.isnan(a)], b[~np.isnan(b)]
+    assert np.all(np.abs(a - b) <= REL_TOL * np.maximum(np.abs(a), np.abs(b)) + 1e-300)
+
+
+def ragged_shards(n_clients=6, rows=53, features=3, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, features))
+    y = x @ rng.standard_normal(features) + 0.5 + 0.1 * rng.standard_normal(rows)
+    return sorted_partition(np.column_stack([x, y]), -1, n_clients).shards
+
+
+def decay_config(shards, norm, zeta, mechanism, E=3, b=3, T_g=8, seed=7):
+    pc = problem_constants(shards, np.zeros(shards[0].dim), zeta, norm)
+    schedule = Schedule.decay(pc.mu, schedule_offset(pc.lam, pc.mu, E))
+    cfg = FederationConfig(
+        n_clients=len(shards), pool_size=b, local_iters=E, global_iters=T_g,
+        schedule=schedule, clip=ClipSpec(zeta, norm), mechanism=mechanism, seed=seed,
+    )
+    return cfg, pc
+
+
+MECHANISMS = {
+    "laplace": MechanismSpec(kind="laplace", epsilon=2.0, xi1=0.5),
+    "gaussian": MechanismSpec(kind="gaussian", epsilon=2.0, delta=1e-4, xi2=0.5),
+    "none": MechanismSpec(),
+}
+
+
+@pytest.mark.parametrize("norm,mechanism", [
+    ("l1", "laplace"), ("l2", "laplace"), ("l1", "gaussian"), ("l2", "gaussian"),
+    ("l2", "none"),
+])
+def test_kernel_matches_per_client_reference(norm, mechanism):
+    shards = ragged_shards()
+    assert len({s.n_l for s in shards}) == 2  # padding is exercised
+    zeta = 0.5
+    cfg, pc = decay_config(shards, norm, zeta, MECHANISMS[mechanism])
+    order = 1 if norm == "l1" else 2
+    assert any(np.linalg.norm(mse_gradient(np.zeros(s.dim), s), order) > zeta
+               for s in shards)  # clipping is active
+    res = run_federation(cfg, shards, constants=pc)
+    records, theta, diverged = reference_run(cfg, shards, constants=pc)
+    assert not res.diverged and not diverged
+    assert len(res.records) == len(records) == cfg.global_iters
+    for got, want in zip(res.records, records):
+        assert (got.t, got.k, got.eta_k) == (want.t, want.k, want.eta_k)
+        assert_close([getattr(got, f.name) for f in dataclasses.fields(RoundRecord)],
+                      [getattr(want, f.name) for f in dataclasses.fields(RoundRecord)])
+    assert_close(res.theta, theta)
+
+
+def test_kernel_matches_reference_without_constants_and_full_pool():
+    shards = ragged_shards(n_clients=4, rows=30, seed=1)
+    cfg, _ = decay_config(shards, "l2", 0.3, MECHANISMS["gaussian"], E=2, b=4, T_g=5)
+    res = run_federation(cfg, shards)
+    records, theta, _ = reference_run(cfg, shards)
+    assert all(math.isnan(r.y_k) and math.isnan(r.bound_y_k) for r in res.records)
+    for got, want in zip(res.records, records):
+        assert_close(dataclasses.astuple(got), dataclasses.astuple(want))
+    assert_close(res.theta, theta)
+
+
+def test_kernel_matches_reference_on_divergence():
+    shards = ragged_shards(n_clients=4, rows=26, seed=2)
+    cfg = FederationConfig(
+        n_clients=4, pool_size=2, local_iters=2, global_iters=50,
+        schedule=Schedule.constant(50.0), clip=ClipSpec(1e30, "l2"),
+        mechanism=MECHANISMS["laplace"], seed=3,
+    )
+    res = run_federation(cfg, shards)
+    records, theta, diverged = reference_run(cfg, shards)
+    assert res.diverged and diverged
+    assert len(res.records) == len(records) < 50
+    for got, want in zip(res.records, records):
+        assert_close(dataclasses.astuple(got), dataclasses.astuple(want))
+    assert_close(res.theta, theta)
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_pilot_matches_per_client_reference(norm):
+    shards = ragged_shards(seed=3)
+    cfg, _ = decay_config(shards, norm, 0.5, MechanismSpec(), T_g=10)
+    got = pilot_gradient_bound(cfg, shards)
+    want = reference_pilot(cfg, shards)
+    assert 0 < got <= 0.5
+    assert abs(got - want) <= REL_TOL * want
+
+
+ROUNDS_TASK = """
+[federation]
+clients = 10
+pool_size = 5
+local_iters = 2
+global_iters = 10
+clip_threshold = 5
+clip_norm = l1
+seed = 3
+repeats = {repeats}
+
+[dp]
+mechanism = laplace
+epsilon = 2.0
+
+[data]
+n_per_client = 8
+features = 3
+"""
+
+
+def test_fewer_repeats_reproduce_the_leading_runs_byte_for_byte(tmp_path):
+    for repeats in (5, 20):
+        path = tmp_path / f"r{repeats}.cfg"
+        path.write_text(ROUNDS_TASK.format(repeats=repeats))
+        cmd_run(path, tmp_path / f"out{repeats}", quiet=True)
+    five = (tmp_path / "out5" / "rounds.csv").read_bytes()
+    twenty = (tmp_path / "out20" / "rounds.csv").read_bytes()
+    lines = five.count(b"\n")
+    assert lines == 1 + 5 * 10
+    assert twenty.split(b"\n")[:lines] == five.split(b"\n")[:lines]
+    assert twenty.startswith(five)
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("shape", [(7, 4), (5, 200), (2, 3, 6)])
+def test_row_wise_clip_equals_clipping_each_row(norm, shape):
+    rng = np.random.default_rng(sum(shape))
+    g = rng.standard_normal(shape) * rng.choice([0.1, 1.0, 30.0], size=shape[:-1] + (1,))
+    g.reshape(-1, shape[-1])[0] = 0.0  # a zero row stays zero
+    zeta = 2.0
+    out = clip_gradient(g, zeta, norm)
+    rows = g.reshape(-1, shape[-1])
+    want = np.stack([clip_gradient(row, zeta, norm) for row in rows]).reshape(shape)
+    assert np.array_equal(out, want)
+    order = 1 if norm == "l1" else 2
+    assert np.all(np.linalg.norm(out.reshape(-1, shape[-1]), order, axis=1) <= zeta)
+    assert np.any(np.linalg.norm(rows, order, axis=1) > zeta)  # some rows were clipped
+
+
+def test_row_wise_clip_returns_input_when_nothing_is_clipped():
+    g = np.full((3, 4), 0.1)
+    assert clip_gradient(g, 10.0, "l1") is g
