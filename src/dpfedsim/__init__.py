@@ -18,6 +18,7 @@ from .bounds import (
     optimal_local_iterations,
     optimal_total_iterations,
     rate_exponent,
+    schedule_offset,
 )
 from .data import FederatedDataset, load_csv, sorted_partition, synth_regression
 from .engine import (
@@ -32,7 +33,6 @@ from .engine import (
     lr_schedule,
     pilot_gradient_bound,
     run_federation,
-    schedule_offset,
     select_pool,
 )
 from .harness import (

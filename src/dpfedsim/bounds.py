@@ -16,6 +16,7 @@ from .regression import ConfigError, ProblemConstants
 
 __all__ = [
     "BoundParams",
+    "schedule_offset",
     "omega0",
     "c_mechanism",
     "bound_params",
@@ -42,6 +43,18 @@ class BoundParams:
     global_iters: int
     n_clients: int
     pool_size: int
+
+
+def schedule_offset(lam: float, mu: float, local_iters: int) -> float:
+    """Decay offset gamma = max(8*lambda/mu, E).
+
+    With gamma >= E the rate shrinks by at most a factor 2 across one round,
+    which is what the convergence bound and the sensitivity calibration rely
+    on.
+    """
+    if not mu > 0:
+        raise ConfigError("schedule offset requires mu > 0")
+    return max(8.0 * lam / mu, float(local_iters))
 
 
 def omega0(
@@ -123,7 +136,7 @@ def bound_params(
         pool_size,
     )
     w1 = c_m * local_iters**2 * global_iters**z
-    gamma = max(8.0 * constants.lam / constants.mu, float(local_iters))
+    gamma = schedule_offset(constants.lam, constants.mu, local_iters)
     return BoundParams(
         constants=constants,
         omega0=w0,

@@ -7,19 +7,22 @@ and aggregates the noisy parameters with size weights.
 
 A round's pool is a contiguous block of client ids, so the local steps of the
 whole pool run as one vectorised block on a zero-padded copy of the shards:
-the number of numpy calls per step does not grow with the pool size. Noise is
-drawn from each client's own stream in ascending client-id order and
-aggregation is one reduction over the pool block in a fixed order, so results
+the number of numpy calls per step does not grow with the pool size. The
+pool's noise block is one draw from the round's stream, aggregation is one
+reduction over the pool block in a fixed order, and the pooled loss is a p x p
+quadratic form, so a round costs O(b * max(n_l) * p * E + p^2) and results
 are bit-reproducible.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import bounds
+from .bounds import schedule_offset
 from .mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
 from .regression import ClientShard, ConfigError, clip_gradient, mse_gradient, ProblemConstants
 
@@ -54,18 +57,6 @@ def lr_schedule(k: int, mu: float, gamma: float) -> float:
     if gamma < 1:
         raise ConfigError("decay schedule requires gamma >= 1")
     return 2.0 / (mu * (k + gamma))
-
-
-def schedule_offset(lam: float, mu: float, local_iters: int) -> float:
-    """Decay offset gamma = max(8*lambda/mu, E).
-
-    With gamma >= E the rate shrinks by at most a factor 2 across one round,
-    which is what the convergence bound and the sensitivity calibration rely
-    on.
-    """
-    if not mu > 0:
-        raise ConfigError("schedule offset requires mu > 0")
-    return max(8.0 * lam / mu, float(local_iters))
 
 
 @dataclass(frozen=True)
@@ -275,7 +266,8 @@ class _PaddedShards:
 
     Zero rows add nothing to a residual, a gradient or a loss, so client l's
     data is ``x[l]``/``y[l]`` and a pool is the slice of its id block. Memory
-    is N * max(n_l) * p floats.
+    is N * max(n_l) * p floats, plus O(p^2) for the loss form once a loss is
+    asked for.
     """
 
     x: np.ndarray  # (N, n_max, p)
@@ -307,10 +299,28 @@ class _PaddedShards:
     def dim(self) -> int:
         return self.x.shape[2]
 
+    @cached_property
+    def _loss_form(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        # built on the first loss call, so runs that never ask (the pilot) skip it
+        x, y = self.x.reshape(-1, self.dim), self.y.ravel()
+        gram = x.T @ x
+        theta_ref = np.linalg.lstsq(gram, x.T @ y, rcond=None)[0]
+        resid = x @ theta_ref - y
+        return gram, theta_ref, float(resid @ resid), x.T @ resid
+
     def loss(self, theta: np.ndarray) -> float:
-        """Pooled loss (1/n) ||X theta - y||^2 over every client's samples."""
-        resid = self.x.reshape(-1, self.dim) @ theta - self.y.ravel()
-        return float(resid @ resid) / self.n
+        """Pooled loss (1/n) ||X theta - y||^2 over every client's samples.
+
+        Expanded around the near-optimal theta_ref with d = theta - theta_ref:
+        ||X theta - y||^2 = L_ref + 2 d'g + d'G d, where G = X'X and L_ref and
+        g = X'(X theta_ref - y) are computed from the residual. L_ref and d'G d
+        are non-negative and g is close to zero, so the sum does not cancel the
+        way theta'G theta - 2 c'theta + y'y does when the loss is far below
+        y'y / n.
+        """
+        gram, theta_ref, loss_ref, grad_ref = self._loss_form
+        d = theta - theta_ref
+        return (loss_ref + 2.0 * float(d @ grad_ref) + float(d @ gram @ d)) / self.n
 
 
 def _initial_theta(config: FederationConfig, dim: int) -> np.ndarray:
@@ -360,11 +370,10 @@ def _local_steps(
 
 
 def _pool_noise(config: FederationConfig, ctx: NoiseContext, t: int, pool: slice) -> np.ndarray:
-    """The (b, p) noise block of round t: each client's own stream, ascending ids."""
-    return np.array([
-        sample_noise(config.mechanism, ctx, noise_stream(config.seed, t, cid))
-        for cid in range(pool.start, pool.stop)
-    ])
+    """The (b, p) noise block of round t, row i for client ``pool.start + i``."""
+    return sample_noise(
+        config.mechanism, ctx, noise_stream(config.seed, t), (pool.stop - pool.start,)
+    )
 
 
 def _noise_context(config: FederationConfig, p: int, eta_tilde: float, n: int,

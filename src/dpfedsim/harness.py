@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -31,7 +32,6 @@ from .engine import (
     Schedule,
     pilot_gradient_bound,
     run_federation,
-    schedule_offset,
     select_pool,
 )
 from .mechanisms import (
@@ -42,7 +42,7 @@ from .mechanisms import (
     gaussian_sigma,
     laplace_scale,
     noise_item_variance,
-    sensitivity_l2,
+    sample_noise,
 )
 from .regression import (
     ConfigError,
@@ -76,6 +76,22 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _write_text_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: readers see the old file or the new one.
+
+    The text goes to a temporary file in the same directory, which
+    ``os.replace`` then renames over ``path``; on any failure the temporary
+    file is removed and ``path`` is left as it was.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +183,7 @@ def build_experiment(raw: RawConfig) -> Experiment:
                 "assumptions violated: the pooled Hessian is singular, so the decay "
                 "schedule has no valid rate; use the constant schedule"
             )
-        gamma = schedule_offset(constants.lam, constants.mu, fed["local_iters"])
+        gamma = bounds.schedule_offset(constants.lam, constants.mu, fed["local_iters"])
         schedule = Schedule.decay(constants.mu, gamma)
     else:
         schedule = Schedule.constant(raw.schedule["eta"])
@@ -314,7 +330,7 @@ def _write_rounds_csv(path: Path, results: list[RunResult], base_seed: int) -> N
                     ]
                 )
             )
-    path.write_text("\n".join(lines) + "\n")
+    _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def cmd_run(
@@ -474,7 +490,7 @@ def cmd_sweep(
                 ]
             )
         )
-    (out / base.output["sweep_csv"]).write_text("\n".join(lines) + "\n")
+    _write_text_atomic(out / base.output["sweep_csv"], "\n".join(lines) + "\n")
 
     if not quiet:
         finite = [r for r in rows if math.isfinite(r.mean_final_loss)]
@@ -628,7 +644,7 @@ def cmd_plan(config_path, out_dir=None, seed: int | None = None,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "plan.txt").write_text(text)
+        _write_text_atomic(out / "plan.txt", text)
     if not quiet:
         print(text, end="")
     return report
@@ -682,13 +698,6 @@ def _simulate_noise_aggregates(
     if per_pool < 1:
         raise ConfigError("draws must be at least the number of round-robin pools")
 
-    if mech.kind == "laplace":
-        scale = laplace_scale(ctx, mech)
-        sampler = lambda size: rng.laplace(0.0, scale, size=size)
-    else:
-        std = gaussian_sigma(ctx, mech) * sensitivity_l2(ctx, mech.xi2)
-        sampler = lambda size: rng.normal(0.0, std, size=size)
-
     # cap the work array at ~4e6 elements per block
     block = max(1, min(per_pool, 4_000_000 // (cfg.pool_size * ctx.p)))
     total = 0.0
@@ -700,7 +709,7 @@ def _simulate_noise_aggregates(
         left = per_pool
         while left > 0:
             m = min(block, left)
-            w = sampler((m, cfg.pool_size, ctx.p))
+            w = sample_noise(mech, ctx, rng, (m, cfg.pool_size))
             agg = np.einsum("dbp,b->dp", w, weights)
             total += float(np.sum(agg**2))
             count += m
@@ -758,7 +767,7 @@ def cmd_validate(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "validate.txt").write_text(text)
+        _write_text_atomic(out / "validate.txt", text)
     if not quiet:
         print(text, end="")
     return report

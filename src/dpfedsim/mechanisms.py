@@ -6,8 +6,11 @@ rounds a client joins, the closed-form predictor for the expected squared
 norm of the aggregated noise, and the growth exponent z of that variance in
 the number of global iterations (2 for Laplace, 1 for Gaussian).
 
-Noise streams are derived per (seed, round, client id), so the order in which
-clients are processed can never change a draw.
+Noise comes from one random stream per (seed, round). A round's pool of b
+clients draws its whole (b, p) block from that stream in one call, and row i
+belongs to client (t*b mod N) + i. A draw is therefore a pure function of
+(seed, round, client id, b): it cannot depend on how the work is scheduled,
+and a run with seed s draws the same noise whatever the other repeats are.
 """
 from __future__ import annotations
 
@@ -142,31 +145,39 @@ def gaussian_sigma(ctx: NoiseContext, spec: MechanismSpec) -> float:
     return spec.c2 * spec.q * math.sqrt(ctx.T_l * math.log(1.0 / spec.delta)) / spec.epsilon
 
 
-def noise_stream(seed: int, t: int, client_id: int) -> np.random.Generator:
-    """Dedicated random stream for one (run seed, round, client) triple.
+def noise_stream(seed: int, t: int) -> np.random.Generator:
+    """The random stream of round t of the run with seed ``seed``.
 
-    Streams are derived with a counter-based seed sequence, so processing
-    clients in any order or in blocks cannot change a draw, and repeated
-    calls return an identical stream.
+    The stream is derived from the (seed, round) pair by a seed sequence, so
+    repeated calls return an identical stream. The round's pool draws its
+    whole noise block from it with one ``sample_noise`` call; row i of the
+    block belongs to client (t*b mod N) + i.
     """
-    if seed < 0 or t < 0 or client_id < 0:
-        raise ConfigError("seed, round index and client id must be non-negative")
-    return np.random.default_rng(np.random.SeedSequence((seed, t, client_id)))
+    if seed < 0 or t < 0:
+        raise ConfigError("seed and round index must be non-negative")
+    return np.random.default_rng(np.random.SeedSequence((seed, t)))
 
 
-def sample_noise(spec: MechanismSpec, ctx: NoiseContext, rng: np.random.Generator) -> np.ndarray:
-    """Draw the p-dimensional noise vector a client adds before upload.
+def sample_noise(
+    spec: MechanismSpec,
+    ctx: NoiseContext,
+    rng: np.random.Generator,
+    lead: tuple[int, ...] = (),
+) -> np.ndarray:
+    """Draw a ``lead + (p,)`` array of the noise vectors clients add before upload.
 
-    Laplace draws have per-coordinate scale T_l*Xi1/epsilon; Gaussian draws
-    have standard deviation sigma*Xi2. kind="none" returns an exact zero
-    vector without touching the stream.
+    Each p-vector is one client's noise: Laplace draws have per-coordinate
+    scale T_l*Xi1/epsilon; Gaussian draws have standard deviation sigma*Xi2.
+    The whole array comes from one call on ``rng``. kind="none" returns exact
+    zeros without touching the stream.
     """
+    size = (*lead, ctx.p)
     if spec.kind == "none":
-        return np.zeros(ctx.p)
+        return np.zeros(size)
     if spec.kind == "laplace":
-        return rng.laplace(0.0, laplace_scale(ctx, spec), size=ctx.p)
+        return rng.laplace(0.0, laplace_scale(ctx, spec), size=size)
     std = gaussian_sigma(ctx, spec) * sensitivity_l2(ctx, spec.xi2)
-    return rng.normal(0.0, std, size=ctx.p)
+    return rng.normal(0.0, std, size=size)
 
 
 def _per_coordinate_second_moment(spec: MechanismSpec, ctx: NoiseContext, mode: str) -> float:

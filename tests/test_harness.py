@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -167,6 +168,33 @@ def test_run_seed_override_changes_noise(tmp_path):
     assert a.final.loss_mean != b.final.loss_mean
 
 
+WRITERS = {
+    "run": (lambda cfg, out: cmd_run(cfg, out, repeats=1, quiet=True), "rounds.csv"),
+    "sweep": (lambda cfg, out: cmd_sweep(cfg, out, repeats=1, quiet=True), "sweep.csv"),
+    "plan": (lambda cfg, out: cmd_plan(cfg, out, quiet=True), "plan.txt"),
+    "validate": (lambda cfg, out: cmd_validate(cfg, 10**4, out, quiet=True), "validate.txt"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_failed_output_replace_keeps_the_previous_file(tmp_path, monkeypatch, command):
+    body = SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 2.0\nxi1 = 1.0\n"
+    body += "[sweep]\naxis = T\nvalues = 40\n"
+    run, name = WRITERS[command]
+    out = tmp_path / "out"
+    run(write(tmp_path, body), out)
+    before = (out / name).read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        run(write(tmp_path, body.replace("seed = 0", "seed = 1")), out)
+    assert (out / name).read_bytes() == before
+    assert [p.name for p in out.iterdir()] == [name]  # no temporary file left behind
+
+
 # ---------------------------------------------------------------------------
 # cmd_sweep
 # ---------------------------------------------------------------------------
@@ -273,8 +301,10 @@ def test_rate_exponent_sign_predicts_long_run_behavior(tmp_path):
     lap = _final_y_by_total(tmp_path, "l.cfg", "laplace", 64.0, 10, [50, 100, 200, 400])
     assert lap[1] < lap[2] < lap[3]
     # z=1: the gaussian error levels off; the floor is all noise, so it takes
-    # many seeds for the mean to stabilize below the 10% gate
-    gauss = _final_y_by_total(tmp_path, "g.cfg", "gaussian", 32.0, 100, [200, 400])
+    # many seeds for the mean to stabilize below the 10% gate: the per-repeat
+    # relative sd of the paired difference is about 0.9, so 1000 repeats give a
+    # standard error of about 3% against a true difference of about 4%
+    gauss = _final_y_by_total(tmp_path, "g.cfg", "gaussian", 32.0, 1000, [200, 400])
     assert abs(gauss[1] - gauss[0]) / gauss[0] < 0.10
 
 

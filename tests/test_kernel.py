@@ -1,6 +1,7 @@
 """The pool-batched local-step kernel against a plain per-client reference loop."""
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,8 +38,8 @@ def _diverged(theta):
 
 
 def reference_run(config, shards, constants=None):
-    """One repeat, client by client: client_update, the client's own noise
-    stream, and aggregate over ascending client ids."""
+    """One repeat, client by client: client_update, row i of the round's noise
+    block for client start + i, and aggregate over ascending client ids."""
     shards = sorted(shards, key=lambda s: s.client_id)
     N, b, E = config.n_clients, config.pool_size, config.local_iters
     sizes = [s.n_l for s in shards]
@@ -60,11 +61,12 @@ def reference_run(config, shards, constants=None):
         eta_tilde = config.schedule.rate(t * E)
         ctx = NoiseContext(p=dim, eta_tilde=eta_tilde, E=E, T_l=config.rounds_per_client,
                            T_g=config.global_iters, b=b, N=N, n=n, n_bar_sq=n_bar_sq)
+        block = sample_noise(config.mechanism, ctx, noise_stream(config.seed, t), (b,))
         try:
             uploads, noises = [], []
-            for cid in pool:
+            for i, cid in enumerate(pool):
                 nu = client_update(theta, shards[cid], t, E, config.schedule, config.clip)
-                w = sample_noise(config.mechanism, ctx, noise_stream(config.seed, t, cid))
+                w = block[i]
                 uploads.append((nu + w, sizes[cid]))
                 noises.append((w, sizes[cid]))
             theta_new = aggregate(uploads, N, b, n)
@@ -117,10 +119,11 @@ def assert_close(a, b):
     assert np.all(np.abs(a - b) <= REL_TOL * np.maximum(np.abs(a), np.abs(b)) + 1e-300)
 
 
-def ragged_shards(n_clients=6, rows=53, features=3, seed=0):
+def ragged_shards(n_clients=6, rows=53, features=3, seed=0, offset=0.5):
+    # sorted_partition adds a bias column, which absorbs the target offset
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((rows, features))
-    y = x @ rng.standard_normal(features) + 0.5 + 0.1 * rng.standard_normal(rows)
+    y = x @ rng.standard_normal(features) + offset + 0.1 * rng.standard_normal(rows)
     return sorted_partition(np.column_stack([x, y]), -1, n_clients).shards
 
 
@@ -199,6 +202,37 @@ def test_pilot_matches_per_client_reference(norm):
     want = reference_pilot(cfg, shards)
     assert 0 < got <= 0.5
     assert abs(got - want) <= REL_TOL * want
+
+
+@pytest.mark.parametrize("offset", [1e2, 1e4, 1e6])
+def test_pooled_loss_is_as_accurate_as_the_residual_form(offset):
+    # a large target offset puts the loss many orders below y'y/n, where the
+    # naive Gram form theta'G theta - 2c'theta + y'y cancels catastrophically
+    shards = ragged_shards(n_clients=4, rows=200, seed=4, offset=offset)
+    X, y = pooled_design(shards)
+    n = len(y)
+    theta_opt = np.linalg.lstsq(X, y, rcond=None)[0]
+    theta_0 = theta_opt + 0.05 * np.random.default_rng(5).standard_normal(X.shape[1])
+    cfg = FederationConfig(
+        n_clients=4, pool_size=4, local_iters=1, global_iters=5,
+        schedule=Schedule.constant(1e-3), clip=ClipSpec(1e30, "l2"), theta_0=theta_0,
+    )
+    res = run_federation(cfg, shards, record_trajectory=True)
+    rows = [([Fraction(v) for v in xi], Fraction(yi)) for xi, yi in zip(X.tolist(), y.tolist())]
+    worst = {"engine": 0.0, "residual": 0.0, "naive": 0.0}
+    for rec, theta in zip(res.records, res.trajectory[1:]):
+        coef = [Fraction(v) for v in theta.tolist()]
+        exact = sum((sum(a * c for a, c in zip(xi, coef)) - yi) ** 2 for xi, yi in rows) / n
+        resid = X @ theta - y
+        got = {
+            "engine": rec.global_loss,
+            "residual": float(resid @ resid) / n,
+            "naive": float(theta @ (X.T @ X) @ theta - 2 * (X.T @ y) @ theta + y @ y) / n,
+        }
+        for form, value in got.items():
+            worst[form] = max(worst[form], float(abs(Fraction(value) - exact) / exact))
+    assert worst["engine"] <= 10 * max(worst["residual"], np.finfo(float).eps)
+    assert worst["naive"] > 100 * worst["engine"]  # the offset does stress the loss
 
 
 ROUNDS_TASK = """

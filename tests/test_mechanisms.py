@@ -138,25 +138,33 @@ def test_scale_errors():
 
 
 def test_sample_noise_none_is_exact_zero():
-    out = sample_noise(MechanismSpec(), ctx(p=5), noise_stream(0, 0, 0))
-    assert np.array_equal(out, np.zeros(5))
+    assert np.array_equal(sample_noise(MechanismSpec(), ctx(p=5), noise_stream(0, 0)),
+                          np.zeros(5))
+    block = sample_noise(MechanismSpec(), ctx(p=5), noise_stream(0, 0), (3,))
+    assert np.array_equal(block, np.zeros((3, 5)))
 
 
 def test_sample_noise_repeatable_per_stream():
     c = ctx(p=4, T_g=2)
-    spec = laplace_spec()
-    a = sample_noise(spec, c, noise_stream(7, 3, 11))
-    b = sample_noise(spec, c, noise_stream(7, 3, 11))
-    assert np.array_equal(a, b)
-    other = sample_noise(spec, c, noise_stream(7, 3, 12))
-    assert not np.array_equal(a, other)
+    for spec in (laplace_spec(), gaussian_spec()):
+        a = sample_noise(spec, c, noise_stream(7, 3), (5,))
+        assert a.shape == (5, 4)
+        assert np.array_equal(a, sample_noise(spec, c, noise_stream(7, 3), (5,)))
+        assert len({row.tobytes() for row in a}) == 5  # every client gets its own row
+        # the stream differs across rounds and across seeds
+        for other in (noise_stream(7, 4), noise_stream(8, 3)):
+            assert not np.any(a == sample_noise(spec, c, other, (5,)))
+    with pytest.raises(ConfigError):
+        noise_stream(-1, 0)
+    with pytest.raises(ConfigError):
+        noise_stream(0, -1)
 
 
 def test_sample_noise_mean_within_standard_error():
     c = ctx(p=1, T_g=2)
     for spec in (laplace_spec(epsilon=2.0), gaussian_spec(epsilon=2.0)):
         # vectorized equivalent of 10^6 single-coordinate draws
-        rng = noise_stream(1, 0, 0)
+        rng = noise_stream(1, 0)
         if spec.kind == "laplace":
             beta = laplace_scale(c, spec)
             samples = rng.laplace(0.0, beta, size=10**6)
