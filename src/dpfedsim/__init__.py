@@ -13,6 +13,7 @@ from .bounds import (
     bound_params,
     c_mechanism,
     convergence_bound,
+    e_from_rule,
     nearest_divisor,
     omega0,
     optimal_local_iterations,
@@ -46,7 +47,6 @@ from .harness import (
     cmd_run,
     cmd_sweep,
     cmd_validate,
-    e_from_rule,
     run_repeats,
 )
 from .mechanisms import (

@@ -23,6 +23,8 @@ __all__ = [
     "convergence_bound",
     "bound_curve",
     "optimal_local_iterations",
+    "E_RULES",
+    "e_from_rule",
     "rate_exponent",
     "nearest_divisor",
     "optimal_total_iterations",
@@ -126,15 +128,22 @@ def bound_params(
     if not constants.assumptions_ok:
         raise ConfigError("bound constants unavailable: assumptions violated (singular Hessian)")
     z = 0.0 if mechanism.kind == "none" else asymptotic_z(mechanism.kind)
-    c_m = c_mechanism(mechanism, p, pool_size, n_clients)
-    w0 = omega0(
-        constants.lam,
-        constants.gamma_noniid,
-        local_iters,
-        constants.g_bound,
-        n_clients,
-        pool_size,
-    )
+    try:
+        c_m = c_mechanism(mechanism, p, pool_size, n_clients)
+        w0 = omega0(
+            constants.lam,
+            constants.gamma_noniid,
+            local_iters,
+            constants.g_bound,
+            n_clients,
+            pool_size,
+        )
+    except ArithmeticError as exc:
+        # a square of epsilon, xi1, xi2 or the gradient bound left the float range
+        raise ConfigError(
+            f"bound constants out of float range ({exc}): check epsilon, xi1, xi2 "
+            "and clip_threshold"
+        ) from None
     w1 = c_m * local_iters**2 * global_iters**z
     gamma = schedule_offset(constants.lam, constants.mu, local_iters)
     return BoundParams(
@@ -187,6 +196,11 @@ def nearest_divisor(total: int, target: int) -> int:
     return min(divisors, key=lambda d: (abs(d - target), d))
 
 
+def _power_rule(total_iters: int, exponent: float) -> int:
+    """E = round(T^a), clamped to [1, T]."""
+    return max(1, min(total_iters, round(total_iters**exponent)))
+
+
 def optimal_local_iterations(total_iters: int, z: float, divisor_adjust: bool = True) -> int:
     """Local-iteration count E = round(T^(z/(z+1))), clamped to [1, T].
 
@@ -198,11 +212,28 @@ def optimal_local_iterations(total_iters: int, z: float, divisor_adjust: bool = 
         raise ConfigError("total iteration count must be >= 1")
     if not 0.0 <= z <= 2.0:
         raise ConfigError("z must lie in [0, 2]")
-    raw = total_iters ** (z / (z + 1.0))
-    e = max(1, min(total_iters, round(raw)))
+    e = _power_rule(total_iters, z / (z + 1.0))
     if divisor_adjust:
         e = nearest_divisor(total_iters, e)
     return e
+
+
+# symbolic local-iteration rules accepted on the sweep E_rule axis,
+# mapped to the exponent a in E = round(T^a)
+E_RULES = {
+    "1": 0.0,
+    "T^{1/3}": 1.0 / 3.0,
+    "T^{1/2}": 0.5,
+    "T^{2/3}": 2.0 / 3.0,
+    "T": 1.0,
+}
+
+
+def e_from_rule(rule: str, total_iters: int) -> int:
+    """Local-iteration count for a symbolic rule, adjusted to a divisor of T."""
+    if rule not in E_RULES:
+        raise ConfigError(f"unknown E rule {rule!r}, expected one of {sorted(E_RULES)}")
+    return nearest_divisor(total_iters, _power_rule(total_iters, E_RULES[rule]))
 
 
 def rate_exponent(z: float) -> float:

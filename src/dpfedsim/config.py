@@ -12,19 +12,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .regression import ConfigError
+from .bounds import E_RULES
+from .engine import SCHEDULE_KINDS
+from .mechanisms import KINDS
+from .regression import CLIP_NORMS, ConfigError
 
-__all__ = ["RawConfig", "parse_config", "DEFAULTS", "E_RULES"]
-
-# symbolic local-iteration rules accepted on the sweep E_rule axis,
-# mapped to the exponent a in E = round(T^a)
-E_RULES = {
-    "1": 0.0,
-    "T^{1/3}": 1.0 / 3.0,
-    "T^{1/2}": 0.5,
-    "T^{2/3}": 2.0 / 3.0,
-    "T": 1.0,
-}
+__all__ = ["RawConfig", "parse_config", "parse_sweep_values", "DEFAULTS", "E_RULES", "SWEEP_AXES"]
 
 # every key, its default and its parser; "derived" defaults are resolved later
 DEFAULTS: dict[str, dict[str, tuple[Any, type]]] = {
@@ -34,17 +27,17 @@ DEFAULTS: dict[str, dict[str, tuple[Any, type]]] = {
         "local_iters": (5, int),
         "global_iters": (100, int),
         "clip_threshold": (150.0, float),
-        "clip_norm": ("l1", str),
+        "clip_norm": ("l1", str),  # regression.CLIP_NORMS
         "seed": (0, int),
         "repeats": (20, int),
         "workers": (1, int),
     },
     "schedule": {
-        "kind": ("decay", str),  # decay | constant
+        "kind": ("decay", str),  # engine.SCHEDULE_KINDS
         "eta": (0.01, float),  # constant schedule only
     },
     "dp": {
-        "mechanism": ("none", str),  # none | laplace | gaussian
+        "mechanism": ("none", str),  # mechanisms.KINDS
         "epsilon": (math.inf, float),
         "delta": (0.0001, float),
         "c2": (1.0, float),
@@ -70,9 +63,31 @@ DEFAULTS: dict[str, dict[str, tuple[Any, type]]] = {
         "sweep_csv": ("sweep.csv", str),
     },
     "sweep": {
-        "axis": ("", str),  # T | E | epsilon | E_rule
-        "values": ("", str),
+        "axis": ("", str),  # SWEEP_AXES
+        "values": ("", str),  # comma separated, typed by the axis
     },
+}
+
+
+def _grid_count(token: str) -> int:
+    value = int(token)
+    if value < 1:
+        raise ValueError(token)
+    return value
+
+
+def _grid_rule(token: str) -> str:
+    if token not in E_RULES:
+        raise ValueError(token)
+    return token
+
+
+# every sweep axis, the parser of one grid value and what it accepts
+SWEEP_AXES = {
+    "T": (_grid_count, "positive integer values"),
+    "E": (_grid_count, "positive integer values"),
+    "epsilon": (float, "float values (inf allowed)"),
+    "E_rule": (_grid_rule, f"values among {sorted(E_RULES)}"),
 }
 
 
@@ -92,7 +107,7 @@ class RawConfig:
 
 
 def _convert(section: str, key: str, raw: str):
-    default, kind = DEFAULTS[section][key]
+    kind = DEFAULTS[section][key][1]
     raw = raw.strip()
     try:
         if kind is bool:
@@ -101,13 +116,8 @@ def _convert(section: str, key: str, raw: str):
             if raw.lower() in ("false", "no", "0", "off"):
                 return False
             raise ValueError(raw)
-        if kind is float:
-            if raw.lower() in ("inf", "infinity"):
-                return math.inf
-            return float(raw)
-        if kind is int:
-            return int(raw)
-        return raw
+        # float() also reads inf and infinity, in any case
+        return kind(raw)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}"
@@ -115,16 +125,21 @@ def _convert(section: str, key: str, raw: str):
 
 
 def parse_config(path) -> RawConfig:
-    """Read a config file, applying defaults and rejecting unknown keys."""
+    """Read a config file, applying defaults and rejecting unknown keys.
+
+    The file is UTF-8; ``%%`` stands for a literal ``%``. A sweep's values
+    come back as the typed grid points of its axis.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise OSError(f"config file not found: {path}")
 
-    for section in parser.sections():
+    for section in sections:
         if section not in DEFAULTS:
             raise ConfigError(
                 f"{path}: unknown section [{section}], expected one of "
@@ -136,29 +151,38 @@ def parse_config(path) -> RawConfig:
         target = cfg.section(section)
         for key, (default, _) in keys.items():
             target[key] = default
-        if parser.has_section(section):
-            for key, raw in parser.items(section):
-                if key not in keys:
-                    raise ConfigError(
-                        f"{path}: unknown key {key!r} in [{section}], expected one of "
-                        f"{sorted(keys)}"
-                    )
-                target[key] = _convert(section, key, raw)
+        for key, raw in sections.get(section, []):
+            if key not in keys:
+                raise ConfigError(
+                    f"{path}: unknown key {key!r} in [{section}], expected one of "
+                    f"{sorted(keys)}"
+                )
+            target[key] = _convert(section, key, raw)
 
     _cross_validate(cfg, path)
     return cfg
 
 
+def _one_of(names) -> str:
+    names = list(names)
+    return " or ".join([", ".join(names[:-1]), names[-1]])
+
+
 def _cross_validate(cfg: RawConfig, path) -> None:
     fed = cfg.federation
-    if fed["clip_norm"] not in ("l1", "l2"):
-        raise ConfigError(f"{path}: clip_norm must be l1 or l2")
-    if cfg.schedule["kind"] not in ("decay", "constant"):
-        raise ConfigError(f"{path}: schedule kind must be decay or constant")
-    if cfg.dp["mechanism"] not in ("none", "laplace", "gaussian"):
-        raise ConfigError(f"{path}: mechanism must be none, laplace or gaussian")
-    if cfg.data["kind"] not in ("synth", "csv"):
-        raise ConfigError(f"{path}: data kind must be synth or csv")
+    for what, value, kinds in (
+        ("clip_norm", fed["clip_norm"], CLIP_NORMS),
+        ("schedule kind", cfg.schedule["kind"], SCHEDULE_KINDS),
+        ("mechanism", cfg.dp["mechanism"], KINDS),
+        ("data kind", cfg.data["kind"], ("synth", "csv")),
+    ):
+        if value not in kinds:
+            raise ConfigError(f"{path}: {what} must be {_one_of(kinds)}")
+    if fed["workers"] < 1:
+        # workers has no effect since the pool runs as one block; it still parses
+        raise ConfigError(f"{path}: workers must be >= 1")
+    if cfg.data["seed"] < 0:
+        raise ConfigError(f"{path}: [data] seed must be >= 0")
     if cfg.data["kind"] == "csv":
         if not cfg.data["path"]:
             raise ConfigError(f"{path}: data kind csv requires a path")
@@ -170,32 +194,21 @@ def _cross_validate(cfg: RawConfig, path) -> None:
     if cfg.dp["xi2"] is None:
         cfg.dp["xi2"] = fed["clip_threshold"]
     if cfg.sweep["axis"]:
-        if cfg.sweep["axis"] not in ("T", "E", "epsilon", "E_rule"):
-            raise ConfigError(f"{path}: sweep axis must be T, E, epsilon or E_rule")
-        if not cfg.sweep["values"]:
-            raise ConfigError(f"{path}: sweep needs a non-empty values list")
+        try:
+            cfg.sweep["values"] = parse_sweep_values(cfg.sweep["axis"], cfg.sweep["values"])
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def parse_sweep_values(axis: str, values: str) -> list:
     """Turn the sweep values string into typed grid points."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"sweep axis must be {_one_of(SWEEP_AXES)}")
     tokens = [v.strip() for v in values.split(",") if v.strip()]
     if not tokens:
-        raise ConfigError("sweep values list is empty")
-    if axis in ("T", "E"):
-        try:
-            return [int(v) for v in tokens]
-        except ValueError:
-            raise ConfigError(f"sweep axis {axis} takes integer values, got {tokens}") from None
-    if axis == "epsilon":
-        out = []
-        for v in tokens:
-            out.append(math.inf if v.lower() in ("inf", "infinity") else float(v))
-        return out
-    if axis == "E_rule":
-        for v in tokens:
-            if v not in E_RULES:
-                raise ConfigError(
-                    f"unknown E rule {v!r}, expected one of {sorted(E_RULES)}"
-                )
-        return tokens
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+        raise ConfigError("sweep needs a non-empty values list")
+    convert, accepted = SWEEP_AXES[axis]
+    try:
+        return [convert(v) for v in tokens]
+    except ValueError:
+        raise ConfigError(f"sweep axis {axis} takes {accepted}, got {tokens}") from None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,8 @@ def sorted_partition(
     extra record. Sorting is stable, so ties keep their input order and the
     assignment is deterministic.
     """
+    if n_clients < 1:
+        raise ConfigError("n_clients must be >= 1")
     records = np.asarray(records, dtype=float)
     if records.ndim != 2 or records.shape[1] < 2:
         raise ConfigError("records must be 2-D with at least one feature and a target")
@@ -161,10 +164,24 @@ def _read_header(reader, path) -> list[str]:
     return [h.strip() for h in header]
 
 
+@contextmanager
+def _csv_reader(path):
+    """A ``csv.reader`` over the UTF-8 file at ``path``.
+
+    Undecodable bytes and malformed or oversized fields end in a
+    ``ConfigError`` naming the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: unreadable CSV: {exc}") from None
+
+
 def csv_column_indices(path, columns) -> list[int]:
     """0-based header indices of CSV columns given by name or index, as ``load_csv`` resolves them."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = _read_header(csv.reader(fh), path)
+    with _csv_reader(path) as reader:
+        header = _read_header(reader, path)
     return [_column_index(header, c, "column") for c in columns]
 
 
@@ -185,8 +202,7 @@ def load_csv(
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ConfigError("train_fraction must lie in (0, 1]")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = _read_header(reader, path)
         target_idx = _column_index(header, target_column, "target column")
         if feature_columns is None:

@@ -24,9 +24,12 @@ import numpy as np
 from . import bounds
 from .bounds import schedule_offset
 from .mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
-from .regression import ClientShard, ConfigError, clip_gradient, mse_gradient, ProblemConstants
+from .regression import (
+    CLIP_NORMS, ClientShard, ConfigError, ProblemConstants, clip_gradient, mse_gradient,
+)
 
 __all__ = [
+    "SCHEDULE_KINDS",
     "DivergenceError",
     "Schedule",
     "ClipSpec",
@@ -36,6 +39,7 @@ __all__ = [
     "lr_schedule",
     "schedule_offset",
     "select_pool",
+    "noise_context",
     "client_update",
     "aggregate",
     "run_federation",
@@ -59,6 +63,9 @@ def lr_schedule(k: int, mu: float, gamma: float) -> float:
     return 2.0 / (mu * (k + gamma))
 
 
+SCHEDULE_KINDS = ("decay", "constant")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Learning-rate schedule: inverse decay (``kind="decay"``) or constant."""
@@ -69,15 +76,16 @@ class Schedule:
     eta: float | None = None
 
     def __post_init__(self):
+        if self.kind not in SCHEDULE_KINDS:
+            raise ConfigError(
+                f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}"
+            )
         if self.kind == "decay":
             if self.mu is None or self.gamma is None:
                 raise ConfigError("decay schedule needs mu and gamma")
             lr_schedule(0, self.mu, self.gamma)  # validates ranges
-        elif self.kind == "constant":
-            if self.eta is None or not self.eta > 0:
-                raise ConfigError("constant schedule needs eta > 0")
-        else:
-            raise ConfigError(f"unknown schedule kind {self.kind!r}")
+        elif self.eta is None or not self.eta > 0:
+            raise ConfigError("constant schedule needs eta > 0")
 
     @classmethod
     def decay(cls, mu: float, gamma: float) -> "Schedule":
@@ -103,7 +111,7 @@ class ClipSpec:
     def __post_init__(self):
         if not self.zeta > 0:
             raise ConfigError("clip threshold zeta must be > 0")
-        if self.norm not in ("l1", "l2"):
+        if self.norm not in CLIP_NORMS:
             raise ConfigError(f"unknown clip norm {self.norm!r}")
 
 
@@ -126,7 +134,6 @@ class FederationConfig:
     theta_0: np.ndarray | None = None
     seed: int = 0
     repeats: int = 20
-    workers: int = 1  # accepted for compatibility; client work runs as one block
 
     def __post_init__(self):
         if self.n_clients < 1 or self.pool_size < 1:
@@ -147,8 +154,8 @@ class FederationConfig:
             )
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.repeats < 1 or self.workers < 1:
-            raise ConfigError("repeats and workers must be >= 1")
+        if self.repeats < 1:
+            raise ConfigError("repeats must be >= 1")
 
     @property
     def rounds_per_client(self) -> int:
@@ -376,11 +383,16 @@ def _pool_noise(config: FederationConfig, ctx: NoiseContext, t: int, pool: slice
     )
 
 
-def _noise_context(config: FederationConfig, p: int, eta_tilde: float, n: int,
-                   n_bar_sq: float) -> NoiseContext:
+def noise_context(config: FederationConfig, p: int, n: int, n_bar_sq: float,
+                  t: int) -> NoiseContext:
+    """The calibration context of round t: its first learning rate and the run's shape.
+
+    ``n`` is the total sample count and ``n_bar_sq`` the mean squared shard
+    size; both are constant over a run, so callers compute them once.
+    """
     return NoiseContext(
         p=p,
-        eta_tilde=eta_tilde,
+        eta_tilde=config.schedule.rate(t * config.local_iters),
         E=config.local_iters,
         T_l=config.rounds_per_client,
         T_g=config.global_iters,
@@ -401,9 +413,8 @@ def run_federation(
 
     ``constants`` (when given) supplies the optimum for the y_k column and,
     together with a decay schedule, the per-round convergence bound. The
-    result is deterministic in (config, seed) and does not depend on
-    ``workers``; a divergent repeat returns the trajectory up to the last
-    valid round with ``diverged=True``.
+    result is deterministic in (config, seed); a divergent repeat returns the
+    trajectory up to the last valid round with ``diverged=True``.
     """
     data = _PaddedShards.build(shards, config.n_clients)
     dim = data.dim
@@ -433,8 +444,7 @@ def run_federation(
 
     for t in range(config.global_iters):
         pool = _pool_slice(t, config.n_clients, config.pool_size)
-        eta_tilde = config.schedule.rate(t * config.local_iters)
-        round_ctx = _noise_context(config, dim, eta_tilde, data.n, n_bar_sq)
+        round_ctx = noise_context(config, dim, data.n, n_bar_sq, t)
 
         try:
             local = _local_steps(data, pool, theta, t, config)
@@ -462,7 +472,7 @@ def run_federation(
             RoundRecord(
                 t=t,
                 k=k,
-                eta_k=eta_tilde,
+                eta_k=round_ctx.eta_tilde,
                 global_loss=data.loss(theta),
                 y_k=y_k,
                 bound_y_k=bound_y_k,

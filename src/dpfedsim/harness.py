@@ -17,7 +17,8 @@ from typing import Any
 import numpy as np
 
 from . import bounds
-from .config import E_RULES, RawConfig, parse_config, parse_sweep_values
+from .bounds import e_from_rule
+from .config import RawConfig, parse_config
 from .data import (
     FederatedDataset,
     csv_column_indices,
@@ -30,6 +31,7 @@ from .engine import (
     FederationConfig,
     RunResult,
     Schedule,
+    noise_context,
     pilot_gradient_bound,
     run_federation,
     select_pool,
@@ -55,7 +57,6 @@ from .regression import (
 __all__ = [
     "Experiment",
     "RunSummary",
-    "SweepSpec",
     "PlanReport",
     "ValidationReport",
     "build_experiment",
@@ -92,6 +93,29 @@ def _write_text_atomic(path: Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _load(config_path, seed: int | None, repeats: int | None = None) -> RawConfig:
+    """Parse a config file and apply the ``--seed``/``--repeats`` overrides."""
+    raw = parse_config(config_path)
+    if seed is not None:
+        raw.federation["seed"] = seed
+    if repeats is not None:
+        raw.federation["repeats"] = repeats
+    return raw
+
+
+def _emit(out_dir, name: str, text: str, report: list[str], quiet: bool) -> None:
+    """Write ``text`` to ``out_dir/name`` if a directory is given.
+
+    The ``report`` lines go to stdout unless ``quiet``.
+    """
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_text_atomic(out / name, text)
+    if not quiet:
+        print("\n".join(report))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +223,6 @@ def build_experiment(raw: RawConfig) -> Experiment:
         theta_0=theta_0,
         seed=fed["seed"],
         repeats=fed["repeats"],
-        workers=fed["workers"],
     )
 
     if norm == "l1" and math.isfinite(zeta):
@@ -265,7 +288,7 @@ def run_repeats(exp: Experiment) -> list[RunResult]:
     return results
 
 
-def _summarize(exp: Experiment, results: list[RunResult], echo: dict) -> RunSummary:
+def _summarize(results: list[RunResult], echo: dict) -> RunSummary:
     completed = [r for r in results if not r.diverged]
     rounds: list[RoundStats] = []
     if completed:
@@ -310,27 +333,14 @@ def _echo(exp: Experiment) -> dict[str, Any]:
     }
 
 
-def _write_rounds_csv(path: Path, results: list[RunResult], base_seed: int) -> None:
+def _rounds_csv(results: list[RunResult], base_seed: int) -> str:
     lines = [ROUNDS_COLUMNS]
     for run_id, result in enumerate(results):
-        seed = base_seed + run_id
         for rec in result.records:
-            lines.append(
-                ",".join(
-                    [
-                        str(run_id),
-                        str(seed),
-                        str(rec.t),
-                        str(rec.k),
-                        _fmt(rec.eta_k),
-                        _fmt(rec.global_loss),
-                        _fmt(rec.y_k),
-                        _fmt(rec.bound_y_k),
-                        _fmt(rec.noise_l2),
-                    ]
-                )
-            )
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+            fields = (run_id, base_seed + run_id, rec.t, rec.k, rec.eta_k, rec.global_loss,
+                      rec.y_k, rec.bound_y_k, rec.noise_l2)
+            lines.append(",".join(map(_fmt, fields)))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_run(
@@ -341,42 +351,18 @@ def cmd_run(
     quiet: bool = False,
 ) -> RunSummary:
     """Run the configured experiment and write the per-round CSV."""
-    raw = parse_config(config_path)
-    if seed is not None:
-        raw.federation["seed"] = seed
-    if repeats is not None:
-        raw.federation["repeats"] = repeats
+    raw = _load(config_path, seed, repeats)
     exp = build_experiment(raw)
     results = run_repeats(exp)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_rounds_csv(out / raw.output["rounds_csv"], results, exp.config.seed)
-
-    summary = _summarize(exp, results, _echo(exp))
-    if not quiet:
-        print("\n".join(summary.lines()))
+    summary = _summarize(results, _echo(exp))
+    _emit(out_dir, raw.output["rounds_csv"], _rounds_csv(results, exp.config.seed),
+          summary.lines(), quiet)
     return summary
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SweepSpec:
-    """One sweep axis with its grid values over a base experiment config."""
-
-    axis: str
-    values: list
-    base: RawConfig
-
-    def __post_init__(self):
-        if self.axis not in ("T", "E", "epsilon", "E_rule"):
-            raise ConfigError(f"unknown sweep axis {self.axis!r}")
-        if not self.values:
-            raise ConfigError("sweep values must be non-empty")
 
 
 @dataclass
@@ -389,38 +375,25 @@ class SweepRow:
     diverged_runs: int
 
 
-def e_from_rule(rule: str, total_iters: int) -> int:
-    """Local-iteration count for a symbolic rule, adjusted to a divisor of T."""
-    if rule not in E_RULES:
-        raise ConfigError(f"unknown E rule {rule!r}, expected one of {sorted(E_RULES)}")
-    raw = max(1, min(total_iters, round(total_iters ** E_RULES[rule])))
-    return bounds.nearest_divisor(total_iters, raw)
-
-
 def _point_raw(base: RawConfig, axis: str, value) -> RawConfig:
     raw = copy.deepcopy(base)
     fed = raw.federation
     total = fed["local_iters"] * fed["global_iters"]
     if axis == "T":
         e = fed["local_iters"]
-        if value % e != 0:
+        if e < 1 or value % e != 0:
             raise ConfigError(f"T={value}: local_iters {e} must divide T")
         fed["global_iters"] = value // e
-    elif axis == "E":
-        if total % value != 0:
-            raise ConfigError(f"E={value} does not divide the total T={total}")
-        fed["local_iters"] = value
-        fed["global_iters"] = total // value
-    elif axis == "E_rule":
-        e = e_from_rule(value, total)
-        fed["local_iters"] = e
-        fed["global_iters"] = total // e
     elif axis == "epsilon":
         if raw.dp["mechanism"] == "none" and not math.isinf(value):
             raise ConfigError("an epsilon sweep needs a laplace or gaussian base mechanism")
         raw.dp["epsilon"] = value
     else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
+        e = value if axis == "E" else e_from_rule(value, total)
+        if total % e != 0:
+            raise ConfigError(f"E={e} does not divide the total T={total}")
+        fed["local_iters"] = e
+        fed["global_iters"] = total // e
     return raw
 
 
@@ -437,72 +410,35 @@ def cmd_sweep(
     point is run. Diverged repeats are excluded from the means and counted in
     the ``diverged_runs`` column.
     """
-    base = parse_config(config_path)
-    if not base.sweep["axis"]:
-        raise ConfigError(f"{config_path}: [sweep] axis and values are required")
-    if seed is not None:
-        base.federation["seed"] = seed
-    if repeats is not None:
-        base.federation["repeats"] = repeats
+    base = _load(config_path, seed, repeats)
     axis = base.sweep["axis"]
-    spec = SweepSpec(axis, parse_sweep_values(axis, base.sweep["values"]), base)
+    if not axis:
+        raise ConfigError(f"{config_path}: [sweep] axis and values are required")
 
     # fail fast: every grid point must produce a valid experiment shape
     experiments = [
-        (v, build_experiment(_point_raw(spec.base, spec.axis, v))) for v in spec.values
+        (v, build_experiment(_point_raw(base, axis, v))) for v in base.sweep["values"]
     ]
 
     rows: list[SweepRow] = []
     for value, exp in experiments:
-        results = run_repeats(exp)
-        completed = [r for r in results if not r.diverged]
-        if completed:
-            losses = np.array([r.records[-1].global_loss for r in completed])
-            ys = np.array([r.records[-1].y_k for r in completed])
-            rows.append(
-                SweepRow(
-                    axis,
-                    value,
-                    float(losses.mean()),
-                    float(losses.std()),
-                    float(ys.mean()),
-                    len(results) - len(completed),
-                )
-            )
-        else:
-            rows.append(
-                SweepRow(axis, value, math.nan, math.nan, math.nan, len(results))
-            )
+        summary = _summarize(run_repeats(exp), {})
+        f = summary.final
+        stats = (math.nan,) * 3 if f is None else (f.loss_mean, f.loss_std, f.y_mean)
+        rows.append(SweepRow(axis, value, *stats, summary.divergence_count))
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = [SWEEP_COLUMNS]
+    lines = [SWEEP_COLUMNS] + [",".join(map(_fmt, dataclasses.astuple(r))) for r in rows]
+    report = [f"sweep over {axis}: {len(rows)} points"]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row.axis,
-                    _fmt(row.value) if not isinstance(row.value, str) else row.value,
-                    _fmt(row.mean_final_loss),
-                    _fmt(row.std_final_loss),
-                    _fmt(row.mean_final_y),
-                    str(row.diverged_runs),
-                ]
-            )
+        report.append(
+            f"  {axis}={row.value}: final loss {_fmt(row.mean_final_loss)}"
+            f" +- {_fmt(row.std_final_loss)} (diverged {row.diverged_runs})"
         )
-    _write_text_atomic(out / base.output["sweep_csv"], "\n".join(lines) + "\n")
-
-    if not quiet:
-        finite = [r for r in rows if math.isfinite(r.mean_final_loss)]
-        print(f"sweep over {axis}: {len(rows)} points")
-        for row in rows:
-            print(
-                f"  {axis}={row.value}: final loss {_fmt(row.mean_final_loss)}"
-                f" +- {_fmt(row.std_final_loss)} (diverged {row.diverged_runs})"
-            )
-        if finite:
-            best = min(finite, key=lambda r: r.mean_final_loss)
-            print(f"  argmin at {axis}={best.value}")
+    finite = [r for r in rows if math.isfinite(r.mean_final_loss)]
+    if finite:
+        best = min(finite, key=lambda r: r.mean_final_loss)
+        report.append(f"  argmin at {axis}={best.value}")
+    _emit(out_dir, base.output["sweep_csv"], "\n".join(lines) + "\n", report, quiet)
     return rows
 
 
@@ -564,18 +500,7 @@ class PlanReport:
 
 
 def _round0_context(exp: Experiment) -> NoiseContext:
-    cfg = exp.config
-    return NoiseContext(
-        p=exp.dataset.dim,
-        eta_tilde=cfg.schedule.rate(0),
-        E=cfg.local_iters,
-        T_l=cfg.rounds_per_client,
-        T_g=cfg.global_iters,
-        b=cfg.pool_size,
-        N=cfg.n_clients,
-        n=exp.dataset.n,
-        n_bar_sq=exp.dataset.n_bar_sq,
-    )
+    return noise_context(exp.config, exp.dataset.dim, exp.dataset.n, exp.dataset.n_bar_sq, 0)
 
 
 def _classification(rate_exp: float) -> str:
@@ -589,10 +514,7 @@ def _classification(rate_exp: float) -> str:
 def cmd_plan(config_path, out_dir=None, seed: int | None = None,
              quiet: bool = False) -> PlanReport:
     """Report calibration values, the tuned E, and bound samples for a config."""
-    raw = parse_config(config_path)
-    if seed is not None:
-        raw.federation["seed"] = seed
-    exp = build_experiment(raw)
+    exp = build_experiment(_load(config_path, seed))
     cfg = exp.config
     mech = cfg.mechanism
     ctx = _round0_context(exp)
@@ -600,7 +522,7 @@ def cmd_plan(config_path, out_dir=None, seed: int | None = None,
     z = 0.0 if mech.kind == "none" else asymptotic_z(mech.kind)
     rate_exp = bounds.rate_exponent(z)
     total = cfg.total_iters
-    e_star_raw = max(1, min(total, round(total ** (z / (z + 1.0)))))
+    e_star_raw = bounds.optimal_local_iterations(total, z, divisor_adjust=False)
     e_star = bounds.optimal_local_iterations(total, z)
 
     scale_label = scale_value = None
@@ -640,13 +562,8 @@ def cmd_plan(config_path, out_dir=None, seed: int | None = None,
         bound_samples=bound_block[4],
         warning=epsilon_regime_warning(mech, ctx),
     )
-    text = "\n".join(report.lines()) + "\n"
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_text_atomic(out / "plan.txt", text)
-    if not quiet:
-        print(text, end="")
+    lines = report.lines()
+    _emit(out_dir, "plan.txt", "\n".join(lines) + "\n", lines, quiet)
     return report
 
 
@@ -729,10 +646,7 @@ def cmd_validate(
     """
     if draws < 10**4:
         raise ConfigError("validation needs at least 10^4 draws")
-    raw = parse_config(config_path)
-    if seed is not None:
-        raw.federation["seed"] = seed
-    exp = build_experiment(raw)
+    exp = build_experiment(_load(config_path, seed))
     mech = exp.config.mechanism
     tolerance = 0.01 if draws >= 10**6 else 0.05
 
@@ -744,10 +658,14 @@ def cmd_validate(
         )
     else:
         ctx = _round0_context(exp)
-        rng = np.random.default_rng(np.random.SeedSequence((exp.config.seed, draws)))
-        empirical = _simulate_noise_aggregates(exp, draws, rng)
         exact = noise_item_variance(mech, ctx, mode="exact")
         paper = noise_item_variance(mech, ctx, mode="paper")
+        if not exact > 0:
+            raise ConfigError(
+                "the predicted noise variance underflows to 0, so no relative error exists"
+            )
+        rng = np.random.default_rng(np.random.SeedSequence((exp.config.seed, draws)))
+        empirical = _simulate_noise_aggregates(exp, draws, rng)
         rel_exact = abs(empirical - exact) / exact
         rel_paper = abs(empirical - paper) / paper
         report = ValidationReport(
@@ -763,13 +681,8 @@ def cmd_validate(
             warning=epsilon_regime_warning(mech, ctx),
         )
 
-    text = "\n".join(report.lines()) + "\n"
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_text_atomic(out / "validate.txt", text)
-    if not quiet:
-        print(text, end="")
+    lines = report.lines()
+    _emit(out_dir, "validate.txt", "\n".join(lines) + "\n", lines, quiet)
     return report
 
 

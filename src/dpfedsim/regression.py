@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "CLIP_NORMS",
     "ConfigError",
     "ClientShard",
     "ProblemConstants",
@@ -26,6 +27,10 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid configuration or arguments that violate an operation's contract."""
+
+
+# the norms a gradient can be clipped in
+CLIP_NORMS = ("l1", "l2")
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
@@ -126,7 +131,7 @@ def _norm(g: np.ndarray, norm_kind: str) -> float:
         return float(np.sum(np.abs(g)))
     if norm_kind == "l2":
         return float(np.sqrt(g @ g))
-    raise ConfigError(f"unknown norm kind {norm_kind!r} (expected 'l1' or 'l2')")
+    raise ConfigError(f"unknown norm kind {norm_kind!r} (expected one of {CLIP_NORMS})")
 
 
 def _row_norms(g: np.ndarray, norm_kind: str) -> np.ndarray:
@@ -135,7 +140,7 @@ def _row_norms(g: np.ndarray, norm_kind: str) -> np.ndarray:
     if norm_kind == "l2":
         # one dot product per row: the same reduction as ``g @ g`` on a vector
         return np.sqrt(np.matmul(g[..., None, :], g[..., :, None])[..., 0, 0])
-    raise ConfigError(f"unknown norm kind {norm_kind!r} (expected 'l1' or 'l2')")
+    raise ConfigError(f"unknown norm kind {norm_kind!r} (expected one of {CLIP_NORMS})")
 
 
 def clip_gradient(g: np.ndarray, zeta: float, norm_kind: str = "l2") -> np.ndarray:
@@ -239,7 +244,7 @@ def problem_constants(
     """
     if not shards:
         raise ConfigError("dataset must contain at least one shard")
-    if norm_kind not in ("l1", "l2"):
+    if norm_kind not in CLIP_NORMS:
         raise ConfigError(f"unknown norm kind {norm_kind!r}")
     if not zeta > 0:
         raise ConfigError("clip threshold zeta must be > 0")
@@ -253,7 +258,8 @@ def problem_constants(
     hessian = (2.0 / n) * (X.T @ X)
     eigvals = np.linalg.eigvalsh(hessian)
     mu, lam = float(eigvals[0]), float(eigvals[-1])
-    assumptions_ok = lam > 0 and mu > lam * 1e-12
+    # the bound divides by mu^2, which must not underflow to zero either
+    assumptions_ok = lam > 0 and mu > lam * 1e-12 and mu**2 > 0
 
     theta_star, f_star = global_optimum(shards)
 

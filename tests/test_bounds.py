@@ -219,3 +219,14 @@ def test_nearest_divisor_large_prime_breaks_ties_downward():
     assert nearest_divisor(prime, 500_003) == prime
     assert nearest_divisor(prime, 10**7) == prime
     assert nearest_divisor(10**7, 3163) == 3200  # 3200 is 37 away, 3125 is 38
+
+
+@pytest.mark.parametrize("mechanism,g", [
+    (MechanismSpec(kind="laplace", epsilon=1e-300, xi1=1.0), 1.0),  # eps^2 underflows
+    (MechanismSpec(kind="laplace", epsilon=1.0, xi1=1e300), 1.0),  # xi1^2 overflows
+    (MechanismSpec(kind="gaussian", epsilon=1.0, delta=0.01, xi2=1e300), 1.0),
+    (MechanismSpec(), 1e300),  # G^2 overflows
+])
+def test_bound_params_out_of_float_range_is_config_error(mechanism, g):
+    with pytest.raises(ConfigError, match="out of float range"):
+        bound_params(constants(g=g), mechanism, 2, 2, 4, 4, 2)

@@ -1,8 +1,10 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from dpfedsim.config import parse_config, parse_sweep_values
+from dpfedsim.config import DEFAULTS, parse_config, parse_sweep_values
 from dpfedsim.regression import ConfigError
 
 
@@ -95,3 +97,54 @@ def test_sweep_axis_validated(tmp_path):
         parse_config(write(tmp_path, "[sweep]\naxis = bogus\nvalues = 1\n"))
     with pytest.raises(ConfigError, match="values"):
         parse_config(write(tmp_path, "[sweep]\naxis = T\n"))
+
+
+def test_sweep_values_are_typed_and_checked_at_parse(tmp_path):
+    cfg = parse_config(write(tmp_path, "[sweep]\naxis = E\nvalues = 1, 2,4\n"))
+    assert cfg.sweep["values"] == [1, 2, 4]
+    for axis, values in (("T", "0"), ("E", "0"), ("E", "2, -3"), ("T", "1.5"),
+                         ("epsilon", "abc"), ("E_rule", "T^{3/4}")):
+        path = write(tmp_path, f"[sweep]\naxis = {axis}\nvalues = {values}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: sweep axis {axis} takes")):
+            parse_config(path)
+
+
+def test_workers_still_parses_and_must_be_positive(tmp_path):
+    parse_config(write(tmp_path, "[federation]\nworkers = 8\n"))
+    path = write(tmp_path, "[federation]\nworkers = 0\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: workers must be >= 1")):
+        parse_config(path)
+
+
+def test_negative_data_seed_is_a_config_error(tmp_path):
+    path = write(tmp_path, "[data]\nseed = -1\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: [data] seed must be >= 0")):
+        parse_config(path)
+
+
+def test_percent_in_a_value_is_a_config_error(tmp_path):
+    path = write(tmp_path, "[output]\nrounds_csv = a%b.csv\n")
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        parse_config(path)
+    cfg = parse_config(write(tmp_path, "[output]\nrounds_csv = a%%b.csv\n"))
+    assert cfg.output["rounds_csv"] == "a%b.csv"
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"[federation]\nclients = 8  # caf\xe9\n")
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        parse_config(path)
+
+
+def test_readme_config_block_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Config format", 1)[1].split("```")[1]
+    documented, section = set(), None
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            documented.add((section, line.split("=", 1)[0].strip()))
+    assert documented == {(s, k) for s, keys in DEFAULTS.items() for k in keys}

@@ -1,7 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
-from dpfedsim.data import FederatedDataset, load_csv, sorted_partition, synth_regression
+from dpfedsim.data import (
+    FederatedDataset,
+    csv_column_indices,
+    load_csv,
+    sorted_partition,
+    synth_regression,
+)
 from dpfedsim.regression import ConfigError, problem_constants
 
 
@@ -92,6 +100,9 @@ def test_sorted_partition_even_sizes_front_loaded():
 def test_sorted_partition_requires_enough_records():
     with pytest.raises(ConfigError):
         sorted_partition(np.zeros((2, 2)), 0, n_clients=3)
+    for n_clients in (0, -1):
+        with pytest.raises(ConfigError, match="n_clients must be >= 1"):
+            sorted_partition(np.zeros((2, 2)), 0, n_clients=n_clients)
 
 
 def test_sorted_partition_more_heterogeneous_than_random():
@@ -228,3 +239,20 @@ def test_load_csv_target_index_out_of_range(tmp_path):
         load_csv(path, "3")
     with pytest.raises(ConfigError, match="not found"):
         load_csv(path, "-1")
+
+
+@pytest.mark.parametrize("body,in_header", [
+    (b"a,\xffb\n1,2\n", True),
+    (b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n", False),  # past the first decoded chunk
+    (b"a," + b"b" * 140_000 + b"\n1,2\n", True),  # over the csv module's field limit
+    (b"a,b\n1," + b"9" * 140_000 + b"\n", False),
+], ids=["header-not-utf8", "row-not-utf8", "header-field-too-long", "row-field-too-long"])
+def test_unreadable_csv_is_a_config_error(tmp_path, body, in_header):
+    path = tmp_path / "records.csv"
+    path.write_bytes(body)
+    message = re.escape(f"{path}: unreadable CSV")
+    with pytest.raises(ConfigError, match=message):
+        load_csv(path, "a")
+    if in_header:
+        with pytest.raises(ConfigError, match=message):
+            csv_column_indices(path, ["a"])

@@ -593,3 +593,49 @@ def test_cli_validate_and_plan(tmp_path, capsys):
     assert cli_main(["validate", "--config", str(path), "--draws", "10000", "--quiet"]) == 0
     out = capsys.readouterr().out
     assert out == ""  # --quiet suppresses stdout
+
+
+@pytest.mark.parametrize("axis,values", [("E", "0"), ("E", "2, -1"), ("T", "0"), ("T", "-20")])
+def test_cli_sweep_counts_below_one_are_config_errors(tmp_path, capsys, axis, values):
+    path = write(tmp_path, SMALL_TASK + f"\n[sweep]\naxis = {axis}\nvalues = {values}\n")
+    code = cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: sweep axis {axis} takes positive integer values")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config_bytes,csv_bytes", [
+    (b"[output]\nrounds_csv = a%b.csv\n", None),
+    (b"[federation]\nclients = 8  # caf\xe9\n", None),
+    (None, b"f1,f2,rate\n1,2,\xff\n"),
+    (None, b"f1,f2,rate\n1,2," + b"3" * 140_000 + b"\n"),
+], ids=["percent", "config-not-utf8", "csv-not-utf8", "csv-field-too-long"])
+def test_cli_unreadable_inputs_are_config_errors(tmp_path, capsys, config_bytes, csv_bytes):
+    if config_bytes is None:
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_bytes(csv_bytes)
+        config_bytes = (CSV_TASK.format(csv_path=csv_path) + "target_column = rate\n").encode()
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(config_bytes)
+    bad = path if csv_bytes is None else csv_path
+    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("command,task", [
+    ("run", SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 3\nxi1 = 1e300\n"),
+    ("plan", SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 1e-300\n"),
+    ("validate", SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 3\nxi1 = 1e-300\n"),
+    ("sweep", SMALL_TASK.replace("local_iters = 2", "local_iters = 0")
+     + "\n[sweep]\naxis = T\nvalues = 2\n"),
+], ids=["xi1-squared-overflows", "epsilon-squared-underflows", "variance-underflows",
+        "t-sweep-on-zero-local-iters"])
+def test_cli_numeric_edge_configs_are_config_errors(tmp_path, capsys, command, task):
+    path = write(tmp_path, task)
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+    if command == "validate":
+        argv += ["--draws", "10000"]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")

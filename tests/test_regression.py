@@ -290,3 +290,10 @@ def test_global_optimum_minimizes_weighted_loss():
     for _ in range(50):
         delta = rng.standard_normal(2) * 0.2
         assert f_star <= global_loss(theta_star + delta, shards) + 1e-15
+
+
+def test_hessian_whose_square_underflows_flags_assumptions():
+    # mu = lambda ~ 7e-201 passes the ratio test, but the bound's 4/mu^2 divides by zero
+    shard = ClientShard(0, np.eye(3) * 1e-100, np.ones(3))
+    pc = problem_constants([shard], np.zeros(3), zeta=10.0)
+    assert not pc.assumptions_ok
