@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mechanisms import MechanismSpec, asymptotic_z
+from .mechanisms import MechanismSpec
 from .regression import ConfigError, ProblemConstants
 
 __all__ = [
@@ -127,7 +127,7 @@ def bound_params(
     """Assemble the bound ingredients for a given experiment shape."""
     if not constants.assumptions_ok:
         raise ConfigError("bound constants unavailable: assumptions violated (singular Hessian)")
-    z = 0.0 if mechanism.kind == "none" else asymptotic_z(mechanism.kind)
+    z = mechanism.z
     try:
         c_m = c_mechanism(mechanism, p, pool_size, n_clients)
         w0 = omega0(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -188,6 +189,13 @@ def _cross_validate(cfg: RawConfig, path) -> None:
             raise ConfigError(f"{path}: data kind csv requires a path")
         if not cfg.data["target_column"]:
             raise ConfigError(f"{path}: data kind csv requires a target_column")
+    for key, name in cfg.output.items():
+        # a name is a file under --out: relative, and not leaving it through ".."
+        parts = os.path.normpath(name).split(os.sep)
+        if os.path.isabs(name) or parts[0] in (".", ".."):
+            raise ConfigError(
+                f"{path}: [output] {key} must name a file inside --out, got {name!r}"
+            )
     # sensitivities default to the clip threshold
     if cfg.dp["xi1"] is None:
         cfg.dp["xi1"] = fed["clip_threshold"]

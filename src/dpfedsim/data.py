@@ -8,9 +8,12 @@ fitted parameter vector has one entry per feature plus an intercept.
 from __future__ import annotations
 
 import csv
+import operator
 import warnings
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -124,18 +127,16 @@ def sorted_partition(
             f"need at least {n_clients} records to form {n_clients} shards, "
             f"got {records.shape[0]}"
         )
-    order = np.argsort(records[:, sort_key_index], kind="stable")
-    ordered = records[order]
+    ordered = records[np.argsort(records[:, sort_key_index], kind="stable")]
+    # every shard is a row slice of one design and one target array
+    design, targets = _with_bias(ordered[:, :-1], add_bias), ordered[:, -1].copy()
     base, extra = divmod(records.shape[0], n_clients)
     shards = []
     start = 0
     for cid in range(n_clients):
-        size = base + (1 if cid < extra else 0)
-        chunk = ordered[start : start + size]
-        start += size
-        shards.append(
-            ClientShard(cid, _with_bias(chunk[:, :-1], add_bias), chunk[:, -1])
-        )
+        stop = start + base + (1 if cid < extra else 0)
+        shards.append(ClientShard(cid, design[start:stop], targets[start:stop]))
+        start = stop
     return FederatedDataset(shards)
 
 
@@ -185,6 +186,32 @@ def csv_column_indices(path, columns) -> list[int]:
     return [_column_index(header, c, "column") for c in columns]
 
 
+def _cell_picker(indices: list[int]):
+    """A function giving the cells of a CSV row at ``indices`` as a tuple."""
+    pick = operator.itemgetter(*indices)
+    return pick if len(indices) > 1 else lambda row: (pick(row),)
+
+
+def _nonfinite_line(path, pick) -> int:
+    """1-based line where the first kept row with a nan or inf cell starts.
+
+    Called once the first read has found such a row, so not finding it means
+    the file changed in between.
+    """
+    with _csv_reader(path) as reader:
+        next(reader)
+        start = reader.line_num + 1
+        for row in reader:
+            try:
+                values = tuple(map(float, pick(row)))
+            except (ValueError, IndexError):
+                values = ()  # a skipped row
+            if not np.isfinite(values).all():
+                return start
+            start = reader.line_num + 1
+    raise ConfigError(f"{path}: the CSV changed while it was read")
+
+
 def load_csv(
     path,
     target_column,
@@ -196,9 +223,14 @@ def load_csv(
 
     Columns are named by header string or index; ``feature_columns=None``
     takes every column except the target. Rows with missing or non-numeric
-    cells in the selected columns are skipped with a counted warning. The kept
-    rows are shuffled with the given seed and split at ``train_fraction``;
-    records carry features first and the target last.
+    cells in the selected columns are skipped with a counted warning; a
+    ``nan`` or ``inf`` cell in a kept row is a ``ConfigError`` naming its
+    line. The kept rows are shuffled with the given seed and split at
+    ``train_fraction``; records carry features first and the target last.
+
+    The rows stream through the reader once: their selected cells go through
+    ``float`` into one array of doubles, restarting only after a bad row, so
+    no Python object per row or per value outlives its conversion.
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ConfigError("train_fraction must lie in (0, 1]")
@@ -214,20 +246,31 @@ def load_csv(
         if target_idx in feature_idx:
             raise ConfigError("the target column cannot also be a feature")
 
-        wanted = feature_idx + [target_idx]
-        rows = []
+        pick = _cell_picker(feature_idx + [target_idx])
+        width = len(feature_idx) + 1
+        values = array("d")
         skipped = 0
-        for raw in reader:
+        while True:
             try:
-                rows.append([float(raw[i]) for i in wanted])
+                # stops after a row with a missing or non-numeric cell
+                values.extend(map(float, chain.from_iterable(map(pick, reader))))
+                break
+            except UnicodeDecodeError:
+                raise  # the reader's own error, handled by _csv_reader
             except (ValueError, IndexError):
                 skipped += 1
+                # drop the bad row's cells converted before the failing one
+                del values[len(values) - len(values) % width :]
+    records = np.frombuffer(values).reshape(-1, width)
+    if not np.isfinite(records).all():
+        raise ConfigError(
+            f"{path}: line {_nonfinite_line(path, pick)}: nan or inf cell in a selected column"
+        )
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} rows with missing or non-numeric cells")
-    if not rows:
+    if not records.shape[0]:
         raise ConfigError(f"{path}: no numeric rows after filtering")
 
-    records = np.asarray(rows, dtype=float)
     perm = np.random.default_rng(seed).permutation(records.shape[0])
     records = records[perm]
     n_train = int(round(train_fraction * records.shape[0]))

@@ -6,18 +6,18 @@ current server parameters, adds that client's calibrated noise to the result,
 and aggregates the noisy parameters with size weights.
 
 A round's pool is a contiguous block of client ids, so the local steps of the
-whole pool run as one vectorised block on a zero-padded copy of the shards:
-the number of numpy calls per step does not grow with the pool size. The
-pool's noise block is one draw from the round's stream, aggregation is one
-reduction over the pool block in a fixed order, and the pooled loss is a p x p
-quadratic form, so a round costs O(b * max(n_l) * p * E + p^2) and results
-are bit-reproducible.
+whole pool run as one vectorised block on the dataset's zero-padded store
+(``regression.PaddedShards``), built once and shared by every run of an
+experiment: the number of numpy calls per step does not grow with the pool
+size. The pool's noise block is one draw from the round's stream,
+aggregation is one reduction over the pool block in a fixed order, and the
+pooled loss is a p x p quadratic form, so a round costs
+O(b * max(n_l) * p * E + p^2) and results are bit-reproducible.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from . import bounds
 from .bounds import schedule_offset
 from .mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
 from .regression import (
-    CLIP_NORMS, ClientShard, ConfigError, ProblemConstants, clip_gradient, mse_gradient,
+    CLIP_NORMS, ClientShard, ConfigError, PaddedShards, ProblemConstants, clip_gradient,
+    mse_gradient,
 )
 
 __all__ = [
@@ -267,67 +268,14 @@ def _aggregate_block(
     return (n_clients / pool_size) * np.add.reduce(weights[:, None] * block, axis=0)
 
 
-@dataclass(frozen=True)
-class _PaddedShards:
-    """All shards stacked in client-id order, zero-padded to the largest shard.
-
-    Zero rows add nothing to a residual, a gradient or a loss, so client l's
-    data is ``x[l]``/``y[l]`` and a pool is the slice of its id block. Memory
-    is N * max(n_l) * p floats, plus O(p^2) for the loss form once a loss is
-    asked for.
-    """
-
-    x: np.ndarray  # (N, n_max, p)
-    y: np.ndarray  # (N, n_max)
-    sizes: np.ndarray  # (N,) shard sizes as floats
-    weights: np.ndarray  # (N,) aggregation weights n_l / n
-    n: int
-
-    @classmethod
-    def build(cls, shards: list[ClientShard], n_clients: int) -> "_PaddedShards":
-        shards = sorted(shards, key=lambda s: s.client_id)
-        if len(shards) != n_clients:
-            raise ConfigError(
-                f"config expects {n_clients} shards, dataset has {len(shards)}"
-            )
-        if [s.client_id for s in shards] != list(range(n_clients)):
-            raise ConfigError("shard client ids must be exactly 0..N-1")
-        sizes = [s.n_l for s in shards]
-        x = np.zeros((n_clients, max(sizes), shards[0].dim))
-        y = np.zeros((n_clients, max(sizes)))
-        for cid, shard in enumerate(shards):
-            x[cid, : shard.n_l] = shard.features
-            y[cid, : shard.n_l] = shard.targets
-        n = sum(sizes)
-        sizes = np.array(sizes, dtype=float)
-        return cls(x=x, y=y, sizes=sizes, weights=sizes / n, n=n)
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[2]
-
-    @cached_property
-    def _loss_form(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        # built on the first loss call, so runs that never ask (the pilot) skip it
-        x, y = self.x.reshape(-1, self.dim), self.y.ravel()
-        gram = x.T @ x
-        theta_ref = np.linalg.lstsq(gram, x.T @ y, rcond=None)[0]
-        resid = x @ theta_ref - y
-        return gram, theta_ref, float(resid @ resid), x.T @ resid
-
-    def loss(self, theta: np.ndarray) -> float:
-        """Pooled loss (1/n) ||X theta - y||^2 over every client's samples.
-
-        Expanded around the near-optimal theta_ref with d = theta - theta_ref:
-        ||X theta - y||^2 = L_ref + 2 d'g + d'G d, where G = X'X and L_ref and
-        g = X'(X theta_ref - y) are computed from the residual. L_ref and d'G d
-        are non-negative and g is close to zero, so the sum does not cancel the
-        way theta'G theta - 2 c'theta + y'y does when the loss is far below
-        y'y / n.
-        """
-        gram, theta_ref, loss_ref, grad_ref = self._loss_form
-        d = theta - theta_ref
-        return (loss_ref + 2.0 * float(d @ grad_ref) + float(d @ gram @ d)) / self.n
+def _stacked(shards, n_clients: int) -> PaddedShards:
+    """The padded store of a shard list, or the store itself, checked against the config."""
+    data = PaddedShards.of(shards)
+    if data.n_clients != n_clients:
+        raise ConfigError(
+            f"config expects {n_clients} shards, dataset has {data.n_clients}"
+        )
+    return data
 
 
 def _initial_theta(config: FederationConfig, dim: int) -> np.ndarray:
@@ -342,7 +290,7 @@ def _initial_theta(config: FederationConfig, dim: int) -> np.ndarray:
 
 
 def _local_steps(
-    data: _PaddedShards,
+    data: PaddedShards,
     pool: slice,
     theta: np.ndarray,
     t: int,
@@ -405,18 +353,20 @@ def noise_context(config: FederationConfig, p: int, n: int, n_bar_sq: float,
 
 def run_federation(
     config: FederationConfig,
-    shards: list[ClientShard],
+    shards: list[ClientShard] | PaddedShards,
     constants: ProblemConstants | None = None,
     record_trajectory: bool = False,
 ) -> RunResult:
     """Execute T_g rounds of noisy federated averaging.
 
-    ``constants`` (when given) supplies the optimum for the y_k column and,
-    together with a decay schedule, the per-round convergence bound. The
-    result is deterministic in (config, seed); a divergent repeat returns the
-    trajectory up to the last valid round with ``diverged=True``.
+    ``shards`` is the shard list or, to skip stacking it again, its
+    ``PaddedShards`` store. ``constants`` (when given) supplies the optimum
+    for the y_k column and, together with a decay schedule, the per-round
+    convergence bound. The result is deterministic in (config, seed); a
+    divergent repeat returns the trajectory up to the last valid round with
+    ``diverged=True``.
     """
-    data = _PaddedShards.build(shards, config.n_clients)
+    data = _stacked(shards, config.n_clients)
     dim = data.dim
     theta = _initial_theta(config, dim)
     n_bar_sq = float(data.sizes @ data.sizes) / config.n_clients
@@ -483,7 +433,9 @@ def run_federation(
     return RunResult(records=records, theta=theta, diverged=diverged, trajectory=trajectory)
 
 
-def pilot_gradient_bound(config: FederationConfig, shards: list[ClientShard]) -> float:
+def pilot_gradient_bound(
+    config: FederationConfig, shards: list[ClientShard] | PaddedShards
+) -> float:
     """Max clipped-gradient L2 norm over one noise-free run of the same shape.
 
     Used to turn the unobservable gradient bound into a concrete number when
@@ -492,9 +444,9 @@ def pilot_gradient_bound(config: FederationConfig, shards: list[ClientShard]) ->
     norms never exceed the threshold, so the partial measurement still bounds
     every step the real runs will take. The pool's clients step in lockstep,
     so "so far" covers every pool client's steps up to and including the one
-    that diverged.
+    that diverged. ``shards`` is the shard list or its ``PaddedShards`` store.
     """
-    data = _PaddedShards.build(shards, config.n_clients)
+    data = _stacked(shards, config.n_clients)
     theta = _initial_theta(config, data.dim)
     max_sq = 0.0
 

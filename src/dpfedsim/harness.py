@@ -39,7 +39,6 @@ from .engine import (
 from .mechanisms import (
     MechanismSpec,
     NoiseContext,
-    asymptotic_z,
     epsilon_regime_warning,
     gaussian_sigma,
     laplace_scale,
@@ -48,6 +47,7 @@ from .mechanisms import (
 )
 from .regression import (
     ConfigError,
+    PaddedShards,
     ProblemConstants,
     clip_gradient,
     mse_gradient,
@@ -108,12 +108,13 @@ def _load(config_path, seed: int | None, repeats: int | None = None) -> RawConfi
 def _emit(out_dir, name: str, text: str, report: list[str], quiet: bool) -> None:
     """Write ``text`` to ``out_dir/name`` if a directory is given.
 
-    The ``report`` lines go to stdout unless ``quiet``.
+    ``name`` is relative and may name subdirectories, which are created. The
+    ``report`` lines go to stdout unless ``quiet``.
     """
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_text_atomic(out / name, text)
+        target = Path(out_dir) / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        _write_text_atomic(target, text)
     if not quiet:
         print("\n".join(report))
 
@@ -125,8 +126,11 @@ def _emit(out_dir, name: str, text: str, report: list[str], quiet: bool) -> None
 
 @dataclass
 class Experiment:
+    """A federation config with its dataset, the dataset's padded store and constants."""
+
     config: FederationConfig
     dataset: FederatedDataset
+    padded: PaddedShards
     constants: ProblemConstants
 
 
@@ -186,21 +190,25 @@ def _mechanism_from(dp: dict) -> MechanismSpec:
     )
 
 
-def build_experiment(raw: RawConfig) -> Experiment:
-    """Assemble dataset, problem constants, schedule and federation config.
+def _build_data(raw: RawConfig) -> tuple[FederatedDataset, PaddedShards, ProblemConstants]:
+    """The dataset, its padded store and the problem constants before any pilot.
 
-    Under L1 clipping the gradient bound is tightened from the clip threshold
-    to the maximum clipped-gradient L2 norm measured on a noise-free pilot run
-    of the same shape (seed 0). A decay schedule requires a non-singular
-    pooled Hessian; the constant schedule runs regardless, with bound
-    reporting disabled.
+    None of them depends on a sweep axis, so a sweep builds them once.
     """
-    fed = raw.federation
     dataset = _build_dataset(raw)
-    zeta, norm = fed["clip_threshold"], fed["clip_norm"]
-    theta_0 = np.zeros(dataset.dim)
-    constants = problem_constants(dataset.shards, theta_0, zeta, norm)
+    padded = PaddedShards.build(dataset.shards)
+    fed = raw.federation
+    constants = problem_constants(
+        padded, np.zeros(dataset.dim), fed["clip_threshold"], fed["clip_norm"]
+    )
+    return dataset, padded, constants
 
+
+def _configure(raw: RawConfig, dataset: FederatedDataset, padded: PaddedShards,
+               constants: ProblemConstants) -> Experiment:
+    """Schedule, federation config and, under L1 clipping, the pilot's gradient bound."""
+    fed = raw.federation
+    zeta, norm = fed["clip_threshold"], fed["clip_norm"]
     if raw.schedule["kind"] == "decay":
         if not constants.assumptions_ok:
             raise ConfigError(
@@ -220,7 +228,7 @@ def build_experiment(raw: RawConfig) -> Experiment:
         schedule=schedule,
         clip=ClipSpec(zeta, norm),
         mechanism=_mechanism_from(raw.dp),
-        theta_0=theta_0,
+        theta_0=np.zeros(dataset.dim),
         seed=fed["seed"],
         repeats=fed["repeats"],
     )
@@ -229,10 +237,23 @@ def build_experiment(raw: RawConfig) -> Experiment:
         pilot_cfg = dataclasses.replace(
             config, mechanism=MechanismSpec(), seed=0
         )
-        measured = pilot_gradient_bound(pilot_cfg, dataset.shards)
+        measured = pilot_gradient_bound(pilot_cfg, padded)
         constants = dataclasses.replace(constants, g_bound=measured)
 
-    return Experiment(config=config, dataset=dataset, constants=constants)
+    return Experiment(config=config, dataset=dataset, padded=padded, constants=constants)
+
+
+def build_experiment(raw: RawConfig) -> Experiment:
+    """Assemble dataset, padded store, problem constants, schedule and federation config.
+
+    The dataset is stacked into its padded store once; the constants, the
+    pilot and every run read that store. Under L1 clipping the gradient bound
+    is tightened from the clip threshold to the maximum clipped-gradient L2
+    norm measured on a noise-free pilot run of the same shape (seed 0). A
+    decay schedule requires a non-singular pooled Hessian; the constant
+    schedule runs regardless, with bound reporting disabled.
+    """
+    return _configure(raw, *_build_data(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +305,7 @@ def run_repeats(exp: Experiment) -> list[RunResult]:
     results = []
     for r in range(exp.config.repeats):
         cfg = dataclasses.replace(exp.config, seed=exp.config.seed + r)
-        results.append(run_federation(cfg, exp.dataset.shards, exp.constants))
+        results.append(run_federation(cfg, exp.padded, exp.constants))
     return results
 
 
@@ -415,10 +436,10 @@ def cmd_sweep(
     if not axis:
         raise ConfigError(f"{config_path}: [sweep] axis and values are required")
 
-    # fail fast: every grid point must produce a valid experiment shape
-    experiments = [
-        (v, build_experiment(_point_raw(base, axis, v))) for v in base.sweep["values"]
-    ]
+    # fail fast: every grid point must give a valid shape; no axis changes the data
+    points = [(v, _point_raw(base, axis, v)) for v in base.sweep["values"]]
+    data = _build_data(base)
+    experiments = [(v, _configure(raw, *data)) for v, raw in points]
 
     rows: list[SweepRow] = []
     for value, exp in experiments:
@@ -519,7 +540,7 @@ def cmd_plan(config_path, out_dir=None, seed: int | None = None,
     mech = cfg.mechanism
     ctx = _round0_context(exp)
 
-    z = 0.0 if mech.kind == "none" else asymptotic_z(mech.kind)
+    z = mech.z
     rate_exp = bounds.rate_exponent(z)
     total = cfg.total_iters
     e_star_raw = bounds.optimal_local_iterations(total, z, divisor_adjust=False)

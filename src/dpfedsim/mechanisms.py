@@ -79,6 +79,11 @@ class MechanismSpec:
             if self.xi2 is None or not self.xi2 > 0:
                 raise ConfigError("gaussian mechanism requires xi2 > 0")
 
+    @property
+    def z(self) -> float:
+        """Growth exponent of the noise-item variance in T_g; 0 for the noise-free benchmark."""
+        return 0.0 if self.kind == "none" else asymptotic_z(self.kind)
+
 
 @dataclass(frozen=True)
 class NoiseContext:

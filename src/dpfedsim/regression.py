@@ -7,6 +7,7 @@ clients run in ascending index order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +15,7 @@ __all__ = [
     "CLIP_NORMS",
     "ConfigError",
     "ClientShard",
+    "PaddedShards",
     "ProblemConstants",
     "mse_loss",
     "mse_gradient",
@@ -34,7 +36,7 @@ CLIP_NORMS = ("l1", "l2")
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ConfigError(f"{name} contains non-finite entries")
 
 
@@ -199,6 +201,12 @@ def pooled_design(shards: list[ClientShard]) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def _least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    theta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    resid = X @ theta - y
+    return theta, float(resid @ resid) / X.shape[0]
+
+
 def global_optimum(shards: list[ClientShard]) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares solution of the pooled problem and its loss f*.
 
@@ -206,10 +214,7 @@ def global_optimum(shards: list[ClientShard]) -> tuple[np.ndarray, float]:
     average of the per-shard losses, so its minimizer is the global optimum of
     the federated task.
     """
-    X, y = pooled_design(shards)
-    theta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = X @ theta - y
-    return theta, float(resid @ resid) / X.shape[0]
+    return _least_squares(*pooled_design(shards))
 
 
 def global_loss(theta: np.ndarray, shards: list[ClientShard]) -> float:
@@ -223,8 +228,129 @@ def global_loss(theta: np.ndarray, shards: list[ClientShard]) -> float:
     return total / n
 
 
+@dataclass(frozen=True, eq=False)
+class PaddedShards:
+    """A dataset's shards stacked once, in client-id order, for bulk computation.
+
+    ``pooled_x``/``pooled_y`` are the shards concatenated: the pooled design.
+    ``x``/``y`` hold client l's data in ``x[l]``/``y[l]``, zero-padded to the
+    largest shard; zero rows add nothing to a residual, a gradient, a loss or
+    a least-squares solution, so a pool is the slice of its id block. When
+    every shard has the same size, ``x``/``y`` are views of the pooled arrays;
+    otherwise they take N * max(n_l) * p more floats. The Gram matrix and the
+    loss form are computed on first use and kept.
+    """
+
+    x: np.ndarray  # (N, n_max, p)
+    y: np.ndarray  # (N, n_max)
+    pooled_x: np.ndarray  # (n, p)
+    pooled_y: np.ndarray  # (n,)
+    sizes: np.ndarray  # (N,) shard sizes as floats
+    weights: np.ndarray  # (N,) aggregation weights n_l / n
+    n: int
+
+    @classmethod
+    def build(cls, shards: list[ClientShard]) -> "PaddedShards":
+        """Stack shards whose client ids are exactly 0..N-1, in any order."""
+        if not shards:
+            raise ConfigError("dataset must contain at least one shard")
+        shards = sorted(shards, key=lambda s: s.client_id)
+        if [s.client_id for s in shards] != list(range(len(shards))):
+            raise ConfigError("shard client ids must be exactly 0..N-1")
+        if len({s.dim for s in shards}) != 1:
+            raise ConfigError("all shards must share one feature dimension")
+        counts = np.array([s.n_l for s in shards])
+        pooled_x, pooled_y = pooled_design(shards)
+        shape = (len(shards), int(counts.max()))
+        if (counts == shape[1]).all():
+            x, y = pooled_x.reshape(*shape, -1), pooled_y.reshape(shape)
+        else:
+            rows = np.arange(shape[1]) < counts[:, None]
+            x, y = np.zeros(shape + pooled_x.shape[1:]), np.zeros(shape)
+            x[rows], y[rows] = pooled_x, pooled_y
+        n = pooled_y.shape[0]
+        sizes = counts.astype(float)
+        return cls(x=x, y=y, pooled_x=pooled_x, pooled_y=pooled_y, sizes=sizes,
+                   weights=sizes / n, n=n)
+
+    @classmethod
+    def of(cls, shards) -> "PaddedShards":
+        """``shards`` itself if it is a store already, else the store built from the list."""
+        return shards if isinstance(shards, cls) else cls.build(shards)
+
+    @property
+    def n_clients(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.x.shape[2]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """X'X of the pooled design."""
+        return self.pooled_x.T @ self.pooled_x
+
+    @cached_property
+    def _loss_form(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        # built on the first loss call, so runs that never ask (the pilot) skip it
+        x, y = self.x.reshape(-1, self.dim), self.y.ravel()
+        # without padding the stacked rows are the pooled design, whose Gram may exist
+        gram = self.gram if x.shape[0] == self.n else x.T @ x
+        theta_ref = np.linalg.lstsq(gram, x.T @ y, rcond=None)[0]
+        resid = x @ theta_ref - y
+        return gram, theta_ref, float(resid @ resid), x.T @ resid
+
+    def loss(self, theta: np.ndarray) -> float:
+        """Pooled loss (1/n) ||X theta - y||^2 over every client's samples.
+
+        Expanded around the near-optimal theta_ref with d = theta - theta_ref:
+        ||X theta - y||^2 = L_ref + 2 d'g + d'G d, where G = X'X and L_ref and
+        g = X'(X theta_ref - y) are computed from the residual. L_ref and d'G d
+        are non-negative and g is close to zero, so the sum does not cancel the
+        way theta'G theta - 2 c'theta + y'y does when the loss is far below
+        y'y / n.
+        """
+        gram, theta_ref, loss_ref, grad_ref = self._loss_form
+        d = theta - theta_ref
+        return (loss_ref + 2.0 * float(d @ grad_ref) + float(d @ gram @ d)) / self.n
+
+
+def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
+    """Every shard's f_l* = min ||X_l theta - y_l||^2 / n_l as ``local_optimum`` finds it.
+
+    One batched factorisation over the padded stack. A QR first factors the
+    long side of each (n_max, p) block away: of [X y] when n_max >= p, which
+    keeps X's singular values and turns y into coordinates in an orthonormal
+    basis, or of X' otherwise, since X = R'Q' has the singular values and left
+    vectors of R'. Singular values at or below ``lstsq``'s rcond=None cut-off,
+    eps * max(n_l, p) * s_max, count as zero. Shards with no value cut have a
+    closed-form residual; only the others need singular vectors.
+    """
+    x, y = data.x, data.y
+    p = data.dim
+    if x.shape[1] >= p:
+        r = np.linalg.qr(np.concatenate([x, y[:, :, None]], axis=2), mode="r")
+        mat, rhs = r[:, :, :p], r[:, :, p]
+    else:
+        mat, rhs = np.linalg.qr(x.transpose(0, 2, 1), mode="r").transpose(0, 2, 1), y
+    s = np.linalg.svd(mat, compute_uv=False)
+    tol = np.finfo(float).eps * np.maximum(data.sizes, p) * s[:, 0]
+    kept = s > tol[:, None]
+    # a full-rank block reaches every coordinate of rhs but, when it has
+    # p + 1 rows, the last one, which holds y's distance from X's columns
+    resid_sq = rhs[:, p] ** 2 if mat.shape[1] > p else np.zeros(data.n_clients)
+    cut = np.flatnonzero(~kept.all(axis=1))
+    if cut.size:
+        u, _, _ = np.linalg.svd(mat[cut], full_matrices=False)
+        coef = np.matmul(rhs[cut, None, :], u)[:, 0, :] * kept[cut]
+        resid = rhs[cut] - np.matmul(u, coef[:, :, None])[:, :, 0]
+        resid_sq[cut] = np.einsum("ij,ij->i", resid, resid)
+    return resid_sq / data.sizes
+
+
 def problem_constants(
-    shards: list[ClientShard],
+    shards: list[ClientShard] | PaddedShards,
     theta_0: np.ndarray,
     zeta: float,
     norm_kind: str = "l2",
@@ -232,6 +358,8 @@ def problem_constants(
 ) -> ProblemConstants:
     """Compute curvature, heterogeneity and distance constants for a dataset.
 
+    ``shards`` is the shard list or its ``PaddedShards`` store; the pooled
+    design, its Gram matrix and the per-shard optima are read from the store.
     mu and lambda are the extreme eigenvalues of the pooled Hessian
     (2/n) X^T X. gamma_noniid = f* - sum_l (n_l/n) f_l* (clamped at 0 against
     rounding). The gradient bound defaults to the clip threshold ``zeta``
@@ -242,31 +370,25 @@ def problem_constants(
     ``assumptions_ok=False`` with mu forced to 0; simulation may proceed but
     bound computation is disabled.
     """
-    if not shards:
-        raise ConfigError("dataset must contain at least one shard")
     if norm_kind not in CLIP_NORMS:
         raise ConfigError(f"unknown norm kind {norm_kind!r}")
     if not zeta > 0:
         raise ConfigError("clip threshold zeta must be > 0")
 
-    X, y = pooled_design(shards)
-    n = X.shape[0]
+    data = PaddedShards.of(shards)
+    n = data.n
     theta_0 = np.asarray(theta_0, dtype=float)
-    if theta_0.shape != (X.shape[1],):
+    if theta_0.shape != (data.dim,):
         raise ConfigError("theta_0 dimension does not match the dataset")
 
-    hessian = (2.0 / n) * (X.T @ X)
+    hessian = (2.0 / n) * data.gram
     eigvals = np.linalg.eigvalsh(hessian)
     mu, lam = float(eigvals[0]), float(eigvals[-1])
     # the bound divides by mu^2, which must not underflow to zero either
     assumptions_ok = lam > 0 and mu > lam * 1e-12 and mu**2 > 0
 
-    theta_star, f_star = global_optimum(shards)
-
-    weighted_local = 0.0
-    for shard in sorted(shards, key=lambda s: s.client_id):
-        _, f_l_star = local_optimum(shard)
-        weighted_local += (shard.n_l / n) * f_l_star
+    theta_star, f_star = _least_squares(data.pooled_x, data.pooled_y)
+    weighted_local = float(data.weights @ _local_optimum_losses(data))
     gamma_noniid = max(0.0, f_star - weighted_local)
 
     if g_bound is None:

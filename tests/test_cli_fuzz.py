@@ -3,8 +3,9 @@
 Hypothesis writes a small config file and, for CSV data, a small CSV, picks a
 subcommand with ``--seed``/``--repeats``/``--draws``, and runs it through
 ``cli.main``. Every outcome must be an exit code in {0, 1, 2, 3}, and an exit
-code 1 or 3 must come with its ``error:`` or ``i/o error:`` line. Shapes and
-integers are bounded, so no example allocates much memory or runs for long.
+code 1 or 3 must come with its ``error:`` or ``i/o error:`` line, and nothing
+may be written outside ``--out``. Shapes and integers are bounded, so no
+example allocates much memory or runs for long.
 """
 import contextlib
 import io
@@ -50,8 +51,11 @@ WORDS = {
     ("data", "target_column"): COLUMNS,
     ("data", "feature_columns"): COLUMNS,
     ("data", "sort_key"): COLUMNS,
-    ("output", "rounds_csv"): ["r.csv", "a%%b.csv", "sub/r.csv"],
-    ("output", "sweep_csv"): ["s.csv", "a%%b.csv"],
+    # output names in a subdirectory, leaving --out through "..", and absolute
+    # (TMP stands for the example's temporary directory)
+    ("output", "rounds_csv"): ["r.csv", "a%%b.csv", "sub/r.csv", "sub/../r.csv",
+                               "../r.csv", "TMP/r.csv"],
+    ("output", "sweep_csv"): ["s.csv", "a%%b.csv", "sub/s.csv", "../s.csv", "TMP/s.csv"],
     ("sweep", "axis"): [*SWEEP_AXES, "delta", ""],
 }
 GRID = ["0", "1", "2", "4", "-3", "1.5", "inf", "T^{1/2}", "T", "x"]
@@ -122,7 +126,7 @@ def _check_cli(flags, csv_bytes, config_bytes):
         if csv_path is not None:
             csv_path.write_bytes(csv_bytes)
         config_path = tmp / "exp.cfg"
-        config_path.write_bytes(config_bytes(csv_path))
+        config_path.write_bytes(config_bytes(csv_path).replace(b"TMP/", bytes(tmp) + b"/"))
         argv = [flags["command"], "--config", str(config_path), "--out", str(tmp / "out")]
         if flags["seed"] is not None:
             argv += ["--seed", str(flags["seed"])]
@@ -138,6 +142,7 @@ def _check_cli(flags, csv_bytes, config_bytes):
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = main(argv)
+        assert {p.name for p in tmp.iterdir()} <= {"data.csv", "exp.cfg", "out"}
 
     assert code in (0, 1, 2, 3)
     if code == 1:

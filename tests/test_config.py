@@ -130,6 +130,15 @@ def test_percent_in_a_value_is_a_config_error(tmp_path):
     assert cfg.output["rounds_csv"] == "a%b.csv"
 
 
+@pytest.mark.parametrize("key", ["rounds_csv", "sweep_csv"])
+@pytest.mark.parametrize("name", ["/tmp/r.csv", "../r.csv", "sub/../../r.csv", "", "sub/.."])
+def test_output_name_outside_out_is_a_config_error(tmp_path, key, name):
+    path = write(tmp_path, f"[output]\n{key} = {name}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: [output] {key} must name a file")):
+        parse_config(path)
+    assert parse_config(write(tmp_path, f"[output]\n{key} = sub/../r.csv\n")).output[key]
+
+
 def test_non_utf8_config_is_a_config_error(tmp_path):
     path = tmp_path / "latin1.cfg"
     path.write_bytes(b"[federation]\nclients = 8  # caf\xe9\n")

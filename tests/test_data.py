@@ -1,7 +1,12 @@
+import csv
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpfedsim.data import (
     FederatedDataset,
@@ -256,3 +261,90 @@ def test_unreadable_csv_is_a_config_error(tmp_path, body, in_header):
     if in_header:
         with pytest.raises(ConfigError, match=message):
             csv_column_indices(path, ["a"])
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", " NaN "])
+def test_nonfinite_cell_is_a_config_error_naming_its_line(tmp_path, cell):
+    # line 3 holds a quoted two-line field, so the bad row starts on line 6
+    body = f'a,b,y\n1,2,3\n"4\n",5,6\nx,8,9\n7,{cell},9\n1,1,1\n'
+    path = write_csv(tmp_path, body)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: line 6: nan or inf")):
+        load_csv(path, "y")
+    # a row that also has a non-numeric cell is skipped, not an error
+    path = write_csv(tmp_path, f"a,b,y\n1,2,3\nx,{cell},9\n")
+    with pytest.warns(UserWarning, match="skipped 1 rows"):
+        train, _ = load_csv(path, "y", train_fraction=1.0)
+    assert train.tolist() == [[1.0, 2.0, 3.0]]
+    # a non-finite cell outside the selected columns is never read
+    path = write_csv(tmp_path, f"a,b,y\n1,{cell},3\n")
+    assert load_csv(path, "y", feature_columns=["a"], train_fraction=1.0)[0].tolist() == [[1.0, 3.0]]
+
+
+def _reference_load_csv(path, seed):
+    """Row by row, as ``load_csv`` read a CSV before it streamed: the test's oracle.
+
+    Returns (train, holdout, skipped) or the error message ``load_csv`` must raise.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        target = header.index("y")
+        wanted = [i for i in range(len(header)) if i != target] + [target]
+        rows, skipped = [], 0
+        start = reader.line_num + 1
+        for raw in reader:
+            try:
+                row = [float(raw[i]) for i in wanted]
+            except (ValueError, IndexError):
+                skipped += 1
+            else:
+                if not all(map(math.isfinite, row)):
+                    return f"{path}: line {start}: nan or inf cell in a selected column"
+                rows.append(row)
+            start = reader.line_num + 1
+    if not rows:
+        return f"{path}: no numeric rows after filtering"
+    records = np.asarray(rows, dtype=float)
+    records = records[np.random.default_rng(seed).permutation(records.shape[0])]
+    n_train = int(round(0.8 * records.shape[0]))
+    return records[:n_train], records[n_train:], skipped
+
+
+# cells float() reads, cells it rejects, and non-finite ones; a quoted cell may
+# hold a comma or a line break
+GOOD_CELLS = ["1", "-2.5", " 3 ", "4e1", "1_0", "+.5", '"6"', '" 7\n"', "0"]
+BAD_CELLS = ["", "n/a", "x", "1__0", '"1,2"', "1 2"]
+NONFINITE_CELLS = ["nan", "inf", "-Infinity"]
+csv_rows = st.lists(
+    st.one_of(
+        # a full row, mostly good; short, long and blank rows
+        st.lists(st.sampled_from(GOOD_CELLS * 6 + BAD_CELLS), min_size=3, max_size=3),
+        st.lists(st.sampled_from(GOOD_CELLS), min_size=0, max_size=5),
+        st.lists(st.sampled_from(GOOD_CELLS * 10 + NONFINITE_CELLS), min_size=3, max_size=3),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=csv_rows, seed=st.integers(0, 3))
+@example(rows=[["x", "1", "2"], ["1", "2", "3"], ["1", "2", ""]], seed=0)  # bad first and last
+@example(rows=[["1", "2", "3"], [], ["n/a", "1", "1"], ["1", "2"], ["4", "5", "6"]], seed=1)
+def test_load_csv_matches_the_row_by_row_reference(tmp_path_factory, rows, seed):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text("a,b,y\n" + "\n".join(",".join(row) for row in rows) + "\n")
+    expected = _reference_load_csv(path, seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if isinstance(expected, str):
+            with pytest.raises(ConfigError) as err:
+                load_csv(path, "y", seed=seed)
+            assert str(err.value) == expected
+            return
+        train, holdout = load_csv(path, "y", seed=seed)
+    assert train.tobytes() == expected[0].tobytes() and train.shape == expected[0].shape
+    assert holdout.tobytes() == expected[1].tobytes() and holdout.shape == expected[1].shape
+    skipped = expected[2]
+    messages = [str(w.message) for w in caught]
+    assert messages == ([f"{path}: skipped {skipped} rows with missing or non-numeric cells"]
+                        if skipped else [])

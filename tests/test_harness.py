@@ -17,7 +17,8 @@ from dpfedsim.harness import (
     e_from_rule,
     run_repeats,
 )
-from dpfedsim.regression import ClientShard, ConfigError
+from dpfedsim import harness
+from dpfedsim.regression import ClientShard, ConfigError, PaddedShards
 
 SMALL_TASK = """
 [federation]
@@ -208,6 +209,25 @@ def test_sweep_rows_and_csv(tmp_path):
     lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert lines[0] == "axis,value,mean_final_loss,std_final_loss,mean_final_y,diverged_runs"
     assert len(lines) == 3
+
+
+def test_data_is_built_once_per_run_and_per_sweep(tmp_path, monkeypatch):
+    builds, loads = [], []
+    build, load_csv = PaddedShards.build.__func__, harness.load_csv
+    monkeypatch.setattr(PaddedShards, "build",
+                        classmethod(lambda cls, shards: builds.append(1) or build(cls, shards)))
+    monkeypatch.setattr(harness, "load_csv", lambda *a, **k: loads.append(1) or load_csv(*a, **k))
+    # L1 clipping runs the pilot; the constants, the pilot and three repeats share one store
+    l1_task = SMALL_TASK.replace("clip_norm = l2", "clip_norm = l1")
+    cmd_run(write(tmp_path, l1_task), tmp_path / "out", quiet=True)
+    assert len(builds) == 1
+    builds.clear()
+    # every grid point runs its own pilot on the one store
+    body = CSV_TASK.format(csv_path=write_rate_csv(tmp_path)).replace("= l2", "= l1") + (
+        "target_column = rate\n\n[sweep]\naxis = E\nvalues = 1, 2\n"
+    )
+    rows = cmd_sweep(write(tmp_path, body), tmp_path / "out", quiet=True)
+    assert len(rows) == 2 and len(loads) == 1 and len(builds) == 1
 
 
 def test_sweep_requires_axis(tmp_path):
@@ -474,6 +494,17 @@ def test_cli_run_ok(tmp_path, capsys):
     code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 0
     assert (tmp_path / "o" / "rounds.csv").exists()
+
+
+@pytest.mark.parametrize("command,key", [("run", "rounds_csv"), ("sweep", "sweep_csv")])
+def test_cli_output_name_in_a_subdirectory(tmp_path, capsys, command, key):
+    body = SMALL_TASK + f"\n[output]\n{key} = sub/deeper/out.csv\n"
+    if command == "sweep":
+        body += "\n[sweep]\naxis = E\nvalues = 1, 2\n"
+    path = write(tmp_path, body)
+    code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 0
+    assert [p.name for p in (tmp_path / "o" / "sub" / "deeper").iterdir()] == ["out.csv"]
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

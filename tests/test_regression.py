@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from dpfedsim.regression import (
     ClientShard,
     ConfigError,
+    PaddedShards,
+    _local_optimum_losses,
     clip_gradient,
     global_loss,
     global_optimum,
@@ -297,3 +299,64 @@ def test_hessian_whose_square_underflows_flags_assumptions():
     shard = ClientShard(0, np.eye(3) * 1e-100, np.ones(3))
     pc = problem_constants([shard], np.zeros(3), zeta=10.0)
     assert not pc.assumptions_ok
+
+
+# ---------------------------------------------------------------------------
+# batched local optima
+# ---------------------------------------------------------------------------
+
+
+def _with_bias(x):
+    return np.column_stack([x, np.ones(x.shape[0])])
+
+
+def _optima_case(case, rng):
+    """Shards with a bias column whose per-shard least-squares problems are awkward."""
+    if case == "ragged":
+        sizes, d = [3, 12, 7, 5, 9, 4], 3
+    elif case == "single-row":
+        sizes, d = [1, 6, 1, 8, 1], 3
+    elif case == "wide":  # n_l < p on every shard, ragged
+        sizes, d = [2, 5, 3, 1, 4], 7
+    else:
+        sizes, d = [6, 8, 10, 6], 3
+    shards = []
+    for cid, n_l in enumerate(sizes):
+        x = rng.standard_normal((n_l, d))
+        if case == "duplicate-rows":  # three distinct rows, so rank 3 < p = 4
+            x = np.tile(x[:3], (n_l // 3 + 1, 1))[:n_l]
+        if case == "wide":  # a repeated row with its own target leaves a residual
+            x[-1] = x[0]
+        if case == "constant-column":  # a multiple of the bias column
+            x[:, 1] = 2.5
+        y = x @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n_l) + 1.0
+        shards.append(ClientShard(cid, _with_bias(x), y))
+    return shards
+
+
+@pytest.mark.parametrize(
+    "case", ["ragged", "single-row", "wide", "duplicate-rows", "constant-column"]
+)
+def test_batched_local_optima_match_lstsq(case):
+    shards = _optima_case(case, np.random.default_rng(40))
+    reference = np.array([local_optimum(s)[1] for s in shards])
+    data = PaddedShards.build(shards)
+    pc = problem_constants(data, np.zeros(data.dim), zeta=10.0)
+    n = sum(s.n_l for s in shards)
+    gamma_reference = max(0.0, pc.f_star - sum(s.n_l / n * f for s, f in zip(shards, reference)))
+    assert pc.f_star > 1e-3
+    assert abs(pc.gamma_noniid - gamma_reference) <= 1e-12 * pc.f_star
+    assert np.abs(_local_optimum_losses(data) - reference).max() <= 1e-12 * pc.f_star
+
+
+def test_store_stacks_shards_in_client_order():
+    rng = np.random.default_rng(41)
+    shards = [make_shard(rng, n=n_l, d=2, client_id=cid) for cid, n_l in [(1, 3), (0, 2)]]
+    data = PaddedShards.build(shards)
+    assert data.x.shape == (2, 3, 2) and data.n == 5
+    assert np.array_equal(data.x[0, :2], shards[1].features)
+    assert np.array_equal(data.x[1], shards[0].features)
+    assert not data.x[0, 2].any() and data.y[0, 2] == 0.0
+    assert np.array_equal(data.pooled_x, np.concatenate([shards[1].features, shards[0].features]))
+    equal = PaddedShards.build([make_shard(rng, n=4, d=2, client_id=cid) for cid in range(3)])
+    assert np.shares_memory(equal.x, equal.pooled_x)  # no padding, no second copy
