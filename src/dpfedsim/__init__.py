@@ -26,6 +26,7 @@ from .engine import (
     ClipSpec,
     DivergenceError,
     FederationConfig,
+    Repeats,
     RoundRecord,
     RunResult,
     Schedule,

@@ -13,9 +13,12 @@ import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here loads it with the
+# package, not inside the first data build
+from numpy.random import default_rng
 
 from .regression import ClientShard, ConfigError
 
@@ -92,7 +95,7 @@ def synth_regression(
         raise ConfigError("heterogeneity must lie in [0, 1]")
     if noise_std < 0:
         raise ConfigError("noise_std must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     dim = n_features + 1 if add_bias else n_features
     theta_true = rng.standard_normal(dim)
     shards = []
@@ -130,12 +133,15 @@ def sorted_partition(
     ordered = records[np.argsort(records[:, sort_key_index], kind="stable")]
     # every shard is a row slice of one design and one target array
     design, targets = _with_bias(ordered[:, :-1], add_bias), ordered[:, -1].copy()
+    # finite records pass every shard's checks: check them once, or let the
+    # first failing shard raise its own error
+    shard = ClientShard._checked if np.isfinite(ordered).all() else ClientShard
     base, extra = divmod(records.shape[0], n_clients)
     shards = []
     start = 0
     for cid in range(n_clients):
         stop = start + base + (1 if cid < extra else 0)
-        shards.append(ClientShard(cid, design[start:stop], targets[start:stop]))
+        shards.append(shard(cid, design[start:stop], targets[start:stop]))
         start = stop
     return FederatedDataset(shards)
 
@@ -212,6 +218,149 @@ def _nonfinite_line(path, pick) -> int:
     raise ConfigError(f"{path}: the CSV changed while it was read")
 
 
+def _selected_columns(header: list[str], target_column, feature_columns) -> list[int]:
+    """Header indices of the selected columns: the features, then the target."""
+    target_idx = _column_index(header, target_column, "target column")
+    if feature_columns is None:
+        feature_idx = [i for i in range(len(header)) if i != target_idx]
+    else:
+        feature_idx = [_column_index(header, c, "feature column") for c in feature_columns]
+    if target_idx in feature_idx:
+        raise ConfigError("the target column cannot also be a feature")
+    return feature_idx + [target_idx]
+
+
+def _read_rows(path, target_column, feature_columns) -> tuple[np.ndarray, int, list[int]]:
+    """Records, skipped-row count and selected columns of any CSV, through ``csv.reader``.
+
+    The rows stream through the reader once: their selected cells go through
+    ``float`` into one array of doubles, restarting only after a bad row, so
+    no Python object per row or per value outlives its conversion.
+    """
+    with _csv_reader(path) as reader:
+        header = _read_header(reader, path)
+        columns = _selected_columns(header, target_column, feature_columns)
+        pick = _cell_picker(columns)
+        values = array("d")
+        skipped = 0
+        while True:
+            try:
+                # stops after a row with a missing or non-numeric cell
+                values.extend(map(float, chain.from_iterable(map(pick, reader))))
+                break
+            except UnicodeDecodeError:
+                raise  # the reader's own error, handled by _csv_reader
+            except (ValueError, IndexError):
+                skipped += 1
+                # drop the bad row's cells converted before the failing one
+                del values[len(values) - len(values) % len(columns) :]
+    return np.frombuffer(values).reshape(-1, len(columns)), skipped, columns
+
+
+# A plain CSV has no quote, carriage return or NUL byte: ``csv.reader`` then
+# reads each line as one row whose cells are the line split at its commas.
+_PLAIN_BLOCK_BYTES = 1 << 17
+# byte -> 0 in a number numpy's parser reads, 1 comma, 2 line break, 3 anything else
+_BYTE_KINDS = bytes(
+    0 if b in b"0123456789.eE+-" else 1 if b == ord(",") else 2 if b == ord("\n") else 3
+    for b in range(256)
+)
+
+
+def _plain_text(data: bytes) -> str | None:
+    """``data`` decoded, if it is UTF-8 without quotes, carriage returns or NUL bytes."""
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def _plain_block(data: bytes, width: int, columns: list[int]):
+    """Records and skipped-row count of whole lines of a plain CSV, or None if not plain.
+
+    A line of exactly ``width`` non-empty cells of digits, signs, points and
+    exponents goes to ``np.loadtxt`` with the others of the block; its parser
+    is ``float``'s, so the values are the same bits. Every other line is read
+    on its own as ``csv.reader`` and ``float`` read it.
+    """
+    text = _plain_text(data)
+    if text is None:
+        return None
+    lines = text.split("\n")[:-1]
+    kinds = np.frombuffer(data.translate(_BYTE_KINDS), dtype=np.uint8)
+    marks = np.flatnonzero(kinds)
+    mark_kinds = kinds[marks]
+    seps = marks[mark_kinds < 3]
+    # the k-th line break is separator breaks[k]
+    breaks = np.flatnonzero(mark_kinds[mark_kinds < 3] == 2)
+    ends = seps[breaks]
+    if np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+        return None  # csv.reader refuses a field that long
+    plain = np.diff(breaks, prepend=-1) == width
+    # a byte no number has, or two adjacent separators (an empty cell or line)
+    odd = np.concatenate([marks[mark_kinds == 3], seps[1:][np.diff(seps) == 1]])
+    if kinds[0] in (1, 2):
+        odd = np.append(odd, 0)
+    plain[np.searchsorted(ends, odd)] = False
+
+    records = np.empty((len(lines), len(columns)))
+    if plain.any():
+        try:
+            cells = np.loadtxt(list(compress(lines, plain)), delimiter=",", comments=None,
+                               quotechar=None, ndmin=2)
+        except ValueError:
+            return None  # a cell such as "1e": csv.reader's path skips its row
+        records[plain] = cells[:, columns]
+    kept = plain.copy()
+    pick = _cell_picker(columns)
+    for i in np.flatnonzero(~plain).tolist():
+        try:
+            records[i] = tuple(map(float, pick(lines[i].split(",") if lines[i] else [])))
+        except (ValueError, IndexError):
+            continue
+        kept[i] = True
+    return records[kept], len(lines) - int(np.count_nonzero(kept))
+
+
+def _read_plain(path, target_column, feature_columns):
+    """``_read_rows``' result for a plain CSV, read in blocks of whole lines; None otherwise.
+
+    Anything else (quotes, carriage returns, bytes that are not UTF-8, an
+    overlong field, no line break after the header) is left to ``_read_rows``,
+    which also raises its errors.
+    """
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        if not head.endswith(b"\n") or len(head) > csv.field_size_limit():
+            return None
+        text = _plain_text(head)
+        if text is None:
+            return None
+        header = _read_header(csv.reader([text[:-1]]), path)
+        columns = _selected_columns(header, target_column, feature_columns)
+        blocks, skipped, rest = [], 0, b""
+        while True:
+            chunk = fh.read(_PLAIN_BLOCK_BYTES)
+            data = rest + chunk
+            if chunk:
+                cut = data.rfind(b"\n") + 1
+                data, rest = data[:cut], data[cut:]
+            elif data:
+                data += b"\n"  # the last row ends at the end of the file
+            if data:
+                block = _plain_block(data, len(header), columns)
+                if block is None:
+                    return None
+                blocks.append(block[0])
+                skipped += block[1]
+            if not chunk:
+                break
+    records = np.concatenate(blocks) if blocks else np.empty((0, len(columns)))
+    return records, skipped, columns
+
+
 def load_csv(
     path,
     target_column,
@@ -228,50 +377,22 @@ def load_csv(
     line. The kept rows are shuffled with the given seed and split at
     ``train_fraction``; records carry features first and the target last.
 
-    The rows stream through the reader once: their selected cells go through
-    ``float`` into one array of doubles, restarting only after a bad row, so
-    no Python object per row or per value outlives its conversion.
+    A plain file (no quotes or carriage returns) is parsed in bulk, block by
+    block; any other goes through ``csv.reader``. Both give the same bytes.
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ConfigError("train_fraction must lie in (0, 1]")
-    with _csv_reader(path) as reader:
-        header = _read_header(reader, path)
-        target_idx = _column_index(header, target_column, "target column")
-        if feature_columns is None:
-            feature_idx = [i for i in range(len(header)) if i != target_idx]
-        else:
-            feature_idx = [
-                _column_index(header, c, "feature column") for c in feature_columns
-            ]
-        if target_idx in feature_idx:
-            raise ConfigError("the target column cannot also be a feature")
-
-        pick = _cell_picker(feature_idx + [target_idx])
-        width = len(feature_idx) + 1
-        values = array("d")
-        skipped = 0
-        while True:
-            try:
-                # stops after a row with a missing or non-numeric cell
-                values.extend(map(float, chain.from_iterable(map(pick, reader))))
-                break
-            except UnicodeDecodeError:
-                raise  # the reader's own error, handled by _csv_reader
-            except (ValueError, IndexError):
-                skipped += 1
-                # drop the bad row's cells converted before the failing one
-                del values[len(values) - len(values) % width :]
-    records = np.frombuffer(values).reshape(-1, width)
+    records, skipped, columns = (_read_plain(path, target_column, feature_columns)
+                                 or _read_rows(path, target_column, feature_columns))
     if not np.isfinite(records).all():
-        raise ConfigError(
-            f"{path}: line {_nonfinite_line(path, pick)}: nan or inf cell in a selected column"
-        )
+        line = _nonfinite_line(path, _cell_picker(columns))
+        raise ConfigError(f"{path}: line {line}: nan or inf cell in a selected column")
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} rows with missing or non-numeric cells")
     if not records.shape[0]:
         raise ConfigError(f"{path}: no numeric rows after filtering")
 
-    perm = np.random.default_rng(seed).permutation(records.shape[0])
+    perm = default_rng(seed).permutation(records.shape[0])
     records = records[perm]
     n_train = int(round(train_fraction * records.shape[0]))
     return records[:n_train], records[n_train:]

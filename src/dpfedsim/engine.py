@@ -5,14 +5,17 @@ lets every pool client take E full-batch clipped gradient steps from the
 current server parameters, adds that client's calibrated noise to the result,
 and aggregates the noisy parameters with size weights.
 
-A round's pool is a contiguous block of client ids, so the local steps of the
-whole pool run as one vectorised block on the dataset's zero-padded store
-(``regression.PaddedShards``), built once and shared by every run of an
-experiment: the number of numpy calls per step does not grow with the pool
-size. The pool's noise block is one draw from the round's stream,
-aggregation is one reduction over the pool block in a fixed order, and the
-pooled loss is a p x p quadratic form, so a round costs
-O(b * max(n_l) * p * E + p^2) and results are bit-reproducible.
+An experiment's R repeats run as one block. A round's pool is a contiguous
+block of client ids, so each local step of every pool client in every repeat
+is one vectorised pass over an (R, b, max(n_l), p) block that reads the
+dataset's zero-padded store (``regression.PaddedShards``), built once and
+shared by every repeat: the number of numpy calls per step grows with neither
+the pool size nor the repeat count. Repeat r draws its (b, p) noise block from
+its own stream (seed + r, round), aggregation is one reduction per repeat in a
+fixed order, and the per-round metrics (the p x p pooled loss, y_k and the
+noise norm) take one dot product per repeat. A round therefore costs
+O(R * b * max(n_l) * p * E) for the steps plus O(R * p^2) for the metrics,
+and every repeat is bitwise the same whether it runs alone or in a block.
 """
 from __future__ import annotations
 
@@ -25,8 +28,8 @@ from . import bounds
 from .bounds import schedule_offset
 from .mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
 from .regression import (
-    CLIP_NORMS, ClientShard, ConfigError, PaddedShards, ProblemConstants, clip_gradient,
-    mse_gradient,
+    CLIP_NORMS, ClientShard, ConfigError, PaddedShards, ProblemConstants, _row_dots,
+    clip_gradient, mse_gradient,
 )
 
 __all__ = [
@@ -37,6 +40,7 @@ __all__ = [
     "FederationConfig",
     "RoundRecord",
     "RunResult",
+    "Repeats",
     "lr_schedule",
     "schedule_offset",
     "select_pool",
@@ -49,6 +53,10 @@ __all__ = [
 
 # aborts a repeat well before float overflow corrupts the records
 PARAM_LIMIT = 1e12
+
+# repeats run in chunks whose largest per-step work array, (R, b, max(n_l, p)),
+# holds at most this many elements; chunking changes no byte of any repeat
+CHUNK_ELEMENTS = 4_000_000
 
 
 class DivergenceError(RuntimeError):
@@ -194,6 +202,26 @@ class RunResult:
     trajectory: list[np.ndarray] | None = None
 
 
+@dataclass
+class Repeats:
+    """The runs of one block of repeats; ``runs[r]`` is the run with seed config.seed + r.
+
+    ``records`` and ``diverged`` total the runs the way a single ``RunResult``
+    reports itself: every completed round's record, run after run, and the
+    number of runs that diverged.
+    """
+
+    runs: list[RunResult]
+
+    @property
+    def records(self) -> list[RoundRecord]:
+        return [rec for run in self.runs for rec in run.records]
+
+    @property
+    def diverged(self) -> int:
+        return sum(run.diverged for run in self.runs)
+
+
 def _pool_slice(t: int, n_clients: int, pool_size: int) -> slice:
     # b divides N, so the start (t*b) mod N is a multiple of b and the pool never wraps
     start = (t * pool_size) % n_clients
@@ -208,9 +236,19 @@ def select_pool(t: int, n_clients: int, pool_size: int) -> list[int]:
     return list(range(pool.start, pool.stop))
 
 
-def _check_params(theta: np.ndarray) -> None:
+def _all_within_limit(params: np.ndarray) -> bool:
+    """Whether every entry of ``params`` is within PARAM_LIMIT (NaN is not)."""
     # NaN fails the comparison, so one reduction also catches non-finite entries
-    if not np.abs(theta).max() <= PARAM_LIMIT:
+    return np.abs(params).max() <= PARAM_LIMIT
+
+
+def _within_limit(params: np.ndarray) -> np.ndarray:
+    """Per repeat (the leading axis): whether all its entries are within PARAM_LIMIT."""
+    return np.abs(params).reshape(len(params), -1).max(axis=1) <= PARAM_LIMIT
+
+
+def _check_params(theta: np.ndarray) -> None:
+    if not _all_within_limit(theta):
         raise DivergenceError("parameters exceeded the divergence limit")
 
 
@@ -260,12 +298,13 @@ def aggregate(
 def _aggregate_block(
     block: np.ndarray, weights: np.ndarray, n_clients: int, pool_size: int
 ) -> np.ndarray:
-    """``aggregate`` on a (b, p) block of rows in ascending client-id order.
+    """``aggregate`` on an (R, b, p) block: per repeat, its b rows in ascending client-id order.
 
     The reduction order is numpy's: for p > 1 it adds the rows in order, for
     p = 1 it may sum pairwise, so results agree with ``aggregate`` to rounding.
+    Either way a repeat's sum does not depend on the other repeats.
     """
-    return (n_clients / pool_size) * np.add.reduce(weights[:, None] * block, axis=0)
+    return (n_clients / pool_size) * np.add.reduce(weights[:, None] * block, axis=-2)
 
 
 def _stacked(shards, n_clients: int) -> PaddedShards:
@@ -296,39 +335,53 @@ def _local_steps(
     t: int,
     config: FederationConfig,
     on_grad=None,
-) -> np.ndarray:
-    """Round t's E clipped full-batch steps for every client of the pool.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Round t's E clipped full-batch steps for every client of the pool, in every repeat.
 
-    ``pool`` is the round's block of client ids; each client starts from
-    ``theta``. Returns the (b, p) pre-noise local parameters, one row per
-    client in ascending id order. ``on_grad`` sees every step's (b, p) block
-    of clipped gradients.
+    ``theta`` is the (R, p) block of the repeats' server parameters and
+    ``pool`` the round's block of client ids; each client starts from its
+    repeat's row. Returns the (R, b, p) pre-noise local parameters, one row per
+    client in ascending id order, and the (R,) mask of the repeats whose
+    parameters stayed within PARAM_LIMIT after every step. A repeat that leaves
+    the limit keeps stepping with the others until the round ends, or until no
+    repeat is left within it. ``on_grad`` sees every step's (R, b, p) block of
+    clipped gradients.
     """
     x, y = data.x[pool], data.y[pool]
     x_t = x.transpose(0, 2, 1)
     scale = (2.0 / data.sizes[pool])[:, None]
-    # theta broadcasts over the pool until the first step gives each client a row
-    block = theta
+    # a repeat's theta broadcasts over the pool until the first step gives each client a row
+    block = theta[:, None, :]
+    ok = np.ones(len(theta), dtype=bool)
     k0 = t * config.local_iters
     for i in range(config.local_iters):
         resid = np.matmul(x, block[..., None])[..., 0] - y
         grad = clip_gradient(
-            scale * np.matmul(x_t, resid[:, :, None])[:, :, 0],
+            scale * np.matmul(x_t, resid[..., None])[..., 0],
             config.clip.zeta,
             config.clip.norm,
         )
         if on_grad is not None:
             on_grad(grad)
         block = block - config.schedule.rate(k0 + i) * grad
-        _check_params(block)
-    return block
+        # one reduction over the whole block; the per-repeat mask only once it fails
+        if not _all_within_limit(block):
+            ok &= _within_limit(block)
+            if not ok.any():
+                break
+    return block, ok
 
 
-def _pool_noise(config: FederationConfig, ctx: NoiseContext, t: int, pool: slice) -> np.ndarray:
-    """The (b, p) noise block of round t, row i for client ``pool.start + i``."""
-    return sample_noise(
-        config.mechanism, ctx, noise_stream(config.seed, t), (pool.stop - pool.start,)
-    )
+def _pool_noise(config: FederationConfig, ctx: NoiseContext, seeds: list[int], t: int,
+                pool: slice) -> np.ndarray:
+    """The (R, b, p) noise block of round t: block r from the stream of seed ``seeds[r]``.
+
+    Row i of a repeat's block belongs to client ``pool.start + i``.
+    """
+    lead = (pool.stop - pool.start,)
+    return np.stack([
+        sample_noise(config.mechanism, ctx, noise_stream(seed, t), lead) for seed in seeds
+    ])
 
 
 def noise_context(config: FederationConfig, p: int, n: int, n_bar_sq: float,
@@ -351,24 +404,22 @@ def noise_context(config: FederationConfig, p: int, n: int, n_bar_sq: float,
     )
 
 
-def run_federation(
+def _run_block(
     config: FederationConfig,
-    shards: list[ClientShard] | PaddedShards,
-    constants: ProblemConstants | None = None,
-    record_trajectory: bool = False,
-) -> RunResult:
-    """Execute T_g rounds of noisy federated averaging.
+    data: PaddedShards,
+    constants: ProblemConstants | None,
+    seeds: list[int],
+    record_trajectory: bool,
+) -> list[RunResult]:
+    """T_g rounds of the runs with the given seeds, all in one round loop.
 
-    ``shards`` is the shard list or, to skip stacking it again, its
-    ``PaddedShards`` store. ``constants`` (when given) supplies the optimum
-    for the y_k column and, together with a decay schedule, the per-round
-    convergence bound. The result is deterministic in (config, seed); a
-    divergent repeat returns the trajectory up to the last valid round with
-    ``diverged=True``.
+    The loop carries the (A, p) parameters of the A repeats still active. A
+    repeat whose local steps or aggregate leave PARAM_LIMIT in round t is
+    marked diverged and leaves the block at the end of round t, keeping its
+    records and parameters up to round t - 1.
     """
-    data = _stacked(shards, config.n_clients)
     dim = data.dim
-    theta = _initial_theta(config, dim)
+    theta_0 = _initial_theta(config, dim)
     n_bar_sq = float(data.sizes @ data.sizes) / config.n_clients
 
     bound_params = None
@@ -387,50 +438,98 @@ def run_federation(
             pool_size=config.pool_size,
         )
 
-    records: list[RoundRecord] = []
-    trajectory = [theta.copy()] if record_trajectory else None
-    diverged = False
+    runs = [
+        RunResult(records=[], theta=theta_0, diverged=False,
+                  trajectory=[theta_0.copy()] if record_trajectory else None)
+        for _ in seeds
+    ]
+    active = list(range(len(seeds)))
+    theta = np.tile(theta_0, (len(seeds), 1))
     n_clients, b = config.n_clients, config.pool_size
 
     for t in range(config.global_iters):
-        pool = _pool_slice(t, config.n_clients, config.pool_size)
+        pool = _pool_slice(t, n_clients, b)
+        weights = data.weights[pool]
         round_ctx = noise_context(config, dim, data.n, n_bar_sq, t)
 
-        try:
-            local = _local_steps(data, pool, theta, t, config)
-            noise = _pool_noise(config, round_ctx, t, pool)
-            theta_new = _aggregate_block(local + noise, data.weights[pool], n_clients, b)
-            _check_params(theta_new)
-        except DivergenceError:
-            diverged = True
-            break
-
-        noise_agg = _aggregate_block(noise, data.weights[pool], n_clients, b)
+        noise = _pool_noise(config, round_ctx, [seeds[r] for r in active], t, pool)
+        # a diverged repeat steps on to the round's end: silence its overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            local, ok = _local_steps(data, pool, theta, t, config)
+            theta_new = _aggregate_block(local + noise, weights, n_clients, b)
+        ok &= _within_limit(theta_new)
+        if not ok.all():
+            for i in np.flatnonzero(~ok):
+                runs[active[i]].theta = theta[i]
+                runs[active[i]].diverged = True
+            active = [r for r, keep in zip(active, ok) if keep]
+            if not active:
+                break
+            theta_new, noise = theta_new[ok], noise[ok]
         theta = theta_new
-        if trajectory is not None:
-            trajectory.append(theta.copy())
 
         k = (t + 1) * config.local_iters
-        y_k = math.nan
+        losses = data.losses(theta)
+        noise_agg = _aggregate_block(noise, weights, n_clients, b)
+        noise_l2 = np.sqrt(_row_dots(noise_agg, noise_agg))
+        y_k = np.full(len(active), math.nan)
         bound_y_k = math.nan
         if constants is not None:
             diff = theta - constants.theta_star
-            y_k = float(diff @ diff)
+            y_k = _row_dots(diff, diff)
             if bound_params is not None:
                 bound_y_k = bounds.convergence_bound(k, bound_params, constants.y0)
-        records.append(
-            RoundRecord(
-                t=t,
-                k=k,
-                eta_k=round_ctx.eta_tilde,
-                global_loss=data.loss(theta),
-                y_k=y_k,
-                bound_y_k=bound_y_k,
-                noise_l2=float(np.linalg.norm(noise_agg)),
+        for i, r in enumerate(active):
+            runs[r].records.append(
+                RoundRecord(
+                    t=t,
+                    k=k,
+                    eta_k=round_ctx.eta_tilde,
+                    global_loss=float(losses[i]),
+                    y_k=float(y_k[i]),
+                    bound_y_k=bound_y_k,
+                    noise_l2=float(noise_l2[i]),
+                )
             )
-        )
+            if record_trajectory:
+                runs[r].trajectory.append(theta[i])
 
-    return RunResult(records=records, theta=theta, diverged=diverged, trajectory=trajectory)
+    for i, r in enumerate(active):
+        runs[r].theta = theta[i]
+    return runs
+
+
+def run_federation(
+    config: FederationConfig,
+    shards: list[ClientShard] | PaddedShards,
+    constants: ProblemConstants | None = None,
+    record_trajectory: bool = False,
+    repeats: int | None = None,
+) -> RunResult | Repeats:
+    """Execute T_g rounds of noisy federated averaging.
+
+    ``shards`` is the shard list or, to skip stacking it again, its
+    ``PaddedShards`` store. ``constants`` (when given) supplies the optimum
+    for the y_k column and, together with a decay schedule, the per-round
+    convergence bound. The result is deterministic in (config, seed); a
+    divergent repeat returns the trajectory up to the last valid round with
+    ``diverged=True``.
+
+    By default this is the run with seed ``config.seed``. With ``repeats``
+    set, it is the ``Repeats`` of the runs with seeds config.seed + r for
+    r < repeats, computed as one block (in chunks that bound memory); run r
+    is bitwise the run ``repeats=None`` gives with seed config.seed + r.
+    """
+    data = _stacked(shards, config.n_clients)
+    if repeats is not None and repeats < 1:
+        raise ConfigError("repeats must be >= 1")
+    seeds = [config.seed + r for r in range(1 if repeats is None else repeats)]
+    chunk = max(1, CHUNK_ELEMENTS // (config.pool_size * max(data.x.shape[1], data.dim)))
+    runs = []
+    for start in range(0, len(seeds), chunk):
+        runs += _run_block(config, data, constants, seeds[start:start + chunk],
+                           record_trajectory)
+    return runs[0] if repeats is None else Repeats(runs)
 
 
 def pilot_gradient_bound(
@@ -445,24 +544,22 @@ def pilot_gradient_bound(
     every step the real runs will take. The pool's clients step in lockstep,
     so "so far" covers every pool client's steps up to and including the one
     that diverged. ``shards`` is the shard list or its ``PaddedShards`` store.
+    The pilot is the local-step kernel's one-repeat case.
     """
     data = _stacked(shards, config.n_clients)
-    theta = _initial_theta(config, data.dim)
+    theta = _initial_theta(config, data.dim)[None]
     max_sq = 0.0
-
-    def record_max(grad):
-        nonlocal max_sq
-        # one dot product per row, as np.linalg.norm takes for a vector
-        max_sq = max(max_sq, float(np.max(np.matmul(grad[:, None, :], grad[:, :, None]))))
-
-    try:
-        for t in range(config.global_iters):
-            pool = _pool_slice(t, config.n_clients, config.pool_size)
-            local = _local_steps(data, pool, theta, t, config, on_grad=record_max)
-            theta = _aggregate_block(
-                local, data.weights[pool], config.n_clients, config.pool_size
-            )
-            _check_params(theta)
-    except DivergenceError:
-        pass
+    for t in range(config.global_iters):
+        pool = _pool_slice(t, config.n_clients, config.pool_size)
+        grads = []
+        local, ok = _local_steps(data, pool, theta, t, config, on_grad=grads.append)
+        steps = np.stack(grads)
+        # one maximum per step taken; a step with a NaN norm is skipped whole
+        for step_max in _row_dots(steps, steps).reshape(len(grads), -1).max(axis=1).tolist():
+            max_sq = max(max_sq, step_max)
+        if not ok[0]:
+            break
+        theta = _aggregate_block(local, data.weights[pool], config.n_clients, config.pool_size)
+        if not _all_within_limit(theta):
+            break
     return math.sqrt(max_sq)

@@ -41,6 +41,7 @@ from .mechanisms import (
     NoiseContext,
     epsilon_regime_warning,
     gaussian_sigma,
+    l1_sensitivity_warning,
     laplace_scale,
     noise_item_variance,
     sample_noise,
@@ -301,12 +302,12 @@ class RunSummary:
 
 
 def run_repeats(exp: Experiment) -> list[RunResult]:
-    """Execute the configured repeats with seeds seed+0 .. seed+repeats-1."""
-    results = []
-    for r in range(exp.config.repeats):
-        cfg = dataclasses.replace(exp.config, seed=exp.config.seed + r)
-        results.append(run_federation(cfg, exp.padded, exp.constants))
-    return results
+    """Execute the configured repeats, seeds seed+0 .. seed+repeats-1, as one block.
+
+    Repeat r is bitwise the single run with seed seed+r.
+    """
+    return run_federation(exp.config, exp.padded, exp.constants,
+                          repeats=exp.config.repeats).runs
 
 
 def _summarize(results: list[RunResult], echo: dict) -> RunSummary:
@@ -581,7 +582,9 @@ def cmd_plan(config_path, out_dir=None, seed: int | None = None,
         omega1=bound_block[2],
         gamma=bound_block[3],
         bound_samples=bound_block[4],
-        warning=epsilon_regime_warning(mech, ctx),
+        # at most one applies: the first is gaussian-only, the second laplace-only
+        warning=epsilon_regime_warning(mech, ctx)
+        or l1_sensitivity_warning(mech, ctx.p, cfg.clip.zeta, cfg.clip.norm),
     )
     lines = report.lines()
     _emit(out_dir, "plan.txt", "\n".join(lines) + "\n", lines, quiet)

@@ -33,6 +33,7 @@ __all__ = [
     "noise_item_variance",
     "asymptotic_z",
     "epsilon_regime_warning",
+    "l1_sensitivity_warning",
 ]
 
 KINDS = ("none", "laplace", "gaussian")
@@ -237,5 +238,23 @@ def epsilon_regime_warning(spec: MechanismSpec, ctx: NoiseContext) -> str | None
         return (
             f"epsilon={spec.epsilon:g} is not small relative to q^2*T_l="
             f"{spec.q ** 2 * ctx.T_l:g}; the gaussian calibration constant regime may not apply"
+        )
+    return None
+
+
+def l1_sensitivity_warning(spec: MechanismSpec, p: int, zeta: float,
+                           clip_norm: str) -> str | None:
+    """Warn when Laplace noise is calibrated below the L1 norm an L2-clipped gradient can have.
+
+    Clipping in the L2 norm to ``zeta`` lets a p-dimensional gradient reach
+    L1 norm sqrt(p) * zeta, so an ``xi1`` below that under-calibrates the
+    Laplace noise by up to that ratio.
+    """
+    reach = math.sqrt(p) * zeta
+    if spec.kind == "laplace" and clip_norm == "l2" and spec.xi1 < reach:
+        return (
+            f"xi1={spec.xi1:g} is below sqrt(p)*zeta={reach:g}, the largest L1 norm of an "
+            f"l2-clipped gradient; the laplace noise may be under-calibrated by up to "
+            f"{reach / spec.xi1:.3g}x"
         )
     return None

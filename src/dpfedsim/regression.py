@@ -67,6 +67,20 @@ class ClientShard:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "targets", targs)
 
+    @classmethod
+    def _checked(cls, client_id: int, features: np.ndarray, targets: np.ndarray) -> "ClientShard":
+        """A shard of arrays the caller has already checked as ``__post_init__`` would.
+
+        ``features`` is a 2-D float array with at least one row and ``targets``
+        a 1-D float array of the same length, both finite: a dataset builder
+        checks its whole design once, not every shard again.
+        """
+        shard = object.__new__(cls)
+        object.__setattr__(shard, "client_id", client_id)
+        object.__setattr__(shard, "features", features)
+        object.__setattr__(shard, "targets", targets)
+        return shard
+
     @property
     def n_l(self) -> int:
         return self.targets.shape[0]
@@ -136,12 +150,20 @@ def _norm(g: np.ndarray, norm_kind: str) -> float:
     raise ConfigError(f"unknown norm kind {norm_kind!r} (expected one of {CLIP_NORMS})")
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for every row i along the last axis, each bitwise as ``a_i @ b_i``.
+
+    One dot product per row: a matrix-vector product of the stacked rows
+    would sum in another order.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _row_norms(g: np.ndarray, norm_kind: str) -> np.ndarray:
     if norm_kind == "l1":
         return np.abs(g).sum(axis=-1)
     if norm_kind == "l2":
-        # one dot product per row: the same reduction as ``g @ g`` on a vector
-        return np.sqrt(np.matmul(g[..., None, :], g[..., :, None])[..., 0, 0])
+        return np.sqrt(_row_dots(g, g))
     raise ConfigError(f"unknown norm kind {norm_kind!r} (expected one of {CLIP_NORMS})")
 
 
@@ -301,19 +323,20 @@ class PaddedShards:
         resid = x @ theta_ref - y
         return gram, theta_ref, float(resid @ resid), x.T @ resid
 
-    def loss(self, theta: np.ndarray) -> float:
-        """Pooled loss (1/n) ||X theta - y||^2 over every client's samples.
+    def losses(self, thetas: np.ndarray) -> np.ndarray:
+        """Pooled loss (1/n) ||X theta - y||^2 over every client's samples, per row of ``thetas``.
 
         Expanded around the near-optimal theta_ref with d = theta - theta_ref:
         ||X theta - y||^2 = L_ref + 2 d'g + d'G d, where G = X'X and L_ref and
         g = X'(X theta_ref - y) are computed from the residual. L_ref and d'G d
         are non-negative and g is close to zero, so the sum does not cancel the
         way theta'G theta - 2 c'theta + y'y does when the loss is far below
-        y'y / n.
+        y'y / n. Each row's loss is bitwise what a (p,) theta alone gives.
         """
         gram, theta_ref, loss_ref, grad_ref = self._loss_form
-        d = theta - theta_ref
-        return (loss_ref + 2.0 * float(d @ grad_ref) + float(d @ gram @ d)) / self.n
+        d = thetas - theta_ref
+        d_gram = np.matmul(d[..., None, :], gram)[..., 0, :]
+        return (loss_ref + 2.0 * _row_dots(d, grad_ref) + _row_dots(d_gram, d)) / self.n
 
 
 def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
@@ -325,7 +348,9 @@ def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
     basis, or of X' otherwise, since X = R'Q' has the singular values and left
     vectors of R'. Singular values at or below ``lstsq``'s rcond=None cut-off,
     eps * max(n_l, p) * s_max, count as zero. Shards with no value cut have a
-    closed-form residual; only the others need singular vectors.
+    closed-form residual; only the others need singular vectors. The Gram
+    eigenvalues of the small factors, cheaper than its singular values, clear
+    the well-conditioned blocks, so singular values are computed for the rest.
     """
     x, y = data.x, data.y
     p = data.dim
@@ -334,16 +359,23 @@ def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
         mat, rhs = r[:, :, :p], r[:, :, p]
     else:
         mat, rhs = np.linalg.qr(x.transpose(0, 2, 1), mode="r").transpose(0, 2, 1), y
-    s = np.linalg.svd(mat, compute_uv=False)
-    tol = np.finfo(float).eps * np.maximum(data.sizes, p) * s[:, 0]
-    kept = s > tol[:, None]
     # a full-rank block reaches every coordinate of rhs but, when it has
     # p + 1 rows, the last one, which holds y's distance from X's columns
     resid_sq = rhs[:, p] ** 2 if mat.shape[1] > p else np.zeros(data.n_clients)
-    cut = np.flatnonzero(~kept.all(axis=1))
+    # Gram eigenvalues spanning less than 1e8 put every singular value above
+    # 1e-4 of the largest, far over the cut-off: only the other blocks may lose one
+    eig = np.linalg.eigvalsh(np.matmul(mat.transpose(0, 2, 1), mat))
+    unsure = np.flatnonzero(~(eig[:, 0] > 1e-8 * eig[:, -1]))
+    if not unsure.size:
+        return resid_sq / data.sizes
+    s = np.linalg.svd(mat[unsure], compute_uv=False)
+    tol = np.finfo(float).eps * np.maximum(data.sizes[unsure], p) * s[:, 0]
+    kept = s > tol[:, None]
+    lossy = ~kept.all(axis=1)
+    cut = unsure[lossy]
     if cut.size:
         u, _, _ = np.linalg.svd(mat[cut], full_matrices=False)
-        coef = np.matmul(rhs[cut, None, :], u)[:, 0, :] * kept[cut]
+        coef = np.matmul(rhs[cut, None, :], u)[:, 0, :] * kept[lossy]
         resid = rhs[cut] - np.matmul(u, coef[:, :, None])[:, :, 0]
         resid_sq[cut] = np.einsum("ij,ij->i", resid, resid)
     return resid_sq / data.sizes

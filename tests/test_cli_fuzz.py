@@ -13,7 +13,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpfedsim.cli import main
@@ -151,8 +151,19 @@ def _check_cli(flags, csv_bytes, config_bytes):
         assert err.getvalue().startswith("i/o error: ")
 
 
+def _escaping(command, key, name):
+    """The BASE config, which runs, under ``command`` with one output name leaving --out."""
+    run_flags = {"command": command, "seed": None, "repeats": None, "draws": 10_000,
+                 "quiet": True}
+    return example(flags=run_flags, edit_list=[(("output", key), name)], csv_bytes=None)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(flags=flags, edit_list=edits, csv_bytes=st.one_of(st.none(), csv_table))
+# a drawn example rarely both escapes --out and runs; these reach the write
+@_escaping("run", "rounds_csv", "../r.csv")
+@_escaping("run", "rounds_csv", "TMP/r.csv")
+@_escaping("sweep", "sweep_csv", "../s.csv")
 def test_cli_never_shows_a_traceback(flags, edit_list, csv_bytes):
     _check_cli(flags, csv_bytes, lambda csv_path: _config_bytes(edit_list, csv_path))
 

@@ -2,12 +2,14 @@ import csv
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dpfedsim import data as data_module
 from dpfedsim.data import (
     FederatedDataset,
     csv_column_indices,
@@ -135,6 +137,24 @@ def test_sorted_partition_more_heterogeneous_than_random():
         assert g_sorted >= g_random
 
 
+@pytest.mark.parametrize("row,bad", [(1, "targets"), (2, "features")])
+def test_sorted_partition_names_the_nonfinite_array(row, bad):
+    # the design is checked once; a non-finite record still fails as its shard's check does
+    records = np.arange(12.0).reshape(6, 2)
+    records[row, 1 if bad == "targets" else 0] = math.nan
+    with pytest.raises(ConfigError, match=f"{bad} contains non-finite entries"):
+        sorted_partition(records, 0, n_clients=3)
+
+
+def test_sorted_partition_shards_are_views_of_one_design():
+    ds = sorted_partition(np.arange(14.0).reshape(7, 2), 1, n_clients=3)
+    for shard in ds.shards:
+        assert shard.features.dtype == float and shard.features.ndim == 2
+        assert shard.targets.shape == (shard.n_l,)
+        assert shard.features.base is ds.shards[0].features.base
+    assert [s.n_l for s in ds.shards] == [3, 2, 2]
+
+
 def test_dataset_invariants_validated():
     ds = synth_regression(3, 4, 2, 0.2, 0.1, seed=0)
     with pytest.raises(ConfigError):
@@ -251,7 +271,9 @@ def test_load_csv_target_index_out_of_range(tmp_path):
     (b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n", False),  # past the first decoded chunk
     (b"a," + b"b" * 140_000 + b"\n1,2\n", True),  # over the csv module's field limit
     (b"a,b\n1," + b"9" * 140_000 + b"\n", False),
-], ids=["header-not-utf8", "row-not-utf8", "header-field-too-long", "row-field-too-long"])
+    (b"a,b\n1," + b"0" * 140_000 + b"1\n", False),  # a finite number, still over the limit
+], ids=["header-not-utf8", "row-not-utf8", "header-field-too-long", "row-field-too-long",
+        "row-finite-field-too-long"])
 def test_unreadable_csv_is_a_config_error(tmp_path, body, in_header):
     path = tmp_path / "records.csv"
     path.write_bytes(body)
@@ -348,3 +370,88 @@ def test_load_csv_matches_the_row_by_row_reference(tmp_path_factory, rows, seed)
     messages = [str(w.message) for w in caught]
     assert messages == ([f"{path}: skipped {skipped} rows with missing or non-numeric cells"]
                         if skipped else [])
+
+
+# cells of a file without quotes or carriage returns, which load_csv parses in
+# bulk: cells numpy's parser and float() both read, cells only float() reads,
+# cells float() rejects (some of them made of number bytes only) and non-finite ones
+PLAIN_GOOD_CELLS = ["1", "-2.5", "4e1", "+.5", "0", "5.", "-0", "1e-400",
+                    "12345678901234567890.123456789", "2.2250738585072014e-308"]
+PLAIN_ODD_CELLS = [" 3 ", "1_0", "\t7"]
+PLAIN_BAD_CELLS = ["", "n/a", "x", "1 2", "1e", ".", "-", "e5", "1.2.3", "+-1"]
+plain_rows = st.lists(
+    st.one_of(
+        st.lists(st.sampled_from(PLAIN_GOOD_CELLS * 8 + PLAIN_ODD_CELLS + PLAIN_BAD_CELLS[:3]),
+                 min_size=3, max_size=3),
+        st.lists(st.sampled_from(PLAIN_GOOD_CELLS), min_size=0, max_size=5),
+        st.lists(st.sampled_from(PLAIN_GOOD_CELLS * 10 + PLAIN_BAD_CELLS + NONFINITE_CELLS
+                                 + ["1e400"]), min_size=3, max_size=3),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=plain_rows, seed=st.integers(0, 3), block=st.sampled_from([1, 8, 64, 1 << 20]),
+       final_newline=st.booleans())
+@example(rows=[["1", "2", "3"], [], ["n/a", "1", "1"], ["1", "2"], ["4", "5", "6"]], seed=1,
+         block=8, final_newline=False)
+@example(rows=[[], ["1", "2", "3"], ["", "2", "3"], ["1", "2", "3", "4"]], seed=0, block=1,
+         final_newline=True)
+def test_plain_csv_matches_the_row_by_row_reference(tmp_path_factory, rows, seed, block,
+                                                    final_newline):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    text = "a,b,y\n" + "\n".join(",".join(row) for row in rows)
+    path.write_text(text + "\n" if final_newline else text)
+    expected = _reference_load_csv(path, seed)
+    # a small block makes rows straddle the blocks the file is read in
+    with mock.patch.object(data_module, "_PLAIN_BLOCK_BYTES", block), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if isinstance(expected, str):
+            with pytest.raises(ConfigError) as err:
+                load_csv(path, "y", seed=seed)
+            assert str(err.value) == expected
+            return
+        train, holdout = load_csv(path, "y", seed=seed)
+    assert train.tobytes() == expected[0].tobytes() and train.shape == expected[0].shape
+    assert holdout.tobytes() == expected[1].tobytes() and holdout.shape == expected[1].shape
+    skipped = expected[2]
+    messages = [str(w.message) for w in caught]
+    assert messages == ([f"{path}: skipped {skipped} rows with missing or non-numeric cells"]
+                        if skipped else [])
+
+
+@pytest.mark.parametrize("body", [
+    "y\n1\n\n2\n",  # one column: a blank line is a skipped row, not a value
+    "y\n\n1\n\n",  # ... also as the first line of a block
+    "a,b,y\n1,2,3\n\n\n4,5,6",
+    "a,b,y\n,1,2\n1,2,\n1,,2\n,,\n1,2,3\n",
+    "a,b,y\n 1,2,3\n1,2,3 \n1,\t2,3\n1_0,2,3\n",
+    "a,b,y\n1,2\n1,2,3,4\n1,2,3,x\n1,2,3,\n",
+    "a,b,y\n1,2,3\n1,2,3\u00e9\n\u00e9,2,3\n1,2,3\n",
+    "\ufeffa,b,y\n1,2,3\n",
+    "a,b,y\n",
+    "a,b,y\n1,2,3\r4,5,6\r",
+    'a,b,y\n1,2,3\n4,"5",6\n',
+])
+def test_plain_reader_matches_csv_reader(tmp_path, body):
+    path = write_csv(tmp_path, body)
+    expected = data_module._read_rows(path, "y", None)
+    with mock.patch.object(data_module, "_PLAIN_BLOCK_BYTES", 4):
+        got = data_module._read_plain(path, "y", None) or data_module._read_rows(path, "y", None)
+    assert got[0].tobytes() == expected[0].tobytes() and got[0].shape == expected[0].shape
+    assert got[1:] == expected[1:]
+
+
+@pytest.mark.parametrize("body,plain", [
+    ("a,b,y\n1,2,3\n,n/a,1\n 4 ,5,6\n", True),
+    ("a,b,y\n1,2,3", True),
+    ('a,b,y\n"1",2,3\n', False),
+    ("a,b,y\r\n1,2,3\r\n", False),
+    ("a,b,y\n1e,2,3\n", False),  # numpy refuses a cell made of number bytes
+    ("a,b,y", False),
+])
+def test_only_plain_files_take_the_bulk_parser(tmp_path, body, plain):
+    path = write_csv(tmp_path, body)
+    assert (data_module._read_plain(path, "y", None) is not None) == plain

@@ -391,6 +391,18 @@ def test_plan_noise_free_reports_rate_only(tmp_path):
     assert report.scale_label is None
 
 
+def test_plan_warns_when_laplace_xi1_is_below_the_l2_clip_reach(tmp_path):
+    # p = 4 (3 features + bias) and zeta = 20: an l2-clipped gradient reaches L1 norm 40
+    laplace = SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 1.0\n"
+    report = cmd_plan(write(tmp_path, laplace), out_dir=tmp_path / "out", quiet=True)
+    assert report.warning.startswith("xi1=20 is below sqrt(p)*zeta=40")
+    assert f"warning: {report.warning}" in (tmp_path / "out" / "plan.txt").read_text()
+    for body in (laplace + "xi1 = 40\n",
+                 laplace.replace("clip_norm = l2", "clip_norm = l1"),
+                 SMALL_TASK + "\n[dp]\nmechanism = gaussian\nepsilon = 1.0\n"):
+        assert cmd_plan(write(tmp_path, body, "quiet.cfg"), quiet=True).warning is None
+
+
 def test_plan_writes_report_file(tmp_path):
     cmd_plan(write(tmp_path, SMALL_TASK), out_dir=tmp_path / "out", quiet=True)
     text = (tmp_path / "out" / "plan.txt").read_text()

@@ -1,6 +1,7 @@
-"""The pool-batched local-step kernel against a plain per-client reference loop."""
+"""The pool- and repeat-batched local-step kernel against a plain per-client reference loop."""
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,8 @@ from dpfedsim.engine import (
 from dpfedsim.harness import cmd_run
 from dpfedsim.mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
 from dpfedsim.regression import (
+    ClientShard,
+    ConfigError,
     clip_gradient,
     mse_gradient,
     pooled_design,
@@ -288,3 +291,146 @@ def test_row_wise_clip_equals_clipping_each_row(norm, shape):
 def test_row_wise_clip_returns_input_when_nothing_is_clipped():
     g = np.full((3, 4), 0.1)
     assert clip_gradient(g, 10.0, "l1") is g
+
+
+def _single_runs(cfg, shards, constants, repeats):
+    return [run_federation(dataclasses.replace(cfg, seed=cfg.seed + r), shards, constants)
+            for r in range(repeats)]
+
+
+def _assert_same_run(got, want):
+    """The same record fields as the CSV writes them (repr), final parameters and flag."""
+    assert [list(map(repr, dataclasses.astuple(rec))) for rec in got.records] == \
+        [list(map(repr, dataclasses.astuple(rec))) for rec in want.records]
+    assert got.theta.tobytes() == want.theta.tobytes()
+    assert got.diverged == want.diverged
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("mechanism", ["laplace", "gaussian", "none"])
+def test_batched_repeats_match_reference_runs(norm, mechanism):
+    shards = ragged_shards()
+    cfg, pc = decay_config(shards, norm, 0.5, MECHANISMS[mechanism])
+    batch = run_federation(cfg, shards, constants=pc, repeats=4)
+    assert len(batch.runs) == 4 and batch.diverged == 0
+    assert len(batch.records) == 4 * cfg.global_iters
+    for r, (run, single) in enumerate(zip(batch.runs, _single_runs(cfg, shards, pc, 4))):
+        _assert_same_run(run, single)
+        records, theta, diverged = reference_run(
+            dataclasses.replace(cfg, seed=cfg.seed + r), shards, constants=pc)
+        assert not run.diverged and not diverged
+        for got, want in zip(run.records, records):
+            assert_close(dataclasses.astuple(got), dataclasses.astuple(want))
+        assert_close(run.theta, theta)
+    if mechanism != "none":  # the repeats draw different noise
+        assert batch.runs[0].records[-1].noise_l2 != batch.runs[1].records[-1].noise_l2
+
+
+def test_repeat_rows_equal_their_single_seed_run_byte_for_byte(tmp_path):
+    path = tmp_path / "task.cfg"
+    path.write_text(ROUNDS_TASK.format(repeats=4))
+    cmd_run(path, tmp_path / "block", quiet=True)
+    block = (tmp_path / "block" / "rounds.csv").read_text().splitlines()
+    header, rows = block[0], [line.split(",") for line in block[1:]]
+    assert header.split(",")[0] == "run_id"
+    for r in range(4):
+        cmd_run(path, tmp_path / f"one{r}", seed=3 + r, repeats=1, quiet=True)
+        one = (tmp_path / f"one{r}" / "rounds.csv").read_text().splitlines()
+        assert one[0] == header
+        mine = [row for row in rows if row[0] == str(r)]
+        assert len(mine) == len(one) - 1 == 10
+        assert [row[1:] for row in mine] == [line.split(",")[1:] for line in one[1:]]
+        assert all(line.split(",")[0] == "0" for line in one[1:])
+
+
+# some repeats diverge and some finish: an unstable constant rate without
+# clipping, where the noise sets the step at which a repeat passes PARAM_LIMIT
+# (mid local steps), and clipped steps under huge noise, where the aggregate
+# passes it
+MIXED = {
+    "unstable-rate": dict(E=4, T_g=8, rate=0.8, zeta=1e30, norm="l2",
+                          mechanism=MechanismSpec(kind="laplace", epsilon=1e-2, xi1=1.0)),
+    "huge-noise": dict(E=2, T_g=40, rate=0.1, zeta=1.0, norm="l1",
+                       mechanism=MechanismSpec(kind="gaussian", epsilon=1e-11, delta=1e-4,
+                                               xi2=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", MIXED)
+def test_mixed_divergence_matches_single_seed_runs(case):
+    c = MIXED[case]
+    shards = ragged_shards(n_clients=6, rows=42, seed=6)
+    pc = problem_constants(shards, np.zeros(shards[0].dim), c["zeta"], c["norm"])
+    rate = c["rate"] * 2 / pc.lam if case == "unstable-rate" else c["rate"]
+    cfg = FederationConfig(
+        n_clients=6, pool_size=3, local_iters=c["E"], global_iters=c["T_g"],
+        schedule=Schedule.constant(rate), clip=ClipSpec(c["zeta"], c["norm"]),
+        mechanism=c["mechanism"], seed=4,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = run_federation(cfg, shards, constants=pc, repeats=12)
+        singles = _single_runs(cfg, shards, pc, 12)
+    assert 0 < batch.diverged < 12
+    lengths = {len(run.records) for run in batch.runs}
+    assert cfg.global_iters in lengths and len(lengths) > 1
+    for run, single in zip(batch.runs, singles):
+        _assert_same_run(run, single)
+    # a diverged repeat keeps the parameters of its last completed round
+    stopped = next(run for run in batch.runs if run.diverged)
+    assert np.all(np.abs(stopped.theta) <= PARAM_LIMIT)
+
+
+def test_a_local_step_past_the_limit_diverges_though_the_aggregate_is_back_within():
+    # targets y and -y on one design make the two clients' local iterates exact
+    # negatives: at an unstable rate they pass PARAM_LIMIT mid-round while their
+    # aggregate is only the noise, so only the per-step check sees the divergence
+    x = np.column_stack([np.random.default_rng(9).standard_normal((8, 2)), np.ones(8)])
+    y = x @ np.array([1.0, -2.0, 0.5]) + 0.1
+    shards = [ClientShard(0, x, y), ClientShard(1, x, -y)]
+    lam = np.linalg.eigvalsh(2.0 / 8 * x.T @ x)[-1]
+    cfg = FederationConfig(
+        n_clients=2, pool_size=2, local_iters=20, global_iters=3,
+        schedule=Schedule.constant(3 * 2 / lam), clip=ClipSpec(1e30, "l2"),
+        mechanism=MECHANISMS["laplace"], seed=5,
+    )
+    batch = run_federation(cfg, shards, repeats=3)
+    for r, run in enumerate(batch.runs):
+        records, theta, diverged = reference_run(dataclasses.replace(cfg, seed=5 + r), shards)
+        assert run.diverged and diverged
+        assert run.records == records == []
+        assert np.array_equal(run.theta, theta)
+
+
+def test_overflow_of_a_diverging_repeat_stays_inside_the_kernel():
+    # a rate this large overflows at the first step; the repeats report
+    # divergence, not a numpy warning
+    shards = ragged_shards(n_clients=4, rows=26, seed=2)
+    cfg = FederationConfig(
+        n_clients=4, pool_size=2, local_iters=3, global_iters=4,
+        schedule=Schedule.constant(1e308), clip=ClipSpec(1e300, "l2"),
+        mechanism=MECHANISMS["laplace"], seed=3,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = run_federation(cfg, shards, repeats=3)
+    assert batch.diverged == 3 and batch.records == []
+    assert all(np.array_equal(run.theta, np.zeros(shards[0].dim)) for run in batch.runs)
+
+
+def test_chunked_repeats_equal_one_block(monkeypatch):
+    shards = ragged_shards(seed=8)
+    cfg, pc = decay_config(shards, "l1", 0.5, MECHANISMS["gaussian"])
+    whole = run_federation(cfg, shards, constants=pc, repeats=5)
+    # a cap below one repeat's work array runs the repeats one chunk at a time
+    monkeypatch.setattr("dpfedsim.engine.CHUNK_ELEMENTS", 1)
+    chunked = run_federation(cfg, shards, constants=pc, repeats=5)
+    for a, b in zip(whole.runs, chunked.runs):
+        _assert_same_run(a, b)
+
+
+def test_repeats_must_be_positive():
+    shards = ragged_shards()
+    cfg, _ = decay_config(shards, "l2", 0.5, MECHANISMS["none"])
+    with pytest.raises(ConfigError):
+        run_federation(cfg, shards, repeats=0)

@@ -9,6 +9,7 @@ from dpfedsim.mechanisms import (
     asymptotic_z,
     epsilon_regime_warning,
     gaussian_sigma,
+    l1_sensitivity_warning,
     laplace_scale,
     noise_item_variance,
     noise_stream,
@@ -290,3 +291,29 @@ def test_epsilon_regime_warning_only_for_large_gaussian_budget():
     assert epsilon_regime_warning(small, c) is None
     assert "epsilon" in epsilon_regime_warning(large, c)
     assert epsilon_regime_warning(laplace_spec(epsilon=100.0), c) is None
+
+
+def test_l1_sensitivity_warning_only_for_laplace_under_l2_clipping():
+    # an l2-clipped gradient (1, 1, 1, 1) * zeta / 2 has L1 norm sqrt(4) * zeta
+    warning = l1_sensitivity_warning(laplace_spec(xi1=3.0), 4, 3.0, "l2")
+    assert "sqrt(p)*zeta=6" in warning and "2x" in warning
+    assert l1_sensitivity_warning(laplace_spec(xi1=5.999), 4, 3.0, "l2") is not None
+    assert l1_sensitivity_warning(laplace_spec(xi1=6.0), 4, 3.0, "l2") is None
+    assert l1_sensitivity_warning(laplace_spec(xi1=3.0), 1, 3.0, "l2") is None
+    assert l1_sensitivity_warning(laplace_spec(xi1=3.0), 4, 3.0, "l1") is None
+    assert l1_sensitivity_warning(gaussian_spec(xi2=3.0), 4, 3.0, "l2") is None
+    assert l1_sensitivity_warning(MechanismSpec(), 4, 3.0, "l2") is None
+
+
+@pytest.mark.parametrize("T_g,b,N", [(1, 1, 1), (4, 2, 4), (30, 5, 10), (1000, 10, 10)])
+@pytest.mark.parametrize("epsilon", [1e-3, 0.5, 3.0, 64.0])
+@pytest.mark.parametrize("eta_tilde,E,xi1", [(1.0, 1, 1.0), (0.37, 5, 150.0), (2e-4, 80, 0.3)])
+def test_laplace_scale_spends_epsilon_over_t_l_releases(T_g, b, N, epsilon, eta_tilde, E, xi1):
+    # basic composition: T_l releases at scale beta each spend sensitivity / beta,
+    # so beta = T_l * sensitivity / epsilon spends exactly epsilon in total
+    c = ctx(T_g=T_g, b=b, N=N, eta_tilde=eta_tilde, E=E)
+    spec = laplace_spec(epsilon=epsilon, xi1=xi1)
+    ratio = laplace_scale(c, spec) / sensitivity_l1(c, xi1)
+    assert ratio == pytest.approx(c.T_l / epsilon, rel=4 * np.finfo(float).eps)
+    assert c.T_l * sensitivity_l1(c, xi1) / laplace_scale(c, spec) == pytest.approx(
+        epsilon, rel=4 * np.finfo(float).eps)

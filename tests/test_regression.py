@@ -329,13 +329,19 @@ def _optima_case(case, rng):
             x[-1] = x[0]
         if case == "constant-column":  # a multiple of the bias column
             x[:, 1] = 2.5
+        if case == "mixed-conditioning":  # full rank with condition ~1e5, then rank-deficient
+            if cid % 2:
+                x[:, 1] = 2.5
+            else:
+                x[:, 0] *= 1e-5
         y = x @ rng.standard_normal(d) + 0.3 * rng.standard_normal(n_l) + 1.0
         shards.append(ClientShard(cid, _with_bias(x), y))
     return shards
 
 
 @pytest.mark.parametrize(
-    "case", ["ragged", "single-row", "wide", "duplicate-rows", "constant-column"]
+    "case", ["ragged", "single-row", "wide", "duplicate-rows", "constant-column",
+             "mixed-conditioning"]
 )
 def test_batched_local_optima_match_lstsq(case):
     shards = _optima_case(case, np.random.default_rng(40))
