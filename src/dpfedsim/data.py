@@ -12,7 +12,7 @@ import operator
 import warnings
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress
 
 import numpy as np
@@ -33,9 +33,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FederatedDataset:
-    """A fixed assignment of samples to clients 0..N-1."""
+    """A fixed assignment of samples to clients 0..N-1.
+
+    ``pooled`` is the pooled design (features, targets) when the builder made
+    every shard a consecutive row slice of it, in client-id order; a padded
+    store built from the dataset then shares it rather than copying it.
+    """
 
     shards: list[ClientShard]
+    pooled: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False,
+                                                           compare=False)
 
     def __post_init__(self):
         ids = [s.client_id for s in self.shards]
@@ -143,7 +150,7 @@ def sorted_partition(
         stop = start + base + (1 if cid < extra else 0)
         shards.append(shard(cid, design[start:stop], targets[start:stop]))
         start = stop
-    return FederatedDataset(shards)
+    return FederatedDataset(shards, pooled=(design, targets))
 
 
 def _column_index(header: list[str], column, what: str) -> int:

@@ -11,9 +11,11 @@ is one vectorised pass over an (R, b, max(n_l), p) block that reads the
 dataset's zero-padded store (``regression.PaddedShards``), built once and
 shared by every repeat: the number of numpy calls per step grows with neither
 the pool size nor the repeat count. Repeat r draws its (b, p) noise block from
-its own stream (seed + r, round), aggregation is one reduction per repeat in a
-fixed order, and the per-round metrics (the p x p pooled loss, y_k and the
-noise norm) take one dot product per repeat. A round therefore costs
+its own stream (seed + r, round); the start states of those streams are
+computed in bulk (``mechanisms.stream_states``) and one generator is reseeded
+to each in turn. Aggregation is one reduction per repeat in a fixed order,
+and the per-round metrics (the p x p pooled loss, y_k and the noise norm)
+take one dot product per repeat. A round therefore costs
 O(R * b * max(n_l) * p * E) for the steps plus O(R * p^2) for the metrics,
 and every repeat is bitwise the same whether it runs alone or in a block.
 """
@@ -26,7 +28,8 @@ import numpy as np
 
 from . import bounds
 from .bounds import schedule_offset
-from .mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
+# noise_stream is not called here: bench/tracer.py patches it by this module's name
+from .mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise, stream_states
 from .regression import (
     CLIP_NORMS, ClientShard, ConfigError, PaddedShards, ProblemConstants, _row_dots,
     clip_gradient, mse_gradient,
@@ -57,6 +60,10 @@ PARAM_LIMIT = 1e12
 # repeats run in chunks whose largest per-step work array, (R, b, max(n_l, p)),
 # holds at most this many elements; chunking changes no byte of any repeat
 CHUNK_ELEMENTS = 4_000_000
+
+# the noise streams' start states are computed for at most this many
+# (repeat, round) pairs at a time
+STATE_PAIRS = 4096
 
 
 class DivergenceError(RuntimeError):
@@ -372,16 +379,33 @@ def _local_steps(
     return block, ok
 
 
-def _pool_noise(config: FederationConfig, ctx: NoiseContext, seeds: list[int], t: int,
-                pool: slice) -> np.ndarray:
-    """The (R, b, p) noise block of round t: block r from the stream of seed ``seeds[r]``.
+def _round_states(seeds: list[int], rounds: int):
+    """Per round t < ``rounds``, the start state of every seed's stream (seed, t).
 
-    Row i of a repeat's block belongs to client ``pool.start + i``.
+    The states are computed a window of rounds at a time, so at most about
+    STATE_PAIRS of them are held at once.
+    """
+    window = max(1, STATE_PAIRS // len(seeds))
+    for start in range(0, rounds, window):
+        yield from stream_states(seeds, range(start, min(start + window, rounds)))
+
+
+def _pool_noise(config: FederationConfig, ctx: NoiseContext, rng: np.random.Generator,
+                states: list[tuple[int, int]], pool: slice) -> np.ndarray:
+    """The (R, b, p) noise block of a round: block r from the stream that starts at ``states[r]``.
+
+    ``rng`` is a PCG64 generator, set to each start state in turn. Row i of a
+    repeat's block belongs to client ``pool.start + i``.
     """
     lead = (pool.stop - pool.start,)
-    return np.stack([
-        sample_noise(config.mechanism, ctx, noise_stream(seed, t), lead) for seed in seeds
-    ])
+    blocks = []
+    for state, inc in states:
+        # setting the whole state also clears the buffered 32-bit word
+        rng.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        blocks.append(sample_noise(config.mechanism, ctx, rng, lead))
+    return np.stack(blocks)
 
 
 def noise_context(config: FederationConfig, p: int, n: int, n_bar_sq: float,
@@ -416,7 +440,8 @@ def _run_block(
     The loop carries the (A, p) parameters of the A repeats still active. A
     repeat whose local steps or aggregate leave PARAM_LIMIT in round t is
     marked diverged and leaves the block at the end of round t, keeping its
-    records and parameters up to round t - 1.
+    records and parameters up to round t - 1. A noise-free run builds no
+    noise stream.
     """
     dim = data.dim
     theta_0 = _initial_theta(config, dim)
@@ -446,13 +471,21 @@ def _run_block(
     active = list(range(len(seeds)))
     theta = np.tile(theta_0, (len(seeds), 1))
     n_clients, b = config.n_clients, config.pool_size
+    noisy = config.mechanism.kind != "none"
+    if noisy:
+        rng = np.random.Generator(np.random.PCG64())
+        streams = _round_states(seeds, config.global_iters)
 
     for t in range(config.global_iters):
         pool = _pool_slice(t, n_clients, b)
         weights = data.weights[pool]
         round_ctx = noise_context(config, dim, data.n, n_bar_sq, t)
 
-        noise = _pool_noise(config, round_ctx, [seeds[r] for r in active], t, pool)
+        if noisy:
+            states = next(streams)
+            noise = _pool_noise(config, round_ctx, rng, [states[r] for r in active], pool)
+        else:
+            noise = sample_noise(config.mechanism, round_ctx, None, (len(active), b))
         # a diverged repeat steps on to the round's end: silence its overflow
         with np.errstate(over="ignore", invalid="ignore"):
             local, ok = _local_steps(data, pool, theta, t, config)

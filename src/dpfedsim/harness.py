@@ -197,7 +197,7 @@ def _build_data(raw: RawConfig) -> tuple[FederatedDataset, PaddedShards, Problem
     None of them depends on a sweep axis, so a sweep builds them once.
     """
     dataset = _build_dataset(raw)
-    padded = PaddedShards.build(dataset.shards)
+    padded = PaddedShards.build(dataset.shards, dataset.pooled)
     fed = raw.federation
     constants = problem_constants(
         padded, np.zeros(dataset.dim), fed["clip_threshold"], fed["clip_norm"]
@@ -356,12 +356,16 @@ def _echo(exp: Experiment) -> dict[str, Any]:
 
 
 def _rounds_csv(results: list[RunResult], base_seed: int) -> str:
+    # the columns' types are fixed, so each row is one f-string: ints as they
+    # are, floats by repr, exactly as _fmt writes them
     lines = [ROUNDS_COLUMNS]
     for run_id, result in enumerate(results):
-        for rec in result.records:
-            fields = (run_id, base_seed + run_id, rec.t, rec.k, rec.eta_k, rec.global_loss,
-                      rec.y_k, rec.bound_y_k, rec.noise_l2)
-            lines.append(",".join(map(_fmt, fields)))
+        seed = base_seed + run_id
+        lines += [
+            f"{run_id},{seed},{rec.t},{rec.k},{rec.eta_k!r},{rec.global_loss!r},"
+            f"{rec.y_k!r},{rec.bound_y_k!r},{rec.noise_l2!r}"
+            for rec in result.records
+        ]
     return "\n".join(lines) + "\n"
 
 

@@ -6,11 +6,15 @@ rounds a client joins, the closed-form predictor for the expected squared
 norm of the aggregated noise, and the growth exponent z of that variance in
 the number of global iterations (2 for Laplace, 1 for Gaussian).
 
-Noise comes from one random stream per (seed, round). A round's pool of b
-clients draws its whole (b, p) block from that stream in one call, and row i
-belongs to client (t*b mod N) + i. A draw is therefore a pure function of
-(seed, round, client id, b): it cannot depend on how the work is scheduled,
-and a run with seed s draws the same noise whatever the other repeats are.
+Noise comes from one random stream per (seed, round): the PCG64 generator
+that ``SeedSequence((seed, t))`` seeds. A round's pool of b clients draws its
+whole (b, p) block from that stream in one call, and row i belongs to client
+(t*b mod N) + i. A draw is therefore a pure function of (seed, round, client
+id, b): it cannot depend on how the work is scheduled, and a run with seed s
+draws the same noise whatever the other repeats are. ``noise_stream`` builds
+one such stream; ``stream_states`` computes the PCG64 start states of many
+(seed, round) pairs in one numpy pass, so a run can reseed one generator
+instead of building a seed sequence and a generator per pair.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ __all__ = [
     "laplace_scale",
     "gaussian_sigma",
     "noise_stream",
+    "stream_states",
     "sample_noise",
     "noise_item_variance",
     "asymptotic_z",
@@ -154,20 +159,109 @@ def gaussian_sigma(ctx: NoiseContext, spec: MechanismSpec) -> float:
 def noise_stream(seed: int, t: int) -> np.random.Generator:
     """The random stream of round t of the run with seed ``seed``.
 
-    The stream is derived from the (seed, round) pair by a seed sequence, so
-    repeated calls return an identical stream. The round's pool draws its
+    The stream is the PCG64 generator seeded by ``SeedSequence((seed, t))``,
+    so repeated calls return an identical stream. The round's pool draws its
     whole noise block from it with one ``sample_noise`` call; row i of the
-    block belongs to client (t*b mod N) + i.
+    block belongs to client (t*b mod N) + i. This is the reference
+    construction: ``stream_states`` gives the same start states in bulk.
     """
     if seed < 0 or t < 0:
         raise ConfigError("seed and round index must be non-negative")
     return np.random.default_rng(np.random.SeedSequence((seed, t)))
 
 
+# NumPy's SeedSequence: hash constants, a pool of four 32-bit words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_WORD = 1 << 32
+# PCG64's 128-bit LCG multiplier
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+
+
+def _hashmix(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
+    value = value ^ np.uint32(hash_const)
+    hash_const = (hash_const * _MULT_A) % _WORD
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> np.uint32(16)), hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_words(seeds: np.ndarray, rounds: np.ndarray) -> np.ndarray:
+    """``SeedSequence((seed, t)).generate_state(4, uint64)`` for uint32 arrays of seeds and rounds.
+
+    Both arrays have one shape; the result has that shape plus a trailing
+    axis of 4 uint64 words.
+    """
+    # mix_entropy: the two entropy words fill half the pool, zeros the rest;
+    # the hash constant's sequence does not depend on the data
+    hash_const = _INIT_A
+    pool = []
+    zeros = np.zeros_like(seeds)
+    for word in (seeds, rounds, zeros, zeros):
+        mixed, hash_const = _hashmix(word, hash_const)
+        pool.append(mixed)
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                value, hash_const = _hashmix(pool[i_src], hash_const)
+                pool[i_dst] = _mix(pool[i_dst], value)
+    # generate_state: eight 32-bit words cycling over the pool, read as
+    # little-endian pairs of uint64
+    hash_const = _INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) % _WORD
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return np.stack([words[2 * i] | (words[2 * i + 1] << np.uint64(32))
+                     for i in range(_POOL_SIZE)], axis=-1)
+
+
+def _pcg64_seeded(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> tuple[int, int]:
+    """PCG64's (state, inc) after its set-seq init from initstate s and initseq i."""
+    inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK_128
+    return ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK_128, inc
+
+
+def stream_states(seeds, rounds) -> list[list[tuple[int, int]]]:
+    """The PCG64 ``(state, inc)`` each ``noise_stream(seed, t)`` starts from.
+
+    Entry ``[i][j]`` is the start of ``noise_stream(seeds[j], rounds[i])``:
+    setting a PCG64's state to it (with no buffered 32-bit word) gives a
+    generator that draws exactly what that stream draws. Pairs whose seed
+    and round both fit in 32 bits are hashed together in one numpy pass; a
+    wider value spans several entropy words, so its pairs take the
+    ``noise_stream`` construction itself.
+    """
+    seeds, rounds = list(seeds), list(rounds)
+    if min(seeds, default=0) < 0 or min(rounds, default=0) < 0:
+        raise ConfigError("seed and round index must be non-negative")
+    seed_words = np.array([s if s < _WORD else 0 for s in seeds], dtype=np.uint32)
+    round_words = np.array([t if t < _WORD else 0 for t in rounds], dtype=np.uint32)
+    shape = (len(rounds), len(seeds))
+    words = _seed_words(np.broadcast_to(seed_words, shape),
+                        np.broadcast_to(round_words[:, None], shape))
+    states = [[_pcg64_seeded(*w) for w in row] for row in words.tolist()]
+    wide_seeds = [j for j, s in enumerate(seeds) if s >= _WORD]
+    for i, t in enumerate(rounds):
+        for j in range(len(seeds)) if t >= _WORD else wide_seeds:
+            state = noise_stream(seeds[j], t).bit_generator.state["state"]
+            states[i][j] = (state["state"], state["inc"])
+    return states
+
+
 def sample_noise(
     spec: MechanismSpec,
     ctx: NoiseContext,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     lead: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Draw a ``lead + (p,)`` array of the noise vectors clients add before upload.
@@ -175,7 +269,7 @@ def sample_noise(
     Each p-vector is one client's noise: Laplace draws have per-coordinate
     scale T_l*Xi1/epsilon; Gaussian draws have standard deviation sigma*Xi2.
     The whole array comes from one call on ``rng``. kind="none" returns exact
-    zeros without touching the stream.
+    zeros without touching the stream, so ``rng`` may then be None.
     """
     size = (*lead, ctx.p)
     if spec.kind == "none":

@@ -259,8 +259,10 @@ class PaddedShards:
     largest shard; zero rows add nothing to a residual, a gradient, a loss or
     a least-squares solution, so a pool is the slice of its id block. When
     every shard has the same size, ``x``/``y`` are views of the pooled arrays;
-    otherwise they take N * max(n_l) * p more floats. The Gram matrix and the
-    loss form are computed on first use and kept.
+    otherwise they take N * max(n_l) * p more floats. The pooled arrays are
+    the dataset builder's own when it passes them, else a concatenation of
+    the shards. The Gram matrix and the loss form are computed on first use
+    and kept.
     """
 
     x: np.ndarray  # (N, n_max, p)
@@ -272,8 +274,15 @@ class PaddedShards:
     n: int
 
     @classmethod
-    def build(cls, shards: list[ClientShard]) -> "PaddedShards":
-        """Stack shards whose client ids are exactly 0..N-1, in any order."""
+    def build(cls, shards: list[ClientShard],
+              pooled: tuple[np.ndarray, np.ndarray] | None = None) -> "PaddedShards":
+        """Stack shards whose client ids are exactly 0..N-1, in any order.
+
+        ``pooled`` is the shards' pooled design when the caller holds it: the
+        (features, targets) arrays whose consecutive row slices, in client-id
+        order, the shards are (``FederatedDataset.pooled``). The store then
+        shares those arrays instead of concatenating the shards again.
+        """
         if not shards:
             raise ConfigError("dataset must contain at least one shard")
         shards = sorted(shards, key=lambda s: s.client_id)
@@ -282,7 +291,9 @@ class PaddedShards:
         if len({s.dim for s in shards}) != 1:
             raise ConfigError("all shards must share one feature dimension")
         counts = np.array([s.n_l for s in shards])
-        pooled_x, pooled_y = pooled_design(shards)
+        pooled_x, pooled_y = pooled_design(shards) if pooled is None else pooled
+        if pooled_y.shape[0] != counts.sum():
+            raise ConfigError("the pooled design does not hold the shards' rows")
         shape = (len(shards), int(counts.max()))
         if (counts == shape[1]).all():
             x, y = pooled_x.reshape(*shape, -1), pooled_y.reshape(shape)

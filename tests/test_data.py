@@ -17,7 +17,7 @@ from dpfedsim.data import (
     sorted_partition,
     synth_regression,
 )
-from dpfedsim.regression import ConfigError, problem_constants
+from dpfedsim.regression import ConfigError, PaddedShards, problem_constants
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +153,21 @@ def test_sorted_partition_shards_are_views_of_one_design():
         assert shard.targets.shape == (shard.n_l,)
         assert shard.features.base is ds.shards[0].features.base
     assert [s.n_l for s in ds.shards] == [3, 2, 2]
+
+
+def test_padded_store_shares_the_partition_design():
+    ds = sorted_partition(np.arange(21.0).reshape(7, 3), 2, n_clients=3)
+    store = PaddedShards.build(ds.shards, ds.pooled)
+    assert store.pooled_x is ds.pooled[0] and store.pooled_y is ds.pooled[1]
+    for shard in ds.shards:
+        assert np.shares_memory(store.pooled_x, shard.features)
+        assert np.shares_memory(store.pooled_y, shard.targets)
+    copied = PaddedShards.build(ds.shards)
+    assert not np.shares_memory(copied.pooled_x, ds.shards[0].features)
+    for name in ("x", "y", "pooled_x", "pooled_y", "sizes", "weights"):
+        assert np.array_equal(getattr(store, name), getattr(copied, name))
+    with pytest.raises(ConfigError, match="pooled design"):
+        PaddedShards.build(ds.shards[:2], (ds.pooled[0], ds.pooled[1]))
 
 
 def test_dataset_invariants_validated():

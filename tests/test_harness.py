@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -134,6 +135,12 @@ def test_run_writes_fixed_schema_csv(tmp_path):
     assert lines[0] == "run_id,seed,t,k,eta_k,global_loss,y_k,bound_y_k,noise_l2"
     # 3 repeats x 20 rounds
     assert len(lines) == 1 + 3 * 20
+    # each row is its record, field by field: ints as written, floats by repr
+    exp = build_experiment(parse_config(path))
+    assert lines[1:] == [
+        ",".join(map(harness._fmt, (run_id, exp.config.seed + run_id, *dataclasses.astuple(rec))))
+        for run_id, run in enumerate(run_repeats(exp)) for rec in run.records
+    ]
     assert summary.divergence_count == 0
     assert summary.final.t == 19
 
@@ -215,7 +222,7 @@ def test_data_is_built_once_per_run_and_per_sweep(tmp_path, monkeypatch):
     builds, loads = [], []
     build, load_csv = PaddedShards.build.__func__, harness.load_csv
     monkeypatch.setattr(PaddedShards, "build",
-                        classmethod(lambda cls, shards: builds.append(1) or build(cls, shards)))
+                        classmethod(lambda cls, *a: builds.append(1) or build(cls, *a)))
     monkeypatch.setattr(harness, "load_csv", lambda *a, **k: loads.append(1) or load_csv(*a, **k))
     # L1 clipping runs the pilot; the constants, the pilot and three repeats share one store
     l1_task = SMALL_TASK.replace("clip_norm = l2", "clip_norm = l1")

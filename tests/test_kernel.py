@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dpfedsim import bounds
+from dpfedsim import bounds, engine, mechanisms
 from dpfedsim.data import sorted_partition
 from dpfedsim.engine import (
     PARAM_LIMIT,
@@ -272,6 +272,27 @@ def test_fewer_repeats_reproduce_the_leading_runs_byte_for_byte(tmp_path):
     assert twenty.startswith(five)
 
 
+def test_noise_free_run_builds_no_stream(tmp_path, monkeypatch):
+    path = tmp_path / "task.cfg"
+    path.write_text(ROUNDS_TASK.format(repeats=3).replace(
+        "mechanism = laplace\nepsilon = 2.0", "mechanism = none\nepsilon = inf"))
+    cmd_run(path, tmp_path / "free", quiet=True)
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a noise-free run built a noise stream")
+
+    for target in (mechanisms, engine):
+        monkeypatch.setattr(target, "noise_stream", no_stream)
+        monkeypatch.setattr(target, "stream_states", no_stream)
+    monkeypatch.setattr(np.random, "PCG64", no_stream)
+    cmd_run(path, tmp_path / "patched", quiet=True)
+    rows = (tmp_path / "patched" / "rounds.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3 * 10
+    assert all(row.endswith(",0.0") for row in rows[1:])  # noise_l2
+    assert ((tmp_path / "patched" / "rounds.csv").read_bytes()
+            == (tmp_path / "free" / "rounds.csv").read_bytes())
+
+
 @pytest.mark.parametrize("norm", ["l1", "l2"])
 @pytest.mark.parametrize("shape", [(7, 4), (5, 200), (2, 3, 6)])
 def test_row_wise_clip_equals_clipping_each_row(norm, shape):
@@ -326,21 +347,35 @@ def test_batched_repeats_match_reference_runs(norm, mechanism):
         assert batch.runs[0].records[-1].noise_l2 != batch.runs[1].records[-1].noise_l2
 
 
-def test_repeat_rows_equal_their_single_seed_run_byte_for_byte(tmp_path):
+def assert_repeat_rows_equal_single_seed_runs(tmp_path, monkeypatch, seed):
     path = tmp_path / "task.cfg"
     path.write_text(ROUNDS_TASK.format(repeats=4))
-    cmd_run(path, tmp_path / "block", quiet=True)
+    # the block computes its stream states one round at a time, each run
+    # alone all ten rounds at once
+    with monkeypatch.context() as m:
+        m.setattr(engine, "STATE_PAIRS", 3)
+        cmd_run(path, tmp_path / "block", seed=seed, quiet=True)
     block = (tmp_path / "block" / "rounds.csv").read_text().splitlines()
     header, rows = block[0], [line.split(",") for line in block[1:]]
     assert header.split(",")[0] == "run_id"
+    assert [row[1] for row in rows[::10]] == [str(seed + r) for r in range(4)]
     for r in range(4):
-        cmd_run(path, tmp_path / f"one{r}", seed=3 + r, repeats=1, quiet=True)
+        cmd_run(path, tmp_path / f"one{r}", seed=seed + r, repeats=1, quiet=True)
         one = (tmp_path / f"one{r}" / "rounds.csv").read_text().splitlines()
         assert one[0] == header
         mine = [row for row in rows if row[0] == str(r)]
         assert len(mine) == len(one) - 1 == 10
         assert [row[1:] for row in mine] == [line.split(",")[1:] for line in one[1:]]
         assert all(line.split(",")[0] == "0" for line in one[1:])
+
+
+def test_repeat_rows_equal_their_single_seed_run_byte_for_byte(tmp_path, monkeypatch):
+    assert_repeat_rows_equal_single_seed_runs(tmp_path, monkeypatch, seed=3)
+
+
+def test_repeat_rows_crossing_seed_2_pow_32_equal_their_single_seed_runs(tmp_path, monkeypatch):
+    # a seed's entropy grows from one 32-bit word to two inside this block
+    assert_repeat_rows_equal_single_seed_runs(tmp_path, monkeypatch, seed=2**32 - 2)
 
 
 # some repeats diverge and some finish: an unstable constant rate without

@@ -16,6 +16,7 @@ from dpfedsim.mechanisms import (
     sample_noise,
     sensitivity_l1,
     sensitivity_l2,
+    stream_states,
 )
 from dpfedsim.regression import ConfigError
 
@@ -159,6 +160,52 @@ def test_sample_noise_repeatable_per_stream():
         noise_stream(-1, 0)
     with pytest.raises(ConfigError):
         noise_stream(0, -1)
+
+
+STATE_SEEDS = [0, 1, 2**31 - 1, 2**40] + list(range(2**32 - 3, 2**32 + 3))
+STATE_ROUNDS = [0, 1, 99]
+
+
+def _reseeded(rng, state):
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state[0], "inc": state[1]},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def test_stream_states_are_the_seed_sequence_streams_starts():
+    states = stream_states(STATE_SEEDS, STATE_ROUNDS)
+    assert len(states) == len(STATE_ROUNDS)
+    for t, row in zip(STATE_ROUNDS, states):
+        assert len(row) == len(STATE_SEEDS)
+        for seed, (state, inc) in zip(STATE_SEEDS, row):
+            want = noise_stream(seed, t).bit_generator.state
+            assert want["state"] == {"state": state, "inc": inc}, (seed, t)
+    # a round past 32 bits spans two entropy words too
+    [[(state, inc)]] = stream_states([5], [2**32 + 7])
+    assert noise_stream(5, 2**32 + 7).bit_generator.state["state"] == {"state": state,
+                                                                       "inc": inc}
+    assert stream_states([], [0, 1]) == [[], []]
+    with pytest.raises(ConfigError):
+        stream_states([-1], [0])
+    with pytest.raises(ConfigError):
+        stream_states([0], [-1])
+
+
+def test_reseeded_generator_draws_what_the_stream_draws():
+    c = ctx(p=3, T_g=2)
+    rng = np.random.Generator(np.random.PCG64())
+    states = stream_states(STATE_SEEDS, STATE_ROUNDS)
+    for spec in (laplace_spec(), gaussian_spec()):
+        for t, row in zip(STATE_ROUNDS, states):
+            for seed, state in zip(STATE_SEEDS, row):
+                # a float32 draw leaves half a 64-bit word buffered; reseeding drops it
+                rng.random(dtype=np.float32)
+                got = sample_noise(spec, c, _reseeded(rng, state), (4,))
+                want = sample_noise(spec, c, noise_stream(seed, t), (4,))
+                assert got.tobytes() == want.tobytes(), (spec.kind, seed, t)
+                assert (_reseeded(rng, state).random(3, dtype=np.float32).tobytes()
+                        == noise_stream(seed, t).random(3, dtype=np.float32).tobytes())
 
 
 def test_sample_noise_mean_within_standard_error():
