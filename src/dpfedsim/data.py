@@ -64,10 +64,6 @@ class FederatedDataset:
         return sum(s.n_l for s in self.shards)
 
     @property
-    def n_bar_sq(self) -> float:
-        return sum(s.n_l**2 for s in self.shards) / self.n_clients
-
-    @property
     def dim(self) -> int:
         """Width of the design matrix (bias column included when present)."""
         return self.shards[0].dim

@@ -18,11 +18,13 @@ and the per-round metrics (the p x p pooled loss, y_k and the noise norm)
 take one dot product per repeat. A round therefore costs
 O(R * b * max(n_l) * p * E) for the steps plus O(R * p^2) for the metrics,
 and every repeat is bitwise the same whether it runs alone or in a block.
+The L1 pilot that measures the gradient bound is the same round loop run
+noise-free with one repeat, watching every step's clipped gradients.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,6 +50,7 @@ __all__ = [
     "schedule_offset",
     "select_pool",
     "noise_context",
+    "run_bound_params",
     "client_update",
     "aggregate",
     "run_federation",
@@ -351,8 +354,8 @@ def _local_steps(
     client in ascending id order, and the (R,) mask of the repeats whose
     parameters stayed within PARAM_LIMIT after every step. A repeat that leaves
     the limit keeps stepping with the others until the round ends, or until no
-    repeat is left within it. ``on_grad`` sees every step's (R, b, p) block of
-    clipped gradients.
+    repeat is left within it. ``on_grad`` is given, once the steps end, the
+    (S, R, b, p) stack of the clipped gradients of the S steps taken.
     """
     x, y = data.x[pool], data.y[pool]
     x_t = x.transpose(0, 2, 1)
@@ -361,6 +364,7 @@ def _local_steps(
     block = theta[:, None, :]
     ok = np.ones(len(theta), dtype=bool)
     k0 = t * config.local_iters
+    grads = []
     for i in range(config.local_iters):
         resid = np.matmul(x, block[..., None])[..., 0] - y
         grad = clip_gradient(
@@ -369,13 +373,15 @@ def _local_steps(
             config.clip.norm,
         )
         if on_grad is not None:
-            on_grad(grad)
+            grads.append(grad)
         block = block - config.schedule.rate(k0 + i) * grad
         # one reduction over the whole block; the per-repeat mask only once it fails
         if not _all_within_limit(block):
             ok &= _within_limit(block)
             if not ok.any():
                 break
+    if on_grad is not None:
+        on_grad(np.stack(grads))
     return block, ok
 
 
@@ -408,24 +414,33 @@ def _pool_noise(config: FederationConfig, ctx: NoiseContext, rng: np.random.Gene
     return np.stack(blocks)
 
 
-def noise_context(config: FederationConfig, p: int, n: int, n_bar_sq: float,
-                  t: int) -> NoiseContext:
-    """The calibration context of round t: its first learning rate and the run's shape.
-
-    ``n`` is the total sample count and ``n_bar_sq`` the mean squared shard
-    size; both are constant over a run, so callers compute them once.
-    """
+def noise_context(config: FederationConfig, data: PaddedShards, t: int) -> NoiseContext:
+    """Round t's calibration context: its first rate and the shape of the run on ``data``."""
     return NoiseContext(
-        p=p,
+        p=data.dim,
         eta_tilde=config.schedule.rate(t * config.local_iters),
         E=config.local_iters,
         T_l=config.rounds_per_client,
         T_g=config.global_iters,
         b=config.pool_size,
         N=config.n_clients,
-        n=n,
-        n_bar_sq=n_bar_sq,
+        n=data.n,
+        n_bar_sq=data.n_bar_sq,
     )
+
+
+def run_bound_params(
+    config: FederationConfig, constants: ProblemConstants | None, p: int
+) -> bounds.BoundParams | None:
+    """The convergence bound's parameters for runs of ``config`` on a p-dimensional task.
+
+    None when the bound is undefined: no constants, a singular pooled Hessian
+    or the constant schedule.
+    """
+    if constants is None or not constants.assumptions_ok or config.schedule.kind != "decay":
+        return None
+    return bounds.bound_params(constants, config.mechanism, p, config.local_iters,
+                               config.global_iters, config.n_clients, config.pool_size)
 
 
 def _run_block(
@@ -434,6 +449,8 @@ def _run_block(
     constants: ProblemConstants | None,
     seeds: list[int],
     record_trajectory: bool,
+    on_grad=None,
+    records: bool = True,
 ) -> list[RunResult]:
     """T_g rounds of the runs with the given seeds, all in one round loop.
 
@@ -441,27 +458,12 @@ def _run_block(
     repeat whose local steps or aggregate leave PARAM_LIMIT in round t is
     marked diverged and leaves the block at the end of round t, keeping its
     records and parameters up to round t - 1. A noise-free run builds no
-    noise stream.
+    noise stream. ``on_grad`` sees each round's stack of clipped gradients (see
+    ``_local_steps``); with ``records`` false the runs keep no round records.
     """
     dim = data.dim
     theta_0 = _initial_theta(config, dim)
-    n_bar_sq = float(data.sizes @ data.sizes) / config.n_clients
-
-    bound_params = None
-    if (
-        constants is not None
-        and constants.assumptions_ok
-        and config.schedule.kind == "decay"
-    ):
-        bound_params = bounds.bound_params(
-            constants,
-            config.mechanism,
-            p=dim,
-            local_iters=config.local_iters,
-            global_iters=config.global_iters,
-            n_clients=config.n_clients,
-            pool_size=config.pool_size,
-        )
+    bound_params = run_bound_params(config, constants, dim)
 
     runs = [
         RunResult(records=[], theta=theta_0, diverged=False,
@@ -479,7 +481,7 @@ def _run_block(
     for t in range(config.global_iters):
         pool = _pool_slice(t, n_clients, b)
         weights = data.weights[pool]
-        round_ctx = noise_context(config, dim, data.n, n_bar_sq, t)
+        round_ctx = noise_context(config, data, t)
 
         if noisy:
             states = next(streams)
@@ -488,7 +490,7 @@ def _run_block(
             noise = sample_noise(config.mechanism, round_ctx, None, (len(active), b))
         # a diverged repeat steps on to the round's end: silence its overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            local, ok = _local_steps(data, pool, theta, t, config)
+            local, ok = _local_steps(data, pool, theta, t, config, on_grad)
             theta_new = _aggregate_block(local + noise, weights, n_clients, b)
         ok &= _within_limit(theta_new)
         if not ok.all():
@@ -500,6 +502,8 @@ def _run_block(
                 break
             theta_new, noise = theta_new[ok], noise[ok]
         theta = theta_new
+        if not records:
+            continue
 
         k = (t + 1) * config.local_iters
         losses = data.losses(theta)
@@ -572,27 +576,23 @@ def pilot_gradient_bound(
 
     Used to turn the unobservable gradient bound into a concrete number when
     clipping is done in the L1 norm (under L2 clipping the threshold itself is
-    the bound). A diverging pilot returns the maximum observed so far: clipped
-    norms never exceed the threshold, so the partial measurement still bounds
-    every step the real runs will take. The pool's clients step in lockstep,
-    so "so far" covers every pool client's steps up to and including the one
-    that diverged. ``shards`` is the shard list or its ``PaddedShards`` store.
-    The pilot is the local-step kernel's one-repeat case.
+    the bound). The pilot is the round loop's noise-free, one-repeat case,
+    whatever mechanism and seed ``config`` names, and stops where that run
+    diverges: after a local step or an aggregate past PARAM_LIMIT. Its maximum
+    so far still bounds every step the real runs take, since clipped norms
+    never exceed the threshold; the pool's clients step in lockstep, so "so
+    far" covers every pool client's steps up to and including the one that
+    diverged. ``shards`` is the shard list or its ``PaddedShards`` store.
     """
     data = _stacked(shards, config.n_clients)
-    theta = _initial_theta(config, data.dim)[None]
     max_sq = 0.0
-    for t in range(config.global_iters):
-        pool = _pool_slice(t, config.n_clients, config.pool_size)
-        grads = []
-        local, ok = _local_steps(data, pool, theta, t, config, on_grad=grads.append)
-        steps = np.stack(grads)
-        # one maximum per step taken; a step with a NaN norm is skipped whole
-        for step_max in _row_dots(steps, steps).reshape(len(grads), -1).max(axis=1).tolist():
+
+    def keep_max(steps: np.ndarray) -> None:
+        nonlocal max_sq
+        # one maximum per step; a step with a NaN norm is skipped whole
+        for step_max in _row_dots(steps, steps).reshape(len(steps), -1).max(axis=1).tolist():
             max_sq = max(max_sq, step_max)
-        if not ok[0]:
-            break
-        theta = _aggregate_block(local, data.weights[pool], config.n_clients, config.pool_size)
-        if not _all_within_limit(theta):
-            break
+
+    noise_free = replace(config, mechanism=MechanismSpec())
+    _run_block(noise_free, data, None, [config.seed], False, keep_max, records=False)
     return math.sqrt(max_sq)

@@ -33,6 +33,7 @@ from .engine import (
     Schedule,
     noise_context,
     pilot_gradient_bound,
+    run_bound_params,
     run_federation,
     select_pool,
 )
@@ -235,10 +236,7 @@ def _configure(raw: RawConfig, dataset: FederatedDataset, padded: PaddedShards,
     )
 
     if norm == "l1" and math.isfinite(zeta):
-        pilot_cfg = dataclasses.replace(
-            config, mechanism=MechanismSpec(), seed=0
-        )
-        measured = pilot_gradient_bound(pilot_cfg, padded)
+        measured = pilot_gradient_bound(config, padded)
         constants = dataclasses.replace(constants, g_bound=measured)
 
     return Experiment(config=config, dataset=dataset, padded=padded, constants=constants)
@@ -250,9 +248,9 @@ def build_experiment(raw: RawConfig) -> Experiment:
     The dataset is stacked into its padded store once; the constants, the
     pilot and every run read that store. Under L1 clipping the gradient bound
     is tightened from the clip threshold to the maximum clipped-gradient L2
-    norm measured on a noise-free pilot run of the same shape (seed 0). A
-    decay schedule requires a non-singular pooled Hessian; the constant
-    schedule runs regardless, with bound reporting disabled.
+    norm measured on a noise-free pilot run of the same shape. A decay
+    schedule requires a non-singular pooled Hessian; the constant schedule
+    runs regardless, with bound reporting disabled.
     """
     return _configure(raw, *_build_data(raw))
 
@@ -526,7 +524,7 @@ class PlanReport:
 
 
 def _round0_context(exp: Experiment) -> NoiseContext:
-    return noise_context(exp.config, exp.dataset.dim, exp.dataset.n, exp.dataset.n_bar_sq, 0)
+    return noise_context(exp.config, exp.padded, 0)
 
 
 def _classification(rate_exp: float) -> str:
@@ -558,11 +556,8 @@ def cmd_plan(config_path, out_dir=None, seed: int | None = None,
         scale_label, scale_value = "gaussian sigma", gaussian_sigma(ctx, mech)
 
     bound_block = (None, None, None, None, None)
-    if cfg.schedule.kind == "decay" and exp.constants.assumptions_ok:
-        bp = bounds.bound_params(
-            exp.constants, mech, exp.dataset.dim, cfg.local_iters, cfg.global_iters,
-            cfg.n_clients, cfg.pool_size,
-        )
+    bp = run_bound_params(cfg, exp.constants, exp.dataset.dim)
+    if bp is not None:
         bound_block = (
             bp.c_m, bp.omega0, bp.omega1, bp.gamma,
             bounds.bound_curve(bp, exp.constants.y0),

@@ -22,6 +22,7 @@ __all__ = [
     "clip_gradient",
     "local_optimum",
     "global_optimum",
+    "global_loss",
     "pooled_design",
     "problem_constants",
 ]
@@ -261,8 +262,8 @@ class PaddedShards:
     every shard has the same size, ``x``/``y`` are views of the pooled arrays;
     otherwise they take N * max(n_l) * p more floats. The pooled arrays are
     the dataset builder's own when it passes them, else a concatenation of
-    the shards. The Gram matrix and the loss form are computed on first use
-    and kept.
+    the shards. n-bar-squared, the Gram matrix and the loss form are computed
+    on first use and kept.
     """
 
     x: np.ndarray  # (N, n_max, p)
@@ -318,6 +319,11 @@ class PaddedShards:
     @property
     def dim(self) -> int:
         return self.x.shape[2]
+
+    @cached_property
+    def n_bar_sq(self) -> float:
+        """The mean squared shard size (1/N) * sum n_l^2, an exact integer sum."""
+        return float(self.sizes @ self.sizes) / self.n_clients
 
     @cached_property
     def gram(self) -> np.ndarray:

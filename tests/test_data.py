@@ -59,7 +59,7 @@ def test_synth_bias_column_and_shapes():
     raw = synth_regression(3, 5, 2, 0.5, 0.1, seed=1, add_bias=False)
     assert raw.dim == 2
     assert ds.n == 15
-    assert ds.n_bar_sq == 25.0
+    assert PaddedShards.build(ds.shards).n_bar_sq == 25.0
 
 
 def test_synth_validation():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,28 @@ def test_l1_clipping_tightens_gradient_bound_via_pilot(tmp_path):
     body = SMALL_TASK.replace("clip_norm = l2", "clip_norm = l1")
     exp = build_experiment(parse_config(write(tmp_path, body)))
     assert 0 < exp.constants.g_bound < 20.0
+
+
+def test_overflowing_pilot_warns_nothing(tmp_path):
+    # the pilot's first local step overflows; like a run, it stops there silently
+    body = """
+[federation]
+clients = 10
+pool_size = 5
+local_iters = 3
+global_iters = 10
+clip_threshold = 1e10
+clip_norm = l1
+
+[schedule]
+kind = constant
+eta = 1.5e308
+"""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exp = build_experiment(parse_config(write(tmp_path, body)))
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert 0 < exp.constants.g_bound <= 1e10
 
 
 def test_decay_schedule_rejected_on_singular_task(tmp_path):
@@ -408,6 +431,27 @@ def test_plan_warns_when_laplace_xi1_is_below_the_l2_clip_reach(tmp_path):
                  laplace.replace("clip_norm = l2", "clip_norm = l1"),
                  SMALL_TASK + "\n[dp]\nmechanism = gaussian\nepsilon = 1.0\n"):
         assert cmd_plan(write(tmp_path, body, "quiet.cfg"), quiet=True).warning is None
+
+
+@pytest.mark.parametrize("schedule", ["decay", "constant"])
+def test_plan_and_run_report_the_same_bound(tmp_path, schedule):
+    body = SMALL_TASK.replace("clip_norm = l2", "clip_norm = l1") + (
+        "\n[dp]\nmechanism = laplace\nepsilon = 2.0\n")
+    if schedule == "constant":
+        body += "\n[schedule]\nkind = constant\neta = 0.01\n"
+    path = write(tmp_path, body)
+    report = cmd_plan(path, quiet=True)
+    cmd_run(path, tmp_path / "out", quiet=True)
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "rounds.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3 * 20
+    if schedule == "constant":
+        assert report.bound_samples is None
+        assert all(row[7] == "nan" for row in rows)
+        return
+    plan = {k: repr(value) for k, value in report.bound_samples}
+    assert len(plan) == 20
+    assert all(plan[int(row[3])] == row[7] for row in rows)
 
 
 def test_plan_writes_report_file(tmp_path):

@@ -95,23 +95,34 @@ def reference_run(config, shards, constants=None):
 
 
 def reference_pilot(config, shards):
-    """Max clipped-gradient L2 norm of a noise-free run, client by client."""
+    """Max clipped-gradient L2 norm of a noise-free run, client by client.
+
+    The pool's clients take each local step together, as the kernel does, and
+    the pilot stops where the run diverges: after a local step (counting that
+    step of every pool client) or an aggregate past PARAM_LIMIT. A step with a
+    NaN norm is skipped whole."""
     shards = sorted(shards, key=lambda s: s.client_id)
     N, b, E = config.n_clients, config.pool_size, config.local_iters
     n = sum(s.n_l for s in shards)
     theta = np.zeros(shards[0].dim)
     max_norm = 0.0
     for t in range(config.global_iters):
-        updated = []
-        for cid in sorted((t * b + j) % N for j in range(b)):
-            theta_l = theta
-            for i in range(E):
-                grad = clip_gradient(mse_gradient(theta_l, shards[cid]), config.clip.zeta,
-                                     config.clip.norm)
-                max_norm = max(max_norm, float(np.linalg.norm(grad)))
-                theta_l = theta_l - config.schedule.rate(t * E + i) * grad
-            updated.append((theta_l, shards[cid].n_l))
-        theta = aggregate(updated, N, b, n)
+        pool = [shards[cid] for cid in sorted((t * b + j) % N for j in range(b))]
+        local = [theta] * b
+        for i in range(E):
+            grads = [clip_gradient(mse_gradient(theta_l, shard), config.clip.zeta,
+                                   config.clip.norm) for theta_l, shard in zip(local, pool)]
+            norms = [float(np.linalg.norm(grad)) for grad in grads]
+            if not any(math.isnan(norm) for norm in norms):
+                max_norm = max(max_norm, *norms)
+            rate = config.schedule.rate(t * E + i)
+            local = [theta_l - rate * grad for theta_l, grad in zip(local, grads)]
+            if any(_diverged(theta_l) for theta_l in local):
+                return max_norm
+        theta = aggregate([(theta_l, shard.n_l) for theta_l, shard in zip(local, pool)],
+                          N, b, n)
+        if _diverged(theta):
+            return max_norm
     return max_norm
 
 
@@ -197,14 +208,33 @@ def test_kernel_matches_reference_on_divergence():
     assert_close(res.theta, theta)
 
 
-@pytest.mark.parametrize("norm", ["l1", "l2"])
-def test_pilot_matches_per_client_reference(norm):
+@pytest.mark.parametrize("case", ["l1", "l2", "diverging", "noisy-seed-5"])
+def test_pilot_matches_per_client_reference(case):
     shards = ragged_shards(seed=3)
-    cfg, _ = decay_config(shards, norm, 0.5, MechanismSpec(), T_g=10)
-    got = pilot_gradient_bound(cfg, shards)
-    want = reference_pilot(cfg, shards)
-    assert 0 < got <= 0.5
+    zeta = 0.5
+    cfg, pc = decay_config(shards, "l2" if case == "l2" else "l1", zeta, MechanismSpec(),
+                           T_g=10)
+    if case == "diverging":
+        # an unstable constant rate with clipping out of reach: the gradient
+        # norm grows every step, so the maximum is the last step counted
+        zeta = 1e30
+        cfg = dataclasses.replace(cfg, schedule=Schedule.constant(1.5 * 2 / pc.lam),
+                                  clip=ClipSpec(zeta, "l1"))
+        assert run_federation(cfg, shards).diverged
+    elif case == "noisy-seed-5":
+        cfg = dataclasses.replace(cfg, mechanism=MECHANISMS["laplace"], seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pilot_gradient_bound(cfg, shards)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_pilot(cfg, shards)
+    assert 0 < got <= zeta
     assert abs(got - want) <= REL_TOL * want
+    if case == "noisy-seed-5":
+        # the pilot is noise-free whatever the config's mechanism and seed
+        free = pilot_gradient_bound(
+            dataclasses.replace(cfg, mechanism=MechanismSpec(), seed=0), shards)
+        assert got.hex() == free.hex()
 
 
 @pytest.mark.parametrize("offset", [1e2, 1e4, 1e6])
