@@ -26,7 +26,7 @@ dataset = synth_regression(
     n_clients=8, n_per_client=15, n_features=4, heterogeneity=0.4, noise_std=0.1,
     seed=7,
 )
-constants = problem_constants(dataset.shards, np.zeros(dataset.dim), zeta=25.0)
+constants = problem_constants(dataset, np.zeros(dataset.dim), zeta=25.0)
 schedule = Schedule.decay(constants.mu, schedule_offset(constants.lam, constants.mu, 1))
 
 config = FederationConfig(
@@ -34,7 +34,7 @@ config = FederationConfig(
     schedule=schedule, clip=ClipSpec(25.0, "l2"),
 )
 
-result = run_federation(config, dataset.shards, constants, record_trajectory=True)
+result = run_federation(config, dataset, constants, record_trajectory=True)
 oracle = centralized_gd_oracle(dataset.shards, T, schedule, config.clip, config.theta_0)
 
 worst = max(float(np.max(np.abs(a - b))) for a, b in zip(result.trajectory, oracle))
@@ -52,5 +52,5 @@ config_pool = FederationConfig(
     n_clients=8, pool_size=4, local_iters=1, global_iters=T,
     schedule=schedule, clip=ClipSpec(25.0, "l2"),
 )
-pooled = run_federation(config_pool, dataset.shards, constants)
+pooled = run_federation(config_pool, dataset, constants)
 print(f"\nwith b=4 of 8 clients per round: final y = {pooled.records[-1].y_k:.2e}")

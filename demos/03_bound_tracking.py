@@ -23,7 +23,7 @@ dataset = synth_regression(
     seed=3,
 )
 zeta = 8.0
-constants = problem_constants(dataset.shards, np.zeros(dataset.dim), zeta, "l2")
+constants = problem_constants(dataset, np.zeros(dataset.dim), zeta, "l2")
 E, T_g = 4, 50
 schedule = Schedule.decay(constants.mu, schedule_offset(constants.lam, constants.mu, E))
 
@@ -35,7 +35,7 @@ def averaged_run(mechanism, repeats=20):
             n_clients=50, pool_size=10, local_iters=E, global_iters=T_g,
             schedule=schedule, clip=ClipSpec(zeta, "l2"), mechanism=mechanism, seed=r,
         )
-        res = run_federation(config, dataset.shards, constants)
+        res = run_federation(config, dataset, constants)
         trajectories.append([rec.y_k for rec in res.records])
     bound = [rec.bound_y_k for rec in res.records]
     return np.mean(trajectories, axis=0), bound

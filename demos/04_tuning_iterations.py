@@ -29,7 +29,7 @@ dataset = synth_regression(
     seed=0,
 )
 zeta = 0.3
-constants = problem_constants(dataset.shards, np.zeros(dataset.dim), zeta, "l2")
+constants = problem_constants(dataset, np.zeros(dataset.dim), zeta, "l2")
 
 
 def final_loss(pool_size, local_iters, global_iters, epsilon):
@@ -48,7 +48,7 @@ def final_loss(pool_size, local_iters, global_iters, epsilon):
             global_iters=global_iters, schedule=schedule, clip=ClipSpec(zeta, "l2"),
             mechanism=mech, seed=r,
         )
-        res = run_federation(config, dataset.shards, constants)
+        res = run_federation(config, dataset, constants)
         losses.append(res.records[-1].global_loss)
     return float(np.mean(losses))
 

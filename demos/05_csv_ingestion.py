@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from dpfedsim import (
+    ClientShard,
     ClipSpec,
-    FederatedDataset,
     FederationConfig,
+    PaddedShards,
     Schedule,
     global_loss,
     load_csv,
@@ -23,7 +24,6 @@ from dpfedsim import (
     sorted_partition,
 )
 from dpfedsim.data import _with_bias
-from dpfedsim.regression import ClientShard
 
 rng = np.random.default_rng(11)
 n_rows = 400
@@ -42,23 +42,23 @@ print(f"loaded {train.shape[0]} training and {holdout.shape[0]} holdout records"
 
 N = 8
 by_rate = sorted_partition(train, sort_key_index=-1, n_clients=N)
-gamma_sorted = problem_constants(by_rate.shards, np.zeros(by_rate.dim), 10.0).gamma_noniid
+gamma_sorted = problem_constants(by_rate, np.zeros(by_rate.dim), 10.0).gamma_noniid
 
 # contrast: random assignment of the same records
 chunks = np.array_split(train, N)
-random_ds = FederatedDataset(
+random_ds = PaddedShards.build(
     [ClientShard(i, _with_bias(c[:, :-1], True), c[:, -1]) for i, c in enumerate(chunks)]
 )
-gamma_random = problem_constants(random_ds.shards, np.zeros(4), 10.0).gamma_noniid
+gamma_random = problem_constants(random_ds, np.zeros(4), 10.0).gamma_noniid
 print(f"non-IID degree: sorted {gamma_sorted:.4f} vs random {gamma_random:.4f}")
 
-constants = problem_constants(by_rate.shards, np.zeros(by_rate.dim), 10.0, "l2")
+constants = problem_constants(by_rate, np.zeros(by_rate.dim), 10.0, "l2")
 schedule = Schedule.decay(constants.mu, schedule_offset(constants.lam, constants.mu, 2))
 config = FederationConfig(
     n_clients=N, pool_size=4, local_iters=2, global_iters=40,
     schedule=schedule, clip=ClipSpec(10.0, "l2"),
 )
-result = run_federation(config, by_rate.shards, constants)
+result = run_federation(config, by_rate, constants)
 
 print("\ntraining on the sorted shards:")
 for rec in result.records[::8]:

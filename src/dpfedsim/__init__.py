@@ -21,7 +21,7 @@ from .bounds import (
     rate_exponent,
     schedule_offset,
 )
-from .data import FederatedDataset, load_csv, sorted_partition, synth_regression
+from .data import load_csv, sorted_partition, synth_regression
 from .engine import (
     ClipSpec,
     DivergenceError,
@@ -65,6 +65,7 @@ from .mechanisms import (
 from .regression import (
     ClientShard,
     ConfigError,
+    PaddedShards,
     ProblemConstants,
     clip_gradient,
     global_loss,

@@ -12,7 +12,6 @@ import operator
 import warnings
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import chain, compress
 
 import numpy as np
@@ -20,53 +19,14 @@ import numpy as np
 # package, not inside the first data build
 from numpy.random import default_rng
 
-from .regression import ClientShard, ConfigError
+from .regression import ConfigError, PaddedShards
 
 __all__ = [
-    "FederatedDataset",
     "synth_regression",
     "sorted_partition",
     "load_csv",
     "csv_column_indices",
 ]
-
-
-@dataclass(frozen=True)
-class FederatedDataset:
-    """A fixed assignment of samples to clients 0..N-1.
-
-    ``pooled`` is the pooled design (features, targets) when the builder made
-    every shard a consecutive row slice of it, in client-id order; a padded
-    store built from the dataset then shares it rather than copying it.
-    """
-
-    shards: list[ClientShard]
-    pooled: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False,
-                                                           compare=False)
-
-    def __post_init__(self):
-        ids = [s.client_id for s in self.shards]
-        if sorted(ids) != list(range(len(self.shards))):
-            raise ConfigError("shard client ids must be exactly 0..N-1, each once")
-        dims = {s.dim for s in self.shards}
-        if len(dims) != 1:
-            raise ConfigError("all shards must share one feature dimension")
-        object.__setattr__(
-            self, "shards", sorted(self.shards, key=lambda s: s.client_id)
-        )
-
-    @property
-    def n_clients(self) -> int:
-        return len(self.shards)
-
-    @property
-    def n(self) -> int:
-        return sum(s.n_l for s in self.shards)
-
-    @property
-    def dim(self) -> int:
-        """Width of the design matrix (bias column included when present)."""
-        return self.shards[0].dim
 
 
 def _with_bias(features: np.ndarray, add_bias: bool) -> np.ndarray:
@@ -83,7 +43,7 @@ def synth_regression(
     noise_std: float,
     seed: int,
     add_bias: bool = True,
-) -> FederatedDataset:
+) -> PaddedShards:
     """Generate N equally sized shards with a tunable degree of non-IID.
 
     A global true parameter is drawn once; each client regresses against its
@@ -101,14 +61,15 @@ def synth_regression(
     rng = default_rng(seed)
     dim = n_features + 1 if add_bias else n_features
     theta_true = rng.standard_normal(dim)
-    shards = []
-    for cid in range(n_clients):
+    designs, targets = [], []
+    for _ in range(n_clients):
         theta_l = theta_true + heterogeneity * rng.standard_normal(dim)
         raw = rng.standard_normal((n_per_client, n_features))
         design = _with_bias(raw, add_bias)
-        targets = design @ theta_l + noise_std * rng.standard_normal(n_per_client)
-        shards.append(ClientShard(cid, design, targets))
-    return FederatedDataset(shards)
+        designs.append(design)
+        targets.append(design @ theta_l + noise_std * rng.standard_normal(n_per_client))
+    return PaddedShards.from_pooled(np.concatenate(designs), np.concatenate(targets),
+                                    [n_per_client] * n_clients)
 
 
 def sorted_partition(
@@ -116,7 +77,7 @@ def sorted_partition(
     sort_key_index: int,
     n_clients: int,
     add_bias: bool = True,
-) -> FederatedDataset:
+) -> PaddedShards:
     """Sort records by one column ascending and split them into N contiguous shards.
 
     Groups are as even as possible: the first (count mod N) shards get one
@@ -128,25 +89,11 @@ def sorted_partition(
     records = np.asarray(records, dtype=float)
     if records.ndim != 2 or records.shape[1] < 2:
         raise ConfigError("records must be 2-D with at least one feature and a target")
-    if records.shape[0] < n_clients:
-        raise ConfigError(
-            f"need at least {n_clients} records to form {n_clients} shards, "
-            f"got {records.shape[0]}"
-        )
     ordered = records[np.argsort(records[:, sort_key_index], kind="stable")]
-    # every shard is a row slice of one design and one target array
-    design, targets = _with_bias(ordered[:, :-1], add_bias), ordered[:, -1].copy()
-    # finite records pass every shard's checks: check them once, or let the
-    # first failing shard raise its own error
-    shard = ClientShard._checked if np.isfinite(ordered).all() else ClientShard
     base, extra = divmod(records.shape[0], n_clients)
-    shards = []
-    start = 0
-    for cid in range(n_clients):
-        stop = start + base + (1 if cid < extra else 0)
-        shards.append(shard(cid, design[start:stop], targets[start:stop]))
-        start = stop
-    return FederatedDataset(shards, pooled=(design, targets))
+    return PaddedShards.from_pooled(_with_bias(ordered[:, :-1], add_bias),
+                                    ordered[:, -1].copy(),
+                                    [base + 1] * extra + [base] * (n_clients - extra))
 
 
 def _column_index(header: list[str], column, what: str) -> int:

@@ -578,11 +578,12 @@ def pilot_gradient_bound(
     clipping is done in the L1 norm (under L2 clipping the threshold itself is
     the bound). The pilot is the round loop's noise-free, one-repeat case,
     whatever mechanism and seed ``config`` names, and stops where that run
-    diverges: after a local step or an aggregate past PARAM_LIMIT. Its maximum
-    so far still bounds every step the real runs take, since clipped norms
-    never exceed the threshold; the pool's clients step in lockstep, so "so
-    far" covers every pool client's steps up to and including the one that
-    diverged. ``shards`` is the shard list or its ``PaddedShards`` store.
+    diverges: after a local step or an aggregate past PARAM_LIMIT. The pool's
+    clients step in lockstep, so the maximum covers every pool client's steps
+    up to and including the one that diverged. It bounds only the steps of
+    this noise-free pilot: noisy runs leave its trajectory, and their clipped
+    gradients can be far larger (up to the threshold, which is the only hard
+    bound on them). ``shards`` is the shard list or its ``PaddedShards`` store.
     """
     data = _stacked(shards, config.n_clients)
     max_sq = 0.0

@@ -19,13 +19,7 @@ import numpy as np
 from . import bounds
 from .bounds import e_from_rule
 from .config import RawConfig, parse_config
-from .data import (
-    FederatedDataset,
-    csv_column_indices,
-    load_csv,
-    sorted_partition,
-    synth_regression,
-)
+from .data import csv_column_indices, load_csv, sorted_partition, synth_regression
 from .engine import (
     ClipSpec,
     FederationConfig,
@@ -128,15 +122,14 @@ def _emit(out_dir, name: str, text: str, report: list[str], quiet: bool) -> None
 
 @dataclass
 class Experiment:
-    """A federation config with its dataset, the dataset's padded store and constants."""
+    """A federation config with its dataset and problem constants."""
 
     config: FederationConfig
-    dataset: FederatedDataset
-    padded: PaddedShards
+    dataset: PaddedShards
     constants: ProblemConstants
 
 
-def _build_dataset(raw: RawConfig) -> FederatedDataset:
+def _build_dataset(raw: RawConfig) -> PaddedShards:
     d = raw.data
     n_clients = raw.federation["clients"]
     if d["kind"] == "synth":
@@ -192,21 +185,20 @@ def _mechanism_from(dp: dict) -> MechanismSpec:
     )
 
 
-def _build_data(raw: RawConfig) -> tuple[FederatedDataset, PaddedShards, ProblemConstants]:
-    """The dataset, its padded store and the problem constants before any pilot.
+def _build_data(raw: RawConfig) -> tuple[PaddedShards, ProblemConstants]:
+    """The dataset and the problem constants before any pilot.
 
-    None of them depends on a sweep axis, so a sweep builds them once.
+    Neither depends on a sweep axis, so a sweep builds them once.
     """
     dataset = _build_dataset(raw)
-    padded = PaddedShards.build(dataset.shards, dataset.pooled)
     fed = raw.federation
     constants = problem_constants(
-        padded, np.zeros(dataset.dim), fed["clip_threshold"], fed["clip_norm"]
+        dataset, np.zeros(dataset.dim), fed["clip_threshold"], fed["clip_norm"]
     )
-    return dataset, padded, constants
+    return dataset, constants
 
 
-def _configure(raw: RawConfig, dataset: FederatedDataset, padded: PaddedShards,
+def _configure(raw: RawConfig, dataset: PaddedShards,
                constants: ProblemConstants) -> Experiment:
     """Schedule, federation config and, under L1 clipping, the pilot's gradient bound."""
     fed = raw.federation
@@ -236,17 +228,17 @@ def _configure(raw: RawConfig, dataset: FederatedDataset, padded: PaddedShards,
     )
 
     if norm == "l1" and math.isfinite(zeta):
-        measured = pilot_gradient_bound(config, padded)
+        measured = pilot_gradient_bound(config, dataset)
         constants = dataclasses.replace(constants, g_bound=measured)
 
-    return Experiment(config=config, dataset=dataset, padded=padded, constants=constants)
+    return Experiment(config=config, dataset=dataset, constants=constants)
 
 
 def build_experiment(raw: RawConfig) -> Experiment:
-    """Assemble dataset, padded store, problem constants, schedule and federation config.
+    """Assemble dataset, problem constants, schedule and federation config.
 
-    The dataset is stacked into its padded store once; the constants, the
-    pilot and every run read that store. Under L1 clipping the gradient bound
+    The dataset is built once, as its ``PaddedShards`` store; the constants,
+    the pilot and every run read that store. Under L1 clipping the gradient bound
     is tightened from the clip threshold to the maximum clipped-gradient L2
     norm measured on a noise-free pilot run of the same shape. A decay
     schedule requires a non-singular pooled Hessian; the constant schedule
@@ -304,7 +296,7 @@ def run_repeats(exp: Experiment) -> list[RunResult]:
 
     Repeat r is bitwise the single run with seed seed+r.
     """
-    return run_federation(exp.config, exp.padded, exp.constants,
+    return run_federation(exp.config, exp.dataset, exp.constants,
                           repeats=exp.config.repeats).runs
 
 
@@ -524,7 +516,7 @@ class PlanReport:
 
 
 def _round0_context(exp: Experiment) -> NoiseContext:
-    return noise_context(exp.config, exp.padded, 0)
+    return noise_context(exp.config, exp.dataset, 0)
 
 
 def _classification(rate_exp: float) -> str:
@@ -631,8 +623,6 @@ def _simulate_noise_aggregates(
     cfg = exp.config
     ctx = _round0_context(exp)
     mech = cfg.mechanism
-    sizes = [s.n_l for s in exp.dataset.shards]
-    n = exp.dataset.n
     n_pools = cfg.n_clients // cfg.pool_size
     per_pool = draws // n_pools
     if per_pool < 1:
@@ -643,9 +633,9 @@ def _simulate_noise_aggregates(
     total = 0.0
     count = 0
     for t in range(n_pools):
-        weights = (cfg.n_clients / cfg.pool_size) * np.array(
-            [sizes[cid] / n for cid in select_pool(t, cfg.n_clients, cfg.pool_size)]
-        )
+        weights = (cfg.n_clients / cfg.pool_size) * exp.dataset.weights[
+            select_pool(t, cfg.n_clients, cfg.pool_size)
+        ]
         left = per_pool
         while left > 0:
             m = min(block, left)

@@ -47,40 +47,13 @@ class ClientShard:
 
     ``features`` is the design matrix actually used for fitting; if a bias
     column is wanted it must already be appended (dataset builders do this at
-    ingestion).
+    ingestion). A shard is checked when ``PaddedShards.build`` stacks it; the
+    shards of a store are row views of its pooled design.
     """
 
     client_id: int
     features: np.ndarray  # shape (n_l, d)
     targets: np.ndarray  # shape (n_l,)
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        targs = np.asarray(self.targets, dtype=float)
-        if feats.ndim != 2:
-            raise ConfigError("features must be a 2-D array")
-        if targs.ndim != 1 or feats.shape[0] != targs.shape[0]:
-            raise ConfigError("feature row count must equal target count")
-        if feats.shape[0] < 1:
-            raise ConfigError("a shard needs at least one sample")
-        _check_finite(feats, "features")
-        _check_finite(targs, "targets")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "targets", targs)
-
-    @classmethod
-    def _checked(cls, client_id: int, features: np.ndarray, targets: np.ndarray) -> "ClientShard":
-        """A shard of arrays the caller has already checked as ``__post_init__`` would.
-
-        ``features`` is a 2-D float array with at least one row and ``targets``
-        a 1-D float array of the same length, both finite: a dataset builder
-        checks its whole design once, not every shard again.
-        """
-        shard = object.__new__(cls)
-        object.__setattr__(shard, "client_id", client_id)
-        object.__setattr__(shard, "features", features)
-        object.__setattr__(shard, "targets", targets)
-        return shard
 
     @property
     def n_l(self) -> int:
@@ -253,17 +226,18 @@ def global_loss(theta: np.ndarray, shards: list[ClientShard]) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PaddedShards:
-    """A dataset's shards stacked once, in client-id order, for bulk computation.
+    """A federated dataset: N clients' shards, stacked once in client-id order.
 
     ``pooled_x``/``pooled_y`` are the shards concatenated: the pooled design.
     ``x``/``y`` hold client l's data in ``x[l]``/``y[l]``, zero-padded to the
     largest shard; zero rows add nothing to a residual, a gradient, a loss or
     a least-squares solution, so a pool is the slice of its id block. When
     every shard has the same size, ``x``/``y`` are views of the pooled arrays;
-    otherwise they take N * max(n_l) * p more floats. The pooled arrays are
-    the dataset builder's own when it passes them, else a concatenation of
-    the shards. n-bar-squared, the Gram matrix and the loss form are computed
-    on first use and kept.
+    otherwise they take N * max(n_l) * p more floats. The dataset builders
+    write their rows into one pooled design and return its store
+    (``from_pooled``); ``build`` stacks a list of shards into a new one.
+    n-bar-squared, the Gram matrix, the loss form and the ``shards`` views
+    are computed on first use and kept.
     """
 
     x: np.ndarray  # (N, n_max, p)
@@ -275,37 +249,60 @@ class PaddedShards:
     n: int
 
     @classmethod
-    def build(cls, shards: list[ClientShard],
-              pooled: tuple[np.ndarray, np.ndarray] | None = None) -> "PaddedShards":
-        """Stack shards whose client ids are exactly 0..N-1, in any order.
+    def from_pooled(cls, features, targets, sizes) -> "PaddedShards":
+        """The store of the shards that split a pooled design into consecutive row blocks.
 
-        ``pooled`` is the shards' pooled design when the caller holds it: the
-        (features, targets) arrays whose consecutive row slices, in client-id
-        order, the shards are (``FederatedDataset.pooled``). The store then
-        shares those arrays instead of concatenating the shards again.
+        Client l holds the ``sizes[l]`` rows of ``features``/``targets`` that
+        follow those of clients 0..l-1. The store keeps the pooled arrays
+        given, without copying them. This is where a dataset is checked: at
+        least one shard, at least one row in each, sizes summing to the row
+        count, 2-D features and 1-D targets with one row count, and every
+        value finite.
         """
-        if not shards:
+        pooled_x = np.asarray(features, dtype=float)
+        pooled_y = np.asarray(targets, dtype=float)
+        counts = np.asarray(sizes, dtype=int)
+        if not counts.size:
             raise ConfigError("dataset must contain at least one shard")
-        shards = sorted(shards, key=lambda s: s.client_id)
-        if [s.client_id for s in shards] != list(range(len(shards))):
-            raise ConfigError("shard client ids must be exactly 0..N-1")
-        if len({s.dim for s in shards}) != 1:
-            raise ConfigError("all shards must share one feature dimension")
-        counts = np.array([s.n_l for s in shards])
-        pooled_x, pooled_y = pooled_design(shards) if pooled is None else pooled
-        if pooled_y.shape[0] != counts.sum():
-            raise ConfigError("the pooled design does not hold the shards' rows")
-        shape = (len(shards), int(counts.max()))
+        if pooled_x.ndim != 2:
+            raise ConfigError("features must be a 2-D array")
+        if pooled_y.ndim != 1 or pooled_x.shape[0] != pooled_y.shape[0]:
+            raise ConfigError("feature row count must equal target count")
+        n = pooled_y.shape[0]
+        if counts.sum() != n:
+            raise ConfigError(f"shard sizes sum to {counts.sum()}, not to the {n} rows")
+        if counts.min() < 1:
+            raise ConfigError(
+                f"every shard needs at least one row: {counts.size} shards, {n} rows"
+            )
+        _check_finite(pooled_x, "features")
+        _check_finite(pooled_y, "targets")
+        shape = (counts.size, int(counts.max()))
         if (counts == shape[1]).all():
             x, y = pooled_x.reshape(*shape, -1), pooled_y.reshape(shape)
         else:
             rows = np.arange(shape[1]) < counts[:, None]
             x, y = np.zeros(shape + pooled_x.shape[1:]), np.zeros(shape)
             x[rows], y[rows] = pooled_x, pooled_y
-        n = pooled_y.shape[0]
         sizes = counts.astype(float)
         return cls(x=x, y=y, pooled_x=pooled_x, pooled_y=pooled_y, sizes=sizes,
                    weights=sizes / n, n=n)
+
+    @classmethod
+    def build(cls, shards: list[ClientShard]) -> "PaddedShards":
+        """Stack shards whose client ids are exactly 0..N-1, in any order, into a new store.
+
+        The shards' rows are copied into a new pooled design, which
+        ``from_pooled`` checks.
+        """
+        shards = sorted(shards, key=lambda s: s.client_id)
+        if [s.client_id for s in shards] != list(range(len(shards))):
+            raise ConfigError("shard client ids must be exactly 0..N-1")
+        if len({s.features.shape[1:] for s in shards}) > 1:
+            raise ConfigError("all shards must share one feature dimension")
+        # no shards make no design to concatenate; the constructor rejects them
+        pooled = pooled_design(shards) if shards else (np.empty((0, 0)), np.empty(0))
+        return cls.from_pooled(*pooled, [s.n_l for s in shards])
 
     @classmethod
     def of(cls, shards) -> "PaddedShards":
@@ -319,6 +316,17 @@ class PaddedShards:
     @property
     def dim(self) -> int:
         return self.x.shape[2]
+
+    @cached_property
+    def shards(self) -> list[ClientShard]:
+        """Every client's ``ClientShard``, in id order: row views of the pooled design.
+
+        The per-shard reference oracles (``mse_loss``, ``local_optimum``, ...)
+        read these.
+        """
+        stops = np.cumsum(self.sizes).astype(int).tolist()
+        return [ClientShard(cid, self.pooled_x[start:stop], self.pooled_y[start:stop])
+                for cid, (start, stop) in enumerate(zip([0] + stops[:-1], stops))]
 
     @cached_property
     def n_bar_sq(self) -> float:

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from dpfedsim import data as data_module
 from dpfedsim.data import (
-    FederatedDataset,
     csv_column_indices,
     load_csv,
     sorted_partition,
     synth_regression,
 )
-from dpfedsim.regression import ConfigError, PaddedShards, problem_constants
+from dpfedsim.regression import ClientShard, ConfigError, PaddedShards, problem_constants
 
 
 # ---------------------------------------------------------------------------
@@ -156,24 +155,60 @@ def test_sorted_partition_shards_are_views_of_one_design():
 
 
 def test_padded_store_shares_the_partition_design():
+    # the constructor keeps the pooled design it is given; restacking the shards copies it
+    x, y = np.arange(14.0).reshape(7, 2), np.arange(7.0)
+    store = PaddedShards.from_pooled(x, y, [3, 2, 2])
+    assert store.pooled_x is x and store.pooled_y is y
     ds = sorted_partition(np.arange(21.0).reshape(7, 3), 2, n_clients=3)
-    store = PaddedShards.build(ds.shards, ds.pooled)
-    assert store.pooled_x is ds.pooled[0] and store.pooled_y is ds.pooled[1]
     for shard in ds.shards:
-        assert np.shares_memory(store.pooled_x, shard.features)
-        assert np.shares_memory(store.pooled_y, shard.targets)
+        assert np.shares_memory(ds.pooled_x, shard.features)
+        assert np.shares_memory(ds.pooled_y, shard.targets)
     copied = PaddedShards.build(ds.shards)
-    assert not np.shares_memory(copied.pooled_x, ds.shards[0].features)
-    for name in ("x", "y", "pooled_x", "pooled_y", "sizes", "weights"):
-        assert np.array_equal(getattr(store, name), getattr(copied, name))
-    with pytest.raises(ConfigError, match="pooled design"):
-        PaddedShards.build(ds.shards[:2], (ds.pooled[0], ds.pooled[1]))
+    assert not np.shares_memory(copied.pooled_x, ds.pooled_x)
 
 
 def test_dataset_invariants_validated():
     ds = synth_regression(3, 4, 2, 0.2, 0.1, seed=0)
-    with pytest.raises(ConfigError):
-        FederatedDataset([ds.shards[0], ds.shards[0]])
+    with pytest.raises(ConfigError, match="client ids"):
+        PaddedShards.build([ds.shards[0], ds.shards[0]])
+    narrow = ClientShard(1, ds.shards[1].features[:, :2], ds.shards[1].targets)
+    with pytest.raises(ConfigError, match="one feature dimension"):
+        PaddedShards.build([ds.shards[0], narrow, ds.shards[2]])
+
+
+@pytest.mark.parametrize("ds", [
+    synth_regression(4, 5, 3, 0.5, 0.1, seed=2),
+    sorted_partition(np.random.default_rng(3).standard_normal((11, 3)), 1, n_clients=4),
+    sorted_partition(np.random.default_rng(4).standard_normal((9, 3)), 2, n_clients=3,
+                     add_bias=False),
+], ids=["synth", "ragged-partition", "partition-without-bias"])
+def test_builders_return_the_store_their_shards_build(ds):
+    rebuilt = PaddedShards.build(ds.shards)
+    for name in ("x", "y", "pooled_x", "pooled_y", "sizes", "weights"):
+        ours, theirs = getattr(ds, name), getattr(rebuilt, name)
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+    assert (ds.n, ds.n_bar_sq) == (rebuilt.n, rebuilt.n_bar_sq)
+    assert [s.client_id for s in ds.shards] == list(range(ds.n_clients))
+    for shard in ds.shards:
+        assert np.shares_memory(shard.features, ds.pooled_x)
+        assert np.shares_memory(shard.targets, ds.pooled_y)
+
+
+@pytest.mark.parametrize("features,targets,sizes,message", [
+    (np.ones((5, 2)), np.ones(4), [2, 2], "feature row count must equal target count"),
+    (np.ones(4), np.ones(4), [2, 2], "features must be a 2-D array"),
+    (np.ones((4, 2)), np.ones(4), [], "at least one shard"),
+    (np.ones((4, 2)), np.ones(4), [4, 0], "every shard needs at least one row"),
+    (np.ones((4, 2)), np.ones(4), [2, 1], "shard sizes sum to 3, not to the 4 rows"),
+    (np.ones((4, 2)), np.ones(4), [2, 3], "shard sizes sum to 5, not to the 4 rows"),
+    (np.array([[1.0, 2.0], [math.inf, 1.0]]), np.ones(2), [1, 1],
+     "features contains non-finite entries"),
+    (np.ones((2, 2)), np.array([1.0, math.nan]), [1, 1], "targets contains non-finite entries"),
+], ids=["row-counts", "features-1d", "no-shards", "empty-shard", "sizes-short",
+        "sizes-long", "nonfinite-feature", "nonfinite-target"])
+def test_store_constructor_rejects_each_broken_rule(features, targets, sizes, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        PaddedShards.from_pooled(features, targets, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -243,8 +243,8 @@ def test_sweep_rows_and_csv(tmp_path):
 
 def test_data_is_built_once_per_run_and_per_sweep(tmp_path, monkeypatch):
     builds, loads = [], []
-    build, load_csv = PaddedShards.build.__func__, harness.load_csv
-    monkeypatch.setattr(PaddedShards, "build",
+    build, load_csv = PaddedShards.from_pooled.__func__, harness.load_csv
+    monkeypatch.setattr(PaddedShards, "from_pooled",
                         classmethod(lambda cls, *a: builds.append(1) or build(cls, *a)))
     monkeypatch.setattr(harness, "load_csv", lambda *a, **k: loads.append(1) or load_csv(*a, **k))
     # L1 clipping runs the pilot; the constants, the pilot and three repeats share one store
