@@ -30,14 +30,15 @@ n_rows = 400
 X = rng.standard_normal((n_rows, 3))
 target = X @ np.array([1.5, -2.0, 0.5]) + 0.3 * rng.standard_normal(n_rows)
 
-csv_path = Path(tempfile.mkdtemp()) / "loans.csv"
-with open(csv_path, "w") as fh:
-    fh.write("amount,grade,years,rate\n")
-    for row, y in zip(X, target):
-        fh.write(",".join(f"{v:.6f}" for v in row) + f",{y:.6f}\n")
-    fh.write("oops,not,numeric,row\n")  # gets skipped with a warning
+with tempfile.TemporaryDirectory() as tmp:
+    csv_path = Path(tmp) / "loans.csv"
+    with open(csv_path, "w") as fh:
+        fh.write("amount,grade,years,rate\n")
+        for row, y in zip(X, target):
+            fh.write(",".join(f"{v:.6f}" for v in row) + f",{y:.6f}\n")
+        fh.write("oops,not,numeric,row\n")  # gets skipped with a warning
 
-train, holdout = load_csv(csv_path, target_column="rate", train_fraction=0.8, seed=0)
+    train, holdout = load_csv(csv_path, target_column="rate", train_fraction=0.8, seed=0)
 print(f"loaded {train.shape[0]} training and {holdout.shape[0]} holdout records")
 
 N = 8

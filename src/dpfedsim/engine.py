@@ -7,17 +7,21 @@ and aggregates the noisy parameters with size weights.
 
 An experiment's R repeats run as one block. A round's pool is a contiguous
 block of client ids, so each local step of every pool client in every repeat
-is one vectorised pass over an (R, b, max(n_l), p) block that reads the
-dataset's zero-padded store (``regression.PaddedShards``), built once and
-shared by every repeat: the number of numpy calls per step grows with neither
-the pool size nor the repeat count. Repeat r draws its (b, p) noise block from
-its own stream (seed + r, round); the start states of those streams are
-computed in bulk (``mechanisms.stream_states``) and one generator is reseeded
-to each in turn. Aggregation is one reduction per repeat in a fixed order,
-and the per-round metrics (the p x p pooled loss, y_k and the noise norm)
-take one dot product per repeat. A round therefore costs
-O(R * b * max(n_l) * p * E) for the steps plus O(R * p^2) for the metrics,
-and every repeat is bitwise the same whether it runs alone or in a block.
+is one vectorised gradient pass over the pool's slice of the dataset's store
+(``regression.PaddedShards``), built once and shared by every repeat: the
+number of numpy calls per step grows with neither the pool size nor the
+repeat count. When p <= max(n_l) the pass is one batched p x p matvec with
+each client's cached H_l = (2/n_l) X_l'X_l and h_l = (2/n_l) X_l'y_l (the Gram
+form); otherwise it reads the zero-padded (R, b, max(n_l), p) rows (the
+residual form). Repeat r draws its (b, p) noise block from its own stream
+(seed + r, round); the start states of those streams are computed in bulk
+(``mechanisms.stream_states``) and one generator is reseeded to each in turn.
+Aggregation is one reduction per repeat in a fixed order, and the per-round
+metrics (the p x p pooled loss, y_k and the noise norm) take one dot product
+per repeat. A round therefore costs O(R * b * p^2 * E) for the steps in Gram
+form and O(R * b * max(n_l) * p * E) in residual form, plus O(R * p^2) for
+the metrics, and every repeat is bitwise the same whether it runs alone or in
+a block.
 The L1 pilot that measures the gradient bound is the same round loop run
 noise-free with one repeat, watching every step's clipped gradients.
 """
@@ -356,22 +360,20 @@ def _local_steps(
     the limit keeps stepping with the others until the round ends, or until no
     repeat is left within it. ``on_grad`` is given, once the steps end, the
     (S, R, b, p) stack of the clipped gradients of the S steps taken.
+
+    The gradients come from ``data.pool_gradient``: in Gram form when
+    p <= max(n_l), from the store's per-client statistics, built by the first
+    round run on the store and kept for the pilot, every repeat and every
+    sweep point; in residual form otherwise, which builds nothing.
     """
-    x, y = data.x[pool], data.y[pool]
-    x_t = x.transpose(0, 2, 1)
-    scale = (2.0 / data.sizes[pool])[:, None]
+    gradient = data.pool_gradient(pool)
     # a repeat's theta broadcasts over the pool until the first step gives each client a row
     block = theta[:, None, :]
     ok = np.ones(len(theta), dtype=bool)
     k0 = t * config.local_iters
     grads = []
     for i in range(config.local_iters):
-        resid = np.matmul(x, block[..., None])[..., 0] - y
-        grad = clip_gradient(
-            scale * np.matmul(x_t, resid[..., None])[..., 0],
-            config.clip.zeta,
-            config.clip.norm,
-        )
+        grad = clip_gradient(gradient(block), config.clip.zeta, config.clip.norm)
         if on_grad is not None:
             grads.append(grad)
         block = block - config.schedule.rate(k0 + i) * grad

@@ -236,8 +236,12 @@ class PaddedShards:
     otherwise they take N * max(n_l) * p more floats. The dataset builders
     write their rows into one pooled design and return its store
     (``from_pooled``); ``build`` stacks a list of shards into a new one.
-    n-bar-squared, the Gram matrix, the loss form and the ``shards`` views
-    are computed on first use and kept.
+    n-bar-squared, the Gram matrix, the loss form, the ``shards`` views and
+    the per-client ``local_stats`` (H_l, h_l) of the Gram-form gradient are
+    computed on first use and kept. The local steps use ``local_stats`` only
+    when p <= max(n_l) (``pool_gradient``), so a store with shards shorter
+    than p never builds them, and a built one holds N * p^2 floats for H, no
+    more than ``x``.
     """
 
     x: np.ndarray  # (N, n_max, p)
@@ -337,6 +341,44 @@ class PaddedShards:
     def gram(self) -> np.ndarray:
         """X'X of the pooled design."""
         return self.pooled_x.T @ self.pooled_x
+
+    @cached_property
+    def local_stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every client's H_l = (2/n_l) X_l'X_l and h_l = (2/n_l) X_l'y_l: (N, p, p) and (N, p).
+
+        The MSE gradient of client l at theta is H_l theta - h_l; the zero
+        rows of the padded stack add exact zeros to both sums.
+        """
+        scale = (2.0 / self.sizes)[:, None]
+        x_t = self.x.transpose(0, 2, 1)
+        hess = np.matmul(x_t, self.x)
+        hess *= scale[:, :, None]
+        return hess, scale * np.matmul(x_t, self.y[..., None])[..., 0]
+
+    def pool_gradient(self, pool: slice):
+        """The MSE gradient map of the clients in ``pool``: (R, b, p) parameters to gradients.
+
+        Row i of a repeat's block holds the parameters of client
+        ``pool.start + i``; a (R, 1, p) block broadcasts over the pool. When
+        p <= max(n_l) each call is one batched p x p matvec with the cached
+        ``local_stats``, the pool's slice of a stack no larger than the
+        padded ``x``. Otherwise the per-client statistics would outgrow the
+        shards and cost more per step than the residual form
+        (2/n_l) X_l'(X_l theta - y_l), which reads ``x`` directly and never
+        builds them.
+        """
+        if self.dim <= self.x.shape[1]:
+            hess, lin = (stat[pool] for stat in self.local_stats)
+            return lambda block: np.matmul(hess, block[..., None])[..., 0] - lin
+        x, y = self.x[pool], self.y[pool]
+        x_t = x.transpose(0, 2, 1)
+        scale = (2.0 / self.sizes[pool])[:, None]
+
+        def residual_form(block: np.ndarray) -> np.ndarray:
+            resid = np.matmul(x, block[..., None])[..., 0] - y
+            return scale * np.matmul(x_t, resid[..., None])[..., 0]
+
+        return residual_form
 
     @cached_property
     def _loss_form(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:

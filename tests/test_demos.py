@@ -18,3 +18,4 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []  # and removes them before it exits

@@ -22,11 +22,13 @@ from dpfedsim.engine import (
     run_federation,
     schedule_offset,
 )
-from dpfedsim.harness import cmd_run
+from dpfedsim.config import parse_config
+from dpfedsim.harness import build_experiment, cmd_run, cmd_sweep, run_repeats
 from dpfedsim.mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
 from dpfedsim.regression import (
     ClientShard,
     ConfigError,
+    PaddedShards,
     clip_gradient,
     mse_gradient,
     pooled_design,
@@ -133,12 +135,43 @@ def assert_close(a, b):
     assert np.all(np.abs(a - b) <= REL_TOL * np.maximum(np.abs(a), np.abs(b)) + 1e-300)
 
 
-def ragged_shards(n_clients=6, rows=53, features=3, seed=0, offset=0.5):
-    # sorted_partition adds a bias column, which absorbs the target offset
+def ragged_shards(n_clients=6, rows=53, features=3, seed=0, offset=0.5, sizes=None):
+    """Shards of a noisy linear task with a bias column, which absorbs the target offset.
+
+    By default the sorted partition splits the rows as evenly as it can;
+    ``sizes`` gives every client's row count instead, in client-id order.
+    """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((rows, features))
     y = x @ rng.standard_normal(features) + offset + 0.1 * rng.standard_normal(rows)
-    return sorted_partition(np.column_stack([x, y]), -1, n_clients).shards
+    if sizes is None:
+        return sorted_partition(np.column_stack([x, y]), -1, n_clients).shards
+    return PaddedShards.from_pooled(np.column_stack([x, np.ones(rows)]), y, sizes).shards
+
+
+# the kernel takes a step in Gram form when p <= max(n_l) and in residual form
+# otherwise; the default ragged_shards (p = 4 over 8-9 rows) runs the Gram form
+SHAPES = {
+    "square": dict(features=8),  # p = max(n_l) = 9, and some shards have 8 rows
+    "short": dict(features=5, sizes=(3, 12, 4, 9, 12, 13)),  # some n_l < p = 6 < max(n_l)
+    "wide": dict(features=12, rows=40),  # p = 13 > max(n_l) = 7: the residual form
+}
+
+
+def shaped(cases):
+    """Each case on the default shards, keeping its id, then on every SHAPES shape.
+
+    A case is a tuple of the test's other arguments; the shape comes first,
+    None for the default shards.
+    """
+    ids = ["-".join(case) for case in cases]
+    return ([pytest.param(None, *case, id=i) for case, i in zip(cases, ids)]
+            + [pytest.param(shape, *case, id=f"{shape}-{i}")
+               for shape in SHAPES for case, i in zip(cases, ids)])
+
+
+def shards_of(shape, **kwargs):
+    return ragged_shards(**kwargs, **SHAPES.get(shape, {}))
 
 
 def decay_config(shards, norm, zeta, mechanism, E=3, b=3, T_g=8, seed=7):
@@ -158,13 +191,13 @@ MECHANISMS = {
 }
 
 
-@pytest.mark.parametrize("norm,mechanism", [
+@pytest.mark.parametrize("shape,norm,mechanism", shaped([
     ("l1", "laplace"), ("l2", "laplace"), ("l1", "gaussian"), ("l2", "gaussian"),
     ("l2", "none"),
-])
-def test_kernel_matches_per_client_reference(norm, mechanism):
-    shards = ragged_shards()
-    assert len({s.n_l for s in shards}) == 2  # padding is exercised
+]))
+def test_kernel_matches_per_client_reference(shape, norm, mechanism):
+    shards = shards_of(shape)
+    assert len({s.n_l for s in shards}) > 1  # padding is exercised
     zeta = 0.5
     cfg, pc = decay_config(shards, norm, zeta, MECHANISMS[mechanism])
     order = 1 if norm == "l1" else 2
@@ -208,9 +241,10 @@ def test_kernel_matches_reference_on_divergence():
     assert_close(res.theta, theta)
 
 
-@pytest.mark.parametrize("case", ["l1", "l2", "diverging", "noisy-seed-5"])
-def test_pilot_matches_per_client_reference(case):
-    shards = ragged_shards(seed=3)
+@pytest.mark.parametrize("shape,case", shaped([("l1",), ("l2",), ("diverging",),
+                                                ("noisy-seed-5",)]))
+def test_pilot_matches_per_client_reference(shape, case):
+    shards = shards_of(shape, seed=3)
     zeta = 0.5
     cfg, pc = decay_config(shards, "l2" if case == "l2" else "l1", zeta, MechanismSpec(),
                            T_g=10)
@@ -357,10 +391,11 @@ def _assert_same_run(got, want):
     assert got.diverged == want.diverged
 
 
-@pytest.mark.parametrize("norm", ["l1", "l2"])
-@pytest.mark.parametrize("mechanism", ["laplace", "gaussian", "none"])
-def test_batched_repeats_match_reference_runs(norm, mechanism):
-    shards = ragged_shards()
+@pytest.mark.parametrize("shape,mechanism,norm", shaped([
+    (mechanism, norm) for mechanism in ("gaussian", "laplace", "none") for norm in ("l1", "l2")
+]))
+def test_batched_repeats_match_reference_runs(shape, mechanism, norm):
+    shards = shards_of(shape)
     cfg, pc = decay_config(shards, norm, 0.5, MECHANISMS[mechanism])
     batch = run_federation(cfg, shards, constants=pc, repeats=4)
     assert len(batch.runs) == 4 and batch.diverged == 0
@@ -377,9 +412,14 @@ def test_batched_repeats_match_reference_runs(norm, mechanism):
         assert batch.runs[0].records[-1].noise_l2 != batch.runs[1].records[-1].noise_l2
 
 
-def assert_repeat_rows_equal_single_seed_runs(tmp_path, monkeypatch, seed):
+def rounds_task(repeats, features=3):
+    """ROUNDS_TASK with p = features + 1 over 8 rows per client: the residual form once p > 8."""
+    return ROUNDS_TASK.format(repeats=repeats).replace("features = 3", f"features = {features}")
+
+
+def assert_repeat_rows_equal_single_seed_runs(tmp_path, monkeypatch, seed, features=3):
     path = tmp_path / "task.cfg"
-    path.write_text(ROUNDS_TASK.format(repeats=4))
+    path.write_text(rounds_task(4, features))
     # the block computes its stream states one round at a time, each run
     # alone all ten rounds at once
     with monkeypatch.context() as m:
@@ -400,7 +440,39 @@ def assert_repeat_rows_equal_single_seed_runs(tmp_path, monkeypatch, seed):
 
 
 def test_repeat_rows_equal_their_single_seed_run_byte_for_byte(tmp_path, monkeypatch):
-    assert_repeat_rows_equal_single_seed_runs(tmp_path, monkeypatch, seed=3)
+    # one shape in Gram form (p = 4) and one in residual form (p = 10)
+    for features in (3, 9):
+        (tmp_path / str(features)).mkdir()
+        assert_repeat_rows_equal_single_seed_runs(tmp_path / str(features), monkeypatch,
+                                                  seed=3, features=features)
+
+
+@pytest.mark.parametrize("features,gram_form", [(3, True), (7, True), (9, False)])
+def test_gram_statistics_are_built_once_per_store_and_only_when_p_fits(
+        tmp_path, monkeypatch, features, gram_form):
+    built = []
+    stats = PaddedShards.__dict__["local_stats"]
+    build = stats.func
+    monkeypatch.setattr(stats, "func", lambda data: built.append(data) or build(data))
+    path = tmp_path / "task.cfg"
+    path.write_text(rounds_task(4, features) + "\n[sweep]\naxis = epsilon\nvalues = 1, 2\n")
+    exp = build_experiment(parse_config(path))  # runs the L1 pilot
+    assert exp.config.clip.norm == "l1"
+    data = exp.dataset
+    assert (data.dim <= data.x.shape[1]) == gram_form
+    assert built == ([data] if gram_form else [])
+    run_repeats(exp)
+    assert built == ([data] if gram_form else [])  # the repeats read the pilot's statistics
+    if gram_form:
+        hess, lin = data.local_stats
+        assert hess.shape == (data.n_clients, data.dim, data.dim)
+        assert lin.shape == (data.n_clients, data.dim)
+        assert hess.size <= data.x.size
+    else:
+        assert "local_stats" not in data.__dict__
+    # a sweep builds one store, whose statistics every grid point and its pilot share
+    cmd_sweep(path, tmp_path / "sweep", quiet=True)
+    assert len(built) == (2 if gram_form else 0)
 
 
 def test_repeat_rows_crossing_seed_2_pow_32_equal_their_single_seed_runs(tmp_path, monkeypatch):
