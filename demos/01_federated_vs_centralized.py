@@ -34,7 +34,7 @@ config = FederationConfig(
     schedule=schedule, clip=ClipSpec(25.0, "l2"),
 )
 
-result = run_federation(config, dataset, constants, record_trajectory=True)
+result = run_federation(config, dataset, constants, record_trajectory=True).runs[0]
 oracle = centralized_gd_oracle(dataset.shards, T, schedule, config.clip, config.theta_0)
 
 worst = max(float(np.max(np.abs(a - b))) for a, b in zip(result.trajectory, oracle))
@@ -52,5 +52,5 @@ config_pool = FederationConfig(
     n_clients=8, pool_size=4, local_iters=1, global_iters=T,
     schedule=schedule, clip=ClipSpec(25.0, "l2"),
 )
-pooled = run_federation(config_pool, dataset, constants)
+pooled = run_federation(config_pool, dataset, constants).runs[0]
 print(f"\nwith b=4 of 8 clients per round: final y = {pooled.records[-1].y_k:.2e}")

@@ -23,21 +23,20 @@ dataset = synth_regression(
     seed=3,
 )
 zeta = 8.0
-constants = problem_constants(dataset, np.zeros(dataset.dim), zeta, "l2")
+constants = problem_constants(dataset, np.zeros(dataset.dim), zeta)
 E, T_g = 4, 50
 schedule = Schedule.decay(constants.mu, schedule_offset(constants.lam, constants.mu, E))
 
 
 def averaged_run(mechanism, repeats=20):
-    trajectories = []
-    for r in range(repeats):
-        config = FederationConfig(
-            n_clients=50, pool_size=10, local_iters=E, global_iters=T_g,
-            schedule=schedule, clip=ClipSpec(zeta, "l2"), mechanism=mechanism, seed=r,
-        )
-        res = run_federation(config, dataset, constants)
-        trajectories.append([rec.y_k for rec in res.records])
-    bound = [rec.bound_y_k for rec in res.records]
+    # the runs with seeds 0 .. repeats-1, as one block
+    config = FederationConfig(
+        n_clients=50, pool_size=10, local_iters=E, global_iters=T_g,
+        schedule=schedule, clip=ClipSpec(zeta, "l2"), mechanism=mechanism, repeats=repeats,
+    )
+    runs = run_federation(config, dataset, constants).runs
+    trajectories = [[rec.y_k for rec in run.records] for run in runs]
+    bound = [rec.bound_y_k for rec in runs[0].records]
     return np.mean(trajectories, axis=0), bound
 
 

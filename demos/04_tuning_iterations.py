@@ -29,7 +29,7 @@ dataset = synth_regression(
     seed=0,
 )
 zeta = 0.3
-constants = problem_constants(dataset, np.zeros(dataset.dim), zeta, "l2")
+constants = problem_constants(dataset, np.zeros(dataset.dim), zeta)
 
 
 def final_loss(pool_size, local_iters, global_iters, epsilon):
@@ -41,16 +41,14 @@ def final_loss(pool_size, local_iters, global_iters, epsilon):
     schedule = Schedule.decay(
         constants.mu, schedule_offset(constants.lam, constants.mu, local_iters)
     )
-    losses = []
-    for r in range(REPEATS):
-        config = FederationConfig(
-            n_clients=20, pool_size=pool_size, local_iters=local_iters,
-            global_iters=global_iters, schedule=schedule, clip=ClipSpec(zeta, "l2"),
-            mechanism=mech, seed=r,
-        )
-        res = run_federation(config, dataset, constants)
-        losses.append(res.records[-1].global_loss)
-    return float(np.mean(losses))
+    # the runs with seeds 0 .. REPEATS-1, as one block
+    config = FederationConfig(
+        n_clients=20, pool_size=pool_size, local_iters=local_iters,
+        global_iters=global_iters, schedule=schedule, clip=ClipSpec(zeta, "l2"),
+        mechanism=mech, repeats=REPEATS,
+    )
+    runs = run_federation(config, dataset, constants).runs
+    return float(np.mean([run.records[-1].global_loss for run in runs]))
 
 
 print("sweep over T with E = 1 (Laplace, eps = 3 vs noise-free):")

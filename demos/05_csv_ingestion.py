@@ -53,13 +53,13 @@ random_ds = PaddedShards.build(
 gamma_random = problem_constants(random_ds, np.zeros(4), 10.0).gamma_noniid
 print(f"non-IID degree: sorted {gamma_sorted:.4f} vs random {gamma_random:.4f}")
 
-constants = problem_constants(by_rate, np.zeros(by_rate.dim), 10.0, "l2")
+constants = problem_constants(by_rate, np.zeros(by_rate.dim), 10.0)
 schedule = Schedule.decay(constants.mu, schedule_offset(constants.lam, constants.mu, 2))
 config = FederationConfig(
     n_clients=N, pool_size=4, local_iters=2, global_iters=40,
     schedule=schedule, clip=ClipSpec(10.0, "l2"),
 )
-result = run_federation(config, by_rate, constants)
+result = run_federation(config, by_rate, constants).runs[0]
 
 print("\ntraining on the sorted shards:")
 for rec in result.records[::8]:

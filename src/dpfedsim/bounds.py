@@ -90,29 +90,18 @@ def omega0(
     return 6.0 * lam * gamma_noniid + drift + sampling
 
 
-def c_mechanism(
-    spec: MechanismSpec,
-    p: int,
-    pool_size: int,
-    n_clients: int,
-    epsilon: float | None = None,
-    delta: float | None = None,
-    c2: float | None = None,
-) -> float:
+def c_mechanism(spec: MechanismSpec, p: int, pool_size: int, n_clients: int) -> float:
     """Mechanism constant of the noise term.
 
     Laplace: 8 p b xi1^2 / (N^2 eps^2). Gaussian: 8 p c2^2 log(1/delta) xi2^2
-    / (N eps^2). Zero for the noise-free benchmark. The keyword overrides
-    exist for bound-sensitivity studies.
+    / (N eps^2). Zero for the noise-free benchmark.
     """
     if spec.kind == "none":
         return 0.0
-    eps = spec.epsilon if epsilon is None else epsilon
+    eps = spec.epsilon
     if spec.kind == "laplace":
         return 8.0 * p * pool_size * spec.xi1**2 / (n_clients**2 * eps**2)
-    dlt = spec.delta if delta is None else delta
-    cc2 = spec.c2 if c2 is None else c2
-    return 8.0 * p * cc2**2 * math.log(1.0 / dlt) * spec.xi2**2 / (n_clients * eps**2)
+    return 8.0 * p * spec.c2**2 * math.log(1.0 / spec.delta) * spec.xi2**2 / (n_clients * eps**2)
 
 
 def bound_params(

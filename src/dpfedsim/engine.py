@@ -5,23 +5,24 @@ lets every pool client take E full-batch clipped gradient steps from the
 current server parameters, adds that client's calibrated noise to the result,
 and aggregates the noisy parameters with size weights.
 
-An experiment's R repeats run as one block. A round's pool is a contiguous
-block of client ids, so each local step of every pool client in every repeat
-is one vectorised gradient pass over the pool's slice of the dataset's store
-(``regression.PaddedShards``), built once and shared by every repeat: the
-number of numpy calls per step grows with neither the pool size nor the
-repeat count. When p <= max(n_l) the pass is one batched p x p matvec with
-each client's cached H_l = (2/n_l) X_l'X_l and h_l = (2/n_l) X_l'y_l (the Gram
-form); otherwise it reads the zero-padded (R, b, max(n_l), p) rows (the
-residual form). Repeat r draws its (b, p) noise block from its own stream
-(seed + r, round); the start states of those streams are computed in bulk
-(``mechanisms.stream_states``) and one generator is reseeded to each in turn.
-Aggregation is one reduction per repeat in a fixed order, and the per-round
-metrics (the p x p pooled loss, y_k and the noise norm) take one dot product
-per repeat. A round therefore costs O(R * b * p^2 * E) for the steps in Gram
-form and O(R * b * max(n_l) * p * E) in residual form, plus O(R * p^2) for
-the metrics, and every repeat is bitwise the same whether it runs alone or in
-a block.
+An experiment is ``config.repeats`` = R runs, with seeds seed + r, and
+``run_federation`` runs them as one block and returns them as ``Repeats``. A
+round's pool is a contiguous block of client ids, so each local step of every
+pool client in every repeat is one vectorised gradient pass over the pool's
+slice of the dataset's store (``regression.PaddedShards``), built once and
+shared by every repeat: the number of numpy calls per step grows with neither
+the pool size nor the repeat count. When p <= max(n_l) the pass is one
+batched p x p matvec with each client's cached H_l = (2/n_l) X_l'X_l and
+h_l = (2/n_l) X_l'y_l (the Gram form); otherwise it reads the zero-padded
+(R, b, max(n_l), p) rows (the residual form). Repeat r draws its (b, p) noise
+block from its own stream (seed + r, round); the start states of those
+streams are computed in bulk (``mechanisms.stream_states``) and one generator
+is reseeded to each in turn. Aggregation is one reduction per repeat in a
+fixed order, and the per-round metrics (the p x p pooled loss, y_k and the
+noise norm) take one dot product per repeat. A round therefore costs
+O(R * b * p^2 * E) for the steps in Gram form and O(R * b * max(n_l) * p * E)
+in residual form, plus O(R * p^2) for the metrics, and every repeat is
+bitwise the same whether it runs alone or in a block.
 The L1 pilot that measures the gradient bound is the same round loop run
 noise-free with one repeat, watching every step's clipped gradients.
 """
@@ -144,7 +145,8 @@ class FederationConfig:
 
     The pool size must divide the client count so the round-robin cycle
     closes, and b*T_g must be a multiple of N so each client participates an
-    exact integer number of rounds T_l = b*T_g/N.
+    exact integer number of rounds T_l = b*T_g/N. The experiment is the
+    ``repeats`` runs with seeds seed, seed + 1, ...
     """
 
     n_clients: int
@@ -156,7 +158,7 @@ class FederationConfig:
     mechanism: MechanismSpec = field(default_factory=MechanismSpec)
     theta_0: np.ndarray | None = None
     seed: int = 0
-    repeats: int = 20
+    repeats: int = 1
 
     def __post_init__(self):
         if self.n_clients < 1 or self.pool_size < 1:
@@ -321,14 +323,11 @@ def _aggregate_block(
     return (n_clients / pool_size) * np.add.reduce(weights[:, None] * block, axis=-2)
 
 
-def _stacked(shards, n_clients: int) -> PaddedShards:
-    """The padded store of a shard list, or the store itself, checked against the config."""
-    data = PaddedShards.of(shards)
+def _check_clients(data: PaddedShards, n_clients: int) -> None:
     if data.n_clients != n_clients:
         raise ConfigError(
             f"config expects {n_clients} shards, dataset has {data.n_clients}"
         )
-    return data
 
 
 def _initial_theta(config: FederationConfig, dim: int) -> np.ndarray:
@@ -540,54 +539,45 @@ def _run_block(
 
 def run_federation(
     config: FederationConfig,
-    shards: list[ClientShard] | PaddedShards,
+    data: PaddedShards,
     constants: ProblemConstants | None = None,
     record_trajectory: bool = False,
-    repeats: int | None = None,
-) -> RunResult | Repeats:
-    """Execute T_g rounds of noisy federated averaging.
+) -> Repeats:
+    """Execute T_g rounds of noisy federated averaging, ``config.repeats`` times.
 
-    ``shards`` is the shard list or, to skip stacking it again, its
-    ``PaddedShards`` store. ``constants`` (when given) supplies the optimum
-    for the y_k column and, together with a decay schedule, the per-round
-    convergence bound. The result is deterministic in (config, seed); a
-    divergent repeat returns the trajectory up to the last valid round with
-    ``diverged=True``.
-
-    By default this is the run with seed ``config.seed``. With ``repeats``
-    set, it is the ``Repeats`` of the runs with seeds config.seed + r for
-    r < repeats, computed as one block (in chunks that bound memory); run r
-    is bitwise the run ``repeats=None`` gives with seed config.seed + r.
+    ``data`` is the dataset's ``PaddedShards`` store. ``constants`` (when
+    given) supplies the optimum for the y_k column and, together with a decay
+    schedule, the per-round convergence bound. ``runs[r]`` of the result is
+    the run with seed config.seed + r, for r < config.repeats; the runs are
+    computed as one block (in chunks that bound memory), and each is bitwise
+    the run a one-repeat config with its seed gives. A divergent run keeps its
+    records up to the last valid round and has ``diverged=True``.
     """
-    data = _stacked(shards, config.n_clients)
-    if repeats is not None and repeats < 1:
-        raise ConfigError("repeats must be >= 1")
-    seeds = [config.seed + r for r in range(1 if repeats is None else repeats)]
+    _check_clients(data, config.n_clients)
+    seeds = [config.seed + r for r in range(config.repeats)]
     chunk = max(1, CHUNK_ELEMENTS // (config.pool_size * max(data.x.shape[1], data.dim)))
     runs = []
     for start in range(0, len(seeds), chunk):
         runs += _run_block(config, data, constants, seeds[start:start + chunk],
                            record_trajectory)
-    return runs[0] if repeats is None else Repeats(runs)
+    return Repeats(runs)
 
 
-def pilot_gradient_bound(
-    config: FederationConfig, shards: list[ClientShard] | PaddedShards
-) -> float:
+def pilot_gradient_bound(config: FederationConfig, data: PaddedShards) -> float:
     """Max clipped-gradient L2 norm over one noise-free run of the same shape.
 
     Used to turn the unobservable gradient bound into a concrete number when
     clipping is done in the L1 norm (under L2 clipping the threshold itself is
     the bound). The pilot is the round loop's noise-free, one-repeat case,
-    whatever mechanism and seed ``config`` names, and stops where that run
-    diverges: after a local step or an aggregate past PARAM_LIMIT. The pool's
-    clients step in lockstep, so the maximum covers every pool client's steps
-    up to and including the one that diverged. It bounds only the steps of
-    this noise-free pilot: noisy runs leave its trajectory, and their clipped
-    gradients can be far larger (up to the threshold, which is the only hard
-    bound on them). ``shards`` is the shard list or its ``PaddedShards`` store.
+    whatever mechanism, seed and repeat count ``config`` names, and stops
+    where that run diverges: after a local step or an aggregate past
+    PARAM_LIMIT. The pool's clients step in lockstep, so the maximum covers
+    every pool client's steps up to and including the one that diverged. It
+    bounds only the steps of this noise-free pilot: noisy runs leave its
+    trajectory, and their clipped gradients can be far larger (up to the
+    threshold, which is the only hard bound on them).
     """
-    data = _stacked(shards, config.n_clients)
+    _check_clients(data, config.n_clients)
     max_sq = 0.0
 
     def keep_max(steps: np.ndarray) -> None:

@@ -21,6 +21,7 @@ from .bounds import e_from_rule
 from .config import RawConfig, parse_config
 from .data import csv_column_indices, load_csv, sorted_partition, synth_regression
 from .engine import (
+    CHUNK_ELEMENTS,
     ClipSpec,
     FederationConfig,
     RunResult,
@@ -191,9 +192,8 @@ def _build_data(raw: RawConfig) -> tuple[PaddedShards, ProblemConstants]:
     Neither depends on a sweep axis, so a sweep builds them once.
     """
     dataset = _build_dataset(raw)
-    fed = raw.federation
     constants = problem_constants(
-        dataset, np.zeros(dataset.dim), fed["clip_threshold"], fed["clip_norm"]
+        dataset, np.zeros(dataset.dim), raw.federation["clip_threshold"]
     )
     return dataset, constants
 
@@ -296,8 +296,7 @@ def run_repeats(exp: Experiment) -> list[RunResult]:
 
     Repeat r is bitwise the single run with seed seed+r.
     """
-    return run_federation(exp.config, exp.dataset, exp.constants,
-                          repeats=exp.config.repeats).runs
+    return run_federation(exp.config, exp.dataset, exp.constants).runs
 
 
 def _summarize(results: list[RunResult], echo: dict) -> RunSummary:
@@ -628,8 +627,8 @@ def _simulate_noise_aggregates(
     if per_pool < 1:
         raise ConfigError("draws must be at least the number of round-robin pools")
 
-    # cap the work array at ~4e6 elements per block
-    block = max(1, min(per_pool, 4_000_000 // (cfg.pool_size * ctx.p)))
+    # cap the work array at CHUNK_ELEMENTS per block
+    block = max(1, min(per_pool, CHUNK_ELEMENTS // (cfg.pool_size * ctx.p)))
     total = 0.0
     count = 0
     for t in range(n_pools):

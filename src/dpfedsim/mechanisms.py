@@ -51,15 +51,14 @@ class MechanismSpec:
     ``kind="none"`` is the noise-free benchmark and is tied to an infinite
     epsilon. Laplace needs the per-step L1 sensitivity ``xi1``; Gaussian needs
     ``delta`` in (0,1), the calibration constant ``c2`` and the per-step L2
-    bound ``xi2``. The per-client sampling probability ``q`` is 1.0 for
-    full-batch local iterations.
+    bound ``xi2``. Local iterations are full-batch, so the calibration's
+    per-client sampling probability q is 1.
     """
 
     kind: str = "none"
     epsilon: float = math.inf
     delta: float | None = None
     c2: float = 1.0
-    q: float = 1.0
     xi1: float | None = None
     xi2: float | None = None
 
@@ -146,14 +145,14 @@ def laplace_scale(ctx: NoiseContext, spec: MechanismSpec) -> float:
 
 
 def gaussian_sigma(ctx: NoiseContext, spec: MechanismSpec) -> float:
-    """Noise multiplier c2 * q * sqrt(T_l * log(1/delta)) / epsilon.
+    """Noise multiplier c2 * sqrt(T_l * log(1/delta)) / epsilon (sampling probability q = 1).
 
     The per-coordinate standard deviation of the released noise is
     sigma * Xi2.
     """
     if spec.kind != "gaussian":
         raise ConfigError("gaussian_sigma needs a gaussian mechanism spec")
-    return spec.c2 * spec.q * math.sqrt(ctx.T_l * math.log(1.0 / spec.delta)) / spec.epsilon
+    return spec.c2 * math.sqrt(ctx.T_l * math.log(1.0 / spec.delta)) / spec.epsilon
 
 
 def noise_stream(seed: int, t: int) -> np.random.Generator:
@@ -322,16 +321,17 @@ def asymptotic_z(kind: str) -> float:
 
 
 def epsilon_regime_warning(spec: MechanismSpec, ctx: NoiseContext) -> str | None:
-    """Warn when the Gaussian budget looks large relative to q^2 * T_l.
+    """Warn when the Gaussian budget looks large relative to q^2 * T_l = T_l.
 
     The calibration is only stated for epsilon below an (unnumbered) constant
     times q^2 * T_l; the constraint cannot be enforced without that constant,
-    so it is surfaced as a warning at the only checkable scale.
+    so it is surfaced as a warning at the only checkable scale. Local
+    iterations are full-batch, so the sampling probability q is 1.
     """
-    if spec.kind == "gaussian" and spec.epsilon >= spec.q**2 * ctx.T_l:
+    if spec.kind == "gaussian" and spec.epsilon >= ctx.T_l:
         return (
             f"epsilon={spec.epsilon:g} is not small relative to q^2*T_l="
-            f"{spec.q ** 2 * ctx.T_l:g}; the gaussian calibration constant regime may not apply"
+            f"{ctx.T_l:g}; the gaussian calibration constant regime may not apply"
         )
     return None
 

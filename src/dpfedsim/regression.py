@@ -308,11 +308,6 @@ class PaddedShards:
         pooled = pooled_design(shards) if shards else (np.empty((0, 0)), np.empty(0))
         return cls.from_pooled(*pooled, [s.n_l for s in shards])
 
-    @classmethod
-    def of(cls, shards) -> "PaddedShards":
-        """``shards`` itself if it is a store already, else the store built from the list."""
-        return shards if isinstance(shards, cls) else cls.build(shards)
-
     @property
     def n_clients(self) -> int:
         return self.x.shape[0]
@@ -448,33 +443,24 @@ def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
     return resid_sq / data.sizes
 
 
-def problem_constants(
-    shards: list[ClientShard] | PaddedShards,
-    theta_0: np.ndarray,
-    zeta: float,
-    norm_kind: str = "l2",
-    g_bound: float | None = None,
-) -> ProblemConstants:
+def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> ProblemConstants:
     """Compute curvature, heterogeneity and distance constants for a dataset.
 
-    ``shards`` is the shard list or its ``PaddedShards`` store; the pooled
-    design, its Gram matrix and the per-shard optima are read from the store.
-    mu and lambda are the extreme eigenvalues of the pooled Hessian
-    (2/n) X^T X. gamma_noniid = f* - sum_l (n_l/n) f_l* (clamped at 0 against
-    rounding). The gradient bound defaults to the clip threshold ``zeta``
-    (exact under L2 clipping, conservative under L1 since ||.||2 <= ||.||1);
-    pass ``g_bound`` to override it, e.g. with a measured pilot-run maximum.
+    The pooled design, its Gram matrix and the per-shard optima are read from
+    the ``PaddedShards`` store ``data``. mu and lambda are the extreme
+    eigenvalues of the pooled Hessian (2/n) X^T X. gamma_noniid =
+    f* - sum_l (n_l/n) f_l* (clamped at 0 against rounding). The gradient
+    bound is the clip threshold ``zeta``: exact under L2 clipping,
+    conservative under L1 since ||.||2 <= ||.||1. A tighter bound, such as a
+    measured pilot-run maximum, goes in with ``dataclasses.replace``.
 
     A singular pooled Hessian (mu <= 0 numerically) is reported via
     ``assumptions_ok=False`` with mu forced to 0; simulation may proceed but
     bound computation is disabled.
     """
-    if norm_kind not in CLIP_NORMS:
-        raise ConfigError(f"unknown norm kind {norm_kind!r}")
     if not zeta > 0:
         raise ConfigError("clip threshold zeta must be > 0")
 
-    data = PaddedShards.of(shards)
     n = data.n
     theta_0 = np.asarray(theta_0, dtype=float)
     if theta_0.shape != (data.dim,):
@@ -490,14 +476,11 @@ def problem_constants(
     weighted_local = float(data.weights @ _local_optimum_losses(data))
     gamma_noniid = max(0.0, f_star - weighted_local)
 
-    if g_bound is None:
-        g_bound = zeta
-
     diff = theta_0 - theta_star
     return ProblemConstants(
         mu=mu if assumptions_ok else 0.0,
         lam=lam,
-        g_bound=float(g_bound),
+        g_bound=float(zeta),
         gamma_noniid=gamma_noniid,
         f_star=f_star,
         theta_star=theta_star,

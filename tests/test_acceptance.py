@@ -146,8 +146,8 @@ noise_std = 0.1
 
 def test_criterion_3_centralized_equivalence(tmp_path):
     exp = build_experiment(parse_config(write(tmp_path, "oracle.cfg", ORACLE_TASK)))
-    res = run_federation(exp.config, exp.dataset.shards, exp.constants,
-                         record_trajectory=True)
+    [res] = run_federation(exp.config, exp.dataset, exp.constants,
+                           record_trajectory=True).runs
     traj = centralized_gd_oracle(
         exp.dataset.shards, 200, exp.config.schedule, exp.config.clip,
         exp.config.theta_0,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -72,8 +73,8 @@ def test_c_mechanism_gaussian_direct_substitution():
 
 
 def test_c_mechanism_inverse_square_epsilon():
-    a = c_mechanism(LAPLACE, 3, 2, 4, epsilon=1.0)
-    b = c_mechanism(LAPLACE, 3, 2, 4, epsilon=2.0)
+    a = c_mechanism(dataclasses.replace(LAPLACE, epsilon=1.0), 3, 2, 4)
+    b = c_mechanism(dataclasses.replace(LAPLACE, epsilon=2.0), 3, 2, 4)
     assert a == pytest.approx(4 * b)
 
 

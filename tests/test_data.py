@@ -27,7 +27,7 @@ from dpfedsim.regression import ClientShard, ConfigError, PaddedShards, problem_
 def test_synth_iid_noise_free_is_exactly_realizable():
     ds = synth_regression(n_clients=5, n_per_client=10, n_features=3,
                           heterogeneity=0.0, noise_std=0.0, seed=0)
-    pc = problem_constants(ds.shards, np.zeros(ds.dim), zeta=10.0)
+    pc = problem_constants(ds, np.zeros(ds.dim), zeta=10.0)
     assert pc.f_star <= 1e-20
     assert pc.gamma_noniid <= 1e-20
 
@@ -36,8 +36,8 @@ def test_synth_heterogeneity_increases_gamma():
     kwargs = dict(n_clients=6, n_per_client=15, n_features=3, noise_std=0.1, seed=7)
     ds0 = synth_regression(heterogeneity=0.0, **kwargs)
     ds1 = synth_regression(heterogeneity=1.0, **kwargs)
-    g0 = problem_constants(ds0.shards, np.zeros(ds0.dim), 10.0).gamma_noniid
-    g1 = problem_constants(ds1.shards, np.zeros(ds1.dim), 10.0).gamma_noniid
+    g0 = problem_constants(ds0, np.zeros(ds0.dim), 10.0).gamma_noniid
+    g1 = problem_constants(ds1, np.zeros(ds1.dim), 10.0).gamma_noniid
     assert g1 > g0
 
 
@@ -119,7 +119,7 @@ def test_sorted_partition_more_heterogeneous_than_random():
     y = X @ np.array([2.0, -1.0]) + 0.2 * rng.standard_normal(120)
     records = np.column_stack([X, y])
     sorted_ds = sorted_partition(records, sort_key_index=2, n_clients=6)
-    g_sorted = problem_constants(sorted_ds.shards, np.zeros(3), 10.0).gamma_noniid
+    g_sorted = problem_constants(sorted_ds, np.zeros(3), 10.0).gamma_noniid
     from dpfedsim.data import _with_bias
     from dpfedsim.regression import ClientShard
 
@@ -132,7 +132,7 @@ def test_sorted_partition_more_heterogeneous_than_random():
             ClientShard(i, _with_bias(c[:, :-1], True), c[:, -1])
             for i, c in enumerate(chunks)
         ]
-        g_random = problem_constants(shards, np.zeros(3), 10.0).gamma_noniid
+        g_random = problem_constants(PaddedShards.build(shards), np.zeros(3), 10.0).gamma_noniid
         assert g_sorted >= g_random
 
 

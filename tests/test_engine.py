@@ -20,6 +20,7 @@ from dpfedsim.mechanisms import MechanismSpec, sensitivity_l1, sensitivity_l2, N
 from dpfedsim.regression import (
     ClientShard,
     ConfigError,
+    PaddedShards,
     clip_gradient,
     local_optimum,
     mse_gradient,
@@ -38,8 +39,8 @@ def make_shards(rng, n_clients, n_per=10, d=3, spread=0.5):
     return shards
 
 
-def decay_schedule_for(shards, local_iters, zeta=50.0, norm="l2"):
-    pc = problem_constants(shards, np.zeros(shards[0].dim), zeta, norm)
+def decay_schedule_for(shards, local_iters, zeta=50.0):
+    pc = problem_constants(PaddedShards.build(shards), np.zeros(shards[0].dim), zeta)
     gamma = schedule_offset(pc.lam, pc.mu, local_iters)
     return Schedule.decay(pc.mu, gamma), pc
 
@@ -239,7 +240,7 @@ def test_round_update_within_l1_sensitivity():
     N, E = 3, 5
     zeta = 0.7
     shards = make_shards(rng, N, n_per=6, d=4, spread=3.0)
-    sched, _ = decay_schedule_for(shards, E, zeta=zeta, norm="l1")
+    sched, _ = decay_schedule_for(shards, E, zeta=zeta)
     for t in range(4):
         eta_tilde = sched.rate(t * E)
         ctx = NoiseContext(p=4, eta_tilde=eta_tilde, E=E, T_l=4, T_g=4, b=N, N=N,
@@ -257,7 +258,7 @@ def test_round_update_within_l2_sensitivity():
     N, E = 3, 4
     zeta = 0.9
     shards = make_shards(rng, N, n_per=6, d=3, spread=3.0)
-    sched, _ = decay_schedule_for(shards, E, zeta=zeta, norm="l2")
+    sched, _ = decay_schedule_for(shards, E, zeta=zeta)
     for t in range(4):
         eta_tilde = sched.rate(t * E)
         ctx = NoiseContext(p=3, eta_tilde=eta_tilde, E=E, T_l=4, T_g=4, b=N, N=N,
@@ -277,7 +278,7 @@ def test_round_update_within_l2_sensitivity():
 def base_config(shards, E=1, T_g=40, b=None, mechanism=None, seed=0, zeta=50.0, norm="l2"):
     N = len(shards)
     b = N if b is None else b
-    sched, pc = decay_schedule_for(shards, E, zeta=zeta, norm=norm)
+    sched, pc = decay_schedule_for(shards, E, zeta=zeta)
     cfg = FederationConfig(
         n_clients=N,
         pool_size=b,
@@ -295,7 +296,8 @@ def test_full_pool_single_step_matches_plain_gradient_descent():
     rng = np.random.default_rng(8)
     shards = make_shards(rng, 4, n_per=12, d=3)
     cfg, pc = base_config(shards, E=1, T_g=200)
-    res = run_federation(cfg, shards, constants=pc, record_trajectory=True)
+    [res] = run_federation(cfg, PaddedShards.build(shards), constants=pc,
+                           record_trajectory=True).runs
     sizes = [s.n_l for s in shards]
     n = sum(sizes)
     theta = np.zeros(3)
@@ -314,7 +316,7 @@ def test_noise_free_run_converges():
     rng = np.random.default_rng(9)
     shards = make_shards(rng, 8, n_per=10, d=3, spread=0.3)
     cfg, pc = base_config(shards, E=2, T_g=100, b=4)
-    res = run_federation(cfg, shards, constants=pc)
+    [res] = run_federation(cfg, PaddedShards.build(shards), constants=pc).runs
     losses = [r.global_loss for r in res.records]
     # compare at round-robin cycle boundaries: alternating pools make the raw
     # per-round sequence oscillate at the 1e-5 level on non-IID data
@@ -331,8 +333,9 @@ def test_noise_raises_final_loss():
     mech = MechanismSpec(kind="laplace", epsilon=0.5, xi1=20.0)
     cfg_free, pc = base_config(shards, E=2, T_g=30, b=3, zeta=20.0)
     cfg_noisy, _ = base_config(shards, E=2, T_g=30, b=3, mechanism=mech, zeta=20.0)
-    free = run_federation(cfg_free, shards, constants=pc)
-    noisy = run_federation(cfg_noisy, shards, constants=pc)
+    data = PaddedShards.build(shards)
+    [free] = run_federation(cfg_free, data, constants=pc).runs
+    [noisy] = run_federation(cfg_noisy, data, constants=pc).runs
     assert free.records[-1].global_loss < noisy.records[-1].global_loss
 
 
@@ -341,7 +344,7 @@ def test_records_have_expected_indices_and_noise_norms():
     shards = make_shards(rng, 4, n_per=8, d=2)
     mech = MechanismSpec(kind="gaussian", epsilon=2.0, delta=1e-4, xi2=30.0)
     cfg, pc = base_config(shards, E=3, T_g=8, b=2, mechanism=mech, zeta=30.0)
-    res = run_federation(cfg, shards, constants=pc)
+    [res] = run_federation(cfg, PaddedShards.build(shards), constants=pc).runs
     assert [r.t for r in res.records] == list(range(8))
     assert [r.k for r in res.records] == [3 * (t + 1) for t in range(8)]
     assert all(r.noise_l2 > 0 for r in res.records)
@@ -352,7 +355,7 @@ def test_noise_free_records_zero_noise_and_defined_bound():
     rng = np.random.default_rng(12)
     shards = make_shards(rng, 4, n_per=8, d=2)
     cfg, pc = base_config(shards, E=1, T_g=12, b=2)
-    res = run_federation(cfg, shards, constants=pc)
+    [res] = run_federation(cfg, PaddedShards.build(shards), constants=pc).runs
     assert all(r.noise_l2 == 0.0 for r in res.records)
     assert all(math.isfinite(r.bound_y_k) for r in res.records)
 
@@ -362,8 +365,9 @@ def test_noise_free_trajectory_ignores_seed():
     shards = make_shards(rng, 4, n_per=8, d=2)
     cfg_a, pc = base_config(shards, E=2, T_g=10, b=2, seed=0)
     cfg_b = dataclasses.replace(cfg_a, seed=123456)
-    res_a = run_federation(cfg_a, shards, constants=pc)
-    res_b = run_federation(cfg_b, shards, constants=pc)
+    data = PaddedShards.build(shards)
+    [res_a] = run_federation(cfg_a, data, constants=pc).runs
+    [res_b] = run_federation(cfg_b, data, constants=pc).runs
     assert res_a.records == res_b.records
 
 
@@ -375,7 +379,7 @@ def test_divergence_returns_partial_trajectory():
         n_clients=2, pool_size=2, local_iters=2, global_iters=50,
         schedule=Schedule.constant(50.0), clip=ClipSpec(1e30, "l2"),
     )
-    res = run_federation(cfg, shards)
+    [res] = run_federation(cfg, PaddedShards.build(shards)).runs
     assert res.diverged
     assert len(res.records) < 50
 
@@ -397,7 +401,7 @@ def test_config_validation():
 def test_pilot_gradient_bound_below_l1_threshold():
     rng = np.random.default_rng(16)
     shards = make_shards(rng, 4, n_per=8, d=3, spread=2.0)
-    sched, _ = decay_schedule_for(shards, 2, zeta=0.5, norm="l1")
+    sched, _ = decay_schedule_for(shards, 2, zeta=0.5)
     cfg = FederationConfig(4, 2, 2, 8, sched, ClipSpec(0.5, "l1"))
-    g = pilot_gradient_bound(cfg, shards)
+    g = pilot_gradient_bound(cfg, PaddedShards.build(shards))
     assert 0 < g <= 0.5  # L2 norm of an L1-clipped vector is below the threshold

@@ -513,9 +513,9 @@ def test_oracle_monotone_loss_under_small_rate():
         ClientShard(i, rng.standard_normal((10, 2)), rng.standard_normal(10))
         for i in range(3)
     ]
-    from dpfedsim.regression import global_loss, problem_constants
+    from dpfedsim.regression import PaddedShards, global_loss, problem_constants
 
-    pc = problem_constants(shards, np.zeros(2), zeta=1e9)
+    pc = problem_constants(PaddedShards.build(shards), np.zeros(2), zeta=1e9)
     traj = centralized_gd_oracle(
         shards, 50, Schedule.constant(0.5 / pc.lam), ClipSpec(1e9, "l2")
     )
@@ -535,8 +535,8 @@ def test_oracle_matches_engine_special_case(tmp_path):
             )
         )
     )
-    res = run_federation(exp.config, exp.dataset.shards, exp.constants,
-                         record_trajectory=True)
+    res = run_federation(exp.config, exp.dataset, exp.constants,
+                         record_trajectory=True).runs[0]
     traj = centralized_gd_oracle(
         exp.dataset.shards, exp.config.global_iters, exp.config.schedule,
         exp.config.clip, exp.config.theta_0,

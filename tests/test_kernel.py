@@ -136,7 +136,7 @@ def assert_close(a, b):
 
 
 def ragged_shards(n_clients=6, rows=53, features=3, seed=0, offset=0.5, sizes=None):
-    """Shards of a noisy linear task with a bias column, which absorbs the target offset.
+    """The store of a noisy linear task with a bias column, which absorbs the target offset.
 
     By default the sorted partition splits the rows as evenly as it can;
     ``sizes`` gives every client's row count instead, in client-id order.
@@ -145,8 +145,8 @@ def ragged_shards(n_clients=6, rows=53, features=3, seed=0, offset=0.5, sizes=No
     x = rng.standard_normal((rows, features))
     y = x @ rng.standard_normal(features) + offset + 0.1 * rng.standard_normal(rows)
     if sizes is None:
-        return sorted_partition(np.column_stack([x, y]), -1, n_clients).shards
-    return PaddedShards.from_pooled(np.column_stack([x, np.ones(rows)]), y, sizes).shards
+        return sorted_partition(np.column_stack([x, y]), -1, n_clients)
+    return PaddedShards.from_pooled(np.column_stack([x, np.ones(rows)]), y, sizes)
 
 
 # the kernel takes a step in Gram form when p <= max(n_l) and in residual form
@@ -174,11 +174,11 @@ def shards_of(shape, **kwargs):
     return ragged_shards(**kwargs, **SHAPES.get(shape, {}))
 
 
-def decay_config(shards, norm, zeta, mechanism, E=3, b=3, T_g=8, seed=7):
-    pc = problem_constants(shards, np.zeros(shards[0].dim), zeta, norm)
+def decay_config(data, norm, zeta, mechanism, E=3, b=3, T_g=8, seed=7):
+    pc = problem_constants(data, np.zeros(data.dim), zeta)
     schedule = Schedule.decay(pc.mu, schedule_offset(pc.lam, pc.mu, E))
     cfg = FederationConfig(
-        n_clients=len(shards), pool_size=b, local_iters=E, global_iters=T_g,
+        n_clients=data.n_clients, pool_size=b, local_iters=E, global_iters=T_g,
         schedule=schedule, clip=ClipSpec(zeta, norm), mechanism=mechanism, seed=seed,
     )
     return cfg, pc
@@ -196,15 +196,15 @@ MECHANISMS = {
     ("l2", "none"),
 ]))
 def test_kernel_matches_per_client_reference(shape, norm, mechanism):
-    shards = shards_of(shape)
-    assert len({s.n_l for s in shards}) > 1  # padding is exercised
+    data = shards_of(shape)
+    assert len({s.n_l for s in data.shards}) > 1  # padding is exercised
     zeta = 0.5
-    cfg, pc = decay_config(shards, norm, zeta, MECHANISMS[mechanism])
+    cfg, pc = decay_config(data, norm, zeta, MECHANISMS[mechanism])
     order = 1 if norm == "l1" else 2
     assert any(np.linalg.norm(mse_gradient(np.zeros(s.dim), s), order) > zeta
-               for s in shards)  # clipping is active
-    res = run_federation(cfg, shards, constants=pc)
-    records, theta, diverged = reference_run(cfg, shards, constants=pc)
+               for s in data.shards)  # clipping is active
+    [res] = run_federation(cfg, data, constants=pc).runs
+    records, theta, diverged = reference_run(cfg, data.shards, constants=pc)
     assert not res.diverged and not diverged
     assert len(res.records) == len(records) == cfg.global_iters
     for got, want in zip(res.records, records):
@@ -215,10 +215,10 @@ def test_kernel_matches_per_client_reference(shape, norm, mechanism):
 
 
 def test_kernel_matches_reference_without_constants_and_full_pool():
-    shards = ragged_shards(n_clients=4, rows=30, seed=1)
-    cfg, _ = decay_config(shards, "l2", 0.3, MECHANISMS["gaussian"], E=2, b=4, T_g=5)
-    res = run_federation(cfg, shards)
-    records, theta, _ = reference_run(cfg, shards)
+    data = ragged_shards(n_clients=4, rows=30, seed=1)
+    cfg, _ = decay_config(data, "l2", 0.3, MECHANISMS["gaussian"], E=2, b=4, T_g=5)
+    [res] = run_federation(cfg, data).runs
+    records, theta, _ = reference_run(cfg, data.shards)
     assert all(math.isnan(r.y_k) and math.isnan(r.bound_y_k) for r in res.records)
     for got, want in zip(res.records, records):
         assert_close(dataclasses.astuple(got), dataclasses.astuple(want))
@@ -226,14 +226,14 @@ def test_kernel_matches_reference_without_constants_and_full_pool():
 
 
 def test_kernel_matches_reference_on_divergence():
-    shards = ragged_shards(n_clients=4, rows=26, seed=2)
+    data = ragged_shards(n_clients=4, rows=26, seed=2)
     cfg = FederationConfig(
         n_clients=4, pool_size=2, local_iters=2, global_iters=50,
         schedule=Schedule.constant(50.0), clip=ClipSpec(1e30, "l2"),
         mechanism=MECHANISMS["laplace"], seed=3,
     )
-    res = run_federation(cfg, shards)
-    records, theta, diverged = reference_run(cfg, shards)
+    [res] = run_federation(cfg, data).runs
+    records, theta, diverged = reference_run(cfg, data.shards)
     assert res.diverged and diverged
     assert len(res.records) == len(records) < 50
     for got, want in zip(res.records, records):
@@ -244,9 +244,9 @@ def test_kernel_matches_reference_on_divergence():
 @pytest.mark.parametrize("shape,case", shaped([("l1",), ("l2",), ("diverging",),
                                                 ("noisy-seed-5",)]))
 def test_pilot_matches_per_client_reference(shape, case):
-    shards = shards_of(shape, seed=3)
+    data = shards_of(shape, seed=3)
     zeta = 0.5
-    cfg, pc = decay_config(shards, "l2" if case == "l2" else "l1", zeta, MechanismSpec(),
+    cfg, pc = decay_config(data, "l2" if case == "l2" else "l1", zeta, MechanismSpec(),
                            T_g=10)
     if case == "diverging":
         # an unstable constant rate with clipping out of reach: the gradient
@@ -254,20 +254,20 @@ def test_pilot_matches_per_client_reference(shape, case):
         zeta = 1e30
         cfg = dataclasses.replace(cfg, schedule=Schedule.constant(1.5 * 2 / pc.lam),
                                   clip=ClipSpec(zeta, "l1"))
-        assert run_federation(cfg, shards).diverged
+        assert run_federation(cfg, data).diverged
     elif case == "noisy-seed-5":
         cfg = dataclasses.replace(cfg, mechanism=MECHANISMS["laplace"], seed=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = pilot_gradient_bound(cfg, shards)
+        got = pilot_gradient_bound(cfg, data)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = reference_pilot(cfg, shards)
+        want = reference_pilot(cfg, data.shards)
     assert 0 < got <= zeta
     assert abs(got - want) <= REL_TOL * want
     if case == "noisy-seed-5":
         # the pilot is noise-free whatever the config's mechanism and seed
         free = pilot_gradient_bound(
-            dataclasses.replace(cfg, mechanism=MechanismSpec(), seed=0), shards)
+            dataclasses.replace(cfg, mechanism=MechanismSpec(), seed=0), data)
         assert got.hex() == free.hex()
 
 
@@ -275,8 +275,8 @@ def test_pilot_matches_per_client_reference(shape, case):
 def test_pooled_loss_is_as_accurate_as_the_residual_form(offset):
     # a large target offset puts the loss many orders below y'y/n, where the
     # naive Gram form theta'G theta - 2c'theta + y'y cancels catastrophically
-    shards = ragged_shards(n_clients=4, rows=200, seed=4, offset=offset)
-    X, y = pooled_design(shards)
+    data = ragged_shards(n_clients=4, rows=200, seed=4, offset=offset)
+    X, y = pooled_design(data.shards)
     n = len(y)
     theta_opt = np.linalg.lstsq(X, y, rcond=None)[0]
     theta_0 = theta_opt + 0.05 * np.random.default_rng(5).standard_normal(X.shape[1])
@@ -284,7 +284,7 @@ def test_pooled_loss_is_as_accurate_as_the_residual_form(offset):
         n_clients=4, pool_size=4, local_iters=1, global_iters=5,
         schedule=Schedule.constant(1e-3), clip=ClipSpec(1e30, "l2"), theta_0=theta_0,
     )
-    res = run_federation(cfg, shards, record_trajectory=True)
+    [res] = run_federation(cfg, data, record_trajectory=True).runs
     rows = [([Fraction(v) for v in xi], Fraction(yi)) for xi, yi in zip(X.tolist(), y.tolist())]
     worst = {"engine": 0.0, "residual": 0.0, "naive": 0.0}
     for rec, theta in zip(res.records, res.trajectory[1:]):
@@ -378,8 +378,8 @@ def test_row_wise_clip_returns_input_when_nothing_is_clipped():
     assert clip_gradient(g, 10.0, "l1") is g
 
 
-def _single_runs(cfg, shards, constants, repeats):
-    return [run_federation(dataclasses.replace(cfg, seed=cfg.seed + r), shards, constants)
+def _single_runs(cfg, data, constants, repeats):
+    return [run_federation(dataclasses.replace(cfg, seed=cfg.seed + r), data, constants).runs[0]
             for r in range(repeats)]
 
 
@@ -395,15 +395,15 @@ def _assert_same_run(got, want):
     (mechanism, norm) for mechanism in ("gaussian", "laplace", "none") for norm in ("l1", "l2")
 ]))
 def test_batched_repeats_match_reference_runs(shape, mechanism, norm):
-    shards = shards_of(shape)
-    cfg, pc = decay_config(shards, norm, 0.5, MECHANISMS[mechanism])
-    batch = run_federation(cfg, shards, constants=pc, repeats=4)
+    data = shards_of(shape)
+    cfg, pc = decay_config(data, norm, 0.5, MECHANISMS[mechanism])
+    batch = run_federation(dataclasses.replace(cfg, repeats=4), data, constants=pc)
     assert len(batch.runs) == 4 and batch.diverged == 0
     assert len(batch.records) == 4 * cfg.global_iters
-    for r, (run, single) in enumerate(zip(batch.runs, _single_runs(cfg, shards, pc, 4))):
+    for r, (run, single) in enumerate(zip(batch.runs, _single_runs(cfg, data, pc, 4))):
         _assert_same_run(run, single)
         records, theta, diverged = reference_run(
-            dataclasses.replace(cfg, seed=cfg.seed + r), shards, constants=pc)
+            dataclasses.replace(cfg, seed=cfg.seed + r), data.shards, constants=pc)
         assert not run.diverged and not diverged
         for got, want in zip(run.records, records):
             assert_close(dataclasses.astuple(got), dataclasses.astuple(want))
@@ -496,8 +496,8 @@ MIXED = {
 @pytest.mark.parametrize("case", MIXED)
 def test_mixed_divergence_matches_single_seed_runs(case):
     c = MIXED[case]
-    shards = ragged_shards(n_clients=6, rows=42, seed=6)
-    pc = problem_constants(shards, np.zeros(shards[0].dim), c["zeta"], c["norm"])
+    data = ragged_shards(n_clients=6, rows=42, seed=6)
+    pc = problem_constants(data, np.zeros(data.dim), c["zeta"])
     rate = c["rate"] * 2 / pc.lam if case == "unstable-rate" else c["rate"]
     cfg = FederationConfig(
         n_clients=6, pool_size=3, local_iters=c["E"], global_iters=c["T_g"],
@@ -506,8 +506,8 @@ def test_mixed_divergence_matches_single_seed_runs(case):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = run_federation(cfg, shards, constants=pc, repeats=12)
-        singles = _single_runs(cfg, shards, pc, 12)
+        batch = run_federation(dataclasses.replace(cfg, repeats=12), data, constants=pc)
+        singles = _single_runs(cfg, data, pc, 12)
     assert 0 < batch.diverged < 12
     lengths = {len(run.records) for run in batch.runs}
     assert cfg.global_iters in lengths and len(lengths) > 1
@@ -525,13 +525,14 @@ def test_a_local_step_past_the_limit_diverges_though_the_aggregate_is_back_withi
     x = np.column_stack([np.random.default_rng(9).standard_normal((8, 2)), np.ones(8)])
     y = x @ np.array([1.0, -2.0, 0.5]) + 0.1
     shards = [ClientShard(0, x, y), ClientShard(1, x, -y)]
+    data = PaddedShards.build(shards)
     lam = np.linalg.eigvalsh(2.0 / 8 * x.T @ x)[-1]
     cfg = FederationConfig(
         n_clients=2, pool_size=2, local_iters=20, global_iters=3,
         schedule=Schedule.constant(3 * 2 / lam), clip=ClipSpec(1e30, "l2"),
         mechanism=MECHANISMS["laplace"], seed=5,
     )
-    batch = run_federation(cfg, shards, repeats=3)
+    batch = run_federation(dataclasses.replace(cfg, repeats=3), data)
     for r, run in enumerate(batch.runs):
         records, theta, diverged = reference_run(dataclasses.replace(cfg, seed=5 + r), shards)
         assert run.diverged and diverged
@@ -542,32 +543,47 @@ def test_a_local_step_past_the_limit_diverges_though_the_aggregate_is_back_withi
 def test_overflow_of_a_diverging_repeat_stays_inside_the_kernel():
     # a rate this large overflows at the first step; the repeats report
     # divergence, not a numpy warning
-    shards = ragged_shards(n_clients=4, rows=26, seed=2)
+    data = ragged_shards(n_clients=4, rows=26, seed=2)
     cfg = FederationConfig(
         n_clients=4, pool_size=2, local_iters=3, global_iters=4,
         schedule=Schedule.constant(1e308), clip=ClipSpec(1e300, "l2"),
-        mechanism=MECHANISMS["laplace"], seed=3,
+        mechanism=MECHANISMS["laplace"], seed=3, repeats=3,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = run_federation(cfg, shards, repeats=3)
+        batch = run_federation(cfg, data)
     assert batch.diverged == 3 and batch.records == []
-    assert all(np.array_equal(run.theta, np.zeros(shards[0].dim)) for run in batch.runs)
+    assert all(np.array_equal(run.theta, np.zeros(data.dim)) for run in batch.runs)
 
 
 def test_chunked_repeats_equal_one_block(monkeypatch):
-    shards = ragged_shards(seed=8)
-    cfg, pc = decay_config(shards, "l1", 0.5, MECHANISMS["gaussian"])
-    whole = run_federation(cfg, shards, constants=pc, repeats=5)
+    data = ragged_shards(seed=8)
+    cfg, pc = decay_config(data, "l1", 0.5, MECHANISMS["gaussian"])
+    cfg = dataclasses.replace(cfg, repeats=5)
+    whole = run_federation(cfg, data, constants=pc)
     # a cap below one repeat's work array runs the repeats one chunk at a time
     monkeypatch.setattr("dpfedsim.engine.CHUNK_ELEMENTS", 1)
-    chunked = run_federation(cfg, shards, constants=pc, repeats=5)
+    chunked = run_federation(cfg, data, constants=pc)
     for a, b in zip(whole.runs, chunked.runs):
         _assert_same_run(a, b)
 
 
 def test_repeats_must_be_positive():
-    shards = ragged_shards()
-    cfg, _ = decay_config(shards, "l2", 0.5, MECHANISMS["none"])
+    cfg, _ = decay_config(ragged_shards(), "l2", 0.5, MECHANISMS["none"])
     with pytest.raises(ConfigError):
-        run_federation(cfg, shards, repeats=0)
+        dataclasses.replace(cfg, repeats=0)
+
+
+@pytest.mark.parametrize("mechanism", ["laplace", "none"])
+def test_config_repeats_sets_the_run_count_and_each_run_is_its_seed_alone(mechanism):
+    data = ragged_shards(seed=9)
+    cfg, pc = decay_config(data, "l1", 0.5, MECHANISMS[mechanism])
+    assert cfg.repeats == 1  # the default is one run
+    [single] = run_federation(cfg, data, constants=pc).runs
+    batch = run_federation(dataclasses.replace(cfg, repeats=3), data, constants=pc)
+    assert len(batch.runs) == 3
+    _assert_same_run(batch.runs[0], single)
+    for r, run in enumerate(batch.runs):
+        alone = run_federation(dataclasses.replace(cfg, seed=cfg.seed + r), data, constants=pc)
+        assert len(alone.runs) == 1
+        _assert_same_run(run, alone.runs[0])

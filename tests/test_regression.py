@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,7 +205,7 @@ def test_identical_shards_have_zero_gamma():
     X = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
     shards = [ClientShard(i, X.copy(), y.copy()) for i in range(4)]
-    pc = problem_constants(shards, np.zeros(2), zeta=10.0)
+    pc = problem_constants(PaddedShards.build(shards), np.zeros(2), zeta=10.0)
     assert pc.gamma_noniid <= 1e-12
 
 
@@ -213,7 +215,7 @@ def test_two_quadratics_closed_form():
     # local optima are exact, so gamma = f* - 0 = 1.
     s1 = ClientShard(0, np.array([[1.0]]), np.array([0.0]))
     s2 = ClientShard(1, np.array([[1.0]]), np.array([2.0]))
-    pc = problem_constants([s1, s2], np.zeros(1), zeta=10.0)
+    pc = problem_constants(PaddedShards.build([s1, s2]), np.zeros(1), zeta=10.0)
     assert pc.f_star == pytest.approx(1.0, rel=1e-12)
     assert pc.theta_star == pytest.approx([1.0], rel=1e-12)
     assert pc.gamma_noniid == pytest.approx(1.0, rel=1e-12)
@@ -229,14 +231,14 @@ def test_gamma_nonnegative_on_random_datasets():
             make_shard(rng, n=int(rng.integers(2, 8)), d=3, client_id=i)
             for i in range(int(rng.integers(2, 6)))
         ]
-        pc = problem_constants(shards, np.zeros(3), zeta=10.0)
+        pc = problem_constants(PaddedShards.build(shards), np.zeros(3), zeta=10.0)
         assert pc.gamma_noniid >= 0.0
 
 
 def test_eigenvalue_extremes_match_dense_solver():
     rng = np.random.default_rng(11)
     shards = [make_shard(rng, n=20, d=4, client_id=i) for i in range(3)]
-    pc = problem_constants(shards, np.zeros(4), zeta=10.0)
+    pc = problem_constants(PaddedShards.build(shards), np.zeros(4), zeta=10.0)
     X = np.concatenate([s.features for s in shards])
     hessian = (2.0 / X.shape[0]) * X.T @ X
     ev = np.linalg.eigvalsh(hessian)
@@ -247,23 +249,23 @@ def test_eigenvalue_extremes_match_dense_solver():
 
 def test_scaled_identity_hessian_gives_mu_equal_lambda():
     shard = ClientShard(0, np.eye(3) * 2.0, np.ones(3))
-    pc = problem_constants([shard], np.zeros(3), zeta=10.0)
+    pc = problem_constants(PaddedShards.build([shard]), np.zeros(3), zeta=10.0)
     assert pc.mu == pytest.approx(pc.lam, rel=1e-14)
 
 
 def test_rank_deficient_hessian_flags_assumptions():
     shard = ClientShard(0, np.array([[1.0, 2.0]]), np.array([1.0]))
-    pc = problem_constants([shard], np.zeros(2), zeta=10.0)
+    pc = problem_constants(PaddedShards.build([shard]), np.zeros(2), zeta=10.0)
     assert not pc.assumptions_ok
     assert pc.mu == 0.0
 
 
 def test_g_bound_defaults_and_override():
     rng = np.random.default_rng(12)
-    shards = [make_shard(rng, client_id=0)]
-    pc_l2 = problem_constants(shards, np.zeros(3), zeta=7.0, norm_kind="l2")
-    assert pc_l2.g_bound == 7.0
-    pc_over = problem_constants(shards, np.zeros(3), zeta=7.0, g_bound=1.25)
+    data = PaddedShards.build([make_shard(rng, client_id=0)])
+    pc = problem_constants(data, np.zeros(3), zeta=7.0)
+    assert pc.g_bound == 7.0
+    pc_over = dataclasses.replace(pc, g_bound=1.25)
     assert pc_over.g_bound == 1.25
 
 
@@ -271,7 +273,7 @@ def test_y0_is_squared_start_distance():
     rng = np.random.default_rng(13)
     shards = [make_shard(rng, n=30, d=2, client_id=0)]
     theta_0 = np.array([1.0, -1.0])
-    pc = problem_constants(shards, theta_0, zeta=5.0)
+    pc = problem_constants(PaddedShards.build(shards), theta_0, zeta=5.0)
     assert pc.y0 == pytest.approx(np.sum((theta_0 - pc.theta_star) ** 2), rel=1e-14)
 
 
@@ -297,7 +299,7 @@ def test_global_optimum_minimizes_weighted_loss():
 def test_hessian_whose_square_underflows_flags_assumptions():
     # mu = lambda ~ 7e-201 passes the ratio test, but the bound's 4/mu^2 divides by zero
     shard = ClientShard(0, np.eye(3) * 1e-100, np.ones(3))
-    pc = problem_constants([shard], np.zeros(3), zeta=10.0)
+    pc = problem_constants(PaddedShards.build([shard]), np.zeros(3), zeta=10.0)
     assert not pc.assumptions_ok
 
 
