@@ -16,7 +16,6 @@ from dpfedsim import (
     centralized_gd_oracle,
     problem_constants,
     run_federation,
-    schedule_offset,
     synth_regression,
 )
 
@@ -27,7 +26,7 @@ dataset = synth_regression(
     seed=7,
 )
 constants = problem_constants(dataset, np.zeros(dataset.dim), zeta=25.0)
-schedule = Schedule.decay(constants.mu, schedule_offset(constants.lam, constants.mu, 1))
+schedule = Schedule.decay(constants, 1)
 
 config = FederationConfig(
     n_clients=8, pool_size=8, local_iters=1, global_iters=T,

@@ -14,7 +14,6 @@ from dpfedsim import (
     Schedule,
     problem_constants,
     run_federation,
-    schedule_offset,
     synth_regression,
 )
 
@@ -25,7 +24,7 @@ dataset = synth_regression(
 zeta = 8.0
 constants = problem_constants(dataset, np.zeros(dataset.dim), zeta)
 E, T_g = 4, 50
-schedule = Schedule.decay(constants.mu, schedule_offset(constants.lam, constants.mu, E))
+schedule = Schedule.decay(constants, E)
 
 
 def averaged_run(mechanism, repeats=20):

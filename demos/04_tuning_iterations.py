@@ -19,7 +19,6 @@ from dpfedsim import (
     problem_constants,
     rate_exponent,
     run_federation,
-    schedule_offset,
     synth_regression,
 )
 
@@ -38,9 +37,7 @@ def final_loss(pool_size, local_iters, global_iters, epsilon):
         if epsilon is None
         else MechanismSpec(kind="laplace", epsilon=epsilon, xi1=zeta)
     )
-    schedule = Schedule.decay(
-        constants.mu, schedule_offset(constants.lam, constants.mu, local_iters)
-    )
+    schedule = Schedule.decay(constants, local_iters)
     # the runs with seeds 0 .. REPEATS-1, as one block
     config = FederationConfig(
         n_clients=20, pool_size=pool_size, local_iters=local_iters,

@@ -20,7 +20,6 @@ from dpfedsim import (
     load_csv,
     problem_constants,
     run_federation,
-    schedule_offset,
     sorted_partition,
 )
 from dpfedsim.data import _with_bias
@@ -54,7 +53,7 @@ gamma_random = problem_constants(random_ds, np.zeros(4), 10.0).gamma_noniid
 print(f"non-IID degree: sorted {gamma_sorted:.4f} vs random {gamma_random:.4f}")
 
 constants = problem_constants(by_rate, np.zeros(by_rate.dim), 10.0)
-schedule = Schedule.decay(constants.mu, schedule_offset(constants.lam, constants.mu, 2))
+schedule = Schedule.decay(constants, 2)
 config = FederationConfig(
     n_clients=N, pool_size=4, local_iters=2, global_iters=40,
     schedule=schedule, clip=ClipSpec(10.0, "l2"),

@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Frozen ingredients of the convergence bound for one experiment shape."""
+    """Frozen bound ingredients, from ``constants.y0`` under ``Schedule.decay(constants, E)``."""
 
     constants: ProblemConstants
     omega0: float
@@ -43,8 +43,6 @@ class BoundParams:
     gamma: float
     local_iters: int
     global_iters: int
-    n_clients: int
-    pool_size: int
 
 
 def schedule_offset(lam: float, mu: float, local_iters: int) -> float:
@@ -144,16 +142,14 @@ def bound_params(
         gamma=gamma,
         local_iters=local_iters,
         global_iters=global_iters,
-        n_clients=n_clients,
-        pool_size=pool_size,
     )
 
 
-def convergence_bound(k: int, bp: BoundParams, y0: float) -> float:
+def convergence_bound(k: int, bp: BoundParams) -> float:
     """Upper bound on the squared distance to the optimum after k iterations.
 
     (1/(k+gamma)) * ((4/mu^2) omega0 + gamma*y0)
-        + (4/mu^2) * (t/(k+gamma-1)^2) * omega1,  t = floor(k/E).
+        + (4/mu^2) * (t/(k+gamma-1)^2) * omega1,  t = floor(k/E), mu and y0 from bp.constants.
     """
     if k < 0:
         raise ConfigError("iteration index must be >= 0")
@@ -161,15 +157,15 @@ def convergence_bound(k: int, bp: BoundParams, y0: float) -> float:
     if not mu > 0:
         raise ConfigError("bound requires mu > 0")
     t = k // bp.local_iters
-    lead = (4.0 / mu**2) * bp.omega0 + bp.gamma * y0
+    lead = (4.0 / mu**2) * bp.omega0 + bp.gamma * bp.constants.y0
     noise = (4.0 / mu**2) * (t / (k + bp.gamma - 1.0) ** 2) * bp.omega1
     return lead / (k + bp.gamma) + noise
 
 
-def bound_curve(bp: BoundParams, y0: float) -> list[tuple[int, float]]:
+def bound_curve(bp: BoundParams) -> list[tuple[int, float]]:
     """Bound samples at the recorded iterations k = E, 2E, ..., E*T_g."""
     return [
-        (t * bp.local_iters, convergence_bound(t * bp.local_iters, bp, y0))
+        (t * bp.local_iters, convergence_bound(t * bp.local_iters, bp))
         for t in range(1, bp.global_iters + 1)
     ]
 
@@ -244,13 +240,13 @@ def optimal_total_iterations(
     p: int,
     n_clients: int,
     pool_size: int,
-    y0: float,
 ) -> tuple[int, list[float]]:
     """Grid search for the total iteration count minimizing the final bound.
 
     ``local_iters`` is either a fixed E or a callable T -> E; every E must
-    divide its T. No closed form is attempted: the bound is evaluated at
-    k = T for each grid point and the argmin returned.
+    divide its T. No closed form is attempted: the bound, from the start
+    distance ``constants.y0`` under each point's own decay schedule, is
+    evaluated at k = T for each grid point and the argmin returned.
     """
     if not t_grid:
         raise ConfigError("empty T grid")
@@ -259,9 +255,7 @@ def optimal_total_iterations(
         e = local_iters(total) if callable(local_iters) else int(local_iters)
         if total % e != 0:
             raise ConfigError(f"E={e} does not divide T={total}")
-        bp = bound_params(
-            constants, mechanism, p, e, total // e, n_clients, pool_size
-        )
-        values.append(convergence_bound(total, bp, y0))
+        bp = bound_params(constants, mechanism, p, e, total // e, n_clients, pool_size)
+        values.append(convergence_bound(total, bp))
     best = min(range(len(t_grid)), key=lambda i: (values[i], i))
     return t_grid[best], values

@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: run, sweep, plan, validate. Exit codes: 0 success, 1 config or
-validation error, 2 runtime divergence in all repeats, 3 I/O error.
+validation error, 2 runtime divergence in all repeats, 3 I/O error. Warnings
+go to stderr as ``warning: <message>`` lines.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
+import warnings
 
 from .harness import cmd_plan, cmd_run, cmd_sweep, cmd_validate
 from .regression import ConfigError
@@ -61,6 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # only the text changes: warnings are still issued, filtered and recordable as usual
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         if args.command == "run":
             summary = cmd_run(
@@ -89,6 +94,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        warnings.formatwarning = formatwarning
     return EXIT_OK
 
 

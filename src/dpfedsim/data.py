@@ -25,7 +25,7 @@ __all__ = [
     "synth_regression",
     "sorted_partition",
     "load_csv",
-    "csv_column_indices",
+    "csv_sort_column",
 ]
 
 
@@ -135,11 +135,16 @@ def _csv_reader(path):
         raise ConfigError(f"{path}: unreadable CSV: {exc}") from None
 
 
-def csv_column_indices(path, columns) -> list[int]:
-    """0-based header indices of CSV columns given by name or index, as ``load_csv`` resolves them."""
+def csv_sort_column(path, sort_key, target_column, feature_columns=None) -> int:
+    """Position of the ``sort_key`` column in the records ``load_csv`` reads with these columns."""
     with _csv_reader(path) as reader:
         header = _read_header(reader, path)
-    return [_column_index(header, c, "column") for c in columns]
+    columns = _selected_columns(header, target_column, feature_columns)
+    index = _column_index(header, sort_key, "sort_key")
+    if index not in columns:
+        raise ConfigError(f"sort_key {sort_key!r} is neither the target column nor one of "
+                          f"the feature columns {[header[i] for i in columns[:-1]]}")
+    return columns.index(index)
 
 
 def _cell_picker(indices: list[int]):

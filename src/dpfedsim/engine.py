@@ -92,7 +92,10 @@ SCHEDULE_KINDS = ("decay", "constant")
 
 @dataclass(frozen=True)
 class Schedule:
-    """Learning-rate schedule: inverse decay (``kind="decay"``) or constant."""
+    """Learning-rate schedule: inverse decay (``kind="decay"``) or constant.
+
+    A run reports the convergence bound only under ``Schedule.decay(constants, E)``.
+    """
 
     kind: str
     mu: float | None = None
@@ -112,8 +115,15 @@ class Schedule:
             raise ConfigError("constant schedule needs eta > 0")
 
     @classmethod
-    def decay(cls, mu: float, gamma: float) -> "Schedule":
-        return cls(kind="decay", mu=mu, gamma=gamma)
+    def decay(cls, constants: ProblemConstants, local_iters: int) -> "Schedule":
+        """eta_k = 2/(mu(k+gamma)) with mu from ``constants`` and gamma = max(8*lambda/mu, E)."""
+        if not constants.assumptions_ok:
+            raise ConfigError(
+                "assumptions violated: the pooled Hessian is singular, so the decay "
+                "schedule has no valid rate; use the constant schedule"
+            )
+        return cls(kind="decay", mu=constants.mu,
+                   gamma=schedule_offset(constants.lam, constants.mu, local_iters))
 
     @classmethod
     def constant(cls, eta: float) -> "Schedule":
@@ -436,9 +446,11 @@ def run_bound_params(
     """The convergence bound's parameters for runs of ``config`` on a p-dimensional task.
 
     None when the bound is undefined: no constants, a singular pooled Hessian
-    or the constant schedule.
+    or a schedule other than ``Schedule.decay(constants, config.local_iters)``,
+    the only one the bound holds for.
     """
-    if constants is None or not constants.assumptions_ok or config.schedule.kind != "decay":
+    if (constants is None or not constants.assumptions_ok
+            or config.schedule != Schedule.decay(constants, config.local_iters)):
         return None
     return bounds.bound_params(constants, config.mechanism, p, config.local_iters,
                                config.global_iters, config.n_clients, config.pool_size)
@@ -516,7 +528,7 @@ def _run_block(
             diff = theta - constants.theta_star
             y_k = _row_dots(diff, diff)
             if bound_params is not None:
-                bound_y_k = bounds.convergence_bound(k, bound_params, constants.y0)
+                bound_y_k = bounds.convergence_bound(k, bound_params)
         for i, r in enumerate(active):
             runs[r].records.append(
                 RoundRecord(

@@ -19,7 +19,7 @@ import numpy as np
 from . import bounds
 from .bounds import e_from_rule
 from .config import RawConfig, parse_config
-from .data import csv_column_indices, load_csv, sorted_partition, synth_regression
+from .data import csv_sort_column, load_csv, sorted_partition, synth_regression
 from .engine import (
     CHUNK_ELEMENTS,
     ClipSpec,
@@ -156,19 +156,7 @@ def _build_dataset(raw: RawConfig) -> PaddedShards:
     # sorting key defaults to the target, which sits in the last record column
     sort_key = -1
     if d["sort_key"]:
-        # compare header indices, so a column may be named one way here and another there
-        target_idx, key_idx, *feature_idx = csv_column_indices(
-            d["path"], [d["target_column"], d["sort_key"], *(features or [])]
-        )
-        if key_idx != target_idx:
-            if features is None:
-                raise ConfigError("sort_key other than the target needs feature_columns")
-            if key_idx not in feature_idx:
-                raise ConfigError(
-                    f"sort_key {d['sort_key']!r} is neither the target column nor one of "
-                    f"feature_columns {features}"
-                )
-            sort_key = feature_idx.index(key_idx)
+        sort_key = csv_sort_column(d["path"], d["sort_key"], d["target_column"], features)
     return sorted_partition(train, sort_key, n_clients, add_bias=d["add_bias"])
 
 
@@ -204,13 +192,7 @@ def _configure(raw: RawConfig, dataset: PaddedShards,
     fed = raw.federation
     zeta, norm = fed["clip_threshold"], fed["clip_norm"]
     if raw.schedule["kind"] == "decay":
-        if not constants.assumptions_ok:
-            raise ConfigError(
-                "assumptions violated: the pooled Hessian is singular, so the decay "
-                "schedule has no valid rate; use the constant schedule"
-            )
-        gamma = bounds.schedule_offset(constants.lam, constants.mu, fed["local_iters"])
-        schedule = Schedule.decay(constants.mu, gamma)
+        schedule = Schedule.decay(constants, fed["local_iters"])
     else:
         schedule = Schedule.constant(raw.schedule["eta"])
 
@@ -266,14 +248,12 @@ class RoundStats:
 
 @dataclass
 class RunSummary:
+    """The final round's statistics over the completed repeats (None if all diverged)."""
+
     config_echo: dict[str, Any]
     repeats: int
-    rounds: list[RoundStats]
+    final: RoundStats | None
     divergence_count: int
-
-    @property
-    def final(self) -> RoundStats | None:
-        return self.rounds[-1] if self.rounds else None
 
     def lines(self) -> list[str]:
         out = ["run summary"]
@@ -300,29 +280,26 @@ def run_repeats(exp: Experiment) -> list[RunResult]:
 
 
 def _summarize(results: list[RunResult], echo: dict) -> RunSummary:
+    final = None
     completed = [r for r in results if not r.diverged]
-    rounds: list[RoundStats] = []
     if completed:
-        for i in range(len(completed[0].records)):
-            recs = [r.records[i] for r in completed]
-            losses = np.array([rec.global_loss for rec in recs])
-            ys = np.array([rec.y_k for rec in recs])
-            rounds.append(
-                RoundStats(
-                    t=recs[0].t,
-                    k=recs[0].k,
-                    eta_k=recs[0].eta_k,
-                    loss_mean=float(losses.mean()),
-                    loss_std=float(losses.std()),
-                    y_mean=float(ys.mean()),
-                    y_std=float(ys.std()),
-                    bound=recs[0].bound_y_k,
-                )
-            )
+        recs = [r.records[-1] for r in completed]
+        losses = np.array([rec.global_loss for rec in recs])
+        ys = np.array([rec.y_k for rec in recs])
+        final = RoundStats(
+            t=recs[0].t,
+            k=recs[0].k,
+            eta_k=recs[0].eta_k,
+            loss_mean=float(losses.mean()),
+            loss_std=float(losses.std()),
+            y_mean=float(ys.mean()),
+            y_std=float(ys.std()),
+            bound=recs[0].bound_y_k,
+        )
     return RunSummary(
         config_echo=echo,
         repeats=len(results),
-        rounds=rounds,
+        final=final,
         divergence_count=sum(r.diverged for r in results),
     )
 
@@ -549,10 +526,7 @@ def cmd_plan(config_path, out_dir=None, seed: int | None = None,
     bound_block = (None, None, None, None, None)
     bp = run_bound_params(cfg, exp.constants, exp.dataset.dim)
     if bp is not None:
-        bound_block = (
-            bp.c_m, bp.omega0, bp.omega1, bp.gamma,
-            bounds.bound_curve(bp, exp.constants.y0),
-        )
+        bound_block = (bp.c_m, bp.omega0, bp.omega1, bp.gamma, bounds.bound_curve(bp))
 
     report = PlanReport(
         mechanism=mech.kind,

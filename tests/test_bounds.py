@@ -91,14 +91,14 @@ def test_bound_at_zero_dominates_y0():
     pc = constants()
     bp = bound_params(pc, MechanismSpec(), p=2, local_iters=2, global_iters=10,
                       n_clients=4, pool_size=2)
-    assert convergence_bound(0, bp, pc.y0) >= pc.y0
+    assert convergence_bound(0, bp) >= pc.y0
 
 
 def test_noise_free_bound_strictly_decreasing():
     pc = constants()
     bp = bound_params(pc, MechanismSpec(), p=2, local_iters=1, global_iters=100,
                       n_clients=4, pool_size=4)
-    vals = [convergence_bound(k, bp, pc.y0) for k in range(1, 101)]
+    vals = [convergence_bound(k, bp) for k in range(1, 101)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -107,7 +107,7 @@ def test_laplace_bound_has_finite_interior_minimizer():
     grid = [8, 16, 32, 64, 128, 256, 512, 1024]
     spec = MechanismSpec(kind="laplace", epsilon=30.0, xi1=1.0)
     t_star, vals = optimal_total_iterations(
-        grid, lambda T: 1, pc, spec, p=2, n_clients=4, pool_size=2, y0=pc.y0
+        grid, lambda T: 1, pc, spec, p=2, n_clients=4, pool_size=2
     )
     idx = grid.index(t_star)
     assert 0 < idx < len(grid) - 1
@@ -141,7 +141,7 @@ def test_bound_curve_samples_all_rounds():
     pc = constants()
     bp = bound_params(pc, MechanismSpec(), p=2, local_iters=5, global_iters=7,
                       n_clients=4, pool_size=4)
-    curve = bound_curve(bp, pc.y0)
+    curve = bound_curve(bp)
     assert [k for k, _ in curve] == [5 * t for t in range(1, 8)]
     assert all(v > 0 for _, v in curve)
 
@@ -197,7 +197,7 @@ def test_rate_exponent_values():
 def test_optimal_total_iterations_rejects_nondivisor():
     pc = constants()
     with pytest.raises(ConfigError):
-        optimal_total_iterations([10], 3, pc, LAPLACE, 2, 4, 2, pc.y0)
+        optimal_total_iterations([10], 3, pc, LAPLACE, 2, 4, 2)
 
 
 def _brute_force_nearest_divisor(divisors, target):

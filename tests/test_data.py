@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dpfedsim import data as data_module
 from dpfedsim.data import (
-    csv_column_indices,
+    csv_sort_column,
     load_csv,
     sorted_partition,
     synth_regression,
@@ -332,7 +332,7 @@ def test_unreadable_csv_is_a_config_error(tmp_path, body, in_header):
         load_csv(path, "a")
     if in_header:
         with pytest.raises(ConfigError, match=message):
-            csv_column_indices(path, ["a"])
+            csv_sort_column(path, "a", "b")
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", " NaN "])

@@ -12,6 +12,7 @@ from dpfedsim.engine import (
     client_update,
     lr_schedule,
     pilot_gradient_bound,
+    run_bound_params,
     run_federation,
     schedule_offset,
     select_pool,
@@ -21,6 +22,7 @@ from dpfedsim.regression import (
     ClientShard,
     ConfigError,
     PaddedShards,
+    ProblemConstants,
     clip_gradient,
     local_optimum,
     mse_gradient,
@@ -41,8 +43,7 @@ def make_shards(rng, n_clients, n_per=10, d=3, spread=0.5):
 
 def decay_schedule_for(shards, local_iters, zeta=50.0):
     pc = problem_constants(PaddedShards.build(shards), np.zeros(shards[0].dim), zeta)
-    gamma = schedule_offset(pc.lam, pc.mu, local_iters)
-    return Schedule.decay(pc.mu, gamma), pc
+    return Schedule.decay(pc, local_iters), pc
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +359,34 @@ def test_noise_free_records_zero_noise_and_defined_bound():
     [res] = run_federation(cfg, PaddedShards.build(shards), constants=pc).runs
     assert all(r.noise_l2 == 0.0 for r in res.records)
     assert all(math.isfinite(r.bound_y_k) for r in res.records)
+
+
+def test_decay_schedule_needs_a_nonsingular_hessian():
+    singular = ProblemConstants(
+        mu=0.0, lam=1.0, g_bound=1.0, gamma_noniid=0.0, f_star=0.0,
+        theta_star=np.zeros(2), y0=1.0, assumptions_ok=False,
+    )
+    with pytest.raises(ConfigError, match="assumptions violated"):
+        Schedule.decay(singular, 1)
+
+
+@pytest.mark.parametrize("other", ["E", "mu"])
+def test_bound_only_under_the_decay_schedule_it_was_derived_for(other):
+    rng = np.random.default_rng(12)
+    shards = make_shards(rng, 4, n_per=8, d=2)
+    data = PaddedShards.build(shards)
+    cfg, pc = base_config(shards, E=1, T_g=12, b=2)
+    assert run_bound_params(cfg, pc, data.dim) is not None
+    if other == "E":
+        # an E above 8*lambda/mu sets gamma = E, not the E = 1 offset 8*lambda/mu
+        sched = Schedule.decay(pc, math.ceil(8 * pc.lam / pc.mu) + 1)
+    else:
+        sched = dataclasses.replace(cfg.schedule, mu=4 * pc.mu)
+    assert sched != cfg.schedule
+    cfg = dataclasses.replace(cfg, schedule=sched)
+    assert run_bound_params(cfg, pc, data.dim) is None
+    [res] = run_federation(cfg, data, constants=pc).runs
+    assert all(math.isfinite(r.y_k) and math.isnan(r.bound_y_k) for r in res.records)
 
 
 def test_noise_free_trajectory_ignores_seed():

@@ -1,7 +1,10 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,7 +183,7 @@ def test_run_rerun_is_byte_identical(tmp_path):
 def test_run_single_repeat_has_zero_std(tmp_path):
     path = write(tmp_path, SMALL_TASK)
     summary = cmd_run(path, tmp_path / "out", repeats=1, quiet=True)
-    assert all(r.loss_std == 0.0 and r.y_std == 0.0 for r in summary.rounds)
+    assert summary.final.loss_std == 0.0 and summary.final.y_std == 0.0
 
 
 def test_run_noise_free_default_task_converges(tmp_path):
@@ -650,6 +653,7 @@ def test_cli_sort_key_outside_feature_columns_is_config_error(tmp_path, capsys):
     "target_column = 2\nfeature_columns = f1,f2\nsort_key = rate\n",
     "target_column = rate\nfeature_columns = 0,1\nsort_key = f1\n",
     "target_column = rate\nfeature_columns = f1,f2\nsort_key = 0\n",
+    "target_column = rate\nsort_key = f1\n",
 ])
 def test_cli_sort_key_matches_columns_named_another_way(tmp_path, columns):
     csv_body = CSV_TASK.format(csv_path=write_rate_csv(tmp_path))
@@ -662,6 +666,26 @@ def test_cli_sort_key_matches_columns_named_another_way(tmp_path, columns):
         assert cli_main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
         outs.append((out / "rounds.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_warning_is_one_line_without_python_source(tmp_path):
+    csv_path = write_rate_csv(tmp_path)
+    with open(csv_path, "a") as fh:
+        fh.write("oops,1,2\n")
+    path = write(tmp_path, CSV_TASK.format(csv_path=csv_path) + "target_column = rate\n")
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+    # pytest records warnings in process, so the printed form needs its own interpreter
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dpfedsim.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        f"warning: {csv_path}: skipped 1 rows with missing or non-numeric cells\n"
+    )
+    formatwarning = warnings.formatwarning
+    with pytest.warns(UserWarning, match="skipped 1 rows"):
+        assert cli_main(argv) == 0
+    assert warnings.formatwarning is formatwarning
 
 
 @pytest.mark.parametrize("target,code", [("rate", 0), ("2", 0), ("3", 1)])

@@ -20,7 +20,6 @@ from dpfedsim.engine import (
     client_update,
     pilot_gradient_bound,
     run_federation,
-    schedule_offset,
 )
 from dpfedsim.config import parse_config
 from dpfedsim.harness import build_experiment, cmd_run, cmd_sweep, run_repeats
@@ -54,7 +53,8 @@ def reference_run(config, shards, constants=None):
     dim = X.shape[1]
     theta = np.zeros(dim) if config.theta_0 is None else np.asarray(config.theta_0, float)
     bound_params = None
-    if constants is not None and constants.assumptions_ok and config.schedule.kind == "decay":
+    if (constants is not None and constants.assumptions_ok
+            and config.schedule == Schedule.decay(constants, E)):
         bound_params = bounds.bound_params(
             constants, config.mechanism, p=dim, local_iters=E,
             global_iters=config.global_iters, n_clients=N, pool_size=b,
@@ -88,7 +88,7 @@ def reference_run(config, shards, constants=None):
             diff = theta - constants.theta_star
             y_k = float(diff @ diff)
             if bound_params is not None:
-                bound_y_k = bounds.convergence_bound(k, bound_params, constants.y0)
+                bound_y_k = bounds.convergence_bound(k, bound_params)
         records.append(RoundRecord(
             t=t, k=k, eta_k=eta_tilde, global_loss=float(resid @ resid) / n, y_k=y_k,
             bound_y_k=bound_y_k, noise_l2=float(np.linalg.norm(aggregate(noises, N, b, n))),
@@ -176,7 +176,7 @@ def shards_of(shape, **kwargs):
 
 def decay_config(data, norm, zeta, mechanism, E=3, b=3, T_g=8, seed=7):
     pc = problem_constants(data, np.zeros(data.dim), zeta)
-    schedule = Schedule.decay(pc.mu, schedule_offset(pc.lam, pc.mu, E))
+    schedule = Schedule.decay(pc, E)
     cfg = FederationConfig(
         n_clients=data.n_clients, pool_size=b, local_iters=E, global_iters=T_g,
         schedule=schedule, clip=ClipSpec(zeta, norm), mechanism=mechanism, seed=seed,
