@@ -237,8 +237,6 @@ def build_experiment(raw: RawConfig) -> Experiment:
 @dataclass
 class RoundStats:
     t: int
-    k: int
-    eta_k: float
     loss_mean: float
     loss_std: float
     y_mean: float
@@ -288,8 +286,6 @@ def _summarize(results: list[RunResult], echo: dict) -> RunSummary:
         ys = np.array([rec.y_k for rec in recs])
         final = RoundStats(
             t=recs[0].t,
-            k=recs[0].k,
-            eta_k=recs[0].eta_k,
             loss_mean=float(losses.mean()),
             loss_std=float(losses.std()),
             y_mean=float(ys.mean()),

@@ -238,7 +238,10 @@ class PaddedShards:
     (``from_pooled``); ``build`` stacks a list of shards into a new one.
     n-bar-squared, the Gram matrix, the loss form, the ``shards`` views and
     the per-client ``local_stats`` (H_l, h_l) of the Gram-form gradient are
-    computed on first use and kept. The local steps use ``local_stats`` only
+    computed on first use and kept. The loss form is the one pooled
+    least-squares solve: ``lstsq`` on the p x p Gram matrix, refined once with
+    the pooled residual; ``problem_constants`` reads theta* and f* from it and
+    ``losses`` expands around it. The local steps use ``local_stats`` only
     when p <= max(n_l) (``pool_gradient``), so a store with shards shorter
     than p never builds them, and a built one holds N * p^2 floats for H, no
     more than ``x``.
@@ -377,11 +380,11 @@ class PaddedShards:
 
     @cached_property
     def _loss_form(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        # built on the first loss call, so runs that never ask (the pilot) skip it
-        x, y = self.x.reshape(-1, self.dim), self.y.ravel()
-        # without padding the stacked rows are the pooled design, whose Gram may exist
-        gram = self.gram if x.shape[0] == self.n else x.T @ x
+        # the one pooled least-squares solve, on the Gram matrix, refined once
+        # with the pooled residual; problem_constants builds it for theta* and f*
+        x, y, gram = self.pooled_x, self.pooled_y, self.gram
         theta_ref = np.linalg.lstsq(gram, x.T @ y, rcond=None)[0]
+        theta_ref = theta_ref - np.linalg.lstsq(gram, x.T @ (x @ theta_ref - y), rcond=None)[0]
         resid = x @ theta_ref - y
         return gram, theta_ref, float(resid @ resid), x.T @ resid
 
@@ -448,7 +451,11 @@ def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> P
 
     The pooled design, its Gram matrix and the per-shard optima are read from
     the ``PaddedShards`` store ``data``. mu and lambda are the extreme
-    eigenvalues of the pooled Hessian (2/n) X^T X. gamma_noniid =
+    eigenvalues of the pooled Hessian (2/n) X^T X. theta* and f* come from the
+    store's pooled solve on the Gram matrix, whose refinement step keeps theta*
+    within the forward error of ``lstsq`` on the pooled design; only a singular
+    Hessian runs that ``lstsq`` on the n x p design, for its minimum-norm
+    solution. gamma_noniid =
     f* - sum_l (n_l/n) f_l* (clamped at 0 against rounding). The gradient
     bound is the clip threshold ``zeta``: exact under L2 clipping,
     conservative under L1 since ||.||2 <= ||.||1. A tighter bound, such as a
@@ -472,7 +479,11 @@ def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> P
     # the bound divides by mu^2, which must not underflow to zero either
     assumptions_ok = lam > 0 and mu > lam * 1e-12 and mu**2 > 0
 
-    theta_star, f_star = _least_squares(data.pooled_x, data.pooled_y)
+    if assumptions_ok:
+        _, theta_star, loss_star, _ = data._loss_form
+        f_star = loss_star / n
+    else:
+        theta_star, f_star = _least_squares(data.pooled_x, data.pooled_y)
     weighted_local = float(data.weights @ _local_optimum_losses(data))
     gamma_noniid = max(0.0, f_star - weighted_local)
 

@@ -303,6 +303,50 @@ def test_hessian_whose_square_underflows_flags_assumptions():
     assert not pc.assumptions_ok
 
 
+def test_refined_gram_solve_matches_lstsq_on_an_ill_conditioned_store():
+    # singular values 1 .. 1e-5, so cond(H) = 1e10: the Gram solve alone is off
+    # by ~1e-7 relative, and only its refinement step reaches lstsq's accuracy
+    rng = np.random.default_rng(61)
+    n, p = 400, 8
+    u, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    v, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    x = (u * np.logspace(0, -5, p)) @ v.T
+    y = x @ rng.standard_normal(p) + 0.1 * rng.standard_normal(n)
+    data = PaddedShards.from_pooled(x, y, [100, 120, 80, 100])
+    pc = problem_constants(data, np.zeros(p), zeta=10.0)
+    theta_star, f_star = global_optimum(data.shards)
+    assert pc.assumptions_ok
+    assert np.linalg.norm(pc.theta_star - theta_star) <= 1e-9 * np.linalg.norm(theta_star)
+    assert pc.f_star == pytest.approx(f_star, rel=1e-12)
+
+
+def test_singular_hessian_keeps_the_min_norm_pooled_solution():
+    rng = np.random.default_rng(62)
+    x = rng.standard_normal((300, 3))
+    x = np.column_stack([x, x[:, 0] + 1e-9 * rng.standard_normal(300)])
+    data = PaddedShards.from_pooled(x, rng.standard_normal(300), [100, 120, 80])
+    pc = problem_constants(data, np.zeros(4), zeta=10.0)
+    theta_star, f_star = global_optimum(data.shards)
+    assert not pc.assumptions_ok
+    assert np.array_equal(pc.theta_star, theta_star) and pc.f_star == f_star
+
+
+def test_well_posed_constants_solve_only_on_the_gram(monkeypatch):
+    rng = np.random.default_rng(63)
+    data = PaddedShards.build([make_shard(rng, n=30, d=3, client_id=i) for i in range(4)])
+    rows = []
+    lstsq = np.linalg.lstsq
+
+    def counting(a, b, **kwargs):
+        rows.append(a.shape[0])
+        return lstsq(a, b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    pc = problem_constants(data, np.zeros(3), zeta=10.0)
+    assert pc.assumptions_ok
+    assert rows == [3, 3]  # the Gram solve and its refinement, no n-row solve
+
+
 # ---------------------------------------------------------------------------
 # batched local optima
 # ---------------------------------------------------------------------------
