@@ -13,11 +13,11 @@ from dpfedsim import (
     ClipSpec,
     FederationConfig,
     Schedule,
-    centralized_gd_oracle,
     problem_constants,
     run_federation,
     synth_regression,
 )
+from dpfedsim.reference import centralized_gd_oracle
 
 T = 150
 

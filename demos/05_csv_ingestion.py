@@ -16,13 +16,13 @@ from dpfedsim import (
     FederationConfig,
     PaddedShards,
     Schedule,
-    global_loss,
     load_csv,
     problem_constants,
     run_federation,
     sorted_partition,
 )
 from dpfedsim.data import _with_bias
+from dpfedsim.reference import global_loss
 
 rng = np.random.default_rng(11)
 n_rows = 400

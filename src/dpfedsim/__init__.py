@@ -5,6 +5,9 @@ models with client-side Laplace or Gaussian noise, predicts the noise item's
 variance in closed form, evaluates the matching convergence bound, and plans
 iteration counts (the tuned local-iteration count and the finite optimal
 total iteration count when the noise forces divergence).
+
+The per-client reference oracles it is tested against are not re-exported:
+import them from ``dpfedsim.reference``.
 """
 
 from .bounds import (
@@ -24,18 +27,14 @@ from .bounds import (
 from .data import load_csv, sorted_partition, synth_regression
 from .engine import (
     ClipSpec,
-    DivergenceError,
     FederationConfig,
     Repeats,
     RoundRecord,
     RunResult,
     Schedule,
-    aggregate,
-    client_update,
     lr_schedule,
     pilot_gradient_bound,
     run_federation,
-    select_pool,
 )
 from .harness import (
     Experiment,
@@ -43,7 +42,6 @@ from .harness import (
     RunSummary,
     ValidationReport,
     build_experiment,
-    centralized_gd_oracle,
     cmd_plan,
     cmd_run,
     cmd_sweep,
@@ -68,11 +66,7 @@ from .regression import (
     PaddedShards,
     ProblemConstants,
     clip_gradient,
-    global_loss,
-    global_optimum,
-    local_optimum,
     mse_gradient,
-    mse_loss,
     problem_constants,
 )
 

@@ -7,24 +7,27 @@ and aggregates the noisy parameters with size weights.
 
 An experiment is ``config.repeats`` = R runs, with seeds seed + r, and
 ``run_federation`` runs them as one block and returns them as ``Repeats``. A
-round's pool is a contiguous block of client ids, so each local step of every
-pool client in every repeat is one vectorised gradient pass over the pool's
-slice of the dataset's store (``regression.PaddedShards``), built once and
-shared by every repeat: the number of numpy calls per step grows with neither
-the pool size nor the repeat count. When p <= max(n_l) the pass is one
-batched p x p matvec with each client's cached H_l = (2/n_l) X_l'X_l and
-h_l = (2/n_l) X_l'y_l (the Gram form); otherwise it reads the zero-padded
-(R, b, max(n_l), p) rows (the residual form). Repeat r draws its (b, p) noise
-block from its own stream (seed + r, round); the start states of those
-streams are computed in bulk (``mechanisms.stream_states``) and one generator
-is reseeded to each in turn. Aggregation is one reduction per repeat in a
-fixed order, and the per-round metrics (the p x p pooled loss, y_k and the
-noise norm) take one dot product per repeat. A round therefore costs
-O(R * b * p^2 * E) for the steps in Gram form and O(R * b * max(n_l) * p * E)
-in residual form, plus O(R * p^2) for the metrics, and every repeat is
-bitwise the same whether it runs alone or in a block.
+round's pool is a contiguous block of client ids (``pool_slice``), so each
+local step of every pool client in every repeat is one vectorised gradient
+pass over the pool's slice of the dataset's store (``regression.PaddedShards``),
+built once and shared by every repeat (``client_update``): the number of
+numpy calls per step grows with neither the pool size nor the repeat count.
+When p <= max(n_l) the pass is one batched p x p matvec with each client's
+cached H_l = (2/n_l) X_l'X_l and h_l = (2/n_l) X_l'y_l (the Gram form);
+otherwise it reads the zero-padded (R, b, max(n_l), p) rows (the residual
+form). Repeat r draws its (b, p) noise block from its own stream
+(seed + r, round); the start states of those streams are computed in bulk
+(``mechanisms.stream_states``) and one generator is reseeded to each in turn.
+Aggregation (``aggregate``) is one reduction per repeat in a fixed order, and
+the per-round metrics (the p x p pooled loss, y_k and the noise norm) take one
+dot product per repeat. A round therefore costs O(R * b * p^2 * E) for the
+steps in Gram form and O(R * b * max(n_l) * p * E) in residual form, plus
+O(R * p^2) for the metrics, and every repeat is bitwise the same whether it
+runs alone or in a block.
 The L1 pilot that measures the gradient bound is the same round loop run
-noise-free with one repeat, watching every step's clipped gradients.
+noise-free with one repeat, watching every step's clipped gradients. The
+per-client loops that the kernel is tested against live in ``reference``,
+which nothing here imports.
 """
 from __future__ import annotations
 
@@ -35,16 +38,16 @@ import numpy as np
 
 from . import bounds
 from .bounds import schedule_offset
-# noise_stream is not called here: bench/tracer.py patches it by this module's name
+# mse_gradient and noise_stream are not called here: bench/tracer.py patches
+# them by this module's name
 from .mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise, stream_states
 from .regression import (
-    CLIP_NORMS, ClientShard, ConfigError, PaddedShards, ProblemConstants, _row_dots,
-    clip_gradient, mse_gradient,
+    CLIP_NORMS, ConfigError, PaddedShards, ProblemConstants, _row_dots, clip_gradient,
+    mse_gradient,
 )
 
 __all__ = [
     "SCHEDULE_KINDS",
-    "DivergenceError",
     "Schedule",
     "ClipSpec",
     "FederationConfig",
@@ -53,7 +56,7 @@ __all__ = [
     "Repeats",
     "lr_schedule",
     "schedule_offset",
-    "select_pool",
+    "pool_slice",
     "noise_context",
     "run_bound_params",
     "client_update",
@@ -72,10 +75,6 @@ CHUNK_ELEMENTS = 4_000_000
 # the noise streams' start states are computed for at most this many
 # (repeat, round) pairs at a time
 STATE_PAIRS = 4096
-
-
-class DivergenceError(RuntimeError):
-    """Parameters left the representable range during a run."""
 
 
 def lr_schedule(k: int, mu: float, gamma: float) -> float:
@@ -248,18 +247,11 @@ class Repeats:
         return sum(run.diverged for run in self.runs)
 
 
-def _pool_slice(t: int, n_clients: int, pool_size: int) -> slice:
+def pool_slice(t: int, n_clients: int, pool_size: int) -> slice:
+    """Round-robin pool for round t: the block of client ids (t*b) mod N ... (t*b+b-1) mod N."""
     # b divides N, so the start (t*b) mod N is a multiple of b and the pool never wraps
     start = (t * pool_size) % n_clients
     return slice(start, start + pool_size)
-
-
-def select_pool(t: int, n_clients: int, pool_size: int) -> list[int]:
-    """Round-robin pool for round t: client ids (t*b) mod N ... (t*b+b-1) mod N."""
-    if n_clients % pool_size != 0:
-        raise ConfigError("pool size must divide the client count")
-    pool = _pool_slice(t, n_clients, pool_size)
-    return list(range(pool.start, pool.stop))
 
 
 def _all_within_limit(params: np.ndarray) -> bool:
@@ -273,62 +265,16 @@ def _within_limit(params: np.ndarray) -> np.ndarray:
     return np.abs(params).reshape(len(params), -1).max(axis=1) <= PARAM_LIMIT
 
 
-def _check_params(theta: np.ndarray) -> None:
-    if not _all_within_limit(theta):
-        raise DivergenceError("parameters exceeded the divergence limit")
-
-
-def client_update(
-    theta_in: np.ndarray,
-    shard: ClientShard,
-    t: int,
-    local_iters: int,
-    schedule: Schedule,
-    clip: ClipSpec,
-) -> np.ndarray:
-    """E clipped full-batch gradient steps with rates eta_{tE} ... eta_{tE+E-1}.
-
-    Returns the pre-noise local parameters; the caller adds the DP noise so
-    the server never sees a noiseless upload.
-    """
-    theta = np.asarray(theta_in, dtype=float)
-    k0 = t * local_iters
-    for i in range(local_iters):
-        grad = clip_gradient(mse_gradient(theta, shard), clip.zeta, clip.norm)
-        theta = theta - schedule.rate(k0 + i) * grad
-        _check_params(theta)
-    return theta
-
-
 def aggregate(
-    noisy_params: list[tuple[np.ndarray, int]],
-    n_clients: int,
-    pool_size: int,
-    n_total: int,
-) -> np.ndarray:
-    """Server rule (N/b) * sum_l (n_l/n) * theta_l over the pool.
-
-    Entries must already be ordered by ascending client id; the sum runs in
-    list order to keep results bit-reproducible.
-    """
-    if not noisy_params:
-        raise ConfigError("cannot aggregate an empty pool")
-    if len(noisy_params) != pool_size:
-        raise ConfigError(f"expected {pool_size} pool entries, got {len(noisy_params)}")
-    acc = np.zeros_like(noisy_params[0][0])
-    for theta_l, n_l in noisy_params:
-        acc = acc + (n_l / n_total) * theta_l
-    return (n_clients / pool_size) * acc
-
-
-def _aggregate_block(
     block: np.ndarray, weights: np.ndarray, n_clients: int, pool_size: int
 ) -> np.ndarray:
-    """``aggregate`` on an (R, b, p) block: per repeat, its b rows in ascending client-id order.
+    """Server rule (N/b) * sum_l (n_l/n) * theta_l on an (R, b, p) block, per repeat.
 
-    The reduction order is numpy's: for p > 1 it adds the rows in order, for
-    p = 1 it may sum pairwise, so results agree with ``aggregate`` to rounding.
-    Either way a repeat's sum does not depend on the other repeats.
+    A repeat's b rows are in ascending client-id order and ``weights`` holds
+    their n_l/n. The reduction order is numpy's: for p > 1 it adds the rows
+    in order, for p = 1 it may sum pairwise, so results agree with the
+    per-client ``reference.aggregate`` to rounding. Either way a repeat's sum
+    does not depend on the other repeats.
     """
     return (n_clients / pool_size) * np.add.reduce(weights[:, None] * block, axis=-2)
 
@@ -351,7 +297,7 @@ def _initial_theta(config: FederationConfig, dim: int) -> np.ndarray:
     return theta
 
 
-def _local_steps(
+def client_update(
     data: PaddedShards,
     pool: slice,
     theta: np.ndarray,
@@ -472,7 +418,7 @@ def _run_block(
     marked diverged and leaves the block at the end of round t, keeping its
     records and parameters up to round t - 1. A noise-free run builds no
     noise stream. ``on_grad`` sees each round's stack of clipped gradients (see
-    ``_local_steps``); with ``records`` false the runs keep no round records.
+    ``client_update``); with ``records`` false the runs keep no round records.
     """
     dim = data.dim
     theta_0 = _initial_theta(config, dim)
@@ -492,7 +438,7 @@ def _run_block(
         streams = _round_states(seeds, config.global_iters)
 
     for t in range(config.global_iters):
-        pool = _pool_slice(t, n_clients, b)
+        pool = pool_slice(t, n_clients, b)
         weights = data.weights[pool]
         round_ctx = noise_context(config, data, t)
 
@@ -503,8 +449,8 @@ def _run_block(
             noise = sample_noise(config.mechanism, round_ctx, None, (len(active), b))
         # a diverged repeat steps on to the round's end: silence its overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            local, ok = _local_steps(data, pool, theta, t, config, on_grad)
-            theta_new = _aggregate_block(local + noise, weights, n_clients, b)
+            local, ok = client_update(data, pool, theta, t, config, on_grad)
+            theta_new = aggregate(local + noise, weights, n_clients, b)
         ok &= _within_limit(theta_new)
         if not ok.all():
             for i in np.flatnonzero(~ok):
@@ -520,7 +466,7 @@ def _run_block(
 
         k = (t + 1) * config.local_iters
         losses = data.losses(theta)
-        noise_agg = _aggregate_block(noise, weights, n_clients, b)
+        noise_agg = aggregate(noise, weights, n_clients, b)
         noise_l2 = np.sqrt(_row_dots(noise_agg, noise_agg))
         y_k = np.full(len(active), math.nan)
         bound_y_k = math.nan

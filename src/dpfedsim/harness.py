@@ -28,9 +28,9 @@ from .engine import (
     Schedule,
     noise_context,
     pilot_gradient_bound,
+    pool_slice,
     run_bound_params,
     run_federation,
-    select_pool,
 )
 from .mechanisms import (
     MechanismSpec,
@@ -42,14 +42,7 @@ from .mechanisms import (
     noise_item_variance,
     sample_noise,
 )
-from .regression import (
-    ConfigError,
-    PaddedShards,
-    ProblemConstants,
-    clip_gradient,
-    mse_gradient,
-    problem_constants,
-)
+from .regression import ConfigError, PaddedShards, ProblemConstants, problem_constants
 
 __all__ = [
     "Experiment",
@@ -62,7 +55,6 @@ __all__ = [
     "cmd_sweep",
     "cmd_plan",
     "cmd_validate",
-    "centralized_gd_oracle",
     "e_from_rule",
 ]
 
@@ -603,7 +595,7 @@ def _simulate_noise_aggregates(
     count = 0
     for t in range(n_pools):
         weights = (cfg.n_clients / cfg.pool_size) * exp.dataset.weights[
-            select_pool(t, cfg.n_clients, cfg.pool_size)
+            pool_slice(t, cfg.n_clients, cfg.pool_size)
         ]
         left = per_pool
         while left > 0:
@@ -666,39 +658,3 @@ def cmd_validate(
     lines = report.lines()
     _emit(out_dir, "validate.txt", "\n".join(lines) + "\n", lines, quiet)
     return report
-
-
-# ---------------------------------------------------------------------------
-# centralized oracle
-# ---------------------------------------------------------------------------
-
-
-def centralized_gd_oracle(
-    shards,
-    total_iters: int,
-    schedule: Schedule,
-    clip: ClipSpec,
-    theta_0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Plain full-batch gradient descent on the size-weighted global loss.
-
-    The descent direction is the size-weighted sum of per-client clipped
-    gradients (ascending client id), i.e. exactly the loss surface the
-    federation descends. Returns the (T+1, p) trajectory including the start
-    point. Certifies the engine's b=N, E=1, noise-free special case.
-    """
-    ordered = sorted(shards, key=lambda s: s.client_id)
-    sizes = [s.n_l for s in ordered]
-    n = sum(sizes)
-    dim = ordered[0].dim
-    theta = np.zeros(dim) if theta_0 is None else np.asarray(theta_0, dtype=float)
-    out = np.empty((total_iters + 1, dim))
-    out[0] = theta
-    for k in range(total_iters):
-        grad = np.zeros(dim)
-        for shard in ordered:
-            g = clip_gradient(mse_gradient(theta, shard), clip.zeta, clip.norm)
-            grad = grad + (shard.n_l / n) * g
-        theta = theta - schedule.rate(k) * grad
-        out[k + 1] = theta
-    return out

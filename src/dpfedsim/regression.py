@@ -17,13 +17,8 @@ __all__ = [
     "ClientShard",
     "PaddedShards",
     "ProblemConstants",
-    "mse_loss",
     "mse_gradient",
     "clip_gradient",
-    "local_optimum",
-    "global_optimum",
-    "global_loss",
-    "pooled_design",
     "problem_constants",
 ]
 
@@ -102,26 +97,11 @@ def _as_theta(theta: np.ndarray, shard: ClientShard) -> np.ndarray:
     return theta
 
 
-def mse_loss(theta: np.ndarray, shard: ClientShard) -> float:
-    """Mean squared error (1/n_l) * sum_i (x_i . theta - y_i)^2."""
-    theta = _as_theta(theta, shard)
-    resid = shard.features @ theta - shard.targets
-    return float(resid @ resid) / shard.n_l
-
-
 def mse_gradient(theta: np.ndarray, shard: ClientShard) -> np.ndarray:
-    """Exact gradient of :func:`mse_loss`: (2/n_l) * X^T (X theta - y)."""
+    """Exact gradient of the MSE (1/n_l) ||X theta - y||^2: (2/n_l) * X^T (X theta - y)."""
     theta = _as_theta(theta, shard)
     resid = shard.features @ theta - shard.targets
     return (2.0 / shard.n_l) * (shard.features.T @ resid)
-
-
-def _norm(g: np.ndarray, norm_kind: str) -> float:
-    if norm_kind == "l1":
-        return float(np.sum(np.abs(g)))
-    if norm_kind == "l2":
-        return float(np.sqrt(g @ g))
-    raise ConfigError(f"unknown norm kind {norm_kind!r} (expected one of {CLIP_NORMS})")
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,20 +134,8 @@ def clip_gradient(g: np.ndarray, zeta: float, norm_kind: str = "l2") -> np.ndarr
     if not zeta > 0:
         raise ConfigError("clip threshold zeta must be > 0")
     g = np.asarray(g, dtype=float)
-    if g.ndim > 1:
-        return _clip_rows(g, zeta, norm_kind)
-    norm = _norm(g, norm_kind)
-    if norm <= zeta:
-        return g
-    clipped = g / (norm / zeta)
-    while _norm(clipped, norm_kind) > zeta:
-        clipped = clipped / (_norm(clipped, norm_kind) / zeta)
-    return clipped
-
-
-def _clip_rows(g: np.ndarray, zeta: float, norm_kind: str) -> np.ndarray:
-    # mirrors the vector path row by row: a row at or below the threshold has
-    # norm/zeta <= 1 and is divided by exactly 1.0, which leaves it unchanged
+    # a row at or below the threshold has norm/zeta <= 1 and is divided by
+    # exactly 1.0, which leaves it unchanged
     norms = _row_norms(g, norm_kind)
     if (norms <= zeta).all():
         return g
@@ -179,49 +147,10 @@ def _clip_rows(g: np.ndarray, zeta: float, norm_kind: str) -> np.ndarray:
     return clipped
 
 
-def local_optimum(shard: ClientShard) -> tuple[np.ndarray, float]:
-    """Minimum-norm least-squares parameters of a shard and their loss f_l*.
-
-    Rank-deficient systems resolve to the pseudo-inverse solution, so the
-    result is deterministic even for tiny shards with n_l < d.
-    """
-    theta, *_ = np.linalg.lstsq(shard.features, shard.targets, rcond=None)
-    return theta, mse_loss(theta, shard)
-
-
-def pooled_design(shards: list[ClientShard]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack all shards (ascending client id) into one design matrix and target vector."""
-    ordered = sorted(shards, key=lambda s: s.client_id)
-    X = np.concatenate([s.features for s in ordered], axis=0)
-    y = np.concatenate([s.targets for s in ordered], axis=0)
-    return X, y
-
-
 def _least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     theta, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = X @ theta - y
     return theta, float(resid @ resid) / X.shape[0]
-
-
-def global_optimum(shards: list[ClientShard]) -> tuple[np.ndarray, float]:
-    """Minimum-norm least-squares solution of the pooled problem and its loss f*.
-
-    The pooled objective (1/n) ||X theta - y||^2 equals the size-weighted
-    average of the per-shard losses, so its minimizer is the global optimum of
-    the federated task.
-    """
-    return _least_squares(*pooled_design(shards))
-
-
-def global_loss(theta: np.ndarray, shards: list[ClientShard]) -> float:
-    """Size-weighted global loss sum_l (n_l/n) f_l(theta) = (1/n) ||X theta - y||^2."""
-    ordered = sorted(shards, key=lambda s: s.client_id)
-    n = sum(s.n_l for s in ordered)
-    total = 0.0
-    for shard in ordered:
-        resid = shard.features @ np.asarray(theta, dtype=float) - shard.targets
-        total += float(resid @ resid)
-    return total / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,9 +236,11 @@ class PaddedShards:
             raise ConfigError("shard client ids must be exactly 0..N-1")
         if len({s.features.shape[1:] for s in shards}) > 1:
             raise ConfigError("all shards must share one feature dimension")
-        # no shards make no design to concatenate; the constructor rejects them
-        pooled = pooled_design(shards) if shards else (np.empty((0, 0)), np.empty(0))
-        return cls.from_pooled(*pooled, [s.n_l for s in shards])
+        if not shards:  # no design to concatenate; the constructor rejects it
+            return cls.from_pooled(np.empty((0, 0)), np.empty(0), [])
+        return cls.from_pooled(np.concatenate([s.features for s in shards]),
+                               np.concatenate([s.targets for s in shards]),
+                               [s.n_l for s in shards])
 
     @property
     def n_clients(self) -> int:
@@ -323,8 +254,7 @@ class PaddedShards:
     def shards(self) -> list[ClientShard]:
         """Every client's ``ClientShard``, in id order: row views of the pooled design.
 
-        The per-shard reference oracles (``mse_loss``, ``local_optimum``, ...)
-        read these.
+        The per-shard oracles of ``dpfedsim.reference`` read these.
         """
         stops = np.cumsum(self.sizes).astype(int).tolist()
         return [ClientShard(cid, self.pooled_x[start:stop], self.pooled_y[start:stop])
@@ -405,7 +335,7 @@ class PaddedShards:
 
 
 def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
-    """Every shard's f_l* = min ||X_l theta - y_l||^2 / n_l as ``local_optimum`` finds it.
+    """Every shard's f_l* = min ||X_l theta - y_l||^2 / n_l, as ``reference.local_optimum``.
 
     One batched factorisation over the padded stack. A QR first factors the
     long side of each (n_max, p) block away: of [X y] when n_max >= p, which
@@ -455,15 +385,16 @@ def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> P
     store's pooled solve on the Gram matrix, whose refinement step keeps theta*
     within the forward error of ``lstsq`` on the pooled design; only a singular
     Hessian runs that ``lstsq`` on the n x p design, for its minimum-norm
-    solution. gamma_noniid =
-    f* - sum_l (n_l/n) f_l* (clamped at 0 against rounding). The gradient
-    bound is the clip threshold ``zeta``: exact under L2 clipping,
-    conservative under L1 since ||.||2 <= ||.||1. A tighter bound, such as a
-    measured pilot-run maximum, goes in with ``dataclasses.replace``.
+    solution. gamma_noniid = f* - sum_l (n_l/n) f_l* (clamped at 0 against
+    rounding). The gradient bound is the clip threshold ``zeta``: exact under
+    L2 clipping, conservative under L1 since ||.||2 <= ||.||1. A tighter bound,
+    such as a measured pilot-run maximum, goes in with ``dataclasses.replace``.
 
-    A singular pooled Hessian (mu <= 0 numerically) is reported via
-    ``assumptions_ok=False`` with mu forced to 0; simulation may proceed but
-    bound computation is disabled.
+    The pooled Hessian counts as singular when lambda <= 0, when
+    mu <= 1e-12 * lambda, or when mu^2 underflows to 0 (the bound divides by
+    it). That is reported via ``assumptions_ok=False`` with mu forced to 0:
+    simulation may proceed but bound computation is disabled, and the same
+    rule is what sends theta* and f* to ``lstsq`` on the n x p design.
     """
     if not zeta > 0:
         raise ConfigError("clip threshold zeta must be > 0")

@@ -11,17 +11,17 @@ import pytest
 
 from dpfedsim.bounds import optimal_local_iterations, rate_exponent
 from dpfedsim.config import parse_config
-from dpfedsim.engine import aggregate, run_federation, select_pool
+from dpfedsim.engine import run_federation
 from dpfedsim.harness import (
     _round0_context,
     build_experiment,
-    centralized_gd_oracle,
     cmd_run,
     cmd_sweep,
     cmd_validate,
     run_repeats,
 )
 from dpfedsim.mechanisms import noise_item_variance
+from dpfedsim.reference import aggregate, centralized_gd_oracle, select_pool
 
 
 def _report(num, name, ok, detail=""):

@@ -1,4 +1,5 @@
-"""Public names: each listed name exists, and the package re-exports only listed names."""
+"""Public names: each listed name exists, the package re-exports only listed names, and no
+simulator module imports the reference oracles."""
 import ast
 import importlib
 import pkgutil
@@ -28,3 +29,24 @@ def test_package_imports_only_names_its_modules_list():
         if alias.name not in importlib.import_module(f"dpfedsim.{node.module}").__all__
     ]
     assert unlisted == []
+
+
+def _imported(node) -> list[str]:
+    """The modules an import statement may load, resolved against the package."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = node.module if node.level == 0 else ".".join(filter(None, ["dpfedsim", node.module]))
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def test_no_simulator_module_imports_the_reference_oracles():
+    importers = [
+        path.name
+        for path in sorted(Path(dpfedsim.__file__).parent.glob("*.py"))
+        if path.stem != "reference"
+        and any("dpfedsim.reference" in _imported(node)
+                for node in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert importers == []

@@ -8,14 +8,11 @@ from dpfedsim.engine import (
     ClipSpec,
     FederationConfig,
     Schedule,
-    aggregate,
-    client_update,
     lr_schedule,
     pilot_gradient_bound,
     run_bound_params,
     run_federation,
     schedule_offset,
-    select_pool,
 )
 from dpfedsim.mechanisms import MechanismSpec, sensitivity_l1, sensitivity_l2, NoiseContext
 from dpfedsim.regression import (
@@ -24,10 +21,10 @@ from dpfedsim.regression import (
     PaddedShards,
     ProblemConstants,
     clip_gradient,
-    local_optimum,
     mse_gradient,
     problem_constants,
 )
+from dpfedsim.reference import aggregate, client_update, local_optimum, select_pool
 
 
 def make_shards(rng, n_clients, n_per=10, d=3, spread=0.5):

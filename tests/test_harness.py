@@ -14,7 +14,6 @@ from dpfedsim.config import parse_config
 from dpfedsim.engine import ClipSpec, Schedule, run_federation
 from dpfedsim.harness import (
     build_experiment,
-    centralized_gd_oracle,
     cmd_plan,
     cmd_run,
     cmd_sweep,
@@ -23,6 +22,7 @@ from dpfedsim.harness import (
     run_repeats,
 )
 from dpfedsim import harness
+from dpfedsim.reference import centralized_gd_oracle
 from dpfedsim.regression import ClientShard, ConfigError, PaddedShards
 
 SMALL_TASK = """
@@ -516,7 +516,8 @@ def test_oracle_monotone_loss_under_small_rate():
         ClientShard(i, rng.standard_normal((10, 2)), rng.standard_normal(10))
         for i in range(3)
     ]
-    from dpfedsim.regression import PaddedShards, global_loss, problem_constants
+    from dpfedsim.reference import global_loss
+    from dpfedsim.regression import PaddedShards, problem_constants
 
     pc = problem_constants(PaddedShards.build(shards), np.zeros(2), zeta=1e9)
     traj = centralized_gd_oracle(

@@ -6,18 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpfedsim import bounds, engine, mechanisms
 from dpfedsim.data import sorted_partition
 from dpfedsim.engine import (
     PARAM_LIMIT,
     ClipSpec,
-    DivergenceError,
     FederationConfig,
     RoundRecord,
     Schedule,
-    aggregate,
-    client_update,
     pilot_gradient_bound,
     run_federation,
 )
@@ -25,14 +24,15 @@ from dpfedsim.config import parse_config
 from dpfedsim.harness import build_experiment, cmd_run, cmd_sweep, run_repeats
 from dpfedsim.mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
 from dpfedsim.regression import (
+    CLIP_NORMS,
     ClientShard,
     ConfigError,
     PaddedShards,
     clip_gradient,
     mse_gradient,
-    pooled_design,
     problem_constants,
 )
+from dpfedsim.reference import DivergenceError, aggregate, client_update, pooled_design
 
 REL_TOL = 1e-12
 
@@ -587,3 +587,95 @@ def test_config_repeats_sets_the_run_count_and_each_run_is_its_seed_alone(mechan
         alone = run_federation(dataclasses.replace(cfg, seed=cfg.seed + r), data, constants=pc)
         assert len(alone.runs) == 1
         _assert_same_run(run, alone.runs[0])
+
+
+@st.composite
+def federations(draw):
+    """A small federation: b | N and N | b*T_g, ragged shards, any clip, mechanism and rate.
+
+    p counts the bias column. Shard sizes fall on both sides of p, so the
+    kernel runs in Gram form (p <= max(n_l)) and in residual form
+    (p > max(n_l)). A zeta of 0.1 binds, one of 100 binds only once a run
+    drifts far, and one of 1e30 never binds: at the unstable constant rate a
+    noise-free run diverges, and its noise sends a noisy run past
+    PARAM_LIMIT at once.
+    """
+    n_clients = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    pool_size = draw(st.sampled_from([b for b in range(1, n_clients + 1) if n_clients % b == 0]))
+    p = draw(st.integers(2, 6))
+    sizes = draw(st.lists(st.integers(1, 7), min_size=n_clients, max_size=n_clients))
+    return dict(
+        n_clients=n_clients, pool_size=pool_size, p=p, sizes=sizes,
+        global_iters=n_clients // pool_size * draw(st.integers(1, 2)),
+        local_iters=draw(st.integers(1, 4)),
+        norm=draw(st.sampled_from(CLIP_NORMS)),
+        zeta=draw(st.sampled_from([0.1, 100.0, 1e30])),
+        mechanism=draw(st.sampled_from(sorted(MECHANISMS))),
+        rate=draw(st.sampled_from(["decay", 0.5, 50.0])),
+        repeats=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 1000)),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fed=federations())
+def test_kernel_matches_per_client_reference_on_drawn_federations(fed):
+    rng = np.random.default_rng(fed["seed"])
+    n = sum(fed["sizes"])
+    x = rng.standard_normal((n, fed["p"] - 1))
+    y = x @ rng.standard_normal(fed["p"] - 1) + 0.5 + 0.1 * rng.standard_normal(n)
+    data = PaddedShards.from_pooled(np.column_stack([x, np.ones(n)]), y, fed["sizes"])
+    pc = problem_constants(data, np.zeros(data.dim), fed["zeta"])
+    if fed["rate"] == "decay" and pc.assumptions_ok:
+        schedule = Schedule.decay(pc, fed["local_iters"])
+    else:
+        schedule = Schedule.constant((0.5 if fed["rate"] == "decay" else fed["rate"]) / pc.lam)
+    cfg = FederationConfig(
+        n_clients=fed["n_clients"], pool_size=fed["pool_size"], local_iters=fed["local_iters"],
+        global_iters=fed["global_iters"], schedule=schedule,
+        clip=ClipSpec(fed["zeta"], fed["norm"]), mechanism=MECHANISMS[fed["mechanism"]],
+        seed=fed["seed"], repeats=fed["repeats"],
+    )
+    batch = run_federation(cfg, data, constants=pc)
+    single = _single_runs(dataclasses.replace(cfg, repeats=1), data, pc, cfg.repeats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, run in enumerate(batch.runs):
+            _assert_same_run(run, single[r])
+            records, theta, diverged = reference_run(
+                dataclasses.replace(cfg, seed=cfg.seed + r), data.shards, constants=pc)
+            assert run.diverged == diverged
+            assert len(run.records) == len(records)
+            for got, want in zip(run.records, records):
+                assert_close(dataclasses.astuple(got), dataclasses.astuple(want))
+            assert_close(run.theta, theta)
+        want = reference_pilot(cfg, data.shards)
+    got = pilot_gradient_bound(cfg, data)
+    assert abs(got - want) <= REL_TOL * want
+    # the store builds the per-client Gram statistics exactly when the Gram form runs
+    assert ("local_stats" in data.__dict__) == (data.dim <= data.x.shape[1])
+
+
+def test_the_run_goes_through_the_kernel_entry_points(tmp_path, monkeypatch):
+    path = tmp_path / "task.cfg"
+    path.write_text(ROUNDS_TASK.format(repeats=3))  # L1 clipping: the pilot runs too
+    cmd_run(path, tmp_path / "plain", quiet=True)
+    calls = {"client_update": 0, "aggregate": 0}
+
+    def counting(name):
+        original = getattr(engine, name)
+
+        def passthrough(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return passthrough
+
+    for name in calls:
+        monkeypatch.setattr(f"dpfedsim.engine.{name}", counting(name))
+    cmd_run(path, tmp_path / "counted", quiet=True)
+    rounds = 10
+    # one local-step call per round in the pilot and in the run; one aggregate
+    # per pilot round, and two per run round (parameters and noise)
+    assert calls == {"client_update": 2 * rounds, "aggregate": 3 * rounds}
+    assert ((tmp_path / "counted" / "rounds.csv").read_bytes()
+            == (tmp_path / "plain" / "rounds.csv").read_bytes())

@@ -11,13 +11,10 @@ from dpfedsim.regression import (
     PaddedShards,
     _local_optimum_losses,
     clip_gradient,
-    global_loss,
-    global_optimum,
-    local_optimum,
     mse_gradient,
-    mse_loss,
     problem_constants,
 )
+from dpfedsim.reference import global_loss, global_optimum, local_optimum, mse_loss
 
 
 def make_shard(rng, n=5, d=3, client_id=0):
