@@ -21,8 +21,12 @@ from dpfedsim import (
     run_federation,
     sorted_partition,
 )
-from dpfedsim.data import _with_bias
 from dpfedsim.reference import global_loss
+
+
+def with_bias(features):
+    return np.column_stack([features, np.ones(features.shape[0])])
+
 
 rng = np.random.default_rng(11)
 n_rows = 400
@@ -47,7 +51,7 @@ gamma_sorted = problem_constants(by_rate, np.zeros(by_rate.dim), 10.0).gamma_non
 # contrast: random assignment of the same records
 chunks = np.array_split(train, N)
 random_ds = PaddedShards.build(
-    [ClientShard(i, _with_bias(c[:, :-1], True), c[:, -1]) for i, c in enumerate(chunks)]
+    [ClientShard(i, with_bias(c[:, :-1]), c[:, -1]) for i, c in enumerate(chunks)]
 )
 gamma_random = problem_constants(random_ds, np.zeros(4), 10.0).gamma_noniid
 print(f"non-IID degree: sorted {gamma_sorted:.4f} vs random {gamma_random:.4f}")
@@ -64,6 +68,6 @@ print("\ntraining on the sorted shards:")
 for rec in result.records[::8]:
     print(f"  t={rec.t:2d}  train loss={rec.global_loss:.4f}  y={rec.y_k:.4f}")
 
-holdout_shard = ClientShard(0, _with_bias(holdout[:, :-1], True), holdout[:, -1])
+holdout_shard = ClientShard(0, with_bias(holdout[:, :-1]), holdout[:, -1])
 print(f"\nfinal holdout loss: {global_loss(result.theta, [holdout_shard]):.4f}")
 print(f"optimal train loss: {constants.f_star:.4f}")

@@ -2,8 +2,9 @@
 
 Record convention: a record array is a 2-D float array whose last column is
 the regression target and whose remaining columns are raw features. Shard
-builders append a constant-1 bias column to the features by default, so the
-fitted parameter vector has one entry per feature plus an intercept.
+builders put a constant-1 bias column after the features by default, so the
+fitted parameter vector has one entry per feature plus an intercept. Each
+builder writes its rows into one pooled design, the store's only copy.
 """
 from __future__ import annotations
 
@@ -29,12 +30,6 @@ __all__ = [
 ]
 
 
-def _with_bias(features: np.ndarray, add_bias: bool) -> np.ndarray:
-    if not add_bias:
-        return features
-    return np.column_stack([features, np.ones(features.shape[0])])
-
-
 def synth_regression(
     n_clients: int,
     n_per_client: int,
@@ -58,18 +53,23 @@ def synth_regression(
         raise ConfigError("heterogeneity must lie in [0, 1]")
     if noise_std < 0:
         raise ConfigError("noise_std must be >= 0")
-    rng = default_rng(seed)
     dim = n_features + 1 if add_bias else n_features
+    n = n_clients * n_per_client
+    try:
+        design, targets = np.empty((n, dim)), np.empty(n)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"the synthetic design of N·n_l·p = {n_clients}·{n_per_client}·{dim}"
+                          f" = {n * dim} floats cannot be allocated: {exc}") from None
+    if add_bias:
+        design[:, -1] = 1.0
+    rng = default_rng(seed)
     theta_true = rng.standard_normal(dim)
-    designs, targets = [], []
-    for _ in range(n_clients):
+    for start in range(0, n, n_per_client):
+        rows = slice(start, start + n_per_client)
         theta_l = theta_true + heterogeneity * rng.standard_normal(dim)
-        raw = rng.standard_normal((n_per_client, n_features))
-        design = _with_bias(raw, add_bias)
-        designs.append(design)
-        targets.append(design @ theta_l + noise_std * rng.standard_normal(n_per_client))
-    return PaddedShards.from_pooled(np.concatenate(designs), np.concatenate(targets),
-                                    [n_per_client] * n_clients)
+        design[rows, :n_features] = rng.standard_normal((n_per_client, n_features))
+        targets[rows] = design[rows] @ theta_l + noise_std * rng.standard_normal(n_per_client)
+    return PaddedShards.from_pooled(design, targets, [n_per_client] * n_clients)
 
 
 def sorted_partition(
@@ -89,10 +89,16 @@ def sorted_partition(
     records = np.asarray(records, dtype=float)
     if records.ndim != 2 or records.shape[1] < 2:
         raise ConfigError("records must be 2-D with at least one feature and a target")
-    ordered = records[np.argsort(records[:, sort_key_index], kind="stable")]
+    order = np.argsort(records[:, sort_key_index], kind="stable")
+    targets = records[order, -1]
+    # one gather of the sorted rows: with a bias, their target column becomes the bias column
+    if add_bias:
+        features = records[order]
+        features[:, -1] = 1.0
+    else:
+        features = records[order, :-1]
     base, extra = divmod(records.shape[0], n_clients)
-    return PaddedShards.from_pooled(_with_bias(ordered[:, :-1], add_bias),
-                                    ordered[:, -1].copy(),
+    return PaddedShards.from_pooled(features, targets,
                                     [base + 1] * extra + [base] * (n_clients - extra))
 
 

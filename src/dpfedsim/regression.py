@@ -162,9 +162,12 @@ class PaddedShards:
     largest shard; zero rows add nothing to a residual, a gradient, a loss or
     a least-squares solution, so a pool is the slice of its id block. When
     every shard has the same size, ``x``/``y`` are views of the pooled arrays;
-    otherwise they take N * max(n_l) * p more floats. The dataset builders
-    write their rows into one pooled design and return its store
-    (``from_pooled``); ``build`` stacks a list of shards into a new one.
+    otherwise they take N * max(n_l) * p more floats. That is all a store
+    costs beyond its pooled design: the dataset builders write their rows
+    into the one pooled design they allocate and return its store
+    (``from_pooled``), and the per-shard optima of ``problem_constants`` read
+    ``x`` without copying it when max(n_l) < p. ``build`` stacks a list of
+    shards into a new store.
     n-bar-squared, the Gram matrix, the loss form, the ``shards`` views and
     the per-client ``local_stats`` (H_l, h_l) of the Gram-form gradient are
     computed on first use and kept. The loss form is the one pooled
@@ -337,29 +340,33 @@ class PaddedShards:
 def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
     """Every shard's f_l* = min ||X_l theta - y_l||^2 / n_l, as ``reference.local_optimum``.
 
-    One batched factorisation over the padded stack. A QR first factors the
-    long side of each (n_max, p) block away: of [X y] when n_max >= p, which
-    keeps X's singular values and turns y into coordinates in an orthonormal
-    basis, or of X' otherwise, since X = R'Q' has the singular values and left
-    vectors of R'. Singular values at or below ``lstsq``'s rcond=None cut-off,
+    Batched over the padded stack, each (n_max, p) block X read through a
+    matrix with X's singular values and left singular vectors. When
+    n_max >= p that is R of a QR of [X y], which factors the long side away
+    and turns y into coordinates in an orthonormal basis. Otherwise the block
+    is already short and is read as it is: no copy of the stack is made.
+    Singular values at or below ``lstsq``'s rcond=None cut-off,
     eps * max(n_l, p) * s_max, count as zero. Shards with no value cut have a
-    closed-form residual; only the others need singular vectors. The Gram
-    eigenvalues of the small factors, cheaper than its singular values, clear
-    the well-conditioned blocks, so singular values are computed for the rest.
+    closed-form residual; only the others need singular vectors. The
+    eigenvalues of the short side's Gram matrix, R'R or X X', cheaper than
+    singular values, clear the well-conditioned blocks, so singular values
+    are computed for the rest.
     """
     x, y = data.x, data.y
     p = data.dim
     if x.shape[1] >= p:
         r = np.linalg.qr(np.concatenate([x, y[:, :, None]], axis=2), mode="r")
         mat, rhs = r[:, :, :p], r[:, :, p]
+        gram = np.matmul(mat.transpose(0, 2, 1), mat)
     else:
-        mat, rhs = np.linalg.qr(x.transpose(0, 2, 1), mode="r").transpose(0, 2, 1), y
+        mat, rhs = x, y
+        gram = np.matmul(x, x.transpose(0, 2, 1))
     # a full-rank block reaches every coordinate of rhs but, when it has
     # p + 1 rows, the last one, which holds y's distance from X's columns
     resid_sq = rhs[:, p] ** 2 if mat.shape[1] > p else np.zeros(data.n_clients)
     # Gram eigenvalues spanning less than 1e8 put every singular value above
     # 1e-4 of the largest, far over the cut-off: only the other blocks may lose one
-    eig = np.linalg.eigvalsh(np.matmul(mat.transpose(0, 2, 1), mat))
+    eig = np.linalg.eigvalsh(gram)
     unsure = np.flatnonzero(~(eig[:, 0] > 1e-8 * eig[:, -1]))
     if not unsure.size:
         return resid_sq / data.sizes

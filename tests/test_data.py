@@ -1,6 +1,8 @@
 import csv
+import itertools
 import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -70,6 +72,69 @@ def test_synth_validation():
         synth_regression(3, 5, 2, 0.5, -0.1, seed=0)
 
 
+def _synth_reference(n_clients, n_per_client, n_features, heterogeneity, noise_std, seed,
+                     add_bias):
+    """The generator built client by client: one design per client, concatenated."""
+    rng = np.random.default_rng(seed)
+    dim = n_features + 1 if add_bias else n_features
+    theta_true = rng.standard_normal(dim)
+    designs, targets = [], []
+    for _ in range(n_clients):
+        theta_l = theta_true + heterogeneity * rng.standard_normal(dim)
+        design = rng.standard_normal((n_per_client, n_features))
+        if add_bias:
+            design = np.column_stack([design, np.ones(n_per_client)])
+        designs.append(design)
+        targets.append(design @ theta_l + noise_std * rng.standard_normal(n_per_client))
+    return np.concatenate(designs), np.concatenate(targets)
+
+
+@pytest.mark.parametrize("add_bias,heterogeneity,noise_std",
+                         list(itertools.product([True, False], [0.0, 1.0], [0.0, 0.3])))
+def test_synth_matches_the_per_client_reference_bitwise(add_bias, heterogeneity, noise_std):
+    args = (5, 9, 7, heterogeneity, noise_std, 12)
+    ds = synth_regression(*args, add_bias=add_bias)
+    features, targets = _synth_reference(*args, add_bias=add_bias)
+    assert ds.pooled_x.shape == features.shape and ds.pooled_x.tobytes() == features.tobytes()
+    assert ds.pooled_y.shape == targets.shape and ds.pooled_y.tobytes() == targets.tobytes()
+    assert np.shares_memory(ds.x, ds.pooled_x)  # one copy of the design
+
+
+@pytest.mark.parametrize("failure", [MemoryError("Unable to allocate 7.28 TiB"),
+                                     ValueError("array is too big")])
+def test_synth_design_that_cannot_be_allocated_is_a_config_error(monkeypatch, failure):
+    def refuse(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(data_module.np, "empty", refuse)
+    with pytest.raises(ConfigError, match=re.escape("N·n_l·p = 3·5·3 = 45 floats")):
+        synth_regression(3, 5, 2, 0.5, 0.1, seed=0)
+
+
+def test_store_costs_one_design_from_builder_to_constants():
+    # tracemalloc sees numpy's data allocations. A builder that stacks per-client
+    # copies of the design peaks at 2.26x the design, and a QR of the transposed
+    # stack takes the constants to 2.72x; one design written in place, and
+    # optima read from it, stay at 1.16x and 1.53x on this n_l < p shape
+    # (N=40, n_l=10, p=60), where the p x p terms of the constants are not negligible.
+    # The bounds sit between the two.
+    synth_regression(2, 3, 2, 0.5, 0.1, seed=0)  # first-use allocations of numpy
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ds = synth_regression(40, 10, 59, 0.5, 0.1, seed=0)
+        build_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        problem_constants(ds, np.zeros(ds.dim), 1.0)
+        constants_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    design = ds.pooled_x.nbytes
+    assert build_peak <= 1.3 * design
+    assert constants_peak <= 1.8 * design
+
+
 # ---------------------------------------------------------------------------
 # sorted partition
 # ---------------------------------------------------------------------------
@@ -83,6 +148,21 @@ def test_sorted_partition_sort_then_chunk():
     ds = sorted_partition(records, sort_key_index=1, n_clients=3, add_bias=False)
     groups = [sorted(s.targets.tolist()) for s in ds.shards]
     assert groups == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+
+@pytest.mark.parametrize("add_bias", [True, False])
+def test_sorted_partition_matches_the_column_stack_reference_bitwise(add_bias):
+    records = np.random.default_rng(5).standard_normal((13, 4))
+    records[3, 1] = records[7, 1]  # a tie, kept in input order
+    ds = sorted_partition(records, 1, n_clients=4, add_bias=add_bias)
+    ordered = records[np.argsort(records[:, 1], kind="stable")]
+    features = ordered[:, :-1]
+    if add_bias:
+        features = np.column_stack([features, np.ones(13)])
+    assert ds.pooled_x.shape == features.shape and ds.pooled_x.tobytes() == features.tobytes()
+    assert ds.pooled_y.tobytes() == ordered[:, -1].tobytes()
+    # the layout picks numpy's matmul path, and with it the bytes of every product
+    assert ds.pooled_x.flags.c_contiguous
 
 
 def test_sorted_partition_single_client_keeps_everything():
@@ -120,7 +200,6 @@ def test_sorted_partition_more_heterogeneous_than_random():
     records = np.column_stack([X, y])
     sorted_ds = sorted_partition(records, sort_key_index=2, n_clients=6)
     g_sorted = problem_constants(sorted_ds, np.zeros(3), 10.0).gamma_noniid
-    from dpfedsim.data import _with_bias
     from dpfedsim.regression import ClientShard
 
     for shuffle_seed in range(20):
@@ -129,7 +208,7 @@ def test_sorted_partition_more_heterogeneous_than_random():
         shuffled = records[perm]
         chunks = np.array_split(shuffled, 6)
         shards = [
-            ClientShard(i, _with_bias(c[:, :-1], True), c[:, -1])
+            ClientShard(i, np.column_stack([c[:, :-1], np.ones(len(c))]), c[:, -1])
             for i, c in enumerate(chunks)
         ]
         g_random = problem_constants(PaddedShards.build(shards), np.zeros(3), 10.0).gamma_noniid

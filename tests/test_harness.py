@@ -580,6 +580,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("setting", ["n_per_client = 10", "features = 3"])
+def test_cli_oversized_synthetic_design_is_a_config_error(tmp_path, capsys, setting):
+    # 10^17 rows or columns is past numpy's byte limit: refused before any allocation
+    key = setting.split(" = ")[0]
+    path = write(tmp_path, SMALL_TASK.replace(setting, f"{key} = {10**17}"))
+    code = cli_main(["plan", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: the synthetic design of N·n_l·p = ")
+
+
 def test_cli_missing_config_is_io_error(tmp_path, capsys):
     code = cli_main(
         ["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]
