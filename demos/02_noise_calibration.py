@@ -16,7 +16,7 @@ from dpfedsim import (
     gaussian_sigma,
     laplace_scale,
     noise_item_variance,
-    sensitivity_l2,
+    round_sensitivity,
 )
 
 ctx = NoiseContext(
@@ -30,7 +30,7 @@ gaussian = MechanismSpec(kind="gaussian", epsilon=1.0, delta=1e-4, xi2=1.5)
 print(f"laplace per-coordinate scale: {laplace_scale(ctx, laplace):.4f}")
 print(f"gaussian noise multiplier sigma: {gaussian_sigma(ctx, gaussian):.4f}")
 print(f"gaussian per-coordinate std: "
-      f"{gaussian_sigma(ctx, gaussian) * sensitivity_l2(ctx, gaussian.xi2):.4f}")
+      f"{gaussian_sigma(ctx, gaussian) * round_sensitivity(ctx, gaussian.xi2):.4f}")
 
 
 def simulate(spec, draws=200_000, seed=1):
@@ -44,7 +44,7 @@ def simulate(spec, draws=200_000, seed=1):
         if spec.kind == "laplace":
             w = rng.laplace(0.0, laplace_scale(ctx, spec), (draws // n_pools, ctx.b, ctx.p))
         else:
-            std = gaussian_sigma(ctx, spec) * sensitivity_l2(ctx, spec.xi2)
+            std = gaussian_sigma(ctx, spec) * round_sensitivity(ctx, spec.xi2)
             w = rng.normal(0.0, std, (draws // n_pools, ctx.b, ctx.p))
         total += np.sum(np.einsum("dbp,b->dp", w, weights) ** 2)
     return total / (draws // n_pools * n_pools)

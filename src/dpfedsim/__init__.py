@@ -3,8 +3,8 @@
 The package simulates round-based federated averaging of linear regression
 models with client-side Laplace or Gaussian noise, predicts the noise item's
 variance in closed form, evaluates the matching convergence bound, and plans
-iteration counts (the tuned local-iteration count and the finite optimal
-total iteration count when the noise forces divergence).
+iteration counts: the tuned local-iteration count, and whether the tuned
+error vanishes, levels off or grows with the total iteration count.
 
 The per-client reference oracles it is tested against are not re-exported:
 import them from ``dpfedsim.reference``.
@@ -20,7 +20,6 @@ from .bounds import (
     nearest_divisor,
     omega0,
     optimal_local_iterations,
-    optimal_total_iterations,
     rate_exponent,
     schedule_offset,
 )
@@ -32,7 +31,6 @@ from .engine import (
     RoundRecord,
     RunResult,
     Schedule,
-    lr_schedule,
     pilot_gradient_bound,
     run_federation,
 )
@@ -51,14 +49,12 @@ from .harness import (
 from .mechanisms import (
     MechanismSpec,
     NoiseContext,
-    asymptotic_z,
     gaussian_sigma,
     laplace_scale,
     noise_item_variance,
     noise_stream,
+    round_sensitivity,
     sample_noise,
-    sensitivity_l1,
-    sensitivity_l2,
 )
 from .regression import (
     ClientShard,

@@ -27,7 +27,6 @@ __all__ = [
     "e_from_rule",
     "rate_exponent",
     "nearest_divisor",
-    "optimal_total_iterations",
 ]
 
 
@@ -105,18 +104,17 @@ def c_mechanism(spec: MechanismSpec, p: int, pool_size: int, n_clients: int) -> 
 def bound_params(
     constants: ProblemConstants,
     mechanism: MechanismSpec,
-    p: int,
     local_iters: int,
     global_iters: int,
     n_clients: int,
     pool_size: int,
 ) -> BoundParams:
-    """Assemble the bound ingredients for a given experiment shape."""
+    """Assemble the bound ingredients for an experiment shape on the task of ``constants``."""
     if not constants.assumptions_ok:
         raise ConfigError("bound constants unavailable: assumptions violated (singular Hessian)")
     z = mechanism.z
     try:
-        c_m = c_mechanism(mechanism, p, pool_size, n_clients)
+        c_m = c_mechanism(mechanism, constants.theta_star.size, pool_size, n_clients)
         w0 = omega0(
             constants.lam,
             constants.gamma_noniid,
@@ -230,32 +228,3 @@ def rate_exponent(z: float) -> float:
     if not 0.0 <= z <= 2.0:
         raise ConfigError("z must lie in [0, 2]")
     return (z - 1.0) / (z + 1.0)
-
-
-def optimal_total_iterations(
-    t_grid: list[int],
-    local_iters,
-    constants: ProblemConstants,
-    mechanism: MechanismSpec,
-    p: int,
-    n_clients: int,
-    pool_size: int,
-) -> tuple[int, list[float]]:
-    """Grid search for the total iteration count minimizing the final bound.
-
-    ``local_iters`` is either a fixed E or a callable T -> E; every E must
-    divide its T. No closed form is attempted: the bound, from the start
-    distance ``constants.y0`` under each point's own decay schedule, is
-    evaluated at k = T for each grid point and the argmin returned.
-    """
-    if not t_grid:
-        raise ConfigError("empty T grid")
-    values = []
-    for total in t_grid:
-        e = local_iters(total) if callable(local_iters) else int(local_iters)
-        if total % e != 0:
-            raise ConfigError(f"E={e} does not divide T={total}")
-        bp = bound_params(constants, mechanism, p, e, total // e, n_clients, pool_size)
-        values.append(convergence_bound(total, bp))
-    best = min(range(len(t_grid)), key=lambda i: (values[i], i))
-    return t_grid[best], values

@@ -18,7 +18,7 @@ from .engine import SCHEDULE_KINDS
 from .mechanisms import KINDS
 from .regression import CLIP_NORMS, ConfigError
 
-__all__ = ["RawConfig", "parse_config", "parse_sweep_values", "DEFAULTS", "E_RULES", "SWEEP_AXES"]
+__all__ = ["RawConfig", "parse_config", "parse_sweep_values", "DEFAULTS", "SWEEP_AXES"]
 
 # every key, its default and its parser; "derived" defaults are resolved later
 DEFAULTS: dict[str, dict[str, tuple[Any, type]]] = {

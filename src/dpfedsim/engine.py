@@ -54,7 +54,6 @@ __all__ = [
     "RoundRecord",
     "RunResult",
     "Repeats",
-    "lr_schedule",
     "schedule_offset",
     "pool_slice",
     "noise_context",
@@ -77,15 +76,6 @@ CHUNK_ELEMENTS = 4_000_000
 STATE_PAIRS = 4096
 
 
-def lr_schedule(k: int, mu: float, gamma: float) -> float:
-    """Inverse-decay learning rate 2 / (mu * (k + gamma)), strictly decreasing in k."""
-    if not mu > 0:
-        raise ConfigError("decay schedule requires mu > 0")
-    if gamma < 1:
-        raise ConfigError("decay schedule requires gamma >= 1")
-    return 2.0 / (mu * (k + gamma))
-
-
 SCHEDULE_KINDS = ("decay", "constant")
 
 
@@ -93,7 +83,9 @@ SCHEDULE_KINDS = ("decay", "constant")
 class Schedule:
     """Learning-rate schedule: inverse decay (``kind="decay"``) or constant.
 
-    A run reports the convergence bound only under ``Schedule.decay(constants, E)``.
+    The decay rate eta_k = 2/(mu(k+gamma)) is strictly decreasing in k; its
+    mu > 0 and gamma >= 1 are checked once, when the schedule is built. A run
+    reports the convergence bound only under ``Schedule.decay(constants, E)``.
     """
 
     kind: str
@@ -109,7 +101,10 @@ class Schedule:
         if self.kind == "decay":
             if self.mu is None or self.gamma is None:
                 raise ConfigError("decay schedule needs mu and gamma")
-            lr_schedule(0, self.mu, self.gamma)  # validates ranges
+            if not self.mu > 0:
+                raise ConfigError("decay schedule requires mu > 0")
+            if not self.gamma >= 1:
+                raise ConfigError("decay schedule requires gamma >= 1")
         elif self.eta is None or not self.eta > 0:
             raise ConfigError("constant schedule needs eta > 0")
 
@@ -130,7 +125,7 @@ class Schedule:
 
     def rate(self, k: int) -> float:
         if self.kind == "decay":
-            return lr_schedule(k, self.mu, self.gamma)
+            return 2.0 / (self.mu * (k + self.gamma))
         return self.eta
 
 
@@ -387,18 +382,23 @@ def noise_context(config: FederationConfig, data: PaddedShards, t: int) -> Noise
 
 
 def run_bound_params(
-    config: FederationConfig, constants: ProblemConstants | None, p: int
+    config: FederationConfig, constants: ProblemConstants | None
 ) -> bounds.BoundParams | None:
-    """The convergence bound's parameters for runs of ``config`` on a p-dimensional task.
+    """The convergence bound's parameters for runs of ``config`` on the task of ``constants``.
 
-    None when the bound is undefined: no constants, a singular pooled Hessian
-    or a schedule other than ``Schedule.decay(constants, config.local_iters)``,
-    the only one the bound holds for.
+    None when the bound is undefined for those runs: no constants, a singular
+    pooled Hessian, a schedule other than
+    ``Schedule.decay(constants, config.local_iters)``, the only one the bound
+    holds for, or a start ``config.theta_0`` whose squared distance to theta*
+    is not the ``constants.y0`` the bound starts from.
     """
     if (constants is None or not constants.assumptions_ok
             or config.schedule != Schedule.decay(constants, config.local_iters)):
         return None
-    return bounds.bound_params(constants, config.mechanism, p, config.local_iters,
+    diff = _initial_theta(config, constants.theta_star.size) - constants.theta_star
+    if float(diff @ diff) != constants.y0:
+        return None
+    return bounds.bound_params(constants, config.mechanism, config.local_iters,
                                config.global_iters, config.n_clients, config.pool_size)
 
 
@@ -422,7 +422,7 @@ def _run_block(
     """
     dim = data.dim
     theta_0 = _initial_theta(config, dim)
-    bound_params = run_bound_params(config, constants, dim)
+    bound_params = run_bound_params(config, constants)
 
     runs = [
         RunResult(records=[], theta=theta_0, diverged=False,

@@ -55,7 +55,6 @@ __all__ = [
     "cmd_sweep",
     "cmd_plan",
     "cmd_validate",
-    "e_from_rule",
 ]
 
 ROUNDS_COLUMNS = "run_id,seed,t,k,eta_k,global_loss,y_k,bound_y_k,noise_l2"
@@ -512,7 +511,7 @@ def cmd_plan(config_path, out_dir=None, seed: int | None = None,
         scale_label, scale_value = "gaussian sigma", gaussian_sigma(ctx, mech)
 
     bound_block = (None, None, None, None, None)
-    bp = run_bound_params(cfg, exp.constants, exp.dataset.dim)
+    bp = run_bound_params(cfg, exp.constants)
     if bp is not None:
         bound_block = (bp.c_m, bp.omega0, bp.omega1, bp.gamma, bounds.bound_curve(bp))
 

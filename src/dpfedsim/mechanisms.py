@@ -28,15 +28,13 @@ from .regression import ConfigError
 __all__ = [
     "MechanismSpec",
     "NoiseContext",
-    "sensitivity_l1",
-    "sensitivity_l2",
+    "round_sensitivity",
     "laplace_scale",
     "gaussian_sigma",
     "noise_stream",
     "stream_states",
     "sample_noise",
     "noise_item_variance",
-    "asymptotic_z",
     "epsilon_regime_warning",
     "l1_sensitivity_warning",
 ]
@@ -86,8 +84,8 @@ class MechanismSpec:
 
     @property
     def z(self) -> float:
-        """Growth exponent of the noise-item variance in T_g; 0 for the noise-free benchmark."""
-        return 0.0 if self.kind == "none" else asymptotic_z(self.kind)
+        """Growth exponent of the noise-item variance in T_g: 2 Laplace, 1 Gaussian, 0 none."""
+        return {"none": 0.0, "laplace": 2.0, "gaussian": 1.0}[self.kind]
 
 
 @dataclass(frozen=True)
@@ -123,25 +121,23 @@ class NoiseContext:
             raise ConfigError("n_bar_sq must be > 0")
 
 
-def sensitivity_l1(ctx: NoiseContext, xi1: float) -> float:
-    """L1 sensitivity of a round's accumulated update: eta_tilde * E * xi1."""
-    if not xi1 > 0:
-        raise ConfigError("xi1 must be > 0")
-    return ctx.eta_tilde * ctx.E * xi1
+def round_sensitivity(ctx: NoiseContext, xi: float) -> float:
+    """Sensitivity eta_tilde * E * xi of a round's accumulated update.
 
-
-def sensitivity_l2(ctx: NoiseContext, xi2: float) -> float:
-    """L2 bound on a round's accumulated update: eta_tilde * E * xi2."""
-    if not xi2 > 0:
-        raise ConfigError("xi2 must be > 0")
-    return ctx.eta_tilde * ctx.E * xi2
+    The norm is that of the per-step bound xi: xi1 gives the L1 sensitivity
+    Xi1 that scales the Laplace noise, xi2 the L2 bound Xi2 that scales the
+    Gaussian noise.
+    """
+    if not xi > 0:
+        raise ConfigError("xi must be > 0")
+    return ctx.eta_tilde * ctx.E * xi
 
 
 def laplace_scale(ctx: NoiseContext, spec: MechanismSpec) -> float:
     """Per-coordinate Laplace scale T_l * Xi1 / epsilon for a budget over T_l rounds."""
     if spec.kind != "laplace":
         raise ConfigError("laplace_scale needs a laplace mechanism spec")
-    return ctx.T_l * sensitivity_l1(ctx, spec.xi1) / spec.epsilon
+    return ctx.T_l * round_sensitivity(ctx, spec.xi1) / spec.epsilon
 
 
 def gaussian_sigma(ctx: NoiseContext, spec: MechanismSpec) -> float:
@@ -275,7 +271,7 @@ def sample_noise(
         return np.zeros(size)
     if spec.kind == "laplace":
         return rng.laplace(0.0, laplace_scale(ctx, spec), size=size)
-    std = gaussian_sigma(ctx, spec) * sensitivity_l2(ctx, spec.xi2)
+    std = gaussian_sigma(ctx, spec) * round_sensitivity(ctx, spec.xi2)
     return rng.normal(0.0, std, size=size)
 
 
@@ -283,7 +279,7 @@ def _per_coordinate_second_moment(spec: MechanismSpec, ctx: NoiseContext, mode: 
     if spec.kind == "laplace":
         beta = laplace_scale(ctx, spec)
         return 2.0 * beta * beta
-    std = gaussian_sigma(ctx, spec) * sensitivity_l2(ctx, spec.xi2)
+    std = gaussian_sigma(ctx, spec) * round_sensitivity(ctx, spec.xi2)
     moment = std * std
     if mode == "paper":
         # the published closed form carries an extra factor 2 for the
@@ -307,17 +303,6 @@ def noise_item_variance(spec: MechanismSpec, ctx: NoiseContext, mode: str = "exa
         return 0.0
     m2 = _per_coordinate_second_moment(spec, ctx, mode)
     return (ctx.N**2) * ctx.n_bar_sq * ctx.p * m2 / (ctx.b * ctx.n**2)
-
-
-def asymptotic_z(kind: str) -> float:
-    """Growth exponent of the noise-item variance in T_g: 2 Laplace, 1 Gaussian."""
-    if kind == "laplace":
-        return 2.0
-    if kind == "gaussian":
-        return 1.0
-    if kind == "none":
-        raise ConfigError("the noise-free benchmark has no asymptotic exponent")
-    raise ConfigError(f"unknown mechanism kind {kind!r}")
 
 
 def epsilon_regime_warning(spec: MechanismSpec, ctx: NoiseContext) -> str | None:

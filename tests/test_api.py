@@ -1,5 +1,5 @@
-"""Public names: each listed name exists, the package re-exports only listed names, and no
-simulator module imports the reference oracles."""
+"""Public names: each listed name exists and is read by some program, the package re-exports
+only listed names, and no simulator module imports the reference oracles."""
 import ast
 import importlib
 import pkgutil
@@ -10,6 +10,7 @@ import pytest
 import dpfedsim
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(dpfedsim.__path__))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -50,3 +51,30 @@ def test_no_simulator_module_imports_the_reference_oracles():
                 for node in ast.walk(ast.parse(path.read_text())))
     ]
     assert importers == []
+
+
+def _reads(path: Path) -> set[str]:
+    """Names a file loads or reads as attributes (neither a ``def`` nor an ``__all__`` entry)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_simulator_name_is_read_by_a_program():
+    # the programs are the package's modules, the demos and the benchmark; tests do not count,
+    # and the reference oracles' own names are exempt, since tests are their users
+    programs = [*Path(dpfedsim.__file__).parent.glob("*.py"),
+                *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    read = set().union(*map(_reads, programs))
+    unread = [
+        f"{name}.{public}"
+        for name in MODULES
+        if name != "reference"
+        for public in getattr(importlib.import_module(f"dpfedsim.{name}"), "__all__", [])
+        if public not in read
+    ]
+    assert unread == []

@@ -12,7 +12,6 @@ from dpfedsim.bounds import (
     nearest_divisor,
     omega0,
     optimal_local_iterations,
-    optimal_total_iterations,
     rate_exponent,
 )
 from dpfedsim.mechanisms import MechanismSpec
@@ -89,14 +88,14 @@ def test_c_mechanism_none_is_zero():
 
 def test_bound_at_zero_dominates_y0():
     pc = constants()
-    bp = bound_params(pc, MechanismSpec(), p=2, local_iters=2, global_iters=10,
+    bp = bound_params(pc, MechanismSpec(), local_iters=2, global_iters=10,
                       n_clients=4, pool_size=2)
     assert convergence_bound(0, bp) >= pc.y0
 
 
 def test_noise_free_bound_strictly_decreasing():
     pc = constants()
-    bp = bound_params(pc, MechanismSpec(), p=2, local_iters=1, global_iters=100,
+    bp = bound_params(pc, MechanismSpec(), local_iters=1, global_iters=100,
                       n_clients=4, pool_size=4)
     vals = [convergence_bound(k, bp) for k in range(1, 101)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -106,10 +105,13 @@ def test_laplace_bound_has_finite_interior_minimizer():
     pc = constants()
     grid = [8, 16, 32, 64, 128, 256, 512, 1024]
     spec = MechanismSpec(kind="laplace", epsilon=30.0, xi1=1.0)
-    t_star, vals = optimal_total_iterations(
-        grid, lambda T: 1, pc, spec, p=2, n_clients=4, pool_size=2
-    )
-    idx = grid.index(t_star)
+    # E = 1: each total T runs T rounds under its own decay schedule
+    vals = [
+        convergence_bound(T, bound_params(pc, spec, local_iters=1, global_iters=T,
+                                          n_clients=4, pool_size=2))
+        for T in grid
+    ]
+    idx = min(range(len(grid)), key=lambda i: (vals[i], i))
     assert 0 < idx < len(grid) - 1
     assert vals[-1] > vals[idx]
     assert vals[0] > vals[idx]
@@ -124,12 +126,12 @@ def test_bound_requires_valid_assumptions():
         theta_star=np.zeros(2), y0=1.0, assumptions_ok=False,
     )
     with pytest.raises(ConfigError):
-        bound_params(bad, MechanismSpec(), 2, 1, 10, 4, 4)
+        bound_params(bad, MechanismSpec(), 1, 10, 4, 4)
 
 
 def test_bound_params_fields():
     pc = constants(mu=1.0, lam=2.0)
-    bp = bound_params(pc, LAPLACE, p=3, local_iters=4, global_iters=50,
+    bp = bound_params(pc, LAPLACE, local_iters=4, global_iters=50,
                       n_clients=10, pool_size=5)
     assert bp.gamma == max(8 * 2.0 / 1.0, 4)
     assert bp.z == 2.0
@@ -139,7 +141,7 @@ def test_bound_params_fields():
 
 def test_bound_curve_samples_all_rounds():
     pc = constants()
-    bp = bound_params(pc, MechanismSpec(), p=2, local_iters=5, global_iters=7,
+    bp = bound_params(pc, MechanismSpec(), local_iters=5, global_iters=7,
                       n_clients=4, pool_size=4)
     curve = bound_curve(bp)
     assert [k for k, _ in curve] == [5 * t for t in range(1, 8)]
@@ -194,12 +196,6 @@ def test_rate_exponent_values():
         rate_exponent(-0.1)
 
 
-def test_optimal_total_iterations_rejects_nondivisor():
-    pc = constants()
-    with pytest.raises(ConfigError):
-        optimal_total_iterations([10], 3, pc, LAPLACE, 2, 4, 2)
-
-
 def _brute_force_nearest_divisor(divisors, target):
     return min(divisors, key=lambda d: (abs(d - target), d))
 
@@ -230,4 +226,4 @@ def test_nearest_divisor_large_prime_breaks_ties_downward():
 ])
 def test_bound_params_out_of_float_range_is_config_error(mechanism, g):
     with pytest.raises(ConfigError, match="out of float range"):
-        bound_params(constants(g=g), mechanism, 2, 2, 4, 4, 2)
+        bound_params(constants(g=g), mechanism, 2, 4, 4, 2)

@@ -8,13 +8,13 @@ from dpfedsim.engine import (
     ClipSpec,
     FederationConfig,
     Schedule,
-    lr_schedule,
     pilot_gradient_bound,
     run_bound_params,
     run_federation,
     schedule_offset,
 )
-from dpfedsim.mechanisms import MechanismSpec, sensitivity_l1, sensitivity_l2, NoiseContext
+from dpfedsim.data import synth_regression
+from dpfedsim.mechanisms import MechanismSpec, NoiseContext, round_sensitivity
 from dpfedsim.regression import (
     ClientShard,
     ConfigError,
@@ -49,14 +49,35 @@ def decay_schedule_for(shards, local_iters, zeta=50.0):
 
 
 def test_lr_schedule_direct_substitution():
-    assert lr_schedule(0, mu=2.0, gamma=8.0) == pytest.approx(0.125)
+    assert Schedule(kind="decay", mu=2.0, gamma=8.0).rate(0) == pytest.approx(0.125)
 
 
 def test_lr_schedule_halves_at_most_per_round():
-    gamma = 12.0
-    E = 10  # gamma >= E
+    E = 10
+    sched = Schedule(kind="decay", mu=1.0, gamma=12.0)  # gamma >= E
     for k in range(0, 100):
-        assert lr_schedule(k, 1.0, gamma) <= 2 * lr_schedule(k + E, 1.0, gamma)
+        assert sched.rate(k) <= 2 * sched.rate(k + E)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(kind="cyclic", eta=0.1),
+     "unknown schedule kind 'cyclic', expected one of ('decay', 'constant')"),
+    (dict(kind="decay", gamma=2.0), "decay schedule needs mu and gamma"),
+    (dict(kind="decay", mu=1.0), "decay schedule needs mu and gamma"),
+    (dict(kind="decay", mu=0.0, gamma=2.0), "decay schedule requires mu > 0"),
+    (dict(kind="decay", mu=-1.0, gamma=2.0), "decay schedule requires mu > 0"),
+    (dict(kind="decay", mu=math.nan, gamma=2.0), "decay schedule requires mu > 0"),
+    (dict(kind="decay", mu=1.0, gamma=0.5), "decay schedule requires gamma >= 1"),
+    (dict(kind="decay", mu=1.0, gamma=math.nan), "decay schedule requires gamma >= 1"),
+    (dict(kind="constant"), "constant schedule needs eta > 0"),
+    (dict(kind="constant", eta=0.0), "constant schedule needs eta > 0"),
+    (dict(kind="constant", eta=-0.1), "constant schedule needs eta > 0"),
+    (dict(kind="constant", eta=math.nan), "constant schedule needs eta > 0"),
+])
+def test_schedule_rejects_invalid_parameters(kwargs, message):
+    with pytest.raises(ConfigError) as info:
+        Schedule(**kwargs)
+    assert str(info.value) == message
 
 
 def test_schedule_offset_max_rule():
@@ -248,7 +269,7 @@ def test_round_update_within_l1_sensitivity():
         for shard in shards:
             nu = client_update(theta0, shard, t, E, sched, ClipSpec(zeta, "l1"))
             moved = float(np.sum(np.abs(theta0 - nu)))
-            assert moved <= sensitivity_l1(ctx, xi1) * (1 + 1e-12)
+            assert moved <= round_sensitivity(ctx, xi1) * (1 + 1e-12)
 
 
 def test_round_update_within_l2_sensitivity():
@@ -265,7 +286,7 @@ def test_round_update_within_l2_sensitivity():
         for shard in shards:
             nu = client_update(theta0, shard, t, E, sched, ClipSpec(zeta, "l2"))
             moved = float(np.linalg.norm(theta0 - nu))
-            assert moved <= sensitivity_l2(ctx, zeta) * (1 + 1e-12)
+            assert moved <= round_sensitivity(ctx, zeta) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +394,7 @@ def test_bound_only_under_the_decay_schedule_it_was_derived_for(other):
     shards = make_shards(rng, 4, n_per=8, d=2)
     data = PaddedShards.build(shards)
     cfg, pc = base_config(shards, E=1, T_g=12, b=2)
-    assert run_bound_params(cfg, pc, data.dim) is not None
+    assert run_bound_params(cfg, pc) is not None
     if other == "E":
         # an E above 8*lambda/mu sets gamma = E, not the E = 1 offset 8*lambda/mu
         sched = Schedule.decay(pc, math.ceil(8 * pc.lam / pc.mu) + 1)
@@ -381,9 +402,23 @@ def test_bound_only_under_the_decay_schedule_it_was_derived_for(other):
         sched = dataclasses.replace(cfg.schedule, mu=4 * pc.mu)
     assert sched != cfg.schedule
     cfg = dataclasses.replace(cfg, schedule=sched)
-    assert run_bound_params(cfg, pc, data.dim) is None
+    assert run_bound_params(cfg, pc) is None
     [res] = run_federation(cfg, data, constants=pc).runs
     assert all(math.isfinite(r.y_k) and math.isnan(r.bound_y_k) for r in res.records)
+
+
+def test_bound_only_from_the_start_its_constants_were_measured_at():
+    # noise-free with a clip that never binds, so only the start point can break the bound
+    data = synth_regression(20, 20, 3, 0.5, 0.1, seed=0)
+    pc = problem_constants(data, np.zeros(data.dim), 1e6)
+    cfg = FederationConfig(n_clients=20, pool_size=20, local_iters=1, global_iters=50,
+                           schedule=Schedule.decay(pc, 1), clip=ClipSpec(1e6, "l2"))
+    [res] = run_federation(cfg, data, constants=pc).runs
+    assert all(math.isfinite(r.bound_y_k) and r.y_k <= r.bound_y_k for r in res.records)
+    far = dataclasses.replace(cfg, theta_0=pc.theta_star + 30.0)
+    [res] = run_federation(far, data, constants=pc).runs
+    assert all(math.isfinite(r.y_k) and math.isnan(r.bound_y_k) for r in res.records)
+    assert run_bound_params(far, pc) is None
 
 
 def test_noise_free_trajectory_ignores_seed():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dpfedsim.cli import main as cli_main
+from dpfedsim.bounds import e_from_rule
 from dpfedsim.config import parse_config
 from dpfedsim.engine import ClipSpec, Schedule, run_federation
 from dpfedsim.harness import (
@@ -18,7 +19,6 @@ from dpfedsim.harness import (
     cmd_run,
     cmd_sweep,
     cmd_validate,
-    e_from_rule,
     run_repeats,
 )
 from dpfedsim import harness

@@ -56,7 +56,7 @@ def reference_run(config, shards, constants=None):
     if (constants is not None and constants.assumptions_ok
             and config.schedule == Schedule.decay(constants, E)):
         bound_params = bounds.bound_params(
-            constants, config.mechanism, p=dim, local_iters=E,
+            constants, config.mechanism, local_iters=E,
             global_iters=config.global_iters, n_clients=N, pool_size=b,
         )
     records = []

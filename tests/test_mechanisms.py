@@ -6,16 +6,14 @@ import pytest
 from dpfedsim.mechanisms import (
     MechanismSpec,
     NoiseContext,
-    asymptotic_z,
     epsilon_regime_warning,
     gaussian_sigma,
     l1_sensitivity_warning,
     laplace_scale,
     noise_item_variance,
     noise_stream,
+    round_sensitivity,
     sample_noise,
-    sensitivity_l1,
-    sensitivity_l2,
     stream_states,
 )
 from dpfedsim.regression import ConfigError
@@ -73,17 +71,17 @@ def test_gaussian_requires_delta_c2_xi2():
 
 
 def test_sensitivity_l1_product():
-    assert sensitivity_l1(ctx(eta_tilde=0.1, E=5), xi1=2.0) == pytest.approx(1.0)
+    assert round_sensitivity(ctx(eta_tilde=0.1, E=5), xi=2.0) == pytest.approx(1.0)
 
 
 def test_sensitivity_l1_single_step():
     c = ctx(eta_tilde=0.37, E=1)
-    assert sensitivity_l1(c, xi1=2.5) == pytest.approx(0.37 * 2.5)
+    assert round_sensitivity(c, xi=2.5) == pytest.approx(0.37 * 2.5)
 
 
 def test_sensitivity_l2_product_and_linearity():
-    assert sensitivity_l2(ctx(eta_tilde=0.01, E=10), xi2=3.0) == pytest.approx(0.3)
-    assert sensitivity_l2(ctx(eta_tilde=0.01, E=20), xi2=3.0) == pytest.approx(0.6)
+    assert round_sensitivity(ctx(eta_tilde=0.01, E=10), xi=3.0) == pytest.approx(0.3)
+    assert round_sensitivity(ctx(eta_tilde=0.01, E=20), xi=3.0) == pytest.approx(0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,7 @@ def test_sample_noise_mean_within_standard_error():
             samples = rng.laplace(0.0, beta, size=10**6)
             std = beta * math.sqrt(2)
         else:
-            s = gaussian_sigma(c, spec) * sensitivity_l2(c, spec.xi2)
+            s = gaussian_sigma(c, spec) * round_sensitivity(c, spec.xi2)
             samples = rng.normal(0.0, s, size=10**6)
             std = s
         se = std / 1000.0
@@ -248,7 +246,7 @@ def pool_aggregate_mc(spec, c, sizes, draws, seed):
         if spec.kind == "laplace":
             w = rng.laplace(0.0, laplace_scale(c, spec), size=(per_pool, c.b, c.p))
         else:
-            s = gaussian_sigma(c, spec) * sensitivity_l2(c, spec.xi2)
+            s = gaussian_sigma(c, spec) * round_sensitivity(c, spec.xi2)
             w = rng.normal(0.0, s, size=(per_pool, c.b, c.p))
         agg = np.einsum("dbp,b->dp", w, weights)
         total += np.sum(agg**2)
@@ -283,7 +281,7 @@ def test_gaussian_exact_equals_first_principles_cycle_average():
     c = ctx(p=4, eta_tilde=0.1, E=3, T_g=9, b=b, N=N, n=n,
             n_bar_sq=sum(s**2 for s in sizes) / N)
     spec = gaussian_spec(epsilon=0.5)
-    s2 = (gaussian_sigma(c, spec) * sensitivity_l2(c, spec.xi2)) ** 2
+    s2 = (gaussian_sigma(c, spec) * round_sensitivity(c, spec.xi2)) ** 2
     per_pool = []
     for t in range(N // b):
         pool = [(t * b + j) % N for j in range(b)]
@@ -325,10 +323,9 @@ def test_variance_quadratic_in_sensitivity():
 
 
 def test_asymptotic_z_values():
-    assert asymptotic_z("laplace") == 2.0
-    assert asymptotic_z("gaussian") == 1.0
-    with pytest.raises(ConfigError):
-        asymptotic_z("none")
+    assert laplace_spec().z == 2.0
+    assert gaussian_spec().z == 1.0
+    assert MechanismSpec().z == 0.0
 
 
 def test_epsilon_regime_warning_only_for_large_gaussian_budget():
@@ -360,7 +357,7 @@ def test_laplace_scale_spends_epsilon_over_t_l_releases(T_g, b, N, epsilon, eta_
     # so beta = T_l * sensitivity / epsilon spends exactly epsilon in total
     c = ctx(T_g=T_g, b=b, N=N, eta_tilde=eta_tilde, E=E)
     spec = laplace_spec(epsilon=epsilon, xi1=xi1)
-    ratio = laplace_scale(c, spec) / sensitivity_l1(c, xi1)
+    ratio = laplace_scale(c, spec) / round_sensitivity(c, xi1)
     assert ratio == pytest.approx(c.T_l / epsilon, rel=4 * np.finfo(float).eps)
-    assert c.T_l * sensitivity_l1(c, xi1) / laplace_scale(c, spec) == pytest.approx(
+    assert c.T_l * round_sensitivity(c, xi1) / laplace_scale(c, spec) == pytest.approx(
         epsilon, rel=4 * np.finfo(float).eps)
