@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds
-from .bounds import schedule_offset
 # mse_gradient and noise_stream are not called here: bench/tracer.py patches
 # them by this module's name
 from .mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise, stream_states
@@ -54,7 +53,6 @@ __all__ = [
     "RoundRecord",
     "RunResult",
     "Repeats",
-    "schedule_offset",
     "pool_slice",
     "noise_context",
     "run_bound_params",
@@ -68,7 +66,8 @@ __all__ = [
 PARAM_LIMIT = 1e12
 
 # repeats run in chunks whose largest per-step work array, (R, b, max(n_l, p)),
-# holds at most this many elements; chunking changes no byte of any repeat
+# holds at most this many elements; chunking changes no byte of any repeat.
+# validate sums its Monte-Carlo squared norms in blocks of this many noise elements
 CHUNK_ELEMENTS = 4_000_000
 
 # the noise streams' start states are computed for at most this many
@@ -117,7 +116,7 @@ class Schedule:
                 "schedule has no valid rate; use the constant schedule"
             )
         return cls(kind="decay", mu=constants.mu,
-                   gamma=schedule_offset(constants.lam, constants.mu, local_iters))
+                   gamma=bounds.schedule_offset(constants.lam, constants.mu, local_iters))
 
     @classmethod
     def constant(cls, eta: float) -> "Schedule":

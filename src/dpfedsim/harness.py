@@ -579,7 +579,14 @@ class ValidationReport:
 def _simulate_noise_aggregates(
     exp: Experiment, draws: int, rng: np.random.Generator
 ) -> float:
-    """Mean ||w_t^b||^2 over independent pool aggregations, cycling the pools."""
+    """Mean ||w_t^b||^2 over independent pool aggregations, cycling the pools.
+
+    The squared norms are summed in blocks of at most CHUNK_ELEMENTS noise
+    elements. A block's noise is drawn in row slices no larger than its
+    (block, p) aggregate array, so the working set is that array plus one
+    slice. The stream is read in C order either way, so every byte equals one
+    draw per block.
+    """
     cfg = exp.config
     ctx = _round0_context(exp)
     mech = cfg.mechanism
@@ -588,8 +595,9 @@ def _simulate_noise_aggregates(
     if per_pool < 1:
         raise ConfigError("draws must be at least the number of round-robin pools")
 
-    # cap the work array at CHUNK_ELEMENTS per block
     block = max(1, min(per_pool, CHUNK_ELEMENTS // (cfg.pool_size * ctx.p)))
+    rows = max(1, block // cfg.pool_size)
+    agg = np.empty((block, ctx.p))
     total = 0.0
     count = 0
     for t in range(n_pools):
@@ -599,9 +607,13 @@ def _simulate_noise_aggregates(
         left = per_pool
         while left > 0:
             m = min(block, left)
-            w = sample_noise(mech, ctx, rng, (m, cfg.pool_size))
-            agg = np.einsum("dbp,b->dp", w, weights)
-            total += float(np.sum(agg**2))
+            for lo in range(0, m, rows):
+                hi = min(lo + rows, m)
+                # the slice is freed when einsum returns, before the next draw
+                np.einsum("dbp,b->dp", sample_noise(mech, ctx, rng, (hi - lo, cfg.pool_size)),
+                          weights, out=agg[lo:hi])
+            squares = np.square(agg[:m], out=agg[:m])
+            total += float(np.sum(squares))
             count += m
             left -= m
     return total / count

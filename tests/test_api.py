@@ -19,6 +19,32 @@ def test_every_name_in_all_resolves(name):
     assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
 
 
+def _defines(path: Path) -> set[str]:
+    """Names a module binds at top level by ``def``, ``class`` or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_every_module_lists_only_names_it_defines():
+    # one public name per rule: a module that imports a name does not re-export it
+    # (the package __init__, which re-exports by design, is not in MODULES)
+    package = Path(dpfedsim.__file__).parent
+    reexported = [
+        f"{name}.{public}"
+        for name in MODULES
+        for public in getattr(importlib.import_module(f"dpfedsim.{name}"), "__all__", [])
+        if public not in _defines(package / f"{name}.py")
+    ]
+    assert reexported == []
+
+
 def test_package_imports_only_names_its_modules_list():
     tree = ast.parse(Path(dpfedsim.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]

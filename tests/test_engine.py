@@ -11,8 +11,8 @@ from dpfedsim.engine import (
     pilot_gradient_bound,
     run_bound_params,
     run_federation,
-    schedule_offset,
 )
+from dpfedsim.bounds import schedule_offset
 from dpfedsim.data import synth_regression
 from dpfedsim.mechanisms import MechanismSpec, NoiseContext, round_sensitivity
 from dpfedsim.regression import (

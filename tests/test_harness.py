@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from dpfedsim.cli import main as cli_main
 from dpfedsim.bounds import e_from_rule
 from dpfedsim.config import parse_config
-from dpfedsim.engine import ClipSpec, Schedule, run_federation
+from dpfedsim.engine import ClipSpec, Schedule, pool_slice, run_federation
 from dpfedsim.harness import (
     build_experiment,
     cmd_plan,
@@ -22,6 +23,7 @@ from dpfedsim.harness import (
     run_repeats,
 )
 from dpfedsim import harness
+from dpfedsim.mechanisms import sample_noise
 from dpfedsim.reference import centralized_gd_oracle
 from dpfedsim.regression import ClientShard, ConfigError, PaddedShards
 
@@ -493,6 +495,69 @@ def test_validate_none_trivially_passes(tmp_path):
 def test_validate_rejects_tiny_draw_count(tmp_path):
     with pytest.raises(ConfigError):
         cmd_validate(write(tmp_path, SMALL_TASK), draws=100, quiet=True)
+
+
+def _one_draw_per_block(exp, draws, rng):
+    # reference: the whole (m, b, p) noise of a summation block in one draw
+    cfg = exp.config
+    ctx = harness._round0_context(exp)
+    n_pools = cfg.n_clients // cfg.pool_size
+    per_pool = draws // n_pools
+    block = max(1, min(per_pool, harness.CHUNK_ELEMENTS // (cfg.pool_size * ctx.p)))
+    total = 0.0
+    count = 0
+    for t in range(n_pools):
+        weights = (cfg.n_clients / cfg.pool_size) * exp.dataset.weights[
+            pool_slice(t, cfg.n_clients, cfg.pool_size)
+        ]
+        left = per_pool
+        while left > 0:
+            m = min(block, left)
+            w = sample_noise(cfg.mechanism, ctx, rng, (m, cfg.pool_size))
+            agg = np.einsum("dbp,b->dp", w, weights)
+            total += float(np.sum(agg**2))
+            count += m
+            left -= m
+    return total / count
+
+
+@pytest.mark.parametrize("mechanism", ["laplace", "gaussian"])
+@pytest.mark.parametrize("chunk", [24, 120])
+def test_sliced_noise_draws_equal_one_draw_per_block(tmp_path, monkeypatch, mechanism, chunk):
+    # b=3, p=4: chunk 120 gives 10-row blocks drawn in 3-row slices (3+3+3+1),
+    # chunk 24 gives 2-row blocks drawn in 1-row slices; 47 draws per pool
+    # leave a ragged last block either way
+    body = SMALL_TASK.replace("clients = 8\npool_size = 4", "clients = 6\npool_size = 3")
+    body += f"\n[dp]\nmechanism = {mechanism}\nepsilon = 1.0\n"
+    exp = build_experiment(parse_config(write(tmp_path, body)))
+    monkeypatch.setattr("dpfedsim.harness.CHUNK_ELEMENTS", chunk)
+    got = harness._simulate_noise_aggregates(exp, 94, np.random.default_rng(5))
+    want = _one_draw_per_block(exp, 94, np.random.default_rng(5))
+    assert got == want
+
+
+def test_validate_holds_one_noise_slice_not_a_noise_block(tmp_path):
+    # b=10, p=20 and 10^4 draws per pool: 10^4-row blocks, whose (m, b, p) noise
+    # is 16 MB. tracemalloc sees numpy's data allocations. One draw per block
+    # peaked at 2.10x that block (the last block still bound while the next is
+    # drawn, plus the aggregate); a (block, p) aggregate and one 10^3-row slice
+    # peak at 0.20x.
+    body = (
+        "[federation]\nclients = 100\npool_size = 10\nclip_threshold = 2\nclip_norm = l2\n"
+        "[dp]\nmechanism = gaussian\nepsilon = 8\ndelta = 1e-4\n[data]\nfeatures = 19\n"
+    )
+    exp = build_experiment(parse_config(write(tmp_path, body)))
+    harness._simulate_noise_aggregates(exp, 10**3, np.random.default_rng(0))  # first-use allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        harness._simulate_noise_aggregates(exp, 10**5, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    noise_block = 10**4 * 10 * 20 * 8
+    assert peak < noise_block
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,16 @@ def _diverged(theta):
     return not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > PARAM_LIMIT
 
 
+def _start(config, dim):
+    return np.zeros(dim) if config.theta_0 is None else np.asarray(config.theta_0, float)
+
+
 def reference_run(config, shards, constants=None):
     """One repeat, client by client: client_update, row i of the round's noise
-    block for client start + i, and aggregate over ascending client ids."""
+    block for client start + i, and aggregate over ascending client ids.
+
+    A bound is reported only for the decay schedule of ``constants`` and a
+    start at the squared distance ``constants.y0`` from theta*."""
     shards = sorted(shards, key=lambda s: s.client_id)
     N, b, E = config.n_clients, config.pool_size, config.local_iters
     sizes = [s.n_l for s in shards]
@@ -51,10 +58,12 @@ def reference_run(config, shards, constants=None):
     n_bar_sq = sum(s * s for s in sizes) / N
     X, y = pooled_design(shards)
     dim = X.shape[1]
-    theta = np.zeros(dim) if config.theta_0 is None else np.asarray(config.theta_0, float)
+    theta = _start(config, dim)
     bound_params = None
     if (constants is not None and constants.assumptions_ok
-            and config.schedule == Schedule.decay(constants, E)):
+            and config.schedule == Schedule.decay(constants, E)
+            and float((theta - constants.theta_star) @ (theta - constants.theta_star))
+            == constants.y0):
         bound_params = bounds.bound_params(
             constants, config.mechanism, local_iters=E,
             global_iters=config.global_iters, n_clients=N, pool_size=b,
@@ -106,7 +115,7 @@ def reference_pilot(config, shards):
     shards = sorted(shards, key=lambda s: s.client_id)
     N, b, E = config.n_clients, config.pool_size, config.local_iters
     n = sum(s.n_l for s in shards)
-    theta = np.zeros(shards[0].dim)
+    theta = _start(config, shards[0].dim)
     max_norm = 0.0
     for t in range(config.global_iters):
         pool = [shards[cid] for cid in sorted((t * b + j) % N for j in range(b))]
@@ -593,12 +602,13 @@ def test_config_repeats_sets_the_run_count_and_each_run_is_its_seed_alone(mechan
 def federations(draw):
     """A small federation: b | N and N | b*T_g, ragged shards, any clip, mechanism and rate.
 
-    p counts the bias column. Shard sizes fall on both sides of p, so the
-    kernel runs in Gram form (p <= max(n_l)) and in residual form
-    (p > max(n_l)). A zeta of 0.1 binds, one of 100 binds only once a run
-    drifts far, and one of 1e30 never binds: at the unstable constant rate a
-    noise-free run diverges, and its noise sends a noisy run past
-    PARAM_LIMIT at once.
+    p counts the bias column. The start is zeros or a nonzero vector; the
+    constants are measured at zeros, so a decay run from elsewhere has no
+    bound. Shard sizes fall on both sides of p, so the kernel runs in Gram
+    form (p <= max(n_l)) and in residual form (p > max(n_l)). A zeta of 0.1
+    binds, one of 100 binds only once a run drifts far, and one of 1e30 never
+    binds: at the unstable constant rate a noise-free run diverges, and its
+    noise sends a noisy run past PARAM_LIMIT at once.
     """
     n_clients = draw(st.sampled_from([1, 2, 3, 4, 6]))
     pool_size = draw(st.sampled_from([b for b in range(1, n_clients + 1) if n_clients % b == 0]))
@@ -606,6 +616,8 @@ def federations(draw):
     sizes = draw(st.lists(st.integers(1, 7), min_size=n_clients, max_size=n_clients))
     return dict(
         n_clients=n_clients, pool_size=pool_size, p=p, sizes=sizes,
+        theta_0=draw(st.none() | st.lists(st.sampled_from([-1.0, 0.5, 2.0]),
+                                          min_size=p, max_size=p)),
         global_iters=n_clients // pool_size * draw(st.integers(1, 2)),
         local_iters=draw(st.integers(1, 4)),
         norm=draw(st.sampled_from(CLIP_NORMS)),
@@ -635,6 +647,7 @@ def test_kernel_matches_per_client_reference_on_drawn_federations(fed):
         global_iters=fed["global_iters"], schedule=schedule,
         clip=ClipSpec(fed["zeta"], fed["norm"]), mechanism=MECHANISMS[fed["mechanism"]],
         seed=fed["seed"], repeats=fed["repeats"],
+        theta_0=None if fed["theta_0"] is None else np.array(fed["theta_0"]),
     )
     batch = run_federation(cfg, data, constants=pc)
     single = _single_runs(dataclasses.replace(cfg, repeats=1), data, pc, cfg.repeats)
