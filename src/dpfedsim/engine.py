@@ -15,9 +15,8 @@ numpy calls per step grows with neither the pool size nor the repeat count.
 When p <= max(n_l) the pass is one batched p x p matvec with each client's
 cached H_l = (2/n_l) X_l'X_l and h_l = (2/n_l) X_l'y_l (the Gram form);
 otherwise it reads the zero-padded (R, b, max(n_l), p) rows (the residual
-form). Repeat r draws its (b, p) noise block from its own stream
-(seed + r, round); the start states of those streams are computed in bulk
-(``mechanisms.stream_states``) and one generator is reseeded to each in turn.
+form). Repeat r draws each round's (b, p) noise block as the next draw of its
+own stream, ``mechanisms.noise_stream(seed + r)``, built once per run.
 Aggregation (``aggregate``) is one reduction per repeat in a fixed order, and
 the per-round metrics (the p x p pooled loss, y_k and the noise norm) take one
 dot product per repeat. A round therefore costs O(R * b * p^2 * E) for the
@@ -37,9 +36,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds
-# mse_gradient and noise_stream are not called here: bench/tracer.py patches
-# them by this module's name
-from .mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise, stream_states
+# mse_gradient is not called here: bench/tracer.py patches it by this module's name
+from .mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
 from .regression import (
     CLIP_NORMS, ConfigError, PaddedShards, ProblemConstants, _row_dots, clip_gradient,
     mse_gradient,
@@ -70,10 +68,6 @@ PARAM_LIMIT = 1e12
 # validate sums its Monte-Carlo squared norms in blocks of this many noise elements
 CHUNK_ELEMENTS = 4_000_000
 
-# the noise streams' start states are computed for at most this many
-# (repeat, round) pairs at a time
-STATE_PAIRS = 4096
-
 
 SCHEDULE_KINDS = ("decay", "constant")
 
@@ -85,6 +79,9 @@ class Schedule:
     The decay rate eta_k = 2/(mu(k+gamma)) is strictly decreasing in k; its
     mu > 0 and gamma >= 1 are checked once, when the schedule is built. A run
     reports the convergence bound only under ``Schedule.decay(constants, E)``.
+    A decay schedule built by hand stays allowed: the bound gate compares
+    schedules by value, so one equal to ``Schedule.decay(constants, E)`` gets
+    the bound and any other gets NaN.
     """
 
     kind: str
@@ -336,33 +333,14 @@ def client_update(
     return block, ok
 
 
-def _round_states(seeds: list[int], rounds: int):
-    """Per round t < ``rounds``, the start state of every seed's stream (seed, t).
+def _pool_noise(config: FederationConfig, ctx: NoiseContext,
+                streams: list[np.random.Generator], pool: slice) -> np.ndarray:
+    """The (R, b, p) noise block of a round: block r is the next draw of ``streams[r]``.
 
-    The states are computed a window of rounds at a time, so at most about
-    STATE_PAIRS of them are held at once.
-    """
-    window = max(1, STATE_PAIRS // len(seeds))
-    for start in range(0, rounds, window):
-        yield from stream_states(seeds, range(start, min(start + window, rounds)))
-
-
-def _pool_noise(config: FederationConfig, ctx: NoiseContext, rng: np.random.Generator,
-                states: list[tuple[int, int]], pool: slice) -> np.ndarray:
-    """The (R, b, p) noise block of a round: block r from the stream that starts at ``states[r]``.
-
-    ``rng`` is a PCG64 generator, set to each start state in turn. Row i of a
-    repeat's block belongs to client ``pool.start + i``.
+    Row i of a repeat's block belongs to client ``pool.start + i``.
     """
     lead = (pool.stop - pool.start,)
-    blocks = []
-    for state, inc in states:
-        # setting the whole state also clears the buffered 32-bit word
-        rng.bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        blocks.append(sample_noise(config.mechanism, ctx, rng, lead))
-    return np.stack(blocks)
+    return np.stack([sample_noise(config.mechanism, ctx, rng, lead) for rng in streams])
 
 
 def noise_context(config: FederationConfig, data: PaddedShards, t: int) -> NoiseContext:
@@ -433,8 +411,7 @@ def _run_block(
     n_clients, b = config.n_clients, config.pool_size
     noisy = config.mechanism.kind != "none"
     if noisy:
-        rng = np.random.Generator(np.random.PCG64())
-        streams = _round_states(seeds, config.global_iters)
+        streams = [noise_stream(seed) for seed in seeds]
 
     for t in range(config.global_iters):
         pool = pool_slice(t, n_clients, b)
@@ -442,8 +419,7 @@ def _run_block(
         round_ctx = noise_context(config, data, t)
 
         if noisy:
-            states = next(streams)
-            noise = _pool_noise(config, round_ctx, rng, [states[r] for r in active], pool)
+            noise = _pool_noise(config, round_ctx, [streams[r] for r in active], pool)
         else:
             noise = sample_noise(config.mechanism, round_ctx, None, (len(active), b))
         # a diverged repeat steps on to the round's end: silence its overflow

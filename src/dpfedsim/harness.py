@@ -649,6 +649,10 @@ def cmd_validate(
             raise ConfigError(
                 "the predicted noise variance underflows to 0, so no relative error exists"
             )
+        if not math.isfinite(exact) or not math.isfinite(paper):
+            raise ConfigError(
+                "the predicted noise variance overflows to inf, so no relative error exists"
+            )
         rng = np.random.default_rng(np.random.SeedSequence((exp.config.seed, draws)))
         empirical = _simulate_noise_aggregates(exp, draws, rng)
         rel_exact = abs(empirical - exact) / exact

@@ -401,7 +401,8 @@ def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> P
     mu <= 1e-12 * lambda, or when mu^2 underflows to 0 (the bound divides by
     it). That is reported via ``assumptions_ok=False`` with mu forced to 0:
     simulation may proceed but bound computation is disabled, and the same
-    rule is what sends theta* and f* to ``lstsq`` on the n x p design.
+    rule is what sends theta* and f* to ``lstsq`` on the n x p design. A p x p
+    work array that cannot be allocated is a ``ConfigError``.
     """
     if not zeta > 0:
         raise ConfigError("clip threshold zeta must be > 0")
@@ -411,16 +412,18 @@ def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> P
     if theta_0.shape != (data.dim,):
         raise ConfigError("theta_0 dimension does not match the dataset")
 
-    hessian = (2.0 / n) * data.gram
-    eigvals = np.linalg.eigvalsh(hessian)
-    mu, lam = float(eigvals[0]), float(eigvals[-1])
-    # the bound divides by mu^2, which must not underflow to zero either
-    assumptions_ok = lam > 0 and mu > lam * 1e-12 and mu**2 > 0
-
-    if assumptions_ok:
-        _, theta_star, loss_star, _ = data._loss_form
-        f_star = loss_star / n
-    else:
+    try:
+        eigvals = np.linalg.eigvalsh((2.0 / n) * data.gram)
+        mu, lam = float(eigvals[0]), float(eigvals[-1])
+        # the bound divides by mu^2, which must not underflow to zero either
+        assumptions_ok = lam > 0 and mu > lam * 1e-12 and mu**2 > 0
+        if assumptions_ok:
+            _, theta_star, loss_star, _ = data._loss_form
+            f_star = loss_star / n
+    except MemoryError as exc:
+        raise ConfigError(f"the pooled p x p Gram matrix of p = {data.dim}, p² = "
+                          f"{data.dim**2} floats, cannot be allocated: {exc}") from None
+    if not assumptions_ok:
         theta_star, f_star = _least_squares(data.pooled_x, data.pooled_y)
     weighted_local = float(data.weights @ _local_optimum_losses(data))
     gamma_noniid = max(0.0, f_star - weighted_local)

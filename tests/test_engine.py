@@ -388,7 +388,7 @@ def test_decay_schedule_needs_a_nonsingular_hessian():
         Schedule.decay(singular, 1)
 
 
-@pytest.mark.parametrize("other", ["E", "mu"])
+@pytest.mark.parametrize("other", ["E", "mu", "equal-hand-built"])
 def test_bound_only_under_the_decay_schedule_it_was_derived_for(other):
     rng = np.random.default_rng(12)
     shards = make_shards(rng, 4, n_per=8, d=2)
@@ -398,13 +398,18 @@ def test_bound_only_under_the_decay_schedule_it_was_derived_for(other):
     if other == "E":
         # an E above 8*lambda/mu sets gamma = E, not the E = 1 offset 8*lambda/mu
         sched = Schedule.decay(pc, math.ceil(8 * pc.lam / pc.mu) + 1)
-    else:
+    elif other == "mu":
         sched = dataclasses.replace(cfg.schedule, mu=4 * pc.mu)
-    assert sched != cfg.schedule
+    else:
+        # built by hand with the constants' mu and gamma: the schedule the bound assumes
+        sched = Schedule(kind="decay", mu=pc.mu, gamma=schedule_offset(pc.lam, pc.mu, 1))
+    bounded = other == "equal-hand-built"
+    assert (sched == cfg.schedule) == bounded
     cfg = dataclasses.replace(cfg, schedule=sched)
-    assert run_bound_params(cfg, pc) is None
+    assert (run_bound_params(cfg, pc) is not None) == bounded
     [res] = run_federation(cfg, data, constants=pc).runs
-    assert all(math.isfinite(r.y_k) and math.isnan(r.bound_y_k) for r in res.records)
+    assert all(math.isfinite(r.y_k) and math.isfinite(r.bound_y_k) == bounded
+               for r in res.records)
 
 
 def test_bound_only_from_the_start_its_constants_were_measured_at():

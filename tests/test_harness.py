@@ -655,6 +655,28 @@ def test_cli_oversized_synthetic_design_is_a_config_error(tmp_path, capsys, sett
     assert capsys.readouterr().err.startswith("error: the synthetic design of N·n_l·p = ")
 
 
+@pytest.mark.parametrize("command", ["run", "plan", "validate", "sweep"])
+def test_cli_gram_matrix_that_cannot_be_allocated_is_a_config_error(
+        tmp_path, capsys, monkeypatch, command):
+    # a 1.6 MB design whose p x p Gram matrix is 74.5 GiB; numpy's refusal is
+    # injected, so the test allocates nothing of that size
+    def refuse(self):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100001, 100001)")
+
+    monkeypatch.setattr(PaddedShards, "gram", property(refuse))
+    task = (SMALL_TASK.replace("clients = 8", "clients = 2")
+            .replace("pool_size = 4", "pool_size = 2")
+            .replace("n_per_client = 10", "n_per_client = 1")
+            .replace("features = 3", "features = 100000"))
+    if command == "sweep":
+        task += "\n[sweep]\naxis = E\nvalues = 1, 2\n"
+    path = write(tmp_path, task)
+    code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: the pooled p x p Gram matrix of p = 100001, p² = 10000200001 floats, ")
+
+
 def test_cli_missing_config_is_io_error(tmp_path, capsys):
     code = cli_main(
         ["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]
@@ -822,10 +844,11 @@ def test_cli_unreadable_inputs_are_config_errors(tmp_path, capsys, config_bytes,
     ("run", SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 3\nxi1 = 1e300\n"),
     ("plan", SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 1e-300\n"),
     ("validate", SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 3\nxi1 = 1e-300\n"),
+    ("validate", SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 1e-300\n"),
     ("sweep", SMALL_TASK.replace("local_iters = 2", "local_iters = 0")
      + "\n[sweep]\naxis = T\nvalues = 2\n"),
 ], ids=["xi1-squared-overflows", "epsilon-squared-underflows", "variance-underflows",
-        "t-sweep-on-zero-local-iters"])
+        "variance-overflows", "t-sweep-on-zero-local-iters"])
 def test_cli_numeric_edge_configs_are_config_errors(tmp_path, capsys, command, task):
     path = write(tmp_path, task)
     argv = [command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]

@@ -14,7 +14,6 @@ from dpfedsim.mechanisms import (
     noise_stream,
     round_sensitivity,
     sample_noise,
-    stream_states,
 )
 from dpfedsim.regression import ConfigError
 
@@ -138,79 +137,47 @@ def test_scale_errors():
 
 
 def test_sample_noise_none_is_exact_zero():
-    assert np.array_equal(sample_noise(MechanismSpec(), ctx(p=5), noise_stream(0, 0)),
+    assert np.array_equal(sample_noise(MechanismSpec(), ctx(p=5), noise_stream(0)),
                           np.zeros(5))
-    block = sample_noise(MechanismSpec(), ctx(p=5), noise_stream(0, 0), (3,))
+    block = sample_noise(MechanismSpec(), ctx(p=5), noise_stream(0), (3,))
     assert np.array_equal(block, np.zeros((3, 5)))
 
 
 def test_sample_noise_repeatable_per_stream():
     c = ctx(p=4, T_g=2)
     for spec in (laplace_spec(), gaussian_spec()):
-        a = sample_noise(spec, c, noise_stream(7, 3), (5,))
+        a = sample_noise(spec, c, noise_stream(7), (5,))
         assert a.shape == (5, 4)
-        assert np.array_equal(a, sample_noise(spec, c, noise_stream(7, 3), (5,)))
+        assert np.array_equal(a, sample_noise(spec, c, noise_stream(7), (5,)))
         assert len({row.tobytes() for row in a}) == 5  # every client gets its own row
-        # the stream differs across rounds and across seeds
-        for other in (noise_stream(7, 4), noise_stream(8, 3)):
+        # the stream's next draw (the next round) and another seed's stream differ
+        rng = noise_stream(7)
+        sample_noise(spec, c, rng, (5,))
+        for other in (rng, noise_stream(8)):
             assert not np.any(a == sample_noise(spec, c, other, (5,)))
     with pytest.raises(ConfigError):
-        noise_stream(-1, 0)
-    with pytest.raises(ConfigError):
-        noise_stream(0, -1)
+        noise_stream(-1)
 
 
-STATE_SEEDS = [0, 1, 2**31 - 1, 2**40] + list(range(2**32 - 3, 2**32 + 3))
-STATE_ROUNDS = [0, 1, 99]
-
-
-def _reseeded(rng, state):
-    rng.bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state[0], "inc": state[1]},
-                               "has_uint32": 0, "uinteger": 0}
-    return rng
-
-
-def test_stream_states_are_the_seed_sequence_streams_starts():
-    states = stream_states(STATE_SEEDS, STATE_ROUNDS)
-    assert len(states) == len(STATE_ROUNDS)
-    for t, row in zip(STATE_ROUNDS, states):
-        assert len(row) == len(STATE_SEEDS)
-        for seed, (state, inc) in zip(STATE_SEEDS, row):
-            want = noise_stream(seed, t).bit_generator.state
-            assert want["state"] == {"state": state, "inc": inc}, (seed, t)
-    # a round past 32 bits spans two entropy words too
-    [[(state, inc)]] = stream_states([5], [2**32 + 7])
-    assert noise_stream(5, 2**32 + 7).bit_generator.state["state"] == {"state": state,
-                                                                       "inc": inc}
-    assert stream_states([], [0, 1]) == [[], []]
-    with pytest.raises(ConfigError):
-        stream_states([-1], [0])
-    with pytest.raises(ConfigError):
-        stream_states([0], [-1])
-
-
-def test_reseeded_generator_draws_what_the_stream_draws():
-    c = ctx(p=3, T_g=2)
-    rng = np.random.Generator(np.random.PCG64())
-    states = stream_states(STATE_SEEDS, STATE_ROUNDS)
-    for spec in (laplace_spec(), gaussian_spec()):
-        for t, row in zip(STATE_ROUNDS, states):
-            for seed, state in zip(STATE_SEEDS, row):
-                # a float32 draw leaves half a 64-bit word buffered; reseeding drops it
-                rng.random(dtype=np.float32)
-                got = sample_noise(spec, c, _reseeded(rng, state), (4,))
-                want = sample_noise(spec, c, noise_stream(seed, t), (4,))
-                assert got.tobytes() == want.tobytes(), (spec.kind, seed, t)
-                assert (_reseeded(rng, state).random(3, dtype=np.float32).tobytes()
-                        == noise_stream(seed, t).random(3, dtype=np.float32).tobytes())
+@pytest.mark.parametrize("seed", [0, 31, 2**32 + 5])
+def test_noise_stream_shares_no_word_with_the_data_or_validate_streams(seed):
+    # the data builders draw from default_rng(seed), validate from
+    # SeedSequence((seed, draws)) with draws >= 10^4
+    words = noise_stream(seed).bit_generator.random_raw(256)
+    for other in (np.random.default_rng(seed),
+                  np.random.default_rng(np.random.SeedSequence((seed, 10**4)))):
+        assert np.intersect1d(words, other.bit_generator.random_raw(256)).size == 0
+    c = ctx(p=3)
+    noise = sample_noise(gaussian_spec(), c, noise_stream(seed), (4,))
+    data = sample_noise(gaussian_spec(), c, np.random.default_rng(seed), (4,))
+    assert not np.any(noise == data)
 
 
 def test_sample_noise_mean_within_standard_error():
     c = ctx(p=1, T_g=2)
     for spec in (laplace_spec(epsilon=2.0), gaussian_spec(epsilon=2.0)):
         # vectorized equivalent of 10^6 single-coordinate draws
-        rng = noise_stream(1, 0)
+        rng = noise_stream(1)
         if spec.kind == "laplace":
             beta = laplace_scale(c, spec)
             samples = rng.laplace(0.0, beta, size=10**6)
