@@ -12,17 +12,22 @@ local step of every pool client in every repeat is one vectorised gradient
 pass over the pool's slice of the dataset's store (``regression.PaddedShards``),
 built once and shared by every repeat (``client_update``): the number of
 numpy calls per step grows with neither the pool size nor the repeat count.
-When p <= max(n_l) the pass is one batched p x p matvec with each client's
-cached H_l = (2/n_l) X_l'X_l and h_l = (2/n_l) X_l'y_l (the Gram form);
-otherwise it reads the zero-padded (R, b, max(n_l), p) rows (the residual
-form). Repeat r draws each round's (b, p) noise block as the next draw of its
-own stream, ``mechanisms.noise_stream(seed + r)``, built once per run.
-Aggregation (``aggregate``) is one reduction per repeat in a fixed order, and
-the per-round metrics (the p x p pooled loss, y_k and the noise norm) take one
-dot product per repeat. A round therefore costs O(R * b * p^2 * E) for the
-steps in Gram form and O(R * b * max(n_l) * p * E) in residual form, plus
-O(R * p^2) for the metrics, and every repeat is bitwise the same whether it
-runs alone or in a block.
+The pass is one matrix product per client whose columns are the repeats,
+padded with zero columns to L = 8 * ceil(R / 8) lanes: OpenBLAS gives a GEMM
+column the same bits for any column count that is a multiple of 8, and other
+last bits to a tail of 1-4 columns past one, so the padding is what keeps a
+repeat's bits independent of R. When p <= max(n_l) the product is each client's cached
+H_l = (2/n_l) X_l'X_l times its (p, L) lanes, minus h_l = (2/n_l) X_l'y_l
+(the Gram form); otherwise it is X_l' (X_l Theta - y_l) on the zero-padded
+(b, max(n_l), p) rows (the residual form). Repeat r draws each round's (b, p)
+noise block as the next draw of its own stream,
+``mechanisms.noise_stream(seed + r)``, built once per run. Aggregation
+(``aggregate``) is one reduction per repeat in a fixed order, and the
+per-round metrics (the p x p pooled loss, y_k and the noise norm) take one
+dot product per repeat. A round therefore costs O(L * b * p^2 * E) for the
+steps in Gram form and O(L * b * max(n_l) * p * E) in residual form, plus
+O(R * p^2) for the metrics: a one-repeat run pays for 8 lanes. Every repeat
+is bitwise the same whether it runs alone or in a block.
 The L1 pilot that measures the gradient bound is the same round loop run
 noise-free with one repeat, watching every step's clipped gradients. The
 per-client loops that the kernel is tested against live in ``reference``,
@@ -39,8 +44,8 @@ from . import bounds
 # mse_gradient is not called here: bench/tracer.py patches it by this module's name
 from .mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
 from .regression import (
-    CLIP_NORMS, ConfigError, PaddedShards, ProblemConstants, _row_dots, clip_gradient,
-    mse_gradient,
+    CHUNK_ELEMENTS, CLIP_NORMS, LANES, ConfigError, PaddedShards, ProblemConstants, _row_dots,
+    clip_gradient, mse_gradient,
 )
 
 __all__ = [
@@ -62,11 +67,6 @@ __all__ = [
 
 # aborts a repeat well before float overflow corrupts the records
 PARAM_LIMIT = 1e12
-
-# repeats run in chunks whose largest per-step work array, (R, b, max(n_l, p)),
-# holds at most this many elements; chunking changes no byte of any repeat.
-# validate sums its Monte-Carlo squared norms in blocks of this many noise elements
-CHUNK_ELEMENTS = 4_000_000
 
 
 SCHEDULE_KINDS = ("decay", "constant")
@@ -488,7 +488,10 @@ def run_federation(
     """
     _check_clients(data, config.n_clients)
     seeds = [config.seed + r for r in range(config.repeats)]
-    chunk = max(1, CHUNK_ELEMENTS // (config.pool_size * max(data.x.shape[1], data.dim)))
+    # a chunk's largest per-step work array, (b, max(n_l, p), L), counts the
+    # padded lanes, so a chunk is a whole number of lane blocks
+    lanes = CHUNK_ELEMENTS // (config.pool_size * max(data.x.shape[1], data.dim))
+    chunk = max(LANES, lanes // LANES * LANES)
     runs = []
     for start in range(0, len(seeds), chunk):
         runs += _run_block(config, data, constants, seeds[start:start + chunk],

@@ -21,7 +21,6 @@ from .bounds import e_from_rule
 from .config import RawConfig, parse_config
 from .data import csv_sort_column, load_csv, sorted_partition, synth_regression
 from .engine import (
-    CHUNK_ELEMENTS,
     ClipSpec,
     FederationConfig,
     RunResult,
@@ -42,7 +41,9 @@ from .mechanisms import (
     noise_item_variance,
     sample_noise,
 )
-from .regression import ConfigError, PaddedShards, ProblemConstants, problem_constants
+from .regression import (
+    CHUNK_ELEMENTS, ConfigError, PaddedShards, ProblemConstants, problem_constants,
+)
 
 __all__ = [
     "Experiment",

@@ -30,6 +30,12 @@ class ConfigError(ValueError):
 # the norms a gradient can be clipped in
 CLIP_NORMS = ("l1", "l2")
 
+# the element count that bounds a work array built over many clients or
+# repeats: the engine's chunks of repeats, counting padded lanes (``engine``),
+# validate's blocks of noise (``harness``) and the client chunks of the
+# per-shard QR (``_local_optimum_losses``). Chunking changes no byte.
+CHUNK_ELEMENTS = 4_000_000
+
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
@@ -151,6 +157,35 @@ def _least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     theta, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = X @ theta - y
     return theta, float(resid @ resid) / X.shape[0]
+
+
+# the repeats of a local step are GEMM columns padded to a multiple of this
+# (why: ``PaddedShards.pool_gradient``)
+LANES = 8
+
+
+def _over_lanes(product, finish, clients: int, dim: int):
+    """A pool's gradient map of (R, b, p) row blocks, taken as one product over lanes.
+
+    Repeat r is column r of one C-contiguous (b, p, L) lane block with
+    L = LANES * ceil(R / LANES), allocated at the first call and again only
+    when a call brings another R; its pad lanes stay zero. A call writes
+    lanes [:R]; ``product`` maps the lane block to a new (b, p, L) block, one
+    matrix product per client, and ``finish``, one elementwise ufunc with
+    ``order="C"``, maps the (R, b, p) view of its lanes [:R] to the new
+    C-contiguous gradients: the copy back to rows costs no extra pass.
+    """
+    lanes = view = None
+
+    def rows(block: np.ndarray) -> np.ndarray:
+        nonlocal lanes, view
+        if lanes is None or len(block) != len(view):
+            lanes = np.zeros((clients, dim, -(-len(block) // LANES) * LANES))
+            view = lanes[..., :len(block)].transpose(2, 0, 1)
+        view[...] = block
+        return finish(product(lanes)[..., :len(block)].transpose(2, 0, 1))
+
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,26 +325,38 @@ class PaddedShards:
         """The MSE gradient map of the clients in ``pool``: (R, b, p) parameters to gradients.
 
         Row i of a repeat's block holds the parameters of client
-        ``pool.start + i``; a (R, 1, p) block broadcasts over the pool. When
-        p <= max(n_l) each call is one batched p x p matvec with the cached
-        ``local_stats``, the pool's slice of a stack no larger than the
-        padded ``x``. Otherwise the per-client statistics would outgrow the
+        ``pool.start + i``; a (R, 1, p) block broadcasts over the pool. Each
+        matrix-vector product of the form is taken for all repeats at once,
+        as one matrix product per client whose columns are the repeats
+        (``_over_lanes``). R is padded with zero columns to a multiple of
+        LANES = 8, because OpenBLAS gives a GEMM column the same bits only
+        across column counts that are multiples of 8: so repeat r gets the
+        bits it gets alone, for any R, and a one-repeat call pays for 8
+        columns (at p = 200, n_l = 50 and b = 20 about 130 us, against 55 us
+        for one matvec per client). On a BLAS without that column property
+        the lane tests of the kernel fail. When p <= max(n_l) the form is
+        H_l Theta - h_l with the cached ``local_stats``, the pool's slice of a
+        stack no larger than the padded ``x``. Otherwise the per-client statistics would outgrow the
         shards and cost more per step than the residual form
-        (2/n_l) X_l'(X_l theta - y_l), which reads ``x`` directly and never
-        builds them.
+        (2/n_l) X_l'(X_l Theta - y_l), which reads ``x`` directly and never
+        builds them. Every call returns a new C-contiguous (R, b, p) array.
         """
         if self.dim <= self.x.shape[1]:
             hess, lin = (stat[pool] for stat in self.local_stats)
-            return lambda block: np.matmul(hess, block[..., None])[..., 0] - lin
+            return _over_lanes(lambda lanes: np.matmul(hess, lanes),
+                               lambda rows: np.subtract(rows, lin, order="C"),
+                               len(hess), self.dim)
         x, y = self.x[pool], self.y[pool]
         x_t = x.transpose(0, 2, 1)
         scale = (2.0 / self.sizes[pool])[:, None]
 
-        def residual_form(block: np.ndarray) -> np.ndarray:
-            resid = np.matmul(x, block[..., None])[..., 0] - y
-            return scale * np.matmul(x_t, resid[..., None])[..., 0]
+        def residual_form(lanes: np.ndarray) -> np.ndarray:
+            resid = np.matmul(x, lanes)
+            resid -= y[..., None]
+            return np.matmul(x_t, resid)
 
-        return residual_form
+        return _over_lanes(residual_form, lambda rows: np.multiply(rows, scale, order="C"),
+                           len(x), self.dim)
 
     @cached_property
     def _loss_form(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
@@ -343,7 +390,9 @@ def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
     Batched over the padded stack, each (n_max, p) block X read through a
     matrix with X's singular values and left singular vectors. When
     n_max >= p that is R of a QR of [X y], which factors the long side away
-    and turns y into coordinates in an orthonormal basis. Otherwise the block
+    and turns y into coordinates in an orthonormal basis; the QR runs on
+    chunks of clients whose [X y] holds at most CHUNK_ELEMENTS, so its two
+    copies of [X y] never exceed two chunks. Otherwise the block
     is already short and is read as it is: no copy of the stack is made.
     Singular values at or below ``lstsq``'s rcond=None cut-off,
     eps * max(n_l, p) * s_max, count as zero. Shards with no value cut have a
@@ -355,7 +404,14 @@ def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
     x, y = data.x, data.y
     p = data.dim
     if x.shape[1] >= p:
-        r = np.linalg.qr(np.concatenate([x, y[:, :, None]], axis=2), mode="r")
+        # [X y] and the copy qr makes of it, in chunks of clients; a QR of a
+        # stack is one QR per block, so the chunks change no byte
+        step = max(1, CHUNK_ELEMENTS // (x.shape[1] * (p + 1)))
+        r = np.concatenate([
+            np.linalg.qr(np.concatenate([x[lo:lo + step], y[lo:lo + step, :, None]], axis=2),
+                         mode="r")
+            for lo in range(0, data.n_clients, step)
+        ])
         mat, rhs = r[:, :, :p], r[:, :, p]
         gram = np.matmul(mat.transpose(0, 2, 1), mat)
     else:

@@ -1,8 +1,14 @@
 """The pool- and repeat-batched local-step kernel against a plain per-client reference loop."""
 import dataclasses
+import inspect
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from dpfedsim.harness import build_experiment, cmd_run, cmd_sweep, run_repeats
 from dpfedsim.mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
 from dpfedsim.regression import (
     CLIP_NORMS,
+    LANES,
     ClientShard,
     ConfigError,
     PaddedShards,
@@ -565,13 +572,92 @@ def test_overflow_of_a_diverging_repeat_stays_inside_the_kernel():
 def test_chunked_repeats_equal_one_block(monkeypatch):
     data = ragged_shards(seed=8)
     cfg, pc = decay_config(data, "l1", 0.5, MECHANISMS["gaussian"])
-    cfg = dataclasses.replace(cfg, repeats=5)
+    cfg = dataclasses.replace(cfg, repeats=17)
     whole = run_federation(cfg, data, constants=pc)
-    # a cap below one repeat's work array runs the repeats one chunk at a time
+    # a cap below one repeat's work array runs the repeats one lane block at a
+    # time: chunks of 8, 8 and 1 repeats
+    blocks = []
+    run_block = engine._run_block
+    monkeypatch.setattr("dpfedsim.engine._run_block",
+                        lambda *args: blocks.append(len(args[3])) or run_block(*args))
     monkeypatch.setattr("dpfedsim.engine.CHUNK_ELEMENTS", 1)
     chunked = run_federation(cfg, data, constants=pc)
+    assert blocks == [LANES, LANES, 1]
+    assert len(chunked.runs) == 17
     for a, b in zip(whole.runs, chunked.runs):
         _assert_same_run(a, b)
+
+
+# one store per gradient form, wide enough that a GEMM's column count changes
+# the last bits of a column: p = 24 <= max(n_l) = 30 (Gram form) and
+# p = 40 > max(n_l) = 12 (residual form)
+LANE_STORES = {"gram": dict(features=23, rows=150), "residual": dict(features=39, rows=60)}
+
+
+@pytest.mark.parametrize("form", LANE_STORES)
+def test_every_repeat_of_a_lane_block_is_its_one_repeat_gradient(form):
+    data = ragged_shards(n_clients=5, seed=12, **LANE_STORES[form])
+    assert (data.dim <= data.x.shape[1]) == (form == "gram")
+    pool = slice(1, 4)
+    rng = np.random.default_rng(13)
+    # R = 1..17 leaves every tail of 1-7 columns past a whole lane block
+    for repeats in range(1, 2 * LANES + 2):
+        block = rng.standard_normal((repeats, 3, data.dim))
+        got = data.pool_gradient(pool)(block)
+        assert got.shape == block.shape and got.flags.c_contiguous
+        for r in range(repeats):
+            alone = data.pool_gradient(pool)(block[r:r + 1])
+            assert got[r].tobytes() == alone[0].tobytes(), (repeats, r)
+
+
+@pytest.mark.parametrize("form", LANE_STORES)
+def test_lane_block_calls_return_new_arrays_and_keep_the_pad_lanes_zero(form):
+    data = ragged_shards(n_clients=5, seed=12, **LANE_STORES[form])
+    gradient = data.pool_gradient(slice(0, 5))
+    block = np.random.default_rng(14).standard_normal((3, 5, data.dim))
+    first, second = gradient(block), gradient(block)
+    lanes = inspect.getclosurevars(gradient).nonlocals["lanes"]
+    assert lanes.shape == (5, data.dim, LANES) and lanes.flags.c_contiguous
+    assert not lanes[..., 3:].any()
+    assert first.tobytes() == second.tobytes()
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, lanes) and not np.shares_memory(second, lanes)
+
+
+def test_repeats_equal_their_single_seed_runs_under_two_blas_threads():
+    # the run-wide shape: p = 200 > n_l = 50, pools of 20, 10 repeats (two lane
+    # blocks, the second with 6 pad lanes); a threaded GEMM may split the
+    # columns among its threads otherwise than a one-thread GEMM
+    script = textwrap.dedent("""
+        import dataclasses
+        import numpy as np
+        from dpfedsim.data import synth_regression
+        from dpfedsim.engine import ClipSpec, FederationConfig, Schedule, run_federation
+        from dpfedsim.mechanisms import MechanismSpec
+        from dpfedsim.regression import problem_constants
+
+        data = synth_regression(40, 50, 199, 0.5, 0.1, seed=22)
+        pc = problem_constants(data, np.zeros(data.dim), 1.0)
+        cfg = FederationConfig(
+            n_clients=40, pool_size=20, local_iters=2, global_iters=4,
+            schedule=Schedule.decay(pc, 2), clip=ClipSpec(1.0, "l2"),
+            mechanism=MechanismSpec(kind="laplace", epsilon=3.0, xi1=1.0), seed=5,
+        )
+
+        def key(run):
+            return [repr(rec) for rec in run.records], run.theta.tobytes(), run.diverged
+
+        block = run_federation(dataclasses.replace(cfg, repeats=10), data, pc).runs
+        alone = [run_federation(dataclasses.replace(cfg, seed=5 + r), data, pc).runs[0]
+                 for r in range(10)]
+        print(sum(key(a) == key(b) for a, b in zip(block, alone)), len(block[0].records))
+    """)
+    src = Path(engine.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["10", "4"]
 
 
 def test_repeats_must_be_positive():

@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpfedsim.data import synth_regression
 from dpfedsim.regression import (
     ClientShard,
     ConfigError,
@@ -396,6 +398,47 @@ def test_batched_local_optima_match_lstsq(case):
     assert pc.f_star > 1e-3
     assert abs(pc.gamma_noniid - gamma_reference) <= 1e-12 * pc.f_star
     assert np.abs(_local_optimum_losses(data) - reference).max() <= 1e-12 * pc.f_star
+
+
+@pytest.mark.parametrize("clients", [1, 2, 4])
+@pytest.mark.parametrize(
+    "case", ["ragged", "single-row", "duplicate-rows", "constant-column", "mixed-conditioning"]
+)
+def test_local_optima_in_client_chunks_equal_one_chunk(monkeypatch, case, clients):
+    # every case has max(n_l) >= p, the QR path; 5 or 6 clients leave a ragged last chunk
+    data = PaddedShards.build(_optima_case(case, np.random.default_rng(40)))
+    whole = _local_optimum_losses(data)
+    chunks = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: chunks.append(len(a)) or qr(a, mode))
+    monkeypatch.setattr("dpfedsim.regression.CHUNK_ELEMENTS",
+                        clients * data.x.shape[1] * (data.dim + 1))
+    chunked = _local_optimum_losses(data)
+    n = data.n_clients
+    assert chunks == [clients] * (n // clients) + ([n % clients] if n % clients else [])
+    assert chunked.tobytes() == whole.tobytes()
+
+
+def test_local_optima_hold_no_whole_copy_of_x_y(monkeypatch):
+    # tracemalloc sees numpy's data allocations. [X y] of this store (N = 200,
+    # n_l = 100, p = 5) is 0.96 MB; one QR of the whole stack peaks at 2.14x it
+    # (the concatenated copy and qr's own). Chunks of 10 clients peak at 0.17x:
+    # two 48 KB chunks, the (N, 6, 6) R factors and the p x p Gram matrices.
+    data = synth_regression(200, 100, 4, 0.5, 0.1, seed=3)
+    stack = data.x.shape[0] * data.x.shape[1] * (data.dim + 1) * 8
+    monkeypatch.setattr("dpfedsim.regression.CHUNK_ELEMENTS",
+                        10 * data.x.shape[1] * (data.dim + 1))
+    want = _local_optimum_losses(data)  # first-use allocations of numpy
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = _local_optimum_losses(data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 0.5 * stack
 
 
 def test_store_stacks_shards_in_client_order():
