@@ -394,8 +394,10 @@ def _run_block(
     repeat whose local steps or aggregate leave PARAM_LIMIT in round t is
     marked diverged and leaves the block at the end of round t, keeping its
     records and parameters up to round t - 1. A noise-free run builds no
-    noise stream. ``on_grad`` sees each round's stack of clipped gradients (see
-    ``client_update``); with ``records`` false the runs keep no round records.
+    noise stream, no noise block and no calibration context, and records a
+    noise norm of 0.0. ``on_grad`` sees each round's stack of clipped
+    gradients (see ``client_update``); with ``records`` false the runs keep
+    no round records.
     """
     dim = data.dim
     theta_0 = _initial_theta(config, dim)
@@ -416,16 +418,14 @@ def _run_block(
     for t in range(config.global_iters):
         pool = pool_slice(t, n_clients, b)
         weights = data.weights[pool]
-        round_ctx = noise_context(config, data, t)
 
         if noisy:
-            noise = _pool_noise(config, round_ctx, [streams[r] for r in active], pool)
-        else:
-            noise = sample_noise(config.mechanism, round_ctx, None, (len(active), b))
+            noise = _pool_noise(config, noise_context(config, data, t),
+                                [streams[r] for r in active], pool)
         # a diverged repeat steps on to the round's end: silence its overflow
         with np.errstate(over="ignore", invalid="ignore"):
             local, ok = client_update(data, pool, theta, t, config, on_grad)
-            theta_new = aggregate(local + noise, weights, n_clients, b)
+            theta_new = aggregate(local + noise if noisy else local, weights, n_clients, b)
         ok &= _within_limit(theta_new)
         if not ok.all():
             for i in np.flatnonzero(~ok):
@@ -434,15 +434,20 @@ def _run_block(
             active = [r for r, keep in zip(active, ok) if keep]
             if not active:
                 break
-            theta_new, noise = theta_new[ok], noise[ok]
+            theta_new = theta_new[ok]
+            if noisy:
+                noise = noise[ok]
         theta = theta_new
         if not records:
             continue
 
         k = (t + 1) * config.local_iters
+        eta_k = config.schedule.rate(t * config.local_iters)
         losses = data.losses(theta)
-        noise_agg = aggregate(noise, weights, n_clients, b)
-        noise_l2 = np.sqrt(_row_dots(noise_agg, noise_agg))
+        noise_l2 = np.zeros(len(active))
+        if noisy:
+            noise_agg = aggregate(noise, weights, n_clients, b)
+            noise_l2 = np.sqrt(_row_dots(noise_agg, noise_agg))
         y_k = np.full(len(active), math.nan)
         bound_y_k = math.nan
         if constants is not None:
@@ -455,7 +460,7 @@ def _run_block(
                 RoundRecord(
                     t=t,
                     k=k,
-                    eta_k=round_ctx.eta_tilde,
+                    eta_k=eta_k,
                     global_loss=float(losses[i]),
                     y_k=float(y_k[i]),
                     bound_y_k=bound_y_k,

@@ -36,6 +36,12 @@ CLIP_NORMS = ("l1", "l2")
 # per-shard QR (``_local_optimum_losses``). Chunking changes no byte.
 CHUNK_ELEMENTS = 4_000_000
 
+# the element count that bounds the chunk of Gram matrices whose conditioning
+# ``_local_optimum_losses`` tests with one Cholesky factorisation: each chunk's
+# Gram matrices and their factor are new arrays, so a chunk stays small next to
+# the stack. The chunks change no byte.
+GATE_ELEMENTS = 2**11
+
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
@@ -384,6 +390,32 @@ class PaddedShards:
         return (loss_ref + 2.0 * _row_dots(d, grad_ref) + _row_dots(d_gram, d)) / self.n
 
 
+def _unsure_blocks(mat: np.ndarray) -> np.ndarray:
+    """Indices of the (k, p) blocks of ``mat`` that the Cholesky gate does not clear.
+
+    The gate factors G - 1e-8 tr(G) I for a chunk of at most GATE_ELEMENTS
+    floats of the blocks' short-side Gram matrices G. A factor puts all of a
+    G's eigenvalues above 1e-8 tr(G), at least 1e-8 of its largest, so every
+    singular value of the block above 1e-4 of the largest, far over any rcond
+    cut-off: the chunk is cleared. A chunk without a factor is unsure whole.
+    """
+    tall = mat.shape[1] >= mat.shape[2]
+    side = min(mat.shape[1:])
+    step = max(1, GATE_ELEMENTS // side**2)
+    unsure = np.zeros(len(mat), dtype=bool)
+    for lo in range(0, len(mat), step):
+        chunk = mat[lo:lo + step]
+        gram = (np.matmul(chunk.transpose(0, 2, 1), chunk) if tall
+                else np.matmul(chunk, chunk.transpose(0, 2, 1)))
+        diag = gram.reshape(len(gram), -1)[:, ::side + 1]
+        diag -= 1e-8 * diag.sum(axis=1, keepdims=True)
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            unsure[lo:lo + step] = True
+    return np.flatnonzero(unsure)
+
+
 def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
     """Every shard's f_l* = min ||X_l theta - y_l||^2 / n_l, as ``reference.local_optimum``.
 
@@ -396,10 +428,12 @@ def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
     is already short and is read as it is: no copy of the stack is made.
     Singular values at or below ``lstsq``'s rcond=None cut-off,
     eps * max(n_l, p) * s_max, count as zero. Shards with no value cut have a
-    closed-form residual; only the others need singular vectors. The
-    eigenvalues of the short side's Gram matrix, R'R or X X', cheaper than
-    singular values, clear the well-conditioned blocks, so singular values
-    are computed for the rest.
+    closed-form residual; only the others need singular vectors. Singular
+    values are computed only for the blocks of the client chunks that one
+    Cholesky factorisation of their short side's Gram matrices, R'R or X X',
+    does not clear (``_unsure_blocks``), far cheaper than their eigenvalues:
+    a chunk with one rank-deficient block pays an SVD for each of its blocks.
+    The SVD alone decides a cut, so the gate moves no byte.
     """
     x, y = data.x, data.y
     p = data.dim
@@ -413,17 +447,12 @@ def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
             for lo in range(0, data.n_clients, step)
         ])
         mat, rhs = r[:, :, :p], r[:, :, p]
-        gram = np.matmul(mat.transpose(0, 2, 1), mat)
     else:
         mat, rhs = x, y
-        gram = np.matmul(x, x.transpose(0, 2, 1))
     # a full-rank block reaches every coordinate of rhs but, when it has
     # p + 1 rows, the last one, which holds y's distance from X's columns
     resid_sq = rhs[:, p] ** 2 if mat.shape[1] > p else np.zeros(data.n_clients)
-    # Gram eigenvalues spanning less than 1e8 put every singular value above
-    # 1e-4 of the largest, far over the cut-off: only the other blocks may lose one
-    eig = np.linalg.eigvalsh(gram)
-    unsure = np.flatnonzero(~(eig[:, 0] > 1e-8 * eig[:, -1]))
+    unsure = _unsure_blocks(mat)
     if not unsure.size:
         return resid_sq / data.sizes
     s = np.linalg.svd(mat[unsure], compute_uv=False)

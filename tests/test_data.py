@@ -135,6 +135,29 @@ def test_store_costs_one_design_from_builder_to_constants():
     assert constants_peak <= 1.8 * design
 
 
+def test_constants_of_a_ragged_store_with_long_shards_hold_two_copies_of_x_y():
+    # tracemalloc sees numpy's data allocations. On this ragged store with
+    # n_l >= p (N=250, n_l of 16 or 17, p=7), the QR path of the per-shard
+    # optima, the store costs 2.38x the design and problem_constants peaks at
+    # 5.80x it, the store included: the QR's working set over its [X y] copies
+    # of 1.21x each. One more whole copy of [X y] would take it to 7.0x; the
+    # bound sits between the two.
+    warm = sorted_partition(np.random.default_rng(0).standard_normal((30, 4)), -1, 3)
+    problem_constants(warm, np.zeros(warm.dim), 1.0)  # first-use allocations of numpy
+    records = np.random.default_rng(8).standard_normal((4001, 7))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ds = sorted_partition(records, -1, 250)
+        tracemalloc.reset_peak()
+        problem_constants(ds, np.zeros(ds.dim), 1.0)
+        constants_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ds.x.shape == (250, 17, 7) and ds.sizes.min() == 16  # ragged, n_l >= p
+    assert constants_peak <= 6.6 * ds.pooled_x.nbytes
+
+
 # ---------------------------------------------------------------------------
 # sorted partition
 # ---------------------------------------------------------------------------
@@ -163,6 +186,48 @@ def test_sorted_partition_matches_the_column_stack_reference_bitwise(add_bias):
     assert ds.pooled_y.tobytes() == ordered[:, -1].tobytes()
     # the layout picks numpy's matmul path, and with it the bytes of every product
     assert ds.pooled_x.flags.c_contiguous
+
+
+def _tied_keys(kind, rng, n):
+    if kind == "signed-zeros":
+        return rng.choice([-0.0, 0.0, -1.0, 1.0], size=n)
+    if kind == "all-equal":
+        return np.full(n, 2.5)
+    return np.round(rng.standard_normal(n), int(kind[0]))  # rounding also leaves -0.0
+
+
+@pytest.mark.parametrize("key_column", [0, -1])
+@pytest.mark.parametrize("keys", ["0-decimals", "1-decimal", "2-decimals", "signed-zeros",
+                                  "all-equal"])
+def test_sorted_partition_order_is_the_stable_sort(keys, key_column):
+    rng = np.random.default_rng(2303)
+    records = rng.standard_normal((600, 4))
+    records[:, key_column] = _tied_keys(keys, rng, 600)
+    ds = sorted_partition(records, key_column, n_clients=7)
+    ordered = records[np.argsort(records[:, key_column], kind="stable")]
+    features = np.column_stack([ordered[:, :-1], np.ones(600)])
+    assert ds.pooled_x.tobytes() == features.tobytes()
+    assert ds.pooled_y.tobytes() == ordered[:, -1].tobytes()
+
+
+@pytest.mark.parametrize("keys", ["1-decimal", "signed-zeros", "all-equal"])
+def test_stable_order_puts_nan_keys_last_in_input_order(keys):
+    # NaN equals nothing, not even NaN, so its group is not found by comparing neighbours
+    rng = np.random.default_rng(2304)
+    key = _tied_keys(keys, rng, 300)
+    key[rng.choice(300, size=40, replace=False)] = math.nan
+    order = data_module._stable_order(key)
+    assert order.tobytes() == np.argsort(key, kind="stable").tobytes()
+
+
+@pytest.mark.parametrize("key_column,bad", [(0, "features"), (-1, "targets")])
+def test_sorted_partition_with_nan_sort_keys_names_the_nonfinite_array(key_column, bad):
+    rng = np.random.default_rng(2305)
+    records = rng.standard_normal((60, 3))
+    records[:, key_column] = _tied_keys("0-decimals", rng, 60)
+    records[[4, 5, 31, 59], key_column] = math.nan
+    with pytest.raises(ConfigError, match=f"{bad} contains non-finite entries"):
+        sorted_partition(records, key_column, n_clients=6)
 
 
 def test_sorted_partition_single_client_keeps_everything():

@@ -379,6 +379,22 @@ def test_noise_free_records_zero_noise_and_defined_bound():
     assert all(math.isfinite(r.bound_y_k) for r in res.records)
 
 
+def test_noise_free_rounds_calibrate_and_draw_no_noise(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a noise-free round built noise")
+
+    monkeypatch.setattr("dpfedsim.engine.noise_context", refuse)
+    monkeypatch.setattr("dpfedsim.engine.sample_noise", refuse)
+    rng = np.random.default_rng(13)
+    shards = make_shards(rng, 4, n_per=8, d=2)
+    cfg, pc = base_config(shards, E=2, T_g=6, b=2, norm="l1")
+    data = PaddedShards.build(shards)
+    runs = run_federation(dataclasses.replace(cfg, repeats=3), data, constants=pc).runs
+    assert [len(run.records) for run in runs] == [6, 6, 6]
+    assert all(r.noise_l2 == 0.0 for run in runs for r in run.records)
+    assert pilot_gradient_bound(cfg, data) > 0
+
+
 def test_decay_schedule_needs_a_nonsingular_hessian():
     singular = ProblemConstants(
         mu=0.0, lam=1.0, g_bound=1.0, gamma_noniid=0.0, f_star=0.0,

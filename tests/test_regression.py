@@ -441,6 +441,83 @@ def test_local_optima_hold_no_whole_copy_of_x_y(monkeypatch):
     assert peak <= 0.5 * stack
 
 
+def _drawn_stack(rng):
+    """A store of awkward shards: ragged or not, n_l below and above p, and odd blocks.
+
+    Half the stacks have no odd block, so whole chunks of the gate clear; in
+    the others a few shards get a duplicate, zero or near-duplicate column or
+    are all zero, and a tenth of the stacks are scaled to 1e-150.
+    """
+    n_clients, p = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+    sizes = (rng.integers(1, 2 * p + 3, size=n_clients) if rng.random() < 0.5
+             else np.full(n_clients, rng.integers(1, 2 * p + 3)))
+    odd_rate = 0.0 if rng.random() < 0.5 else 0.2
+    scale = 1e-150 if rng.random() < 0.1 else 1.0
+    shards = []
+    for cid, n_l in enumerate(sizes.tolist()):
+        x = rng.standard_normal((n_l, p))
+        odd = rng.integers(4) if rng.random() < odd_rate else None
+        if odd == 0 and p > 1:  # a duplicate column
+            x[:, 1] = x[:, 0]
+        if odd == 1:  # a zero column
+            x[:, -1] = 0.0
+        if odd == 2 and p > 1:  # a near-duplicate column
+            x[:, 1] = x[:, 0] * (1.0 + 1e-9 * rng.standard_normal(n_l))
+        if odd == 3:  # an all-zero shard
+            x[:] = 0.0
+        y = x @ rng.standard_normal(p) + rng.standard_normal(n_l)
+        shards.append(ClientShard(cid, scale * x, scale * y))
+    return PaddedShards.build(shards)
+
+
+def test_cholesky_gate_changes_no_byte_of_the_local_optima(monkeypatch):
+    # with every factorisation refused, every block goes to the SVD, which alone
+    # decides a cut; the gate may only skip that work for blocks it loses nothing on
+    cholesky = np.linalg.cholesky
+    factored = {"cleared": 0, "refused": 0}
+
+    def counting(a):
+        try:
+            factor = cholesky(a)
+        except np.linalg.LinAlgError:
+            factored["refused"] += 1
+            raise
+        factored["cleared"] += 1
+        return factor
+
+    def refusing(a):
+        raise np.linalg.LinAlgError("refused")
+
+    svd = np.linalg.svd
+    rng = np.random.default_rng(2301)
+    for _ in range(240):
+        data = _drawn_stack(rng)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        gated = _local_optimum_losses(data)
+        blocks = []
+        monkeypatch.setattr(np.linalg, "cholesky", refusing)
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: blocks.append(len(a)) or svd(a, **kw))
+        assert gated.tobytes() == _local_optimum_losses(data).tobytes()
+        assert blocks[0] == data.n_clients  # a refused chunk sends its blocks to the SVD
+    # both outcomes of the gate were exercised, many times over
+    assert min(factored.values()) >= 50
+
+
+def test_one_rank_deficient_shard_among_well_conditioned_ones_matches_lstsq():
+    rng = np.random.default_rng(2302)
+    shards = [ClientShard(cid, _with_bias(rng.standard_normal((9, 3))), rng.standard_normal(9))
+              for cid in range(12)]
+    rank_deficient = _with_bias(rng.standard_normal((9, 3)))
+    rank_deficient[:, 2] = rank_deficient[:, 0] - rank_deficient[:, 1]
+    shards[5] = ClientShard(5, rank_deficient, rng.standard_normal(9))
+    data = PaddedShards.build(shards)
+    reference = np.array([local_optimum(s)[1] for s in shards])
+    pc = problem_constants(data, np.zeros(data.dim), zeta=10.0)
+    assert np.abs(_local_optimum_losses(data) - reference).max() <= 1e-12 * pc.f_star
+
+
 def test_store_stacks_shards_in_client_order():
     rng = np.random.default_rng(41)
     shards = [make_shard(rng, n=n_l, d=2, client_id=cid) for cid, n_l in [(1, 3), (0, 2)]]
