@@ -16,16 +16,24 @@ The pass is one matrix product per client whose columns are the repeats,
 padded with zero columns to L = 8 * ceil(R / 8) lanes: OpenBLAS gives a GEMM
 column the same bits for any column count that is a multiple of 8, and other
 last bits to a tail of 1-4 columns past one, so the padding is what keeps a
-repeat's bits independent of R. When p <= max(n_l) the product is each client's cached
-H_l = (2/n_l) X_l'X_l times its (p, L) lanes, minus h_l = (2/n_l) X_l'y_l
-(the Gram form); otherwise it is X_l' (X_l Theta - y_l) on the zero-padded
-(b, max(n_l), p) rows (the residual form). Repeat r draws each round's (b, p)
-noise block as the next draw of its own stream,
-``mechanisms.noise_stream(seed + r)``, built once per run. Aggregation
-(``aggregate``) is one reduction per repeat in a fixed order, and the
-per-round metrics (the p x p pooled loss, y_k and the noise norm) take one
-dot product per repeat. A round therefore costs O(L * b * p^2 * E) for the
-steps in Gram form and O(L * b * max(n_l) * p * E) in residual form, plus
+repeat's bits independent of R. When p <= max(n_l) the product is each
+client's cached H_l = (2/n_l) X_l'X_l times its (p, L) lanes, minus
+h_l = (2/n_l) X_l'y_l (the Gram form). Otherwise, under L2 clipping and
+outside the pilot, each client steps in the span of its own rows (the dual
+form): its parameters are theta_s + X_l' a_l, its dual gradient
+(2/n_l)(X_l theta - y_l) moves by the n_max x n_max K_l = X_l X_l', built
+per pool per round, and its parameters are formed at the round's end, or
+after every step of a round that could leave PARAM_LIMIT. Under L1 clipping
+and in the pilot, which need every gradient formed, the product is
+X_l' (X_l Theta - y_l) on the zero-padded (b, max(n_l), p) rows (the
+residual form). Repeat r draws each round's (b, p) noise block as the next
+draw of its own stream, ``mechanisms.noise_stream(seed + r)``, built once
+per run. Aggregation (``aggregate``) is one reduction per repeat in a fixed
+order, and the per-round metrics (the p x p pooled loss, y_k and the noise
+norm) take one dot product per repeat. A round therefore costs
+O(L * b * p^2 * E) for the steps in Gram form,
+O(L * b * (n_max^2 * E + n_max * p)) in dual form plus O(b * n_max^2 * p)
+for the pool's K_l, and O(L * b * n_max * p * E) in residual form, plus
 O(R * p^2) for the metrics: a one-repeat run pays for 8 lanes. Every repeat
 is bitwise the same whether it runs alone or in a block.
 The L1 pilot that measures the gradient bound is the same round loop run
@@ -307,27 +315,37 @@ def client_update(
     repeat is left within it. ``on_grad`` is given, once the steps end, the
     (S, R, b, p) stack of the clipped gradients of the S steps taken.
 
-    The gradients come from ``data.pool_gradient``: in Gram form when
+    The steps are taken by ``data.local_steps``: in Gram form when
     p <= max(n_l), from the store's per-client statistics, built by the first
     round run on the store and kept for the pilot, every repeat and every
-    sweep point; in residual form otherwise, which builds nothing.
+    sweep point; otherwise in the span of each client's rows (L2, unwatched)
+    or in residual form, which keep nothing. The dual form's parameters cost
+    a matrix product to form, so it checks them after every step only when
+    the round could leave PARAM_LIMIT: a clipped step moves no entry by more
+    than its rate times zeta (1 + 1e-10), so from
+    max|theta| + (1 + 1e-9) zeta sum(rates) below the limit only the last
+    step is checked.
     """
-    gradient = data.pool_gradient(pool)
-    # a repeat's theta broadcasts over the pool until the first step gives each client a row
-    block = theta[:, None, :]
+    steps = data.local_steps(pool, theta, config.clip.norm, watched=on_grad is not None)
+    k0, last = t * config.local_iters, config.local_iters - 1
+    deferred = steps.deferred_params and (
+        float(np.abs(theta).max()) + (1 + 1e-9) * config.clip.zeta
+        * sum(config.schedule.rate(k0 + i) for i in range(config.local_iters)) < PARAM_LIMIT)
     ok = np.ones(len(theta), dtype=bool)
-    k0 = t * config.local_iters
     grads = []
     for i in range(config.local_iters):
-        grad = clip_gradient(gradient(block), config.clip.zeta, config.clip.norm)
+        grad = clip_gradient(steps.gradient(), config.clip.zeta, config.clip.norm,
+                             steps.row_norms)
         if on_grad is not None:
-            grads.append(grad)
-        block = block - config.schedule.rate(k0 + i) * grad
-        # one reduction over the whole block; the per-repeat mask only once it fails
-        if not _all_within_limit(block):
-            ok &= _within_limit(block)
-            if not ok.any():
-                break
+            grads.append(steps.primal(grad))
+        steps.step(config.schedule.rate(k0 + i), grad)
+        if not deferred or i == last:
+            block = steps.params()
+            # one reduction over the whole block; the per-repeat mask only once it fails
+            if not _all_within_limit(block):
+                ok &= _within_limit(block)
+                if not ok.any():
+                    break
     if on_grad is not None:
         on_grad(np.stack(grads))
     return block, ok

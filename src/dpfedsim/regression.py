@@ -2,7 +2,8 @@
 
 Every function here is pure: inputs are never mutated and repeated calls with
 the same arguments are bitwise reproducible. All reductions over samples and
-clients run in ascending index order.
+clients run in ascending index order. The local-step states that
+``PaddedShards.local_steps`` returns change only arrays of their own.
 """
 from __future__ import annotations
 
@@ -133,7 +134,8 @@ def _row_norms(g: np.ndarray, norm_kind: str) -> np.ndarray:
     raise ConfigError(f"unknown norm kind {norm_kind!r} (expected one of {CLIP_NORMS})")
 
 
-def clip_gradient(g: np.ndarray, zeta: float, norm_kind: str = "l2") -> np.ndarray:
+def clip_gradient(g: np.ndarray, zeta: float, norm_kind: str = "l2",
+                  row_norms=_row_norms) -> np.ndarray:
     """Rescale ``g`` to g / max(1, ||g||/zeta) so its norm never exceeds ``zeta``.
 
     Direction is preserved. The map is idempotent bitwise: vectors at or below
@@ -141,21 +143,25 @@ def clip_gradient(g: np.ndarray, zeta: float, norm_kind: str = "l2") -> np.ndarr
     until the recomputed norm is <= zeta in floating point (a single rescale
     can land a few ulps above it). An array of shape (..., p) is clipped row by
     row along its last axis, each row bitwise as if clipped on its own; it is
-    returned unchanged when no row exceeds the threshold.
+    returned unchanged when no row exceeds the threshold. ``row_norms(rows,
+    norm_kind)`` gives the norm of each row that the loop bounds by zeta; a
+    row may hold the coordinates of a gradient rather than the gradient
+    itself, as in the dual form of a local step (``_DualSteps``), whose norms
+    are those of the gradients the rows stand for.
     """
     if not zeta > 0:
         raise ConfigError("clip threshold zeta must be > 0")
     g = np.asarray(g, dtype=float)
     # a row at or below the threshold has norm/zeta <= 1 and is divided by
     # exactly 1.0, which leaves it unchanged
-    norms = _row_norms(g, norm_kind)
+    norms = row_norms(g, norm_kind)
     if (norms <= zeta).all():
         return g
     clipped = g / np.maximum(norms / zeta, 1.0)[..., None]
-    norms = _row_norms(clipped, norm_kind)
+    norms = row_norms(clipped, norm_kind)
     while (norms > zeta).any():
         clipped = clipped / np.maximum(norms / zeta, 1.0)[..., None]
-        norms = _row_norms(clipped, norm_kind)
+        norms = row_norms(clipped, norm_kind)
     return clipped
 
 
@@ -194,6 +200,106 @@ def _over_lanes(product, finish, clients: int, dim: int):
     return rows
 
 
+class _RowSteps:
+    """A pool's local steps on its (R, b, p) parameter block, through ``PaddedShards.pool_gradient``."""
+
+    row_norms = staticmethod(_row_norms)
+    # the parameters are the block itself, checked after every step at no cost
+    deferred_params = False
+
+    def __init__(self, gradient, theta: np.ndarray):
+        self._gradient = gradient
+        # a repeat's theta broadcasts over the pool until the first step gives each client a row
+        self._block = theta[:, None, :]
+
+    def gradient(self) -> np.ndarray:
+        return self._gradient(self._block)
+
+    def primal(self, grad: np.ndarray) -> np.ndarray:
+        return grad
+
+    def step(self, rate: float, grad: np.ndarray) -> None:
+        self._block = self._block - rate * grad
+
+    def params(self) -> np.ndarray:
+        return self._block
+
+
+class _DualSteps:
+    """A pool's L2-clipped local steps in the span of each client's rows, for p > max(n_l).
+
+    Client l's parameters are theta_s + X_l' a_l, where theta_s is its
+    repeat's server row, so its gradient is X_l' g_l with the dual gradient
+    g_l = (2/n_l)(X_l theta - y_l) of n_max entries, and a step a_l -= eta c_l,
+    with c_l the clipped g_l, moves g_l by -eta (2/n_l) K_l c_l, where
+    K_l = X_l X_l' is built once per pool. So a step costs (n_max, n_max)
+    products per client where the residual form costs two (n_max, p) ones,
+    and the parameters cost one (n_max, p) product, formed only when
+    ``params`` asks. The repeats are the rows of C-contiguous (b, L, n_max)
+    blocks, zero in the pad rows, which the clip loop reads as they are, and
+    every product is one GEMM per client over them (why: ``pool_gradient``).
+
+    ``row_norms`` gives the clip loop the L2 norms of the gradients X_l' g_l
+    from K_l: g'K g is ||X'g||^2 up to a rounding of at most
+    (p + 2 n_max + 1) eps tr(K) ||g||^2. A row whose bound is not below
+    1e-10 g'K g, as when g lies near the null space of a singular K_l or
+    g'K g rounds below 0, takes the norm of its formed gradient instead. So a
+    clipped gradient's norm is at most zeta (1 + 1e-10), not at most zeta.
+    """
+
+    # forming the parameters costs a product: the engine checks them only
+    # when a round could leave PARAM_LIMIT
+    deferred_params = True
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, scale: np.ndarray, theta: np.ndarray):
+        self._repeats, dim = theta.shape
+        self._x = x
+        self._kernel = np.matmul(x, x.transpose(0, 2, 1))
+        self._scale = scale[:, None, None]
+        self._server = np.zeros((-(-self._repeats // LANES) * LANES, dim))
+        self._server[:self._repeats] = theta
+        dual = np.matmul(self._server, x.transpose(0, 2, 1))
+        dual[:, :self._repeats] -= y[:, None, :]
+        dual *= self._scale
+        self._dual = dual
+        self._coef = np.zeros_like(dual)
+        trace = self._kernel.reshape(len(x), -1)[:, ::x.shape[1] + 1].sum(axis=1)
+        self._slack = ((dim + 2 * x.shape[1] + 1) * np.finfo(float).eps * trace)[:, None]
+        self._moves = None
+
+    def gradient(self) -> np.ndarray:
+        return self._dual
+
+    def _moved(self, rows: np.ndarray) -> np.ndarray:
+        """c K_l for a (b, L, n_max) block c, kept for the last block asked."""
+        if self._moves is None or self._moves[0] is not rows:
+            self._moves = (rows, np.matmul(rows, self._kernel))
+        return self._moves[1]
+
+    def row_norms(self, rows: np.ndarray, norm_kind: str) -> np.ndarray:
+        # L2 whatever norm_kind says: ``local_steps`` builds no other dual steps
+        # in order over n_max, per row
+        quad = np.einsum("bln,bln->bl", rows, self._moved(rows))
+        # a quad below 0 is unsure too
+        unsure = 1e-10 * quad < self._slack * np.einsum("bln,bln->bl", rows, rows)
+        if unsure.any():
+            formed = np.matmul(rows, self._x)
+            quad = np.where(unsure, _row_dots(formed, formed), quad)
+        return np.sqrt(quad)
+
+    def primal(self, grad: np.ndarray) -> np.ndarray:
+        return np.matmul(grad, self._x)[:, :self._repeats].transpose(1, 0, 2)
+
+    def step(self, rate: float, grad: np.ndarray) -> None:
+        self._coef -= rate * grad
+        self._dual = self._dual - (rate * self._scale) * self._moved(grad)
+
+    def params(self) -> np.ndarray:
+        theta = np.matmul(self._coef, self._x)
+        theta += self._server
+        return np.ascontiguousarray(theta[:, :self._repeats].transpose(1, 0, 2))
+
+
 @dataclass(frozen=True, eq=False)
 class PaddedShards:
     """A federated dataset: N clients' shards, stacked once in client-id order.
@@ -214,10 +320,11 @@ class PaddedShards:
     computed on first use and kept. The loss form is the one pooled
     least-squares solve: ``lstsq`` on the p x p Gram matrix, refined once with
     the pooled residual; ``problem_constants`` reads theta* and f* from it and
-    ``losses`` expands around it. The local steps use ``local_stats`` only
-    when p <= max(n_l) (``pool_gradient``), so a store with shards shorter
-    than p never builds them, and a built one holds N * p^2 floats for H, no
-    more than ``x``.
+    ``losses`` expands around it. The local steps (``local_steps``) use
+    ``local_stats`` only when p <= max(n_l) (``pool_gradient``), so a built
+    one holds N * p^2 floats for H, no more than ``x``. A store with shards
+    shorter than p never builds them: its steps read ``x``, and its L2 steps
+    build each pool's n_max x n_max matrices X_l X_l' afresh every round.
     """
 
     x: np.ndarray  # (N, n_max, p)
@@ -345,7 +452,9 @@ class PaddedShards:
         stack no larger than the padded ``x``. Otherwise the per-client statistics would outgrow the
         shards and cost more per step than the residual form
         (2/n_l) X_l'(X_l Theta - y_l), which reads ``x`` directly and never
-        builds them. Every call returns a new C-contiguous (R, b, p) array.
+        builds them; ``local_steps`` takes it only where every step's
+        gradients are formed anyway (L1 clipping, the pilot). Every call
+        returns a new C-contiguous (R, b, p) array.
         """
         if self.dim <= self.x.shape[1]:
             hess, lin = (stat[pool] for stat in self.local_stats)
@@ -363,6 +472,28 @@ class PaddedShards:
 
         return _over_lanes(residual_form, lambda rows: np.multiply(rows, scale, order="C"),
                            len(x), self.dim)
+
+    def local_steps(self, pool: slice, theta: np.ndarray, norm_kind: str = "l2",
+                    watched: bool = False):
+        """The local-step state of the clients in ``pool``, each starting from its repeat's row of ``theta``.
+
+        ``theta`` is the (R, p) block of the repeats' server parameters. The
+        state gives the clip loop a block of gradient rows (``gradient``) and
+        the norms of the gradients they stand for (``row_norms``), takes a
+        clipped block as a step (``step``), and gives a clipped block's
+        (R, b, p) gradients (``primal``) and the (R, b, p) parameters
+        (``params``), row i of a repeat for client ``pool.start + i``. When
+        p > max(n_l) and the steps clip in ``norm_kind`` "l2" unwatched, they
+        are taken in the span of each client's rows (``_DualSteps``), from the
+        pool's slice of ``x``, building nothing that is kept. Otherwise they
+        step the parameters through ``pool_gradient``: the L1 norm needs every
+        gradient formed, and so does a ``watched`` run (the pilot, which hands
+        them out and must not read a norm above the threshold), and forming
+        them is what the residual form costs.
+        """
+        if self.dim > self.x.shape[1] and norm_kind == "l2" and not watched:
+            return _DualSteps(self.x[pool], self.y[pool], 2.0 / self.sizes[pool], theta)
+        return _RowSteps(self.pool_gradient(pool), theta)
 
     @cached_property
     def _loss_form(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
@@ -487,7 +618,8 @@ def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> P
     it). That is reported via ``assumptions_ok=False`` with mu forced to 0:
     simulation may proceed but bound computation is disabled, and the same
     rule is what sends theta* and f* to ``lstsq`` on the n x p design. A p x p
-    work array that cannot be allocated is a ``ConfigError``.
+    work array that cannot be allocated, and a pooled Hessian with entries
+    past the float range (features near 1e154 and above), are a ``ConfigError``.
     """
     if not zeta > 0:
         raise ConfigError("clip threshold zeta must be > 0")
@@ -498,7 +630,13 @@ def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> P
         raise ConfigError("theta_0 dimension does not match the dataset")
 
     try:
-        eigvals = np.linalg.eigvalsh((2.0 / n) * data.gram)
+        with np.errstate(over="ignore"):
+            hessian = (2.0 / n) * data.gram
+        if not np.isfinite(hessian).all():
+            raise ConfigError(
+                f"the pooled Hessian (2/n) X'X overflows float64: the features reach "
+                f"|x| = {np.abs(data.pooled_x).max():.3g}, too large to square; rescale them")
+        eigvals = np.linalg.eigvalsh(hessian)
         mu, lam = float(eigvals[0]), float(eigvals[-1])
         # the bound divides by mu^2, which must not underflow to zero either
         assumptions_ok = lam > 0 and mu > lam * 1e-12 and mu**2 > 0

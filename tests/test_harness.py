@@ -677,6 +677,25 @@ def test_cli_gram_matrix_that_cannot_be_allocated_is_a_config_error(
         "error: the pooled p x p Gram matrix of p = 100001, p² = 10000200001 floats, ")
 
 
+def test_cli_pooled_hessian_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    # finite features near 1e159 square past the float range, and eigvalsh of
+    # the overflowed Gram matrix does not converge
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.5, 1.0, (200, 3)) * 1e159
+    rows = [",".join(map(repr, row)) for row in np.column_stack(
+        [x, rng.standard_normal(200)]).tolist()]
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text("a,b,c,y\n" + "\n".join(rows) + "\n")
+    task = SMALL_TASK.replace("clients = 8", "clients = 10").replace(
+        "[data]", f"[data]\nkind = csv\npath = {csv_path}\ntarget_column = y")
+    code = cli_main(["run", "--config", str(write(tmp_path, task)),
+                     "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the pooled Hessian (2/n) X'X overflows float64")
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_missing_config_is_io_error(tmp_path, capsys):
     code = cli_main(
         ["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]

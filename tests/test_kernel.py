@@ -167,12 +167,13 @@ def ragged_shards(n_clients=6, rows=53, features=3, seed=0, offset=0.5, sizes=No
     return PaddedShards.from_pooled(np.column_stack([x, np.ones(rows)]), y, sizes)
 
 
-# the kernel takes a step in Gram form when p <= max(n_l) and in residual form
+# the kernel takes a step in Gram form when p <= max(n_l); otherwise in dual
+# form under L2 clipping, and in residual form under L1 clipping and in the pilot
 # otherwise; the default ragged_shards (p = 4 over 8-9 rows) runs the Gram form
 SHAPES = {
     "square": dict(features=8),  # p = max(n_l) = 9, and some shards have 8 rows
     "short": dict(features=5, sizes=(3, 12, 4, 9, 12, 13)),  # some n_l < p = 6 < max(n_l)
-    "wide": dict(features=12, rows=40),  # p = 13 > max(n_l) = 7: the residual form
+    "wide": dict(features=12, rows=40),  # p = 13 > max(n_l) = 7: dual or residual form
 }
 
 
@@ -590,7 +591,7 @@ def test_chunked_repeats_equal_one_block(monkeypatch):
 
 # one store per gradient form, wide enough that a GEMM's column count changes
 # the last bits of a column: p = 24 <= max(n_l) = 30 (Gram form) and
-# p = 40 > max(n_l) = 12 (residual form)
+# p = 40 > max(n_l) = 12 (residual form; the dual form under unwatched L2)
 LANE_STORES = {"gram": dict(features=23, rows=150), "residual": dict(features=39, rows=60)}
 
 
@@ -622,6 +623,169 @@ def test_lane_block_calls_return_new_arrays_and_keep_the_pad_lanes_zero(form):
     assert first.tobytes() == second.tobytes()
     assert not np.shares_memory(first, second)
     assert not np.shares_memory(first, lanes) and not np.shares_memory(second, lanes)
+
+
+def _local_trace(data, pool, theta, norm, watched):
+    """The clipped gradients and the parameters of three local steps of ``data.local_steps``."""
+    steps = data.local_steps(pool, theta, norm, watched)
+    trace = []
+    for _ in range(3):
+        grad = clip_gradient(steps.gradient(), 1.0, norm, steps.row_norms)
+        trace.append(steps.primal(grad))
+        steps.step(0.05, grad)
+        trace.append(steps.params())
+    return trace
+
+
+@pytest.mark.parametrize("form", LANE_STORES)
+def test_every_repeat_of_the_local_steps_is_its_one_repeat_run(form):
+    # on the residual store, unwatched L2 steps take the dual form
+    data = ragged_shards(n_clients=5, seed=12, **LANE_STORES[form])
+    pool = slice(1, 4)
+    rng = np.random.default_rng(13)
+    for repeats in range(1, 2 * LANES + 2):
+        theta = rng.standard_normal((repeats, data.dim))
+        for norm in CLIP_NORMS:
+            for watched in (False, True):
+                got = _local_trace(data, pool, theta, norm, watched)
+                assert all(a.shape == (repeats, 3, data.dim) for a in got)
+                for r in range(repeats):
+                    alone = _local_trace(data, pool, theta[r:r + 1], norm, watched)
+                    assert [a[r].tobytes() for a in got] == [a[0].tobytes() for a in alone], \
+                        (repeats, r, norm, watched)
+    # the clip binds: the largest first clipped gradient sits at the threshold
+    first = _local_trace(data, pool, rng.standard_normal((1, data.dim)), "l2", False)[0]
+    assert np.isclose(np.linalg.norm(first, axis=-1).max(), 1.0)
+
+
+def test_dual_steps_keep_the_pad_rows_zero_and_form_new_parameters():
+    data = ragged_shards(n_clients=5, seed=12, **LANE_STORES["residual"])
+    steps = data.local_steps(slice(0, 5), np.random.default_rng(14).standard_normal((3, data.dim)))
+    assert type(steps).__name__ == "_DualSteps"
+    for _ in range(3):
+        steps.step(0.05, clip_gradient(steps.gradient(), 1.0, "l2", steps.row_norms))
+    rows = steps.gradient()
+    assert rows.shape == (5, LANES, data.x.shape[1]) and rows.flags.c_contiguous
+    assert not rows[:, 3:].any() and not steps._coef[:, 3:].any()
+    first, second = steps.params(), steps.params()
+    assert first.shape == (3, 5, data.dim) and first.flags.c_contiguous
+    assert first.tobytes() == second.tobytes()
+    assert not np.shares_memory(first, second)
+
+
+def _assert_matches_reference(batch, cfg, data, constants):
+    for r, run in enumerate(batch.runs):
+        records, theta, diverged = reference_run(
+            dataclasses.replace(cfg, seed=cfg.seed + r, repeats=1), data.shards, constants)
+        assert run.diverged == diverged
+        assert len(run.records) == len(records)
+        for got, want in zip(run.records, records):
+            assert_close(dataclasses.astuple(got), dataclasses.astuple(want))
+        assert_close(run.theta, theta)
+
+
+def test_dual_form_on_singular_kernels_matches_the_reference():
+    # every shard holds its 3 rows twice, with other targets: p = 8 > n_l = 6,
+    # K_l = X_l X_l' is singular and the dual gradient keeps a part in its null
+    # space. The near-orthogonal rows take a client close to its local optimum
+    # within a round, where g'K g is rounding noise around 0: on this store it
+    # falls below 0 in 71 of the 3872 rows clipped, and its square root must
+    # not turn into NaN
+    rng = np.random.default_rng(0)
+    basis = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+    distinct = np.concatenate([basis[:6], basis[2:8]]) + 0.1 * rng.standard_normal((12, 8))
+    rows = np.concatenate([np.concatenate([part, part]) for part in np.split(distinct, 4)])
+    data = PaddedShards.from_pooled(rows, rng.standard_normal(len(rows)), [6] * 4)
+    assert data.dim > data.x.shape[1]
+    pc = problem_constants(data, np.zeros(data.dim), 100.0)
+    cfg = FederationConfig(
+        n_clients=4, pool_size=2, local_iters=60, global_iters=4,
+        schedule=Schedule.constant(1.5), clip=ClipSpec(100.0, "l2"),
+        mechanism=MECHANISMS["laplace"], seed=2, repeats=3,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = run_federation(cfg, data, constants=pc)
+    assert batch.diverged == 0
+    assert not any(math.isnan(value) for rec in batch.records for value in
+                   (rec.global_loss, rec.y_k, rec.noise_l2))
+    _assert_matches_reference(batch, cfg, data, pc)
+
+
+def test_dual_form_checks_every_step_when_the_round_could_leave_the_limit():
+    # zeta = 1e30 puts max|theta| + zeta * sum(rates) past PARAM_LIMIT, so the
+    # parameters are formed and checked after every step. The decaying rate
+    # starts at eta * lambda_max = 50 and passes 1 within the round: the
+    # parameters leave the limit (near 5e13) and come back (near 2e9) before
+    # its 40th step, and every repeat diverges in round 0 as in the reference
+    data = ragged_shards(n_clients=4, rows=24, features=9, seed=5)
+    assert data.dim > data.x.shape[1]  # p = 10 > n_l = 6
+    pc = problem_constants(data, np.zeros(data.dim), 1e30)
+    lam = max(np.linalg.eigvalsh(stat)[-1] for stat in data.local_stats[0])
+    cfg = FederationConfig(
+        n_clients=4, pool_size=2, local_iters=40, global_iters=2,
+        schedule=Schedule(kind="decay", mu=lam / 25, gamma=1.0), clip=ClipSpec(1e30, "l2"),
+        mechanism=MECHANISMS["laplace"], seed=8, repeats=3,
+    )
+    batch = run_federation(cfg, data, constants=pc)
+    assert batch.diverged == 3 and not batch.records
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_matches_reference(batch, cfg, data, pc)
+
+
+def test_dual_form_clip_bounds_the_formed_gradient_near_the_null_space_of_its_kernel():
+    # every shard holds its 3 rows twice, with opposite targets but for a part
+    # 1e-8 as large: from theta = 0 the dual gradient lies in the null space of
+    # the singular K_l = X_l X_l' up to that part, so g'K g is mostly rounding.
+    # The binding zeta = 1e-10 must still bound the norm of every formed
+    # clipped gradient, and the run must match the reference
+    rng = np.random.default_rng(1)
+    rows = rng.standard_normal((4, 3, 8))
+    targets = rng.standard_normal((4, 3))
+    data = PaddedShards.from_pooled(
+        np.concatenate([rows, rows], axis=1).reshape(-1, 8),
+        (np.concatenate([targets, -targets], axis=1)
+         + 1e-8 * rng.standard_normal((4, 6))).reshape(-1), [6] * 4)
+    zeta = 1e-10
+    steps = data.local_steps(slice(0, 4), np.zeros((3, data.dim)))
+    assert type(steps).__name__ == "_DualSteps"
+    worst = 0.0
+    for _ in range(20):
+        grad = clip_gradient(steps.gradient(), zeta, "l2", steps.row_norms)
+        worst = max(worst, np.linalg.norm(steps.primal(grad), axis=-1).max())
+        steps.step(0.5, grad)
+    assert zeta * (1 - 1e-6) < worst <= zeta * (1 + 1e-9)
+    pc = problem_constants(data, np.zeros(data.dim), zeta)
+    cfg = FederationConfig(
+        n_clients=4, pool_size=2, local_iters=5, global_iters=6,
+        schedule=Schedule.constant(0.5), clip=ClipSpec(zeta, "l2"),
+        mechanism=MECHANISMS["laplace"], seed=2, repeats=3,
+    )
+    _assert_matches_reference(run_federation(cfg, data, constants=pc), cfg, data, pc)
+
+
+def test_l1_pilot_on_shards_shorter_than_p_matches_the_reference():
+    # p = 40 over shards of 10 rows: the L1 norm needs every gradient formed,
+    # so the pilot steps the parameters, not the dual gradients
+    data = ragged_shards(n_clients=8, rows=80, features=39, seed=17)
+    assert data.dim > data.x.shape[1]
+    cfg, _ = decay_config(data, "l1", 0.5, MechanismSpec(), E=4, b=4, T_g=6)
+    assert any(np.abs(mse_gradient(np.zeros(s.dim), s)).sum() > 0.5 for s in data.shards)
+    got = pilot_gradient_bound(cfg, data)
+    want = reference_pilot(cfg, data.shards)
+    assert 0 < got <= 0.5
+    assert abs(got - want) <= REL_TOL * want
+
+
+def test_dual_form_keeps_the_reference_over_a_long_horizon():
+    # 40 rounds of 5 steps, p = 40 over shards of 10 rows: the rounding of the
+    # dual steps must not build up past the reference's tolerance
+    data = ragged_shards(n_clients=20, rows=200, features=39, seed=24)
+    assert data.dim > data.x.shape[1]
+    cfg, pc = decay_config(data, "l2", 0.5, MECHANISMS["laplace"], E=5, b=4, T_g=40, seed=3)
+    batch = run_federation(dataclasses.replace(cfg, repeats=3), data, constants=pc)
+    assert batch.diverged == 0 and len(batch.records) == 3 * 40
+    _assert_matches_reference(batch, dataclasses.replace(cfg, repeats=3), data, pc)
 
 
 def test_repeats_equal_their_single_seed_runs_under_two_blas_threads():
@@ -688,7 +852,7 @@ def federations(draw):
     p counts the bias column. The start is zeros or a nonzero vector; the
     constants are measured at zeros, so a decay run from elsewhere has no
     bound. Shard sizes fall on both sides of p, so the kernel runs in Gram
-    form (p <= max(n_l)) and in residual form (p > max(n_l)). A zeta of 0.1
+    form (p <= max(n_l)) and in dual form (p > max(n_l)). A zeta of 0.1
     binds, one of 100 binds only once a run drifts far, and one of 1e30 never
     binds: at the unstable constant rate a noise-free run diverges, and its
     noise sends a noisy run past PARAM_LIMIT at once.

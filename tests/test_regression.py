@@ -131,7 +131,23 @@ def test_clip_output_norm_bounded_and_direction_preserved():
             assert cos == pytest.approx(1.0, abs=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
+def _kernel_norms(rows: np.ndarray):
+    """The norms of X'g for the coordinates g of a gradient in the span of the rows of X.
+
+    In L2 the K-weighted norm that the dual local steps start from,
+    sqrt(max(0, g'K g)) with K = X X'; in L1 the norm of X'g itself.
+    """
+    kernel = rows @ rows.T
+
+    def row_norms(g, norm_kind):
+        if norm_kind == "l2":
+            return np.sqrt(np.maximum(g @ kernel @ g, 0.0))
+        return np.abs(rows.T @ g).sum()
+
+    return row_norms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     st.lists(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -140,11 +156,19 @@ def test_clip_output_norm_bounded_and_direction_preserved():
     ),
     st.floats(min_value=1e-3, max_value=1e3),
     st.sampled_from(["l1", "l2"]),
+    # None: the norms of g itself; a seed: those of X'g for a drawn X of
+    # len(g) rows, one of them repeated, so K = X X' is singular
+    st.none() | st.integers(0, 2**32 - 1),
 )
-def test_clip_idempotent_bitwise(values, zeta, norm_kind):
+def test_clip_idempotent_bitwise(values, zeta, norm_kind, kernel_seed):
     g = np.array(values)
-    once = clip_gradient(g, zeta, norm_kind)
-    twice = clip_gradient(once, zeta, norm_kind)
+    norms = {}
+    if kernel_seed is not None:
+        rows = np.random.default_rng(kernel_seed).standard_normal((len(g), 3))
+        rows[-1] = rows[0]
+        norms = {"row_norms": _kernel_norms(rows)}
+    once = clip_gradient(g, zeta, norm_kind, **norms)
+    twice = clip_gradient(once, zeta, norm_kind, **norms)
     assert np.array_equal(once, twice)
 
 
