@@ -319,18 +319,18 @@ def client_update(
     p <= max(n_l), from the store's per-client statistics, built by the first
     round run on the store and kept for the pilot, every repeat and every
     sweep point; otherwise in the span of each client's rows (L2, unwatched)
-    or in residual form, which keep nothing. The dual form's parameters cost
-    a matrix product to form, so it checks them after every step only when
-    the round could leave PARAM_LIMIT: a clipped step moves no entry by more
-    than its rate times zeta (1 + 1e-10), so from
-    max|theta| + (1 + 1e-9) zeta sum(rates) below the limit only the last
-    step is checked.
+    or in residual form, which keep nothing. The parameters are checked
+    after every step only when the round could leave PARAM_LIMIT: a clipped
+    step moves no entry by more than its rate times zeta (1 + 1e-10), so
+    from max|theta| + (1 + 1e-9) zeta sum(rates) below the limit only the
+    last step is checked. A check costs a pass over the block, and in dual
+    form a matrix product to form the parameters.
     """
     steps = data.local_steps(pool, theta, config.clip.norm, watched=on_grad is not None)
     k0, last = t * config.local_iters, config.local_iters - 1
-    deferred = steps.deferred_params and (
-        float(np.abs(theta).max()) + (1 + 1e-9) * config.clip.zeta
-        * sum(config.schedule.rate(k0 + i) for i in range(config.local_iters)) < PARAM_LIMIT)
+    deferred = (float(np.abs(theta).max()) + (1 + 1e-9) * config.clip.zeta
+                * sum(config.schedule.rate(k0 + i) for i in range(config.local_iters))
+                < PARAM_LIMIT)
     ok = np.ones(len(theta), dtype=bool)
     grads = []
     for i in range(config.local_iters):

@@ -47,8 +47,9 @@ class MechanismSpec:
     ``kind="none"`` is the noise-free benchmark and is tied to an infinite
     epsilon. Laplace needs the per-step L1 sensitivity ``xi1``; Gaussian needs
     ``delta`` in (0,1), the calibration constant ``c2`` and the per-step L2
-    bound ``xi2``. Local iterations are full-batch, so the calibration's
-    per-client sampling probability q is 1.
+    bound ``xi2``. A sensitivity must be finite: an infinite one would scale
+    the noise to infinity. Local iterations are full-batch, so the
+    calibration's per-client sampling probability q is 1.
     """
 
     kind: str = "none"
@@ -70,15 +71,15 @@ class MechanismSpec:
         if not self.epsilon > 0:
             raise ConfigError("epsilon must be > 0")
         if self.kind == "laplace":
-            if self.xi1 is None or not self.xi1 > 0:
-                raise ConfigError("laplace mechanism requires xi1 > 0")
+            if self.xi1 is None or not 0 < self.xi1 < math.inf:
+                raise ConfigError("laplace mechanism requires a finite xi1 > 0")
         else:  # gaussian
             if self.delta is None or not 0.0 < self.delta < 1.0:
                 raise ConfigError("gaussian mechanism requires delta in (0, 1)")
             if not self.c2 > 0:
                 raise ConfigError("gaussian mechanism requires c2 > 0")
-            if self.xi2 is None or not self.xi2 > 0:
-                raise ConfigError("gaussian mechanism requires xi2 > 0")
+            if self.xi2 is None or not 0 < self.xi2 < math.inf:
+                raise ConfigError("gaussian mechanism requires a finite xi2 > 0")
 
     @property
     def z(self) -> float:
@@ -183,8 +184,11 @@ def sample_noise(
         return np.zeros(size)
     if spec.kind == "laplace":
         return rng.laplace(0.0, laplace_scale(ctx, spec), size=size)
-    std = gaussian_sigma(ctx, spec) * round_sensitivity(ctx, spec.xi2)
-    return rng.normal(0.0, std, size=size)
+    # the draws and bits of rng.normal(0.0, std, size), but for the sign of an
+    # exact zero, without its per-element 0.0 + std * z
+    noise = rng.standard_normal(size)
+    noise *= gaussian_sigma(ctx, spec) * round_sensitivity(ctx, spec.xi2)
+    return noise
 
 
 def _per_coordinate_second_moment(spec: MechanismSpec, ctx: NoiseContext, mode: str) -> float:

@@ -134,33 +134,49 @@ def _row_norms(g: np.ndarray, norm_kind: str) -> np.ndarray:
     raise ConfigError(f"unknown norm kind {norm_kind!r} (expected one of {CLIP_NORMS})")
 
 
+# the factor by which ``clip_gradient`` rounds a ratio norm/zeta > 1 up, so a
+# rescaled row's recomputed norm lands at zeta/_CLIP_MARGIN rather than a few
+# ulps above zeta, which costs another norm pass. At 2 eps a row of the
+# benchmark's step shapes can still land above zeta; at 4 eps none does
+_CLIP_MARGIN = 1.0 + 4 * np.finfo(float).eps
+
+
 def clip_gradient(g: np.ndarray, zeta: float, norm_kind: str = "l2",
                   row_norms=_row_norms) -> np.ndarray:
     """Rescale ``g`` to g / max(1, ||g||/zeta) so its norm never exceeds ``zeta``.
 
-    Direction is preserved. The map is idempotent bitwise: vectors at or below
-    the threshold are returned unchanged, and rescaled vectors are renormalized
-    until the recomputed norm is <= zeta in floating point (a single rescale
-    can land a few ulps above it). An array of shape (..., p) is clipped row by
-    row along its last axis, each row bitwise as if clipped on its own; it is
-    returned unchanged when no row exceeds the threshold. ``row_norms(rows,
-    norm_kind)`` gives the norm of each row that the loop bounds by zeta; a
-    row may hold the coordinates of a gradient rather than the gradient
-    itself, as in the dual form of a local step (``_DualSteps``), whose norms
-    are those of the gradients the rows stand for.
+    Direction is preserved. A row whose norm exceeds the threshold is divided
+    by its ratio ||g||/zeta rounded up by the margin 1 + 4 eps, so its clipped
+    norm is zeta/(1 + 4 eps) up to rounding; a row at or below the threshold
+    is divided by exactly 1.0, which returns it bitwise unchanged, so the map
+    is idempotent bitwise. The renormalisation loop that follows divides
+    again each row whose recomputed norm is still above zeta: a guard that
+    rarely iterates, so that every returned row's recomputed norm is <= zeta
+    in floating point. A row with a NaN norm is divided by NaN, which makes
+    it all NaN, and is not divided again. An array of shape (..., p) is
+    clipped row by row along its last axis, each row bitwise as if clipped
+    on its own; it is returned unchanged when no row exceeds the threshold.
+    ``row_norms(rows, norm_kind)`` gives the norm of each row that the loop
+    bounds by zeta; a row may hold the coordinates of a gradient rather than
+    the gradient itself, as in the dual form of a local step
+    (``_DualSteps``), whose norms are those of the gradients the rows stand
+    for.
     """
     if not zeta > 0:
         raise ConfigError("clip threshold zeta must be > 0")
     g = np.asarray(g, dtype=float)
-    # a row at or below the threshold has norm/zeta <= 1 and is divided by
-    # exactly 1.0, which leaves it unchanged
     norms = row_norms(g, norm_kind)
-    if (norms <= zeta).all():
+    within = norms <= zeta
+    if within.all():
         return g
-    clipped = g / np.maximum(norms / zeta, 1.0)[..., None]
+    # the ratio rounded up is norm/(zeta/_CLIP_MARGIN): zeta/_CLIP_MARGIN is
+    # finite and nonzero for every zeta > 0, where _CLIP_MARGIN/zeta could
+    # overflow and turn a zero norm's 0 * inf into NaN
+    target = zeta / _CLIP_MARGIN
+    clipped = g / np.where(within, 1.0, norms / target)[..., None]
     norms = row_norms(clipped, norm_kind)
-    while (norms > zeta).any():
-        clipped = clipped / np.maximum(norms / zeta, 1.0)[..., None]
+    while (over := norms > zeta).any():
+        clipped = clipped / np.where(over, norms / target, 1.0)[..., None]
         norms = row_norms(clipped, norm_kind)
     return clipped
 
@@ -204,8 +220,6 @@ class _RowSteps:
     """A pool's local steps on its (R, b, p) parameter block, through ``PaddedShards.pool_gradient``."""
 
     row_norms = staticmethod(_row_norms)
-    # the parameters are the block itself, checked after every step at no cost
-    deferred_params = False
 
     def __init__(self, gradient, theta: np.ndarray):
         self._gradient = gradient
@@ -246,10 +260,6 @@ class _DualSteps:
     g'K g rounds below 0, takes the norm of its formed gradient instead. So a
     clipped gradient's norm is at most zeta (1 + 1e-10), not at most zeta.
     """
-
-    # forming the parameters costs a product: the engine checks them only
-    # when a round could leave PARAM_LIMIT
-    deferred_params = True
 
     def __init__(self, x: np.ndarray, y: np.ndarray, scale: np.ndarray, theta: np.ndarray):
         self._repeats, dim = theta.shape

@@ -875,3 +875,31 @@ def test_cli_numeric_edge_configs_are_config_errors(tmp_path, capsys, command, t
         argv += ["--draws", "10000"]
     assert cli_main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["run", "plan", "validate", "sweep"])
+@pytest.mark.parametrize("mechanism,extra,key", [
+    ("laplace", "", "xi1"), ("gaussian", "delta = 1e-4\n", "xi2"),
+], ids=["laplace", "gaussian"])
+def test_cli_infinite_noise_sensitivity_is_a_config_error(
+        tmp_path, capsys, command, mechanism, extra, key):
+    # the sensitivity defaults to clip_threshold, so zeta = inf would scale
+    # the noise to infinity: every subcommand refuses it with one error line
+    task = (SMALL_TASK.replace("clip_threshold = 20", "clip_threshold = inf")
+            + f"\n[dp]\nmechanism = {mechanism}\nepsilon = 3\n{extra}")
+    if command == "sweep":
+        task += "\n[sweep]\naxis = E\nvalues = 1, 2\n"
+    argv = [command, "--config", str(write(tmp_path, task)), "--out", str(tmp_path / "o"),
+            "--quiet"]
+    if command == "validate":
+        argv += ["--draws", "10000"]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"error: {mechanism} mechanism requires a finite {key} > 0\n"
+
+
+@pytest.mark.parametrize("command", ["run", "plan"])
+def test_cli_infinite_clip_threshold_without_noise_is_valid(tmp_path, capsys, command):
+    task = SMALL_TASK.replace("clip_threshold = 20", "clip_threshold = inf")
+    argv = [command, "--config", str(write(tmp_path, task)), "--out", str(tmp_path / "o"),
+            "--quiet"]
+    assert cli_main(argv) == 0

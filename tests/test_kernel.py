@@ -733,6 +733,27 @@ def test_dual_form_checks_every_step_when_the_round_could_leave_the_limit():
         _assert_matches_reference(batch, cfg, data, pc)
 
 
+def test_row_form_checks_every_step_when_the_round_could_leave_the_limit():
+    # the twin of the dual-form test above on a Gram-form store: zeta = 1e30
+    # puts max|theta| + zeta * sum(rates) past PARAM_LIMIT, so the parameters
+    # are checked after every step. Client 0's parameters leave the limit
+    # (near 6e13) and come back (near 2e9) before its 40th step, and every
+    # repeat diverges in round 0 as in the reference
+    data = ragged_shards(n_clients=4, rows=40, features=3, seed=5)
+    assert data.dim <= data.x.shape[1]  # p = 4 <= n_l = 10
+    pc = problem_constants(data, np.zeros(data.dim), 1e30)
+    lam = max(np.linalg.eigvalsh(stat)[-1] for stat in data.local_stats[0])
+    cfg = FederationConfig(
+        n_clients=4, pool_size=2, local_iters=40, global_iters=2,
+        schedule=Schedule(kind="decay", mu=lam / 25, gamma=1.0), clip=ClipSpec(1e30, "l2"),
+        mechanism=MECHANISMS["laplace"], seed=8, repeats=3,
+    )
+    batch = run_federation(cfg, data, constants=pc)
+    assert batch.diverged == 3 and not batch.records
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_matches_reference(batch, cfg, data, pc)
+
+
 def test_dual_form_clip_bounds_the_formed_gradient_near_the_null_space_of_its_kernel():
     # every shard holds its 3 rows twice, with opposite targets but for a part
     # 1e-8 as large: from theta = 0 the dual gradient lies in the null space of

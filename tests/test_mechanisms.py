@@ -51,6 +51,9 @@ def test_laplace_requires_positive_xi1():
         MechanismSpec(kind="laplace", epsilon=1.0)
     with pytest.raises(ConfigError):
         MechanismSpec(kind="laplace", epsilon=1.0, xi1=0.0)
+    for xi1 in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite xi1"):
+            MechanismSpec(kind="laplace", epsilon=1.0, xi1=xi1)
 
 
 def test_gaussian_requires_delta_c2_xi2():
@@ -62,6 +65,9 @@ def test_gaussian_requires_delta_c2_xi2():
         MechanismSpec(kind="gaussian", epsilon=1.0, delta=0.1, xi2=1.0, c2=0.0)
     with pytest.raises(ConfigError):
         MechanismSpec(kind="gaussian", epsilon=1.0, delta=0.1)
+    for xi2 in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite xi2"):
+            MechanismSpec(kind="gaussian", epsilon=1.0, delta=0.1, xi2=xi2)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +163,18 @@ def test_sample_noise_repeatable_per_stream():
             assert not np.any(a == sample_noise(spec, c, other, (5,)))
     with pytest.raises(ConfigError):
         noise_stream(-1)
+
+
+def test_gaussian_noise_is_the_stream_of_rng_normal():
+    # the standard-normal fill scaled in place draws what rng.normal(0, std)
+    # draws, value for value
+    c = ctx(p=4, T_g=2)
+    spec = gaussian_spec()
+    std = gaussian_sigma(c, spec) * round_sensitivity(c, spec.xi2)
+    rng, ref = noise_stream(3), noise_stream(3)
+    for lead in ((), (5,), (2, 3)):
+        assert np.array_equal(sample_noise(spec, c, rng, lead),
+                              ref.normal(0.0, std, size=(*lead, c.p)))
 
 
 @pytest.mark.parametrize("seed", [0, 31, 2**32 + 5])

@@ -12,6 +12,7 @@ from dpfedsim.regression import (
     ConfigError,
     PaddedShards,
     _local_optimum_losses,
+    _row_norms,
     clip_gradient,
     mse_gradient,
     problem_constants,
@@ -135,14 +136,22 @@ def _kernel_norms(rows: np.ndarray):
     """The norms of X'g for the coordinates g of a gradient in the span of the rows of X.
 
     In L2 the K-weighted norm that the dual local steps start from,
-    sqrt(max(0, g'K g)) with K = X X'; in L1 the norm of X'g itself.
+    sqrt(max(0, g'K g)) with K = X X'; in L1 the norm of X'g itself. An
+    array of coordinates (..., n) gets the norm of each row, each as the
+    row's own.
     """
     kernel = rows @ rows.T
 
-    def row_norms(g, norm_kind):
+    def norm(g, norm_kind):
         if norm_kind == "l2":
             return np.sqrt(np.maximum(g @ kernel @ g, 0.0))
         return np.abs(rows.T @ g).sum()
+
+    def row_norms(g, norm_kind):
+        if g.ndim == 1:
+            return norm(g, norm_kind)
+        flat = g.reshape(-1, g.shape[-1])
+        return np.array([norm(row, norm_kind) for row in flat]).reshape(g.shape[:-1])
 
     return row_norms
 
@@ -177,6 +186,154 @@ def test_clip_rejects_nonpositive_threshold():
         clip_gradient(np.ones(2), 0.0)
     with pytest.raises(ConfigError):
         clip_gradient(np.ones(2), -1.0)
+
+
+def _counting(row_norms):
+    """``row_norms``, counted: the list it returns gets the row shape of every block asked."""
+    calls = []
+
+    def counted(rows, norm_kind):
+        calls.append(rows.shape[:-1])
+        return row_norms(rows, norm_kind)
+
+    return counted, calls
+
+
+# the norms a clip is tested in: (norm kind, seed of the kernel rows X of a
+# K-weighted norm, or None for the norms of the rows themselves)
+CLIP_CASES = [("l1", None), ("l2", None), ("l1", 3), ("l2", 3)]
+
+
+def _case_norms(norm_kind, kernel_seed, dim):
+    if kernel_seed is None:
+        return _row_norms
+    return _kernel_norms(np.random.default_rng(kernel_seed).standard_normal((dim, 8)))
+
+
+def _row_at(norm_of, rng, dim, target):
+    """A row whose norm is exactly ``target``: a drawn direction, its scale walked by ulps."""
+    for _ in range(20):
+        direction = rng.standard_normal(dim)
+        scale = target / norm_of(direction)
+        for _ in range(16):
+            got = norm_of(scale * direction)
+            if got == target:
+                return scale * direction
+            scale = np.nextafter(scale, np.inf if got < target else -np.inf)
+    raise AssertionError(f"no row of norm {target!r} found")
+
+
+@pytest.mark.parametrize("norm_kind,kernel_seed", CLIP_CASES)
+def test_clip_leaves_rows_just_below_the_threshold_bitwise_when_another_row_binds(
+        norm_kind, kernel_seed):
+    # rows at zeta (1 - k eps), k = 0..8, some within the margin 1 + 4 eps of
+    # zeta, are divided by exactly 1.0 however far the first row is clipped
+    dim, zeta = 5, 1.7
+    row_norms = _case_norms(norm_kind, kernel_seed, dim)
+    rng = np.random.default_rng(7)
+    rows = [_row_at(lambda row: row_norms(row, norm_kind), rng, dim,
+                    zeta * (1 - k * np.finfo(float).eps)) for k in range(9)]
+    block = np.stack([3 * rows[0]] + rows)
+    out = clip_gradient(block, zeta, norm_kind, row_norms)
+    assert out[1:].tobytes() == block[1:].tobytes()
+    assert out.tobytes() == np.stack(
+        [clip_gradient(row, zeta, norm_kind, row_norms) for row in block]).tobytes()
+    assert row_norms(out[0], norm_kind) <= zeta < row_norms(block[0], norm_kind)
+
+
+def _single_ratio_clip(row, zeta, norm_kind):
+    """The rule row / max(1, ||row||/zeta), applied again while the norm exceeds zeta."""
+    norm = _row_norms(row, norm_kind)
+    if norm <= zeta:
+        return row
+    row = row / max(norm / zeta, 1.0)
+    while _row_norms(row, norm_kind) > zeta:
+        row = row / (_row_norms(row, norm_kind) / zeta)
+    return row
+
+
+@pytest.mark.parametrize("norm_kind", ["l1", "l2"])
+@pytest.mark.parametrize("zeta", [5e-324, 1e-300, 1e300])
+def test_clip_at_extreme_thresholds_keeps_the_zeros_and_nans_of_the_single_ratio_rule(
+        zeta, norm_kind):
+    # zero, subnormal, at-threshold and over-threshold rows, rows past the
+    # float range once squared or divided, and rows holding inf or NaN: each
+    # comes back as the single-ratio rule returns it on its own, up to the
+    # rounding of a clipped row, with its zeros and NaNs where that rule puts them
+    finite = np.array([
+        [0.0, 0.0, 0.0],
+        [5e-324, -2e-310, 1e-308],
+        [zeta, 0.0, 0.0],
+        [3 * zeta, -4 * zeta, 12 * zeta],
+        [1.5, -0.25, 2.0],
+    ])
+    block = np.concatenate([finite, [[np.inf, 1.0, -2.0], [np.nan, 1.0, -2.0]]])
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = np.stack([_single_ratio_clip(row, zeta, norm_kind) for row in block])
+        got = clip_gradient(block, zeta, norm_kind)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got == 0, want == 0)
+    for row, out, ref in zip(block, got, want):
+        if ref.tobytes() == row.tobytes():
+            assert out.tobytes() == row.tobytes()
+        else:
+            np.testing.assert_allclose(out, ref, rtol=1e-14, atol=0.0)
+    assert (_row_norms(got[:len(finite)], norm_kind) <= zeta).all()
+    # on finite rows the division makes no NaN
+    with np.errstate(over="ignore", invalid="raise", under="ignore"):
+        assert got[:len(finite)].tobytes() == clip_gradient(finite, zeta, norm_kind).tobytes()
+
+
+@pytest.mark.parametrize("norm_kind,kernel_seed", CLIP_CASES)
+@pytest.mark.parametrize("zeta", [1e-3, 1.0, 150.0, 1e5])
+def test_clip_lands_every_binding_row_just_below_the_threshold_in_one_rescale(
+        zeta, norm_kind, kernel_seed):
+    dim = 5
+    rng = np.random.default_rng(11)
+    row_norms, calls = _counting(_case_norms(norm_kind, kernel_seed, dim))
+    block = rng.standard_normal((200, dim))
+    block *= zeta * rng.lognormal(0.0, 1.0, (200, 1)) / row_norms(block, norm_kind)[:, None]
+    calls.clear()
+    out = clip_gradient(block, zeta, norm_kind, row_norms)
+    assert len(calls) == 2  # the rescale and the recheck that ends the loop
+    before, after = row_norms(block, norm_kind), row_norms(out, norm_kind)
+    binding = before > zeta
+    assert 50 < binding.sum() < 150
+    assert (after[binding] <= zeta).all() and (after[binding] >= zeta * (1 - 1e-13)).all()
+    assert out[~binding].tobytes() == block[~binding].tobytes()
+
+
+# the local-step blocks of the benchmark workloads: (synthetic store, clip
+# norm, repeats R); each pool is the store's N = b clients, so a step clips an
+# (R, b, p) block, or on the wide store the dual form's (b, L, n_l) block
+BENCH_STEP_SHAPES = {
+    "run-default": (dict(n_clients=10, n_per_client=20, n_features=5), "l1", 20),
+    "run-many-clients": (dict(n_clients=100, n_per_client=16, n_features=5), "l2", 5),
+    "run-wide": (dict(n_clients=20, n_per_client=50, n_features=199), "l2", 10),
+}
+
+
+@pytest.mark.parametrize("shape", BENCH_STEP_SHAPES)
+def test_a_binding_clip_of_a_bench_step_takes_two_norm_passes(shape):
+    # counts, not timings: the rescale and the recheck that ends the loop. A
+    # rescale that leaves rows above zeta brings back a third pass
+    store, norm_kind, repeats = BENCH_STEP_SHAPES[shape]
+    data = synth_regression(heterogeneity=0.5, noise_std=0.1, seed=4, **store)
+    theta = np.random.default_rng(5).standard_normal((repeats, data.dim))
+    steps = data.local_steps(slice(0, data.n_clients), theta, norm_kind)
+    assert (type(steps).__name__ == "_DualSteps") == (shape == "run-wide")
+    row_norms, calls = _counting(steps.row_norms)
+    zeta = float(np.median(steps.row_norms(steps.gradient(), norm_kind)))
+    binding = 0
+    for _ in range(5):
+        block = steps.gradient()
+        over = (steps.row_norms(block, norm_kind) > zeta).any()
+        calls.clear()
+        grad = clip_gradient(block, zeta, norm_kind, row_norms)
+        assert len(calls) == (2 if over else 1)
+        binding += over
+        steps.step(0.01, grad)
+    assert binding == 5
 
 
 # ---------------------------------------------------------------------------
