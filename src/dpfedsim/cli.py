@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: run, sweep, plan, validate. Exit codes: 0 success, 1 config or
-validation error, 2 runtime divergence in all repeats, 3 I/O error. Warnings
-go to stderr as ``warning: <message>`` lines.
+validation error or an input too large for memory, 2 runtime divergence in
+all repeats, 3 I/O error. Warnings go to stderr as ``warning: <message>``
+lines.
 """
 from __future__ import annotations
 
@@ -94,6 +95,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # the places that can name the array that does not fit raise a ConfigError
+        # of their own; any other allocation failure ends here, not in a traceback
+        detail = str(exc) or "the config asks for more than this process can allocate"
+        print(f"error: out of memory: {detail}", file=sys.stderr)
+        return EXIT_CONFIG
     finally:
         warnings.formatwarning = formatwarning
     return EXIT_OK

@@ -8,38 +8,21 @@ and aggregates the noisy parameters with size weights.
 An experiment is ``config.repeats`` = R runs, with seeds seed + r, and
 ``run_federation`` runs them as one block and returns them as ``Repeats``. A
 round's pool is a contiguous block of client ids (``pool_slice``), so each
-local step of every pool client in every repeat is one vectorised gradient
-pass over the pool's slice of the dataset's store (``regression.PaddedShards``),
-built once and shared by every repeat (``client_update``): the number of
-numpy calls per step grows with neither the pool size nor the repeat count.
-The pass is one matrix product per client whose columns are the repeats,
-padded with zero columns to L = 8 * ceil(R / 8) lanes: OpenBLAS gives a GEMM
-column the same bits for any column count that is a multiple of 8, and other
-last bits to a tail of 1-4 columns past one, so the padding is what keeps a
-repeat's bits independent of R. When p <= max(n_l) the product is each
-client's cached H_l = (2/n_l) X_l'X_l times its (p, L) lanes, minus
-h_l = (2/n_l) X_l'y_l (the Gram form). Otherwise, under L2 clipping and
-outside the pilot, each client steps in the span of its own rows (the dual
-form): its parameters are theta_s + X_l' a_l, its dual gradient
-(2/n_l)(X_l theta - y_l) moves by the n_max x n_max K_l = X_l X_l', built
-per pool per round, and its parameters are formed at the round's end, or
-after every step of a round that could leave PARAM_LIMIT. Under L1 clipping
-and in the pilot, which need every gradient formed, the product is
-X_l' (X_l Theta - y_l) on the zero-padded (b, max(n_l), p) rows (the
-residual form). Repeat r draws each round's (b, p) noise block as the next
-draw of its own stream, ``mechanisms.noise_stream(seed + r)``, built once
-per run. Aggregation (``aggregate``) is one reduction per repeat in a fixed
-order, and the per-round metrics (the p x p pooled loss, y_k and the noise
-norm) take one dot product per repeat. A round therefore costs
-O(L * b * p^2 * E) for the steps in Gram form,
-O(L * b * (n_max^2 * E + n_max * p)) in dual form plus O(b * n_max^2 * p)
-for the pool's K_l, and O(L * b * n_max * p * E) in residual form, plus
-O(R * p^2) for the metrics: a one-repeat run pays for 8 lanes. Every repeat
-is bitwise the same whether it runs alone or in a block.
-The L1 pilot that measures the gradient bound is the same round loop run
-noise-free with one repeat, watching every step's clipped gradients. The
-per-client loops that the kernel is tested against live in ``reference``,
-which nothing here imports.
+local step of every pool client in every repeat is one vectorised pass over
+the pool's slice of the dataset's store (``regression.PaddedShards``), built
+once and shared by every repeat (``client_update``): the number of numpy
+calls per step grows with neither the pool size nor the repeat count. The
+form of the steps (Gram, dual or residual) and the lane padding that keeps a
+repeat's bits independent of R are chosen in one place,
+``PaddedShards.local_steps``. Repeat r draws each round's (b, p) noise block
+as the next draw of its own stream, ``mechanisms.noise_stream(seed + r)``,
+built once per run. Aggregation (``aggregate``) is one reduction per repeat
+in a fixed order, and the per-round metrics (the p x p pooled loss, y_k and
+the noise norm) take one dot product per repeat. Every repeat is bitwise the
+same whether it runs alone or in a block. The L1 pilot that measures the
+gradient bound is the same round loop run noise-free with one repeat,
+watching every step's clipped gradients. The per-client loops that the
+kernel is tested against live in ``reference``, which nothing here imports.
 """
 from __future__ import annotations
 
@@ -315,18 +298,14 @@ def client_update(
     repeat is left within it. ``on_grad`` is given, once the steps end, the
     (S, R, b, p) stack of the clipped gradients of the S steps taken.
 
-    The steps are taken by ``data.local_steps``: in Gram form when
-    p <= max(n_l), from the store's per-client statistics, built by the first
-    round run on the store and kept for the pilot, every repeat and every
-    sweep point; otherwise in the span of each client's rows (L2, unwatched)
-    or in residual form, which keep nothing. The parameters are checked
-    after every step only when the round could leave PARAM_LIMIT: a clipped
-    step moves no entry by more than its rate times zeta (1 + 1e-10), so
-    from max|theta| + (1 + 1e-9) zeta sum(rates) below the limit only the
-    last step is checked. A check costs a pass over the block, and in dual
-    form a matrix product to form the parameters.
+    The steps are taken by ``data.local_steps``, which chooses their form.
+    The parameters are checked after every step only when the round could
+    leave PARAM_LIMIT: a clipped step moves no entry by more than its rate
+    times zeta (1 + 1e-10), so from max|theta| + (1 + 1e-9) zeta sum(rates)
+    below the limit only the last step is checked. A check costs a pass over
+    the block, and in dual form a matrix product to form the parameters.
     """
-    steps = data.local_steps(pool, theta, config.clip.norm, watched=on_grad is not None)
+    steps = data.local_steps(pool, theta, config.clip.norm)
     k0, last = t * config.local_iters, config.local_iters - 1
     deferred = (float(np.abs(theta).max()) + (1 + 1e-9) * config.clip.zeta
                 * sum(config.schedule.rate(k0 + i) for i in range(config.local_iters))
@@ -523,19 +502,23 @@ def run_federation(
 
 
 def pilot_gradient_bound(config: FederationConfig, data: PaddedShards) -> float:
-    """Max clipped-gradient L2 norm over one noise-free run of the same shape.
+    """Max clipped-gradient L2 norm over one noise-free, L1-clipped run of the same shape.
 
-    Used to turn the unobservable gradient bound into a concrete number when
-    clipping is done in the L1 norm (under L2 clipping the threshold itself is
-    the bound). The pilot is the round loop's noise-free, one-repeat case,
-    whatever mechanism, seed and repeat count ``config`` names, and stops
-    where that run diverges: after a local step or an aggregate past
-    PARAM_LIMIT. The pool's clients step in lockstep, so the maximum covers
-    every pool client's steps up to and including the one that diverged. It
-    bounds only the steps of this noise-free pilot: noisy runs leave its
-    trajectory, and their clipped gradients can be far larger (up to the
-    threshold, which is the only hard bound on them).
+    Turns the unobservable gradient bound into a concrete number when
+    clipping is done in the L1 norm. It measures G under L1 clipping only:
+    under L2 clipping the threshold itself is the bound, and a config whose
+    clip norm is not L1 is a ``ConfigError``. The pilot is the round loop's
+    noise-free, one-repeat case, whatever mechanism, seed and repeat count
+    ``config`` names, and stops where that run diverges: after a local step
+    or an aggregate past PARAM_LIMIT. The pool's clients step in lockstep, so
+    the maximum covers every pool client's steps up to and including the one
+    that diverged. It bounds only the steps of this noise-free pilot: noisy
+    runs leave its trajectory, and their clipped gradients can be far larger
+    (up to the threshold, which is the only hard bound on them).
     """
+    if config.clip.norm != "l1":
+        raise ConfigError(f"the pilot measures the gradient bound under l1 clipping only, "
+                          f"not {config.clip.norm}: there the bound is the threshold")
     _check_clients(data, config.n_clients)
     max_sq = 0.0
 

@@ -188,46 +188,35 @@ def _least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 # the repeats of a local step are GEMM columns padded to a multiple of this
-# (why: ``PaddedShards.pool_gradient``)
+# (why: ``PaddedShards.local_steps``)
 LANES = 8
 
 
-def _over_lanes(product, finish, clients: int, dim: int):
-    """A pool's gradient map of (R, b, p) row blocks, taken as one product over lanes.
+class _RowSteps:
+    """A pool's local steps on its (R, b, p) parameter block, one matrix product per client.
 
     Repeat r is column r of one C-contiguous (b, p, L) lane block with
-    L = LANES * ceil(R / LANES), allocated at the first call and again only
-    when a call brings another R; its pad lanes stay zero. A call writes
-    lanes [:R]; ``product`` maps the lane block to a new (b, p, L) block, one
-    matrix product per client, and ``finish``, one elementwise ufunc with
-    ``order="C"``, maps the (R, b, p) view of its lanes [:R] to the new
-    C-contiguous gradients: the copy back to rows costs no extra pass.
+    L = LANES * ceil(R / LANES), allocated here; its pad lanes stay zero. A
+    gradient writes the parameters into lanes [:R]; ``product`` maps the lane
+    block to a new (b, p, L) block, one matrix product per client, and
+    ``finish``, one elementwise ufunc with ``order="C"``, maps the (R, b, p)
+    view of its lanes [:R] to the new C-contiguous gradients: the copy back to
+    rows costs no extra pass.
     """
-    lanes = view = None
-
-    def rows(block: np.ndarray) -> np.ndarray:
-        nonlocal lanes, view
-        if lanes is None or len(block) != len(view):
-            lanes = np.zeros((clients, dim, -(-len(block) // LANES) * LANES))
-            view = lanes[..., :len(block)].transpose(2, 0, 1)
-        view[...] = block
-        return finish(product(lanes)[..., :len(block)].transpose(2, 0, 1))
-
-    return rows
-
-
-class _RowSteps:
-    """A pool's local steps on its (R, b, p) parameter block, through ``PaddedShards.pool_gradient``."""
 
     row_norms = staticmethod(_row_norms)
 
-    def __init__(self, gradient, theta: np.ndarray):
-        self._gradient = gradient
+    def __init__(self, product, finish, theta: np.ndarray, clients: int):
+        repeats, dim = theta.shape
+        self._product, self._finish = product, finish
+        self._lanes = np.zeros((clients, dim, -(-repeats // LANES) * LANES))
+        self._view = self._lanes[..., :repeats].transpose(2, 0, 1)
         # a repeat's theta broadcasts over the pool until the first step gives each client a row
         self._block = theta[:, None, :]
 
     def gradient(self) -> np.ndarray:
-        return self._gradient(self._block)
+        self._view[...] = self._block
+        return self._finish(self._product(self._lanes)[..., :len(self._view)].transpose(2, 0, 1))
 
     def primal(self, grad: np.ndarray) -> np.ndarray:
         return grad
@@ -251,7 +240,7 @@ class _DualSteps:
     and the parameters cost one (n_max, p) product, formed only when
     ``params`` asks. The repeats are the rows of C-contiguous (b, L, n_max)
     blocks, zero in the pad rows, which the clip loop reads as they are, and
-    every product is one GEMM per client over them (why: ``pool_gradient``).
+    every product is one GEMM per client over them (why: ``local_steps``).
 
     ``row_norms`` gives the clip loop the L2 norms of the gradients X_l' g_l
     from K_l: g'K g is ||X'g||^2 up to a rounding of at most
@@ -331,10 +320,10 @@ class PaddedShards:
     least-squares solve: ``lstsq`` on the p x p Gram matrix, refined once with
     the pooled residual; ``problem_constants`` reads theta* and f* from it and
     ``losses`` expands around it. The local steps (``local_steps``) use
-    ``local_stats`` only when p <= max(n_l) (``pool_gradient``), so a built
-    one holds N * p^2 floats for H, no more than ``x``. A store with shards
-    shorter than p never builds them: its steps read ``x``, and its L2 steps
-    build each pool's n_max x n_max matrices X_l X_l' afresh every round.
+    ``local_stats`` only when p <= max(n_l), so a built one holds N * p^2
+    floats for H, no more than ``x``. A store with shards shorter than p
+    never builds them: its steps read ``x``, and its L2 steps build each
+    pool's n_max x n_max matrices X_l X_l' afresh every round.
     """
 
     x: np.ndarray  # (N, n_max, p)
@@ -444,47 +433,7 @@ class PaddedShards:
         hess *= scale[:, :, None]
         return hess, scale * np.matmul(x_t, self.y[..., None])[..., 0]
 
-    def pool_gradient(self, pool: slice):
-        """The MSE gradient map of the clients in ``pool``: (R, b, p) parameters to gradients.
-
-        Row i of a repeat's block holds the parameters of client
-        ``pool.start + i``; a (R, 1, p) block broadcasts over the pool. Each
-        matrix-vector product of the form is taken for all repeats at once,
-        as one matrix product per client whose columns are the repeats
-        (``_over_lanes``). R is padded with zero columns to a multiple of
-        LANES = 8, because OpenBLAS gives a GEMM column the same bits only
-        across column counts that are multiples of 8: so repeat r gets the
-        bits it gets alone, for any R, and a one-repeat call pays for 8
-        columns (at p = 200, n_l = 50 and b = 20 about 130 us, against 55 us
-        for one matvec per client). On a BLAS without that column property
-        the lane tests of the kernel fail. When p <= max(n_l) the form is
-        H_l Theta - h_l with the cached ``local_stats``, the pool's slice of a
-        stack no larger than the padded ``x``. Otherwise the per-client statistics would outgrow the
-        shards and cost more per step than the residual form
-        (2/n_l) X_l'(X_l Theta - y_l), which reads ``x`` directly and never
-        builds them; ``local_steps`` takes it only where every step's
-        gradients are formed anyway (L1 clipping, the pilot). Every call
-        returns a new C-contiguous (R, b, p) array.
-        """
-        if self.dim <= self.x.shape[1]:
-            hess, lin = (stat[pool] for stat in self.local_stats)
-            return _over_lanes(lambda lanes: np.matmul(hess, lanes),
-                               lambda rows: np.subtract(rows, lin, order="C"),
-                               len(hess), self.dim)
-        x, y = self.x[pool], self.y[pool]
-        x_t = x.transpose(0, 2, 1)
-        scale = (2.0 / self.sizes[pool])[:, None]
-
-        def residual_form(lanes: np.ndarray) -> np.ndarray:
-            resid = np.matmul(x, lanes)
-            resid -= y[..., None]
-            return np.matmul(x_t, resid)
-
-        return _over_lanes(residual_form, lambda rows: np.multiply(rows, scale, order="C"),
-                           len(x), self.dim)
-
-    def local_steps(self, pool: slice, theta: np.ndarray, norm_kind: str = "l2",
-                    watched: bool = False):
+    def local_steps(self, pool: slice, theta: np.ndarray, norm_kind: str = "l2"):
         """The local-step state of the clients in ``pool``, each starting from its repeat's row of ``theta``.
 
         ``theta`` is the (R, p) block of the repeats' server parameters. The
@@ -492,18 +441,45 @@ class PaddedShards:
         the norms of the gradients they stand for (``row_norms``), takes a
         clipped block as a step (``step``), and gives a clipped block's
         (R, b, p) gradients (``primal``) and the (R, b, p) parameters
-        (``params``), row i of a repeat for client ``pool.start + i``. When
-        p > max(n_l) and the steps clip in ``norm_kind`` "l2" unwatched, they
-        are taken in the span of each client's rows (``_DualSteps``), from the
-        pool's slice of ``x``, building nothing that is kept. Otherwise they
-        step the parameters through ``pool_gradient``: the L1 norm needs every
-        gradient formed, and so does a ``watched`` run (the pilot, which hands
-        them out and must not read a norm above the threshold), and forming
-        them is what the residual form costs.
+        (``params``), row i of a repeat for client ``pool.start + i``.
+
+        This is where the form of the steps is chosen. When p <= max(n_l) it
+        is the Gram form H_l theta - h_l, with the cached ``local_stats``, the
+        pool's slice of a stack no larger than the padded ``x``. Otherwise the
+        statistics would outgrow the shards and cost more per step than
+        reading them, so the steps read the pool's slice of ``x`` and build
+        nothing that is kept: under L2 clipping in the span of each client's
+        rows (``_DualSteps``), and under L1 clipping, whose norm needs every
+        gradient formed, in the residual form (2/n_l) X_l'(X_l theta - y_l).
+
+        Each matrix-vector product of a form is taken for all repeats at once,
+        as one matrix product per client whose columns are the repeats. R is
+        padded with zero columns to a multiple of LANES = 8, because OpenBLAS
+        gives a GEMM column the same bits only across column counts that are
+        multiples of 8: so repeat r gets the bits it gets alone, for any R, and
+        a one-repeat call pays for 8 columns (at p = 200, n_l = 50 and b = 20
+        about 130 us, against 55 us for one matvec per client). On a BLAS
+        without that column property the lane tests of the kernel fail. With
+        L lanes a round's steps cost O(L b p^2 E) in Gram form,
+        O(L b (n_max^2 E + n_max p)) in dual form plus O(b n_max^2 p) for the
+        pool's K_l, and O(L b n_max p E) in residual form.
         """
-        if self.dim > self.x.shape[1] and norm_kind == "l2" and not watched:
-            return _DualSteps(self.x[pool], self.y[pool], 2.0 / self.sizes[pool], theta)
-        return _RowSteps(self.pool_gradient(pool), theta)
+        if self.dim <= self.x.shape[1]:
+            hess, lin = (stat[pool] for stat in self.local_stats)
+            return _RowSteps(lambda lanes: np.matmul(hess, lanes),
+                             lambda rows: np.subtract(rows, lin, order="C"), theta, len(hess))
+        x, y, scale = self.x[pool], self.y[pool], 2.0 / self.sizes[pool]
+        if norm_kind == "l2":
+            return _DualSteps(x, y, scale, theta)
+        x_t = x.transpose(0, 2, 1)
+
+        def residual_form(lanes: np.ndarray) -> np.ndarray:
+            resid = np.matmul(x, lanes)
+            resid -= y[..., None]
+            return np.matmul(x_t, resid)
+
+        return _RowSteps(residual_form, lambda rows: np.multiply(rows, scale[:, None], order="C"),
+                         theta, len(x))
 
     @cached_property
     def _loss_form(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:

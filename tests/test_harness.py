@@ -72,6 +72,22 @@ def test_l1_clipping_tightens_gradient_bound_via_pilot(tmp_path):
     assert 0 < exp.constants.g_bound < 20.0
 
 
+@pytest.mark.parametrize("norm,pilots", [("l2", 0), ("l1", 1)])
+def test_only_l1_clipping_runs_the_pilot(tmp_path, monkeypatch, norm, pilots):
+    # the pilot measures G under L1 clipping only, and refuses any other norm
+    calls = []
+    pilot = harness.pilot_gradient_bound
+    monkeypatch.setattr(harness, "pilot_gradient_bound",
+                        lambda *args: calls.append(args) or pilot(*args))
+    body = SMALL_TASK.replace("clip_norm = l2", f"clip_norm = {norm}")
+    exp = build_experiment(parse_config(write(tmp_path, body)))
+    assert len(calls) == pilots
+    if norm == "l2":
+        assert exp.constants.g_bound == 20.0
+        with pytest.raises(ConfigError, match="l1 clipping only"):
+            pilot(exp.config, exp.dataset)
+
+
 def test_overflowing_pilot_warns_nothing(tmp_path):
     # the pilot's first local step overflows; like a run, it stops there silently
     body = """
@@ -675,6 +691,22 @@ def test_cli_gram_matrix_that_cannot_be_allocated_is_a_config_error(
     assert code == 1
     assert capsys.readouterr().err.startswith(
         "error: the pooled p x p Gram matrix of p = 100001, p² = 10000200001 floats, ")
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 36 GiB"])
+def test_cli_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, message):
+    # what `run --repeats 1000000000` meets when its seed list does not fit;
+    # the failure is injected, so the test allocates nothing of that size
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "run_federation", refuse)
+    path = write(tmp_path, SMALL_TASK)
+    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ")
+    assert message in err and len(err.splitlines()) == 1
 
 
 def test_cli_pooled_hessian_past_the_float_range_is_a_config_error(tmp_path, capsys):

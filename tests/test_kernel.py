@@ -1,6 +1,5 @@
 """The pool- and repeat-batched local-step kernel against a plain per-client reference loop."""
 import dataclasses
-import inspect
 import math
 import os
 import subprocess
@@ -260,13 +259,11 @@ def test_kernel_matches_reference_on_divergence():
     assert_close(res.theta, theta)
 
 
-@pytest.mark.parametrize("shape,case", shaped([("l1",), ("l2",), ("diverging",),
-                                                ("noisy-seed-5",)]))
+@pytest.mark.parametrize("shape,case", shaped([("l1",), ("diverging",), ("noisy-seed-5",)]))
 def test_pilot_matches_per_client_reference(shape, case):
     data = shards_of(shape, seed=3)
     zeta = 0.5
-    cfg, pc = decay_config(data, "l2" if case == "l2" else "l1", zeta, MechanismSpec(),
-                           T_g=10)
+    cfg, pc = decay_config(data, "l1", zeta, MechanismSpec(), T_g=10)
     if case == "diverging":
         # an unstable constant rate with clipping out of reach: the gradient
         # norm grows every step, so the maximum is the last step counted
@@ -288,6 +285,15 @@ def test_pilot_matches_per_client_reference(shape, case):
         free = pilot_gradient_bound(
             dataclasses.replace(cfg, mechanism=MechanismSpec(), seed=0), data)
         assert got.hex() == free.hex()
+
+
+def test_pilot_refuses_a_config_not_clipped_in_l1():
+    # under L2 clipping G is the threshold; the pilot measures it under L1 only
+    for shape in [None, *SHAPES]:
+        data = shards_of(shape, seed=3)
+        cfg, _ = decay_config(data, "l2", 0.5, MechanismSpec(), T_g=10)
+        with pytest.raises(ConfigError, match="l1 clipping only"):
+            pilot_gradient_bound(cfg, data)
 
 
 @pytest.mark.parametrize("offset", [1e2, 1e4, 1e6])
@@ -589,10 +595,18 @@ def test_chunked_repeats_equal_one_block(monkeypatch):
         _assert_same_run(a, b)
 
 
-# one store per gradient form, wide enough that a GEMM's column count changes
+# one store per lane-block form, wide enough that a GEMM's column count changes
 # the last bits of a column: p = 24 <= max(n_l) = 30 (Gram form) and
-# p = 40 > max(n_l) = 12 (residual form; the dual form under unwatched L2)
+# p = 40 > max(n_l) = 12 (residual form under L1; the dual form under L2)
 LANE_STORES = {"gram": dict(features=23, rows=150), "residual": dict(features=39, rows=60)}
+
+
+def _lane_gradient(data, pool, theta, move):
+    """The L1 local steps' gradient at theta - move, a (R, b, p) block with a row per client."""
+    steps = data.local_steps(pool, theta, "l1")
+    assert type(steps).__name__ == "_RowSteps"
+    steps.step(1.0, move)
+    return steps.gradient()
 
 
 @pytest.mark.parametrize("form", LANE_STORES)
@@ -603,31 +617,37 @@ def test_every_repeat_of_a_lane_block_is_its_one_repeat_gradient(form):
     rng = np.random.default_rng(13)
     # R = 1..17 leaves every tail of 1-7 columns past a whole lane block
     for repeats in range(1, 2 * LANES + 2):
-        block = rng.standard_normal((repeats, 3, data.dim))
-        got = data.pool_gradient(pool)(block)
-        assert got.shape == block.shape and got.flags.c_contiguous
+        theta = rng.standard_normal((repeats, data.dim))
+        move = rng.standard_normal((repeats, 3, data.dim))
+        got = _lane_gradient(data, pool, theta, move)
+        assert got.shape == move.shape and got.flags.c_contiguous
         for r in range(repeats):
-            alone = data.pool_gradient(pool)(block[r:r + 1])
+            alone = _lane_gradient(data, pool, theta[r:r + 1], move[r:r + 1])
             assert got[r].tobytes() == alone[0].tobytes(), (repeats, r)
 
 
 @pytest.mark.parametrize("form", LANE_STORES)
 def test_lane_block_calls_return_new_arrays_and_keep_the_pad_lanes_zero(form):
     data = ragged_shards(n_clients=5, seed=12, **LANE_STORES[form])
-    gradient = data.pool_gradient(slice(0, 5))
-    block = np.random.default_rng(14).standard_normal((3, 5, data.dim))
-    first, second = gradient(block), gradient(block)
-    lanes = inspect.getclosurevars(gradient).nonlocals["lanes"]
+    rng = np.random.default_rng(14)
+    steps = data.local_steps(slice(0, 5), rng.standard_normal((3, data.dim)), "l1")
+    lanes = steps._lanes
     assert lanes.shape == (5, data.dim, LANES) and lanes.flags.c_contiguous
+    steps.step(1.0, rng.standard_normal((3, 5, data.dim)))
+    first, second = steps.gradient(), steps.gradient()
+    steps.step(0.05, first)
+    third = steps.gradient()
+    # the lane block is allocated once, with the steps
+    assert steps._lanes is lanes
     assert not lanes[..., 3:].any()
-    assert first.tobytes() == second.tobytes()
+    assert first.tobytes() == second.tobytes() != third.tobytes()
     assert not np.shares_memory(first, second)
-    assert not np.shares_memory(first, lanes) and not np.shares_memory(second, lanes)
+    assert not any(np.shares_memory(grad, lanes) for grad in (first, second, third))
 
 
-def _local_trace(data, pool, theta, norm, watched):
+def _local_trace(data, pool, theta, norm):
     """The clipped gradients and the parameters of three local steps of ``data.local_steps``."""
-    steps = data.local_steps(pool, theta, norm, watched)
+    steps = data.local_steps(pool, theta, norm)
     trace = []
     for _ in range(3):
         grad = clip_gradient(steps.gradient(), 1.0, norm, steps.row_norms)
@@ -639,22 +659,21 @@ def _local_trace(data, pool, theta, norm, watched):
 
 @pytest.mark.parametrize("form", LANE_STORES)
 def test_every_repeat_of_the_local_steps_is_its_one_repeat_run(form):
-    # on the residual store, unwatched L2 steps take the dual form
+    # on the residual store, L2 steps take the dual form and L1 steps the residual form
     data = ragged_shards(n_clients=5, seed=12, **LANE_STORES[form])
     pool = slice(1, 4)
     rng = np.random.default_rng(13)
     for repeats in range(1, 2 * LANES + 2):
         theta = rng.standard_normal((repeats, data.dim))
         for norm in CLIP_NORMS:
-            for watched in (False, True):
-                got = _local_trace(data, pool, theta, norm, watched)
-                assert all(a.shape == (repeats, 3, data.dim) for a in got)
-                for r in range(repeats):
-                    alone = _local_trace(data, pool, theta[r:r + 1], norm, watched)
-                    assert [a[r].tobytes() for a in got] == [a[0].tobytes() for a in alone], \
-                        (repeats, r, norm, watched)
+            got = _local_trace(data, pool, theta, norm)
+            assert all(a.shape == (repeats, 3, data.dim) for a in got)
+            for r in range(repeats):
+                alone = _local_trace(data, pool, theta[r:r + 1], norm)
+                assert [a[r].tobytes() for a in got] == [a[0].tobytes() for a in alone], \
+                    (repeats, r, norm)
     # the clip binds: the largest first clipped gradient sits at the threshold
-    first = _local_trace(data, pool, rng.standard_normal((1, data.dim)), "l2", False)[0]
+    first = _local_trace(data, pool, rng.standard_normal((1, data.dim)), "l2")[0]
     assert np.isclose(np.linalg.norm(first, axis=-1).max(), 1.0)
 
 
@@ -929,9 +948,11 @@ def test_kernel_matches_per_client_reference_on_drawn_federations(fed):
             for got, want in zip(run.records, records):
                 assert_close(dataclasses.astuple(got), dataclasses.astuple(want))
             assert_close(run.theta, theta)
-        want = reference_pilot(cfg, data.shards)
-    got = pilot_gradient_bound(cfg, data)
-    assert abs(got - want) <= REL_TOL * want
+    if fed["norm"] == "l1":  # the pilot measures G under L1 clipping only
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_pilot(cfg, data.shards)
+        got = pilot_gradient_bound(cfg, data)
+        assert abs(got - want) <= REL_TOL * want
     # the store builds the per-client Gram statistics exactly when the Gram form runs
     assert ("local_stats" in data.__dict__) == (data.dim <= data.x.shape[1])
 

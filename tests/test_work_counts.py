@@ -1,0 +1,165 @@
+"""Deterministic work counts on the benchmark workloads' step shapes: a perf guard without timings.
+
+Each case runs a benchmark workload's shape (pool size, local steps, repeats,
+shard size, features, clip norm and mechanism) for a few rounds through the
+CLI drivers, and counts the work the program does through entry points that
+a restructure of the kernel keeps: local-step states built, norm passes per
+clip, noise draws, client updates and aggregations. The counts are exact
+integers; a change that alters one states so where it is made.
+"""
+from collections import Counter
+
+import pytest
+
+from dpfedsim import engine, harness
+from dpfedsim.harness import cmd_run, cmd_validate
+from dpfedsim.regression import PaddedShards
+
+# each benchmark workload's shape at 4 rounds over 2 pools (run-many-clients
+# on synthetic shards of its ~20 rows rather than its CSV)
+WORK_SHAPES = {
+    "run-default": """
+[federation]
+clients = 20
+pool_size = 10
+local_iters = 5
+global_iters = 4
+clip_threshold = 150.0
+clip_norm = l1
+repeats = 20
+seed = 31
+
+[dp]
+mechanism = laplace
+epsilon = 3.0
+
+[data]
+n_per_client = 20
+features = 5
+seed = 31
+""",
+    "run-many-clients": """
+[federation]
+clients = 200
+pool_size = 100
+local_iters = 1
+global_iters = 4
+clip_threshold = 1.0
+clip_norm = l2
+repeats = 5
+seed = 31
+
+[dp]
+mechanism = gaussian
+epsilon = 8.0
+delta = 1e-4
+
+[data]
+n_per_client = 20
+features = 5
+seed = 31
+""",
+    "run-wide": """
+[federation]
+clients = 40
+pool_size = 20
+local_iters = 5
+global_iters = 4
+clip_threshold = 1.0
+clip_norm = l2
+repeats = 10
+seed = 31
+
+[dp]
+mechanism = laplace
+epsilon = 3.0
+
+[data]
+n_per_client = 50
+features = 199
+seed = 31
+""",
+    "validate-gaussian": """
+[federation]
+clients = 100
+pool_size = 10
+clip_threshold = 2.0
+clip_norm = l2
+seed = 31
+
+[dp]
+mechanism = gaussian
+epsilon = 8.0
+delta = 1e-4
+
+[data]
+features = 19
+seed = 31
+""",
+}
+
+# taken from the code before local_steps became the one place that picks the
+# step form. run-default: 4 rounds of the run and 4 of its L1 pilot; a
+# "clip_passes_k" entry counts the clips that took k norm passes
+WORK_COUNTS = {
+    "run-default": dict(local_steps_calls=8, client_update_calls=8, aggregate_calls=12,
+                        clip_passes_1=25, clip_passes_2=15,
+                        run_noise_calls=80, run_noise_values=4800),
+    "run-many-clients": dict(local_steps_calls=4, client_update_calls=4, aggregate_calls=8,
+                             clip_passes_2=4, run_noise_calls=20, run_noise_values=12000),
+    "run-wide": dict(local_steps_calls=4, client_update_calls=4, aggregate_calls=8,
+                     clip_passes_2=20, run_noise_calls=40, run_noise_values=160000),
+    # no engine call: validate draws its pool noise in the harness
+    "validate-gaussian": dict(validate_noise_calls=100, validate_noise_values=2000000),
+}
+
+
+def _counting(monkeypatch):
+    """Wrap the counted entry points; returns the Counter they add to."""
+    counts = Counter()
+
+    def count(owner, name, key, drawn=False):
+        original = getattr(owner, name)
+
+        def passthrough(*args, **kwargs):
+            out = original(*args, **kwargs)
+            counts[f"{key}_calls"] += 1
+            if drawn:
+                counts[f"{key}_values"] += out.size
+            return out
+
+        monkeypatch.setattr(owner, name, passthrough)
+
+    count(PaddedShards, "local_steps", "local_steps")
+    count(engine, "client_update", "client_update")
+    count(engine, "aggregate", "aggregate")
+    count(engine, "sample_noise", "run_noise", drawn=True)
+    count(harness, "sample_noise", "validate_noise", drawn=True)
+    clip = engine.clip_gradient
+
+    def clip_gradient(g, zeta, norm_kind, row_norms):
+        passes = 0
+
+        def counted(rows, kind):
+            nonlocal passes
+            passes += 1
+            return row_norms(rows, kind)
+
+        out = clip(g, zeta, norm_kind, counted)
+        counts[f"clip_passes_{passes}"] += 1
+        return out
+
+    monkeypatch.setattr(engine, "clip_gradient", clip_gradient)
+    return counts
+
+
+@pytest.mark.parametrize("shape", WORK_SHAPES)
+def test_bench_shapes_do_the_pinned_work(shape, tmp_path, monkeypatch):
+    config = tmp_path / "work.cfg"
+    config.write_text(WORK_SHAPES[shape])
+    counts = _counting(monkeypatch)
+    if shape.startswith("validate"):
+        cmd_validate(config, draws=10**4, quiet=True)
+    else:
+        cmd_run(config, tmp_path / "out", quiet=True)
+    assert dict(counts) == WORK_COUNTS[shape]
