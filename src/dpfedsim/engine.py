@@ -14,11 +14,14 @@ once and shared by every repeat (``client_update``): the number of numpy
 calls per step grows with neither the pool size nor the repeat count. The
 form of the steps (Gram, dual or residual) and the lane padding that keeps a
 repeat's bits independent of R are chosen in one place,
-``PaddedShards.local_steps``. Repeat r draws each round's (b, p) noise block
-as the next draw of its own stream, ``mechanisms.noise_stream(seed + r)``,
-built once per run. Aggregation (``aggregate``) is one reduction per repeat
-in a fixed order, and the per-round metrics (the p x p pooled loss, y_k and
-the noise norm) take one dot product per repeat. Every repeat is bitwise the
+``PaddedShards.local_steps``. Repeat r takes each round's (b, p) noise block
+as the next unit draw of its own stream, ``mechanisms.noise_stream(seed + r)``,
+built once per run, times the round's scale. The draws of a chunk of rounds
+are one call per repeat, made on a worker thread while the rounds before
+them step; they are the values of one draw per round. Aggregation
+(``aggregate``) is one reduction per repeat in a fixed order, and the
+per-round metrics (the p x p pooled loss, y_k and the noise norm) take one
+dot product per repeat. Every repeat is bitwise the
 same whether it runs alone or in a block. The L1 pilot that measures the
 gradient bound is the same round loop run noise-free with one repeat,
 watching every step's clipped gradients. The per-client loops that the
@@ -27,13 +30,17 @@ kernel is tested against live in ``reference``, which nothing here imports.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import bounds
-# mse_gradient is not called here: bench/tracer.py patches it by this module's name
-from .mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
+# mse_gradient and sample_noise are not called here: bench/tracer.py patches
+# them by this module's name
+from .mechanisms import (
+    MechanismSpec, NoiseContext, noise_scale, noise_stream, sample_noise, unit_noise,
+)
 from .regression import (
     CHUNK_ELEMENTS, CLIP_NORMS, LANES, ConfigError, PaddedShards, ProblemConstants, _row_dots,
     clip_gradient, mse_gradient,
@@ -58,6 +65,9 @@ __all__ = [
 
 # aborts a repeat well before float overflow corrupts the records
 PARAM_LIMIT = 1e12
+
+# unit noise values a block of repeats draws ahead in one chunk of rounds (512 KB)
+NOISE_CHUNK_ELEMENTS = 2**16
 
 
 SCHEDULE_KINDS = ("decay", "constant")
@@ -330,14 +340,76 @@ def client_update(
     return block, ok
 
 
-def _pool_noise(config: FederationConfig, ctx: NoiseContext,
-                streams: list[np.random.Generator], pool: slice) -> np.ndarray:
-    """The (R, b, p) noise block of a round: block r is the next draw of ``streams[r]``.
+class _NoiseChunks:
+    """Each round's (A, b, p) noise of the A active repeats, drawn a chunk of rounds ahead.
 
-    Row i of a repeat's block belongs to client ``pool.start + i``.
+    Repeat r's stream, ``noise_stream(seeds[r])``, draws the unit noise of a
+    chunk of rounds in one (span, b, p) ``unit_noise`` call: the values of
+    span per-round (b, p) draws. A chunk is one round-major (span, A, b, p)
+    block, so a round's noise is a slice of it, scaled in place. Chunk 0 is
+    drawn on the calling thread. When a chunk is taken, the next one is
+    allocated for the repeats active then and filled on a new thread, which
+    is joined when the chunk's first round comes: each stream is read by one
+    thread at a time, in order, at most the current and the next chunk are
+    held, and the worker calls nothing but ``unit_noise``. ``close`` joins a
+    worker still drawing; an exception the worker raised is raised again by
+    the round that joins it.
     """
-    lead = (pool.stop - pool.start,)
-    return np.stack([sample_noise(config.mechanism, ctx, rng, lead) for rng in streams])
+
+    def __init__(self, config: FederationConfig, data: PaddedShards, seeds: list[int]):
+        self.config, self.data = config, data
+        self.streams = [noise_stream(seed) for seed in seeds]
+        self.span = max(1, NOISE_CHUNK_ELEMENTS // (len(seeds) * config.pool_size * data.dim))
+        self.start = self.stop = 0  # the rounds of the chunk held
+        self.chunk: tuple[list[int], np.ndarray] = ([], np.empty(0))  # its repeats and block
+        self.worker: tuple[threading.Thread, tuple, list] | None = None
+
+    def _empty(self, start: int, repeats: list[int]) -> tuple[list[int], np.ndarray]:
+        span = min(self.span, self.config.global_iters - start)
+        return repeats, np.empty((span, len(repeats), self.config.pool_size, self.data.dim))
+
+    def _fill(self, chunk: tuple[list[int], np.ndarray]) -> None:
+        repeats, block = chunk
+        for a, r in enumerate(repeats):
+            block[:, a] = unit_noise(self.config.mechanism.kind, self.streams[r],
+                                     block[:, a].shape)
+
+    def _work(self, chunk: tuple[list[int], np.ndarray], error: list) -> None:
+        try:
+            self._fill(chunk)
+        except BaseException as exc:  # raised again by the joining thread
+            error.append(exc)
+
+    def close(self) -> None:
+        """Join the worker, if one is drawing, and drop what it drew."""
+        if self.worker is not None:
+            self.worker[0].join()
+            self.worker = None
+
+    def take(self, t: int, active: list[int]) -> np.ndarray:
+        """Round t's (A, b, p) noise block, row a for repeat ``active[a]``; t counts up by one."""
+        if t == self.stop:
+            if self.worker is None:
+                self.chunk = self._empty(t, active)
+                self._fill(self.chunk)
+            else:
+                _, chunk, error = self.worker
+                self.close()
+                if error:
+                    raise error[0]
+                self.chunk = chunk
+            self.start, self.stop = t, t + len(self.chunk[1])
+            if self.stop < self.config.global_iters:
+                chunk, error = self._empty(self.stop, active), []
+                thread = threading.Thread(target=self._work, args=(chunk, error))
+                thread.start()
+                self.worker = (thread, chunk, error)
+        repeats, block = self.chunk
+        noise = block[t - self.start]
+        if len(active) < len(repeats):
+            noise = noise[np.isin(repeats, active)]
+        noise *= noise_scale(self.config.mechanism, noise_context(self.config, self.data, t))
+        return noise
 
 
 def noise_context(config: FederationConfig, data: PaddedShards, t: int) -> NoiseContext:
@@ -390,11 +462,14 @@ def _run_block(
     The loop carries the (A, p) parameters of the A repeats still active. A
     repeat whose local steps or aggregate leave PARAM_LIMIT in round t is
     marked diverged and leaves the block at the end of round t, keeping its
-    records and parameters up to round t - 1. A noise-free run builds no
-    noise stream, no noise block and no calibration context, and records a
-    noise norm of 0.0. ``on_grad`` sees each round's stack of clipped
-    gradients (see ``client_update``); with ``records`` false the runs keep
-    no round records.
+    records and parameters up to round t - 1. Round t's noise is the next
+    block of each active repeat's stream, drawn a chunk of rounds ahead on a
+    worker thread while the rounds before it step (``_NoiseChunks``); the
+    worker is joined before the block returns, however it ends. A noise-free
+    run builds no noise stream, no noise block and no calibration context,
+    starts no thread, and records a noise norm of 0.0. ``on_grad`` sees each
+    round's stack of clipped gradients (see ``client_update``); with
+    ``records`` false the runs keep no round records.
     """
     dim = data.dim
     theta_0 = _initial_theta(config, dim)
@@ -409,63 +484,64 @@ def _run_block(
     theta = np.tile(theta_0, (len(seeds), 1))
     n_clients, b = config.n_clients, config.pool_size
     noisy = config.mechanism.kind != "none"
-    if noisy:
-        streams = [noise_stream(seed) for seed in seeds]
+    chunks = _NoiseChunks(config, data, seeds) if noisy else None
+    try:
+        for t in range(config.global_iters):
+            pool = pool_slice(t, n_clients, b)
+            weights = data.weights[pool]
 
-    for t in range(config.global_iters):
-        pool = pool_slice(t, n_clients, b)
-        weights = data.weights[pool]
-
-        if noisy:
-            noise = _pool_noise(config, noise_context(config, data, t),
-                                [streams[r] for r in active], pool)
-        # a diverged repeat steps on to the round's end: silence its overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            local, ok = client_update(data, pool, theta, t, config, on_grad)
-            theta_new = aggregate(local + noise if noisy else local, weights, n_clients, b)
-        ok &= _within_limit(theta_new)
-        if not ok.all():
-            for i in np.flatnonzero(~ok):
-                runs[active[i]].theta = theta[i]
-                runs[active[i]].diverged = True
-            active = [r for r, keep in zip(active, ok) if keep]
-            if not active:
-                break
-            theta_new = theta_new[ok]
             if noisy:
-                noise = noise[ok]
-        theta = theta_new
-        if not records:
-            continue
+                noise = chunks.take(t, active)
+            # a diverged repeat steps on to the round's end: silence its overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                local, ok = client_update(data, pool, theta, t, config, on_grad)
+                theta_new = aggregate(local + noise if noisy else local, weights, n_clients, b)
+            ok &= _within_limit(theta_new)
+            if not ok.all():
+                for i in np.flatnonzero(~ok):
+                    runs[active[i]].theta = theta[i]
+                    runs[active[i]].diverged = True
+                active = [r for r, keep in zip(active, ok) if keep]
+                if not active:
+                    break
+                theta_new = theta_new[ok]
+                if noisy:
+                    noise = noise[ok]
+            theta = theta_new
+            if not records:
+                continue
 
-        k = (t + 1) * config.local_iters
-        eta_k = config.schedule.rate(t * config.local_iters)
-        losses = data.losses(theta)
-        noise_l2 = np.zeros(len(active))
-        if noisy:
-            noise_agg = aggregate(noise, weights, n_clients, b)
-            noise_l2 = np.sqrt(_row_dots(noise_agg, noise_agg))
-        y_k = np.full(len(active), math.nan)
-        bound_y_k = math.nan
-        if constants is not None:
-            diff = theta - constants.theta_star
-            y_k = _row_dots(diff, diff)
-            if bound_params is not None:
-                bound_y_k = bounds.convergence_bound(k, bound_params)
-        for i, r in enumerate(active):
-            runs[r].records.append(
-                RoundRecord(
-                    t=t,
-                    k=k,
-                    eta_k=eta_k,
-                    global_loss=float(losses[i]),
-                    y_k=float(y_k[i]),
-                    bound_y_k=bound_y_k,
-                    noise_l2=float(noise_l2[i]),
+            k = (t + 1) * config.local_iters
+            eta_k = config.schedule.rate(t * config.local_iters)
+            losses = data.losses(theta)
+            noise_l2 = np.zeros(len(active))
+            if noisy:
+                noise_agg = aggregate(noise, weights, n_clients, b)
+                noise_l2 = np.sqrt(_row_dots(noise_agg, noise_agg))
+            y_k = np.full(len(active), math.nan)
+            bound_y_k = math.nan
+            if constants is not None:
+                diff = theta - constants.theta_star
+                y_k = _row_dots(diff, diff)
+                if bound_params is not None:
+                    bound_y_k = bounds.convergence_bound(k, bound_params)
+            for i, r in enumerate(active):
+                runs[r].records.append(
+                    RoundRecord(
+                        t=t,
+                        k=k,
+                        eta_k=eta_k,
+                        global_loss=float(losses[i]),
+                        y_k=float(y_k[i]),
+                        bound_y_k=bound_y_k,
+                        noise_l2=float(noise_l2[i]),
+                    )
                 )
-            )
-            if record_trajectory:
-                runs[r].trajectory.append(theta[i])
+                if record_trajectory:
+                    runs[r].trajectory.append(theta[i])
+    finally:
+        if noisy:
+            chunks.close()
 
     for i, r in enumerate(active):
         runs[r].theta = theta[i]

@@ -7,13 +7,15 @@ norm of the aggregated noise, and the growth exponent z of that variance in
 the number of global iterations (2 for Laplace, 1 for Gaussian).
 
 Noise comes from one random stream per run, ``noise_stream(seed)``, keyed
-apart from the stream that builds the data from the same seed value. Round t's
-pool of b clients draws its whole (b, p) block with the next call on that
-stream, and row i belongs to client (t*b mod N) + i. Every earlier round drew
-a block of the same shape and kind, so a draw is a pure function of (seed,
-round, client id, b, p, mechanism kind): it cannot depend on how the work is
-scheduled, and a run with seed s draws the same noise whatever the other
-repeats are.
+apart from the stream that builds the data from the same seed value. A draw is
+a unit-scale draw (``unit_noise``) times the round's scale (``noise_scale``),
+and ``sample_noise`` is that product. Round t's pool of b clients takes the
+(t+1)-th (b, p) block of unit draws on that stream, and row i belongs to
+client (t*b mod N) + i. Every earlier round drew a block of the same shape and
+kind, and a unit draw of several rounds in one call gives the same values as
+one call per round, so a draw is a pure function of (seed, round, client id,
+b, p, mechanism kind): it cannot depend on how the work is scheduled, and a
+run with seed s draws the same noise whatever the other repeats are.
 """
 from __future__ import annotations
 
@@ -31,6 +33,8 @@ __all__ = [
     "laplace_scale",
     "gaussian_sigma",
     "noise_stream",
+    "unit_noise",
+    "noise_scale",
     "sample_noise",
     "noise_item_variance",
     "epsilon_regime_warning",
@@ -157,13 +161,31 @@ def noise_stream(seed: int) -> np.random.Generator:
     spawn key (0,) of ``seed``, so repeated calls return an identical stream,
     and it is keyed apart from ``default_rng(seed)``, the generator the data
     builders use, and from ``validate``'s ``SeedSequence((seed, draws))``.
-    Round t's pool draws its whole noise block with the run's (t+1)-th
-    ``sample_noise`` call on it; row i of the block belongs to client
-    (t*b mod N) + i.
+    Round t's pool takes the (t+1)-th (b, p) block of ``unit_noise`` draws
+    on it; row i of the block belongs to client (t*b mod N) + i.
     """
     if seed < 0:
         raise ConfigError("seed must be non-negative")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+
+
+def unit_noise(kind: str, rng: np.random.Generator, size: tuple[int, ...]) -> np.ndarray:
+    """A ``size`` array of unit-scale draws of mechanism ``kind`` from one call on ``rng``.
+
+    Laplace draws have scale 1, Gaussian draws standard deviation 1. The
+    values fill ``size`` in C order, so one call of (S, b, p) gives the
+    values of S calls of (b, p), in turn.
+    """
+    if kind == "laplace":
+        return rng.laplace(0.0, 1.0, size=size)
+    return rng.standard_normal(size)
+
+
+def noise_scale(spec: MechanismSpec, ctx: NoiseContext) -> float:
+    """The factor a unit draw is scaled by: T_l*Xi1/epsilon for Laplace, sigma*Xi2 for Gaussian."""
+    if spec.kind == "laplace":
+        return laplace_scale(ctx, spec)
+    return gaussian_sigma(ctx, spec) * round_sensitivity(ctx, spec.xi2)
 
 
 def sample_noise(
@@ -176,27 +198,26 @@ def sample_noise(
 
     Each p-vector is one client's noise: Laplace draws have per-coordinate
     scale T_l*Xi1/epsilon; Gaussian draws have standard deviation sigma*Xi2.
-    The whole array comes from one call on ``rng``. kind="none" returns exact
-    zeros without touching the stream, so ``rng`` may then be None.
+    The array is one ``unit_noise`` call on ``rng`` scaled in place by
+    ``noise_scale``. kind="none" returns exact zeros without touching the
+    stream, so ``rng`` may then be None.
     """
     size = (*lead, ctx.p)
     if spec.kind == "none":
         return np.zeros(size)
-    if spec.kind == "laplace":
-        return rng.laplace(0.0, laplace_scale(ctx, spec), size=size)
-    # the draws and bits of rng.normal(0.0, std, size), but for the sign of an
-    # exact zero, without its per-element 0.0 + std * z
-    noise = rng.standard_normal(size)
-    noise *= gaussian_sigma(ctx, spec) * round_sensitivity(ctx, spec.xi2)
+    # the draws and bits of rng.laplace(0.0, scale, size) and rng.normal(0.0,
+    # scale, size), but for the sign of an exact zero: those compute
+    # 0.0 +- scale * u, which turns a product that underflows to -0.0 into 0.0
+    noise = unit_noise(spec.kind, rng, size)
+    noise *= noise_scale(spec, ctx)
     return noise
 
 
 def _per_coordinate_second_moment(spec: MechanismSpec, ctx: NoiseContext, mode: str) -> float:
+    scale = noise_scale(spec, ctx)
     if spec.kind == "laplace":
-        beta = laplace_scale(ctx, spec)
-        return 2.0 * beta * beta
-    std = gaussian_sigma(ctx, spec) * round_sensitivity(ctx, spec.xi2)
-    moment = std * std
+        return 2.0 * scale * scale
+    moment = scale * scale
     if mode == "paper":
         # the published closed form carries an extra factor 2 for the
         # gaussian case; kept for literal reproduction, see mode="exact"

@@ -383,8 +383,10 @@ def test_noise_free_rounds_calibrate_and_draw_no_noise(monkeypatch):
     def refuse(*args):
         raise AssertionError("a noise-free round built noise")
 
-    monkeypatch.setattr("dpfedsim.engine.noise_context", refuse)
-    monkeypatch.setattr("dpfedsim.engine.sample_noise", refuse)
+    # the engine draws through unit_noise, a chunk of rounds ahead on a thread
+    for name in ("engine.noise_context", "engine.sample_noise", "engine.unit_noise"):
+        monkeypatch.setattr(f"dpfedsim.{name}", refuse)
+    monkeypatch.setattr("threading.Thread", refuse)
     rng = np.random.default_rng(13)
     shards = make_shards(rng, 4, n_per=8, d=2)
     cfg, pc = base_config(shards, E=2, T_g=6, b=2, norm="l1")

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpfedsim import bounds, engine, mechanisms
+from dpfedsim.cli import main as cli_main
 from dpfedsim.data import sorted_partition
 from dpfedsim.engine import (
     PARAM_LIMIT,
@@ -593,6 +596,156 @@ def test_chunked_repeats_equal_one_block(monkeypatch):
     assert len(chunked.runs) == 17
     for a, b in zip(whole.runs, chunked.runs):
         _assert_same_run(a, b)
+
+
+# noise large enough that repeats pass PARAM_LIMIT at random rounds: of seeds
+# 4..12, Laplace's seed 5 stops at t = 2 and Gaussian's seed 11 at t = 5, both
+# inside a 3-round chunk, while others run all 10 rounds
+CHUNKED = {
+    "laplace": (MechanismSpec(kind="laplace", epsilon=3e-12, xi1=1.0), 5),
+    "gaussian": (MechanismSpec(kind="gaussian", epsilon=5e-12, delta=1e-4, xi2=1.0), 11),
+}
+
+
+def _chunked_config(kind, repeats, monkeypatch, span=3):
+    """A run of 10 rounds whose noise comes in chunks of ``span`` rounds, and its store."""
+    mechanism, stops = CHUNKED[kind]
+    data = ragged_shards(n_clients=6, rows=42, seed=6)
+    cfg = FederationConfig(
+        n_clients=6, pool_size=3, local_iters=2, global_iters=10,
+        schedule=Schedule.constant(0.1), clip=ClipSpec(1.0, "l1"), mechanism=mechanism,
+        seed=4 if repeats > 1 else stops, repeats=repeats,
+    )
+    monkeypatch.setattr(engine, "NOISE_CHUNK_ELEMENTS", span * repeats * 3 * data.dim)
+    return cfg, data
+
+
+@pytest.mark.parametrize("repeats", [1, 9])
+@pytest.mark.parametrize("kind", CHUNKED)
+def test_noise_drawn_in_chunks_is_one_sample_noise_draw_per_round(kind, repeats, monkeypatch):
+    cfg, data = _chunked_config(kind, repeats, monkeypatch)
+    spans, taken = [], []
+    unit, take = engine.unit_noise, engine._NoiseChunks.take
+
+    def counted(kind, rng, size):
+        spans.append(size[0])
+        return unit(kind, rng, size)
+
+    def kept(self, t, active):
+        noise = take(self, t, active)
+        taken.append((t, list(active), noise.copy()))
+        return noise
+
+    monkeypatch.setattr(engine, "unit_noise", counted)
+    monkeypatch.setattr(engine._NoiseChunks, "take", kept)
+    batch = run_federation(cfg, data)
+    stops = [len(run.records) if run.diverged else cfg.global_iters for run in batch.runs]
+    assert 0 < batch.diverged and all(t % 3 for t in stops if t < cfg.global_iters)
+    if repeats > 1:
+        assert batch.diverged < repeats
+    # chunks of rounds 0-2, 3-5, 6-8 and 9; each after the first is drawn for
+    # the repeats active when the chunk before it was taken
+    want = [3] * repeats
+    for start in (3, 6, 9):
+        want += [min(3, cfg.global_iters - start)] * sum(t >= start - 3 for t in stops)
+    assert spans == want
+
+    # each round's block is bitwise the next sample_noise draw of the repeat's stream
+    streams = [noise_stream(cfg.seed + r) for r in range(repeats)]
+    for t, active, noise in taken:
+        ctx = engine.noise_context(cfg, data, t)
+        for row, r in zip(noise, active):
+            want = sample_noise(cfg.mechanism, ctx, streams[r], (cfg.pool_size,))
+            assert row.tobytes() == want.tobytes()
+
+    monkeypatch.setattr(engine, "NOISE_CHUNK_ELEMENTS", 1)  # one round per chunk
+    for got, want in zip(batch.runs, run_federation(cfg, data).runs):
+        _assert_same_run(got, want)
+    _assert_matches_reference(batch, cfg, data, None)
+
+
+def test_threaded_chunks_under_fast_switching_equal_one_chunk_drawn_alone(monkeypatch):
+    # a chunk per round, so a worker per round, for three runs at once on
+    # threads of their own: more threads than cores, switching every microsecond
+    cfg, data = _chunked_config("gaussian", 9, monkeypatch, span=1)
+    batches = []
+    runs = [threading.Thread(target=lambda: batches.append(run_federation(cfg, data)))
+            for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for run in runs:
+            run.start()
+        for run in runs:
+            run.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(run.is_alive() for run in runs) and len(batches) == 3
+    monkeypatch.setattr(engine, "NOISE_CHUNK_ELEMENTS", 10**9)  # one chunk, no worker
+    alone = run_federation(cfg, data).runs
+    for batch in batches:
+        for got, want in zip(batch.runs, alone):
+            _assert_same_run(got, want)
+
+
+def _slow_worker(monkeypatch, fail=None):
+    """Make every draw off the main thread last 20 ms, then raise ``fail`` if given."""
+    unit = engine.unit_noise
+
+    def slow(kind, rng, size):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.02)
+            if fail is not None:
+                raise fail
+        return unit(kind, rng, size)
+
+    monkeypatch.setattr(engine, "unit_noise", slow)
+
+
+@pytest.mark.parametrize("case", ["finished", "all-diverged", "raised"])
+def test_no_noise_worker_outlives_the_run(case, monkeypatch):
+    # the worker is drawing the next chunk when the run ends: at t = 2 when the
+    # one repeat diverges, or at t = 1 when a local step raises
+    before = threading.active_count()
+    cfg, data = _chunked_config("laplace", 1, monkeypatch)
+    _slow_worker(monkeypatch)
+    if case == "finished":
+        cfg = dataclasses.replace(cfg, mechanism=MechanismSpec(kind="laplace", epsilon=1.0,
+                                                               xi1=1.0))
+        assert run_federation(cfg, data).diverged == 0
+    elif case == "all-diverged":
+        assert run_federation(cfg, data).diverged == 1
+    else:
+        steps = engine.client_update
+
+        def fail_in_round_1(data, pool, theta, t, *args):
+            if t == 1:
+                raise RuntimeError("a step failed")
+            return steps(data, pool, theta, t, *args)
+
+        monkeypatch.setattr(engine, "client_update", fail_in_round_1)
+        with pytest.raises(RuntimeError, match="a step failed"):
+            run_federation(cfg, data)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("error,line", [
+    (MemoryError(), "error: out of memory: the config asks for more than this process "
+                    "can allocate"),
+    (ConfigError("a worker refused the chunk"), "error: a worker refused the chunk"),
+])
+def test_an_error_in_the_noise_worker_is_the_cli_error_line(
+        error, line, tmp_path, capsys, monkeypatch):
+    # the worker's first chunk is the run's second: rounds 3-5 of each repeat
+    before = threading.active_count()
+    path = tmp_path / "task.cfg"
+    path.write_text(ROUNDS_TASK.format(repeats=2))
+    monkeypatch.setattr(engine, "NOISE_CHUNK_ELEMENTS", 3 * 2 * 5 * 4)
+    _slow_worker(monkeypatch, fail=error)
+    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert threading.active_count() == before
 
 
 # one store per lane-block form, wide enough that a GEMM's column count changes

@@ -14,6 +14,7 @@ from dpfedsim.mechanisms import (
     noise_stream,
     round_sensitivity,
     sample_noise,
+    unit_noise,
 )
 from dpfedsim.regression import ConfigError
 
@@ -175,6 +176,34 @@ def test_gaussian_noise_is_the_stream_of_rng_normal():
     for lead in ((), (5,), (2, 3)):
         assert np.array_equal(sample_noise(spec, c, rng, lead),
                               ref.normal(0.0, std, size=(*lead, c.p)))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_unit_laplace_times_its_scale_is_rng_laplace_bit_for_bit(scale):
+    got = unit_noise("laplace", noise_stream(5), (10**6,))
+    got *= scale
+    assert got.tobytes() == noise_stream(5).laplace(0.0, scale, 10**6).tobytes()
+
+
+def test_unit_laplace_times_its_scale_moves_only_the_sign_of_an_underflowed_zero():
+    # rng.laplace returns 0.0 + scale * log(2u) for u < 1/2, which turns a
+    # product that underflows to -0.0 into 0.0; unit x scale keeps the -0.0
+    got = unit_noise("laplace", noise_stream(5), (10**6,))
+    got *= 1e-320
+    want = noise_stream(5).laplace(0.0, 1e-320, 10**6)
+    moved = got.view(np.int64) != want.view(np.int64)
+    assert moved.any()
+    assert np.all(got[moved] == 0.0) and np.all(np.signbit(got[moved]))
+    assert not np.any(np.signbit(want[moved]))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["laplace", "gaussian"])
+def test_one_unit_draw_of_several_rounds_is_their_draws_in_turn(kind):
+    whole = unit_noise(kind, noise_stream(9), (7, 3, 4))
+    rng = noise_stream(9)
+    assert whole.tobytes() == b"".join(unit_noise(kind, rng, (3, 4)).tobytes()
+                                       for _ in range(7))
 
 
 @pytest.mark.parametrize("seed", [0, 31, 2**32 + 5])

@@ -4,9 +4,11 @@ Each case runs a benchmark workload's shape (pool size, local steps, repeats,
 shard size, features, clip norm and mechanism) for a few rounds through the
 CLI drivers, and counts the work the program does through entry points that
 a restructure of the kernel keeps: local-step states built, norm passes per
-clip, noise draws, client updates and aggregations. The counts are exact
-integers; a change that alters one states so where it is made.
+clip, noise draws and the threads that make them, client updates and
+aggregations. The counts are exact integers; a change that alters one states
+so where it is made.
 """
+import threading
 from collections import Counter
 
 import pytest
@@ -99,16 +101,21 @@ seed = 31
 }
 
 # taken from the code before local_steps became the one place that picks the
-# step form. run-default: 4 rounds of the run and 4 of its L1 pilot; a
-# "clip_passes_k" entry counts the clips that took k norm passes
+# step form, and the noise counts from the code that first drew in chunks.
+# run-default: 4 rounds of the run and 4 of its L1 pilot; a "clip_passes_k"
+# entry counts the clips that took k norm passes. A run draws its noise with
+# one unit_noise call per repeat per chunk of rounds: 4 rounds are one chunk
+# of run-default's and run-many-clients' shapes, but 4 chunks of run-wide's,
+# whose worker threads draw the last 3
 WORK_COUNTS = {
     "run-default": dict(local_steps_calls=8, client_update_calls=8, aggregate_calls=12,
                         clip_passes_1=25, clip_passes_2=15,
-                        run_noise_calls=80, run_noise_values=4800),
+                        run_noise_calls=20, run_noise_values=4800),
     "run-many-clients": dict(local_steps_calls=4, client_update_calls=4, aggregate_calls=8,
-                             clip_passes_2=4, run_noise_calls=20, run_noise_values=12000),
+                             clip_passes_2=4, run_noise_calls=5, run_noise_values=12000),
     "run-wide": dict(local_steps_calls=4, client_update_calls=4, aggregate_calls=8,
-                     clip_passes_2=20, run_noise_calls=40, run_noise_values=160000),
+                     clip_passes_2=20, run_noise_calls=40, run_noise_values=160000,
+                     threads_started=3),
     # no engine call: validate draws its pool noise in the harness
     "validate-gaussian": dict(validate_noise_calls=100, validate_noise_values=2000000),
 }
@@ -133,8 +140,15 @@ def _counting(monkeypatch):
     count(PaddedShards, "local_steps", "local_steps")
     count(engine, "client_update", "client_update")
     count(engine, "aggregate", "aggregate")
-    count(engine, "sample_noise", "run_noise", drawn=True)
+    count(engine, "unit_noise", "run_noise", drawn=True)
     count(harness, "sample_noise", "validate_noise", drawn=True)
+
+    class Counted(threading.Thread):
+        def start(self):
+            counts["threads_started"] += 1
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
     clip = engine.clip_gradient
 
     def clip_gradient(g, zeta, norm_kind, row_norms):
@@ -163,3 +177,26 @@ def test_bench_shapes_do_the_pinned_work(shape, tmp_path, monkeypatch):
     else:
         cmd_run(config, tmp_path / "out", quiet=True)
     assert dict(counts) == WORK_COUNTS[shape]
+
+
+# the benchmark's own round counts: run-default's 100 rounds are chunks of 54
+# and 46, run-many-clients' are 4 chunks of 21 and one of 16, and every one of
+# run-wide's 50 rounds is a chunk, since its 10 x 20 x 200 values per round
+# pass half of engine.NOISE_CHUNK_ELEMENTS
+BENCH_ROUNDS = {"run-default": 100, "run-many-clients": 100, "run-wide": 50}
+BENCH_NOISE_COUNTS = {
+    "run-default": dict(run_noise_calls=40, run_noise_values=120000, threads_started=1),
+    "run-many-clients": dict(run_noise_calls=25, run_noise_values=300000, threads_started=4),
+    "run-wide": dict(run_noise_calls=500, run_noise_values=2000000, threads_started=49),
+}
+
+
+@pytest.mark.parametrize("shape", BENCH_ROUNDS)
+def test_bench_shapes_draw_their_noise_in_the_pinned_chunks(shape, tmp_path, monkeypatch):
+    config = tmp_path / "work.cfg"
+    config.write_text(WORK_SHAPES[shape].replace(
+        "global_iters = 4", f"global_iters = {BENCH_ROUNDS[shape]}"))
+    counts = _counting(monkeypatch)
+    cmd_run(config, tmp_path / "out", quiet=True)
+    noise = {key: counts[key] for key in BENCH_NOISE_COUNTS[shape]}
+    assert noise == BENCH_NOISE_COUNTS[shape]
