@@ -17,9 +17,9 @@ repeat's bits independent of R are chosen in one place,
 ``PaddedShards.local_steps``. Repeat r takes each round's (b, p) noise block
 as the next unit draw of its own stream, ``mechanisms.noise_stream(seed + r)``,
 built once per run, times the round's scale. The draws of a chunk of rounds
-are one call per repeat, made on a worker thread while the rounds before
-them step; they are the values of one draw per round. Aggregation
-(``aggregate``) is one reduction per repeat in a fixed order, and the
+are one call per repeat, made on the run's one worker thread while the
+rounds before them step; they are the values of one draw per round.
+Aggregation (``aggregate``) is one reduction per repeat in a fixed order, and the
 per-round metrics (the p x p pooled loss, y_k and the noise norm) take one
 dot product per repeat. Every repeat is bitwise the
 same whether it runs alone or in a block. The L1 pilot that measures the
@@ -30,7 +30,7 @@ kernel is tested against live in ``reference``, which nothing here imports.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -348,12 +348,12 @@ class _NoiseChunks:
     span per-round (b, p) draws. A chunk is one round-major (span, A, b, p)
     block, so a round's noise is a slice of it, scaled in place. Chunk 0 is
     drawn on the calling thread. When a chunk is taken, the next one is
-    allocated for the repeats active then and filled on a new thread, which
-    is joined when the chunk's first round comes: each stream is read by one
-    thread at a time, in order, at most the current and the next chunk are
-    held, and the worker calls nothing but ``unit_noise``. ``close`` joins a
-    worker still drawing; an exception the worker raised is raised again by
-    the round that joins it.
+    allocated for the repeats active then and handed to the run's one worker
+    thread, whose result the chunk's first round waits for: each stream is
+    read by one thread at a time, in order, at most the current and the next
+    chunk are held, and the worker calls nothing but ``unit_noise``.
+    ``close`` waits for a chunk still drawing and stops the worker; an
+    exception the worker raised is raised again by the round that waits for it.
     """
 
     def __init__(self, config: FederationConfig, data: PaddedShards, seeds: list[int]):
@@ -362,48 +362,34 @@ class _NoiseChunks:
         self.span = max(1, NOISE_CHUNK_ELEMENTS // (len(seeds) * config.pool_size * data.dim))
         self.start = self.stop = 0  # the rounds of the chunk held
         self.chunk: tuple[list[int], np.ndarray] = ([], np.empty(0))  # its repeats and block
-        self.worker: tuple[threading.Thread, tuple, list] | None = None
+        self.worker = ThreadPoolExecutor(max_workers=1)  # starts its thread on first use
+        self.next: Future | None = None  # the next chunk, while the worker draws it
 
     def _empty(self, start: int, repeats: list[int]) -> tuple[list[int], np.ndarray]:
         span = min(self.span, self.config.global_iters - start)
         return repeats, np.empty((span, len(repeats), self.config.pool_size, self.data.dim))
 
-    def _fill(self, chunk: tuple[list[int], np.ndarray]) -> None:
+    def _fill(self, chunk: tuple[list[int], np.ndarray]) -> tuple[list[int], np.ndarray]:
         repeats, block = chunk
         for a, r in enumerate(repeats):
             block[:, a] = unit_noise(self.config.mechanism.kind, self.streams[r],
                                      block[:, a].shape)
-
-    def _work(self, chunk: tuple[list[int], np.ndarray], error: list) -> None:
-        try:
-            self._fill(chunk)
-        except BaseException as exc:  # raised again by the joining thread
-            error.append(exc)
+        return chunk
 
     def close(self) -> None:
-        """Join the worker, if one is drawing, and drop what it drew."""
-        if self.worker is not None:
-            self.worker[0].join()
-            self.worker = None
+        """Wait for the worker, if it is drawing, and stop its thread."""
+        self.worker.shutdown()
 
     def take(self, t: int, active: list[int]) -> np.ndarray:
         """Round t's (A, b, p) noise block, row a for repeat ``active[a]``; t counts up by one."""
         if t == self.stop:
-            if self.worker is None:
-                self.chunk = self._empty(t, active)
-                self._fill(self.chunk)
+            if self.next is None:
+                self.chunk = self._fill(self._empty(t, active))
             else:
-                _, chunk, error = self.worker
-                self.close()
-                if error:
-                    raise error[0]
-                self.chunk = chunk
+                self.chunk = self.next.result()
             self.start, self.stop = t, t + len(self.chunk[1])
-            if self.stop < self.config.global_iters:
-                chunk, error = self._empty(self.stop, active), []
-                thread = threading.Thread(target=self._work, args=(chunk, error))
-                thread.start()
-                self.worker = (thread, chunk, error)
+            self.next = (self.worker.submit(self._fill, self._empty(self.stop, active))
+                         if self.stop < self.config.global_iters else None)
         repeats, block = self.chunk
         noise = block[t - self.start]
         if len(active) < len(repeats):
@@ -463,13 +449,14 @@ def _run_block(
     repeat whose local steps or aggregate leave PARAM_LIMIT in round t is
     marked diverged and leaves the block at the end of round t, keeping its
     records and parameters up to round t - 1. Round t's noise is the next
-    block of each active repeat's stream, drawn a chunk of rounds ahead on a
-    worker thread while the rounds before it step (``_NoiseChunks``); the
-    worker is joined before the block returns, however it ends. A noise-free
-    run builds no noise stream, no noise block and no calibration context,
-    starts no thread, and records a noise norm of 0.0. ``on_grad`` sees each
-    round's stack of clipped gradients (see ``client_update``); with
-    ``records`` false the runs keep no round records.
+    block of each active repeat's stream, drawn a chunk of rounds ahead on
+    the block's one worker thread while the rounds before it step
+    (``_NoiseChunks``); the worker is stopped before the block returns,
+    however it ends. A noise-free run builds no noise stream, no noise
+    block and no calibration context, starts no thread, and records a noise
+    norm of 0.0. ``on_grad`` sees each round's stack of clipped gradients
+    (see ``client_update``); with ``records`` false the runs keep no round
+    records.
     """
     dim = data.dim
     theta_0 = _initial_theta(config, dim)

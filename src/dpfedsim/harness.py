@@ -10,6 +10,7 @@ import copy
 import dataclasses
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -41,9 +42,7 @@ from .mechanisms import (
     noise_item_variance,
     sample_noise,
 )
-from .regression import (
-    CHUNK_ELEMENTS, ConfigError, PaddedShards, ProblemConstants, problem_constants,
-)
+from .regression import ConfigError, PaddedShards, ProblemConstants, problem_constants
 
 __all__ = [
     "Experiment",
@@ -577,16 +576,31 @@ class ValidationReport:
         return out
 
 
-def _simulate_noise_aggregates(
-    exp: Experiment, draws: int, rng: np.random.Generator
-) -> float:
+# the noise values of one slice of a pool's draws: 2 MB, whatever the worker count
+VALIDATE_SLICE_ELEMENTS = 2**18
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on (``os.cpu_count()`` where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _simulate_noise_aggregates(exp: Experiment, draws: int) -> float:
     """Mean ||w_t^b||^2 over independent pool aggregations, cycling the pools.
 
-    The squared norms are summed in blocks of at most CHUNK_ELEMENTS noise
-    elements. A block's noise is drawn in row slices no larger than its
-    (block, p) aggregate array, so the working set is that array plus one
-    slice. The stream is read in C order either way, so every byte equals one
-    draw per block.
+    Pool t takes draws // n_pools aggregations from its own stream, the
+    PCG64 generator of the ``SeedSequence((seed, draws))`` child with spawn
+    key (t,). It draws them in slices of VALIDATE_SLICE_ELEMENTS // (b p)
+    rows (at least one) and sums each slice's squared aggregates; the pool
+    totals are added in pool order. So the mean depends only on the seed,
+    the draw count and the config, not on how many threads draw it. The
+    pools run on min(n_pools, CPUs) threads (numpy's fills release the
+    GIL), and a thread's working set is one slice and its (rows, p)
+    aggregate: 2.2 MB at b = 10, p = 20, so 4.4 MB on 2 CPUs. A pool's
+    exception is raised again here, once the pools not yet started are
+    cancelled and every thread has stopped.
     """
     cfg = exp.config
     ctx = _round0_context(exp)
@@ -595,29 +609,32 @@ def _simulate_noise_aggregates(
     per_pool = draws // n_pools
     if per_pool < 1:
         raise ConfigError("draws must be at least the number of round-robin pools")
+    rows = max(1, min(per_pool, VALIDATE_SLICE_ELEMENTS // (cfg.pool_size * ctx.p)))
 
-    block = max(1, min(per_pool, CHUNK_ELEMENTS // (cfg.pool_size * ctx.p)))
-    rows = max(1, block // cfg.pool_size)
-    agg = np.empty((block, ctx.p))
-    total = 0.0
-    count = 0
-    for t in range(n_pools):
+    def pool_total(t: int) -> float:
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, draws), spawn_key=(t,)))
         weights = (cfg.n_clients / cfg.pool_size) * exp.dataset.weights[
             pool_slice(t, cfg.n_clients, cfg.pool_size)
         ]
-        left = per_pool
-        while left > 0:
-            m = min(block, left)
-            for lo in range(0, m, rows):
-                hi = min(lo + rows, m)
-                # the slice is freed when einsum returns, before the next draw
-                np.einsum("dbp,b->dp", sample_noise(mech, ctx, rng, (hi - lo, cfg.pool_size)),
-                          weights, out=agg[lo:hi])
-            squares = np.square(agg[:m], out=agg[:m])
-            total += float(np.sum(squares))
-            count += m
-            left -= m
-    return total / count
+        agg = np.empty((rows, ctx.p))
+        total = 0.0
+        for lo in range(0, per_pool, rows):
+            m = min(rows, per_pool - lo)
+            # the slice is freed when einsum returns, before the next draw
+            np.einsum("dbp,b->dp", sample_noise(mech, ctx, rng, (m, cfg.pool_size)), weights,
+                      out=agg[:m])
+            total += float(np.sum(np.square(agg[:m], out=agg[:m])))
+        return total
+
+    workers = ThreadPoolExecutor(max_workers=min(n_pools, _cpu_count()))
+    try:
+        pools = [workers.submit(pool_total, t) for t in range(n_pools)]
+        total = 0.0
+        for pool in pools:
+            total += pool.result()
+    finally:
+        workers.shutdown(cancel_futures=True)
+    return total / (per_pool * n_pools)
 
 
 def cmd_validate(
@@ -654,8 +671,7 @@ def cmd_validate(
             raise ConfigError(
                 "the predicted noise variance overflows to inf, so no relative error exists"
             )
-        rng = np.random.default_rng(np.random.SeedSequence((exp.config.seed, draws)))
-        empirical = _simulate_noise_aggregates(exp, draws, rng)
+        empirical = _simulate_noise_aggregates(exp, draws)
         rel_exact = abs(empirical - exact) / exact
         rel_paper = abs(empirical - paper) / paper
         report = ValidationReport(

@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -513,67 +515,119 @@ def test_validate_rejects_tiny_draw_count(tmp_path):
         cmd_validate(write(tmp_path, SMALL_TASK), draws=100, quiet=True)
 
 
-def _one_draw_per_block(exp, draws, rng):
-    # reference: the whole (m, b, p) noise of a summation block in one draw
+def _one_draw_per_pool(exp, draws):
+    # reference: the whole (per_pool, b, p) noise of a pool in one draw on the
+    # pool's child stream of SeedSequence((seed, draws)), its squares summed
+    # in the slices validate sums them in
     cfg = exp.config
     ctx = harness._round0_context(exp)
     n_pools = cfg.n_clients // cfg.pool_size
     per_pool = draws // n_pools
-    block = max(1, min(per_pool, harness.CHUNK_ELEMENTS // (cfg.pool_size * ctx.p)))
+    rows = max(1, min(per_pool, harness.VALIDATE_SLICE_ELEMENTS // (cfg.pool_size * ctx.p)))
     total = 0.0
-    count = 0
     for t in range(n_pools):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, draws), spawn_key=(t,)))
         weights = (cfg.n_clients / cfg.pool_size) * exp.dataset.weights[
             pool_slice(t, cfg.n_clients, cfg.pool_size)
         ]
-        left = per_pool
-        while left > 0:
-            m = min(block, left)
-            w = sample_noise(cfg.mechanism, ctx, rng, (m, cfg.pool_size))
-            agg = np.einsum("dbp,b->dp", w, weights)
-            total += float(np.sum(agg**2))
-            count += m
-            left -= m
-    return total / count
+        w = sample_noise(cfg.mechanism, ctx, rng, (per_pool, cfg.pool_size))
+        squares = np.einsum("dbp,b->dp", w, weights) ** 2
+        pool_total = 0.0
+        for lo in range(0, per_pool, rows):
+            pool_total += float(np.sum(squares[lo:lo + rows]))
+        total += pool_total
+    return total / (per_pool * n_pools)
+
+
+def _pools_task(tmp_path, mechanism, clients=6):
+    # b = 3, p = 4, and T_g = 6 rounds divide among 6 or 9 clients
+    body = (SMALL_TASK.replace("clients = 8\npool_size = 4", f"clients = {clients}\npool_size = 3")
+            .replace("global_iters = 20", "global_iters = 6"))
+    body += f"\n[dp]\nmechanism = {mechanism}\nepsilon = 1.0\n"
+    return write(tmp_path, body)
 
 
 @pytest.mark.parametrize("mechanism", ["laplace", "gaussian"])
-@pytest.mark.parametrize("chunk", [24, 120])
-def test_sliced_noise_draws_equal_one_draw_per_block(tmp_path, monkeypatch, mechanism, chunk):
-    # b=3, p=4: chunk 120 gives 10-row blocks drawn in 3-row slices (3+3+3+1),
-    # chunk 24 gives 2-row blocks drawn in 1-row slices; 47 draws per pool
-    # leave a ragged last block either way
-    body = SMALL_TASK.replace("clients = 8\npool_size = 4", "clients = 6\npool_size = 3")
-    body += f"\n[dp]\nmechanism = {mechanism}\nepsilon = 1.0\n"
-    exp = build_experiment(parse_config(write(tmp_path, body)))
-    monkeypatch.setattr("dpfedsim.harness.CHUNK_ELEMENTS", chunk)
-    got = harness._simulate_noise_aggregates(exp, 94, np.random.default_rng(5))
-    want = _one_draw_per_block(exp, 94, np.random.default_rng(5))
+@pytest.mark.parametrize("slice_elements", [24, 120])
+def test_sliced_noise_draws_equal_one_draw_per_pool(tmp_path, monkeypatch, mechanism,
+                                                    slice_elements):
+    # b=3, p=4: 120 values are 10-row slices (4 of 10 and one of 7), 24 are
+    # 2-row slices; 47 draws per pool leave a ragged last slice either way
+    exp = build_experiment(parse_config(_pools_task(tmp_path, mechanism)))
+    monkeypatch.setattr(harness, "VALIDATE_SLICE_ELEMENTS", slice_elements)
+    got = harness._simulate_noise_aggregates(exp, 94)
+    want = _one_draw_per_pool(exp, 94)
     assert got == want
 
 
-def test_validate_holds_one_noise_slice_not_a_noise_block(tmp_path):
-    # b=10, p=20 and 10^4 draws per pool: 10^4-row blocks, whose (m, b, p) noise
-    # is 16 MB. tracemalloc sees numpy's data allocations. One draw per block
-    # peaked at 2.10x that block (the last block still bound while the next is
-    # drawn, plus the aggregate); a (block, p) aggregate and one 10^3-row slice
-    # peak at 0.20x.
+@pytest.mark.parametrize("mechanism", ["laplace", "gaussian"])
+def test_validate_mean_does_not_depend_on_the_worker_count(tmp_path, monkeypatch, mechanism):
+    # 3 pools on 1, 2 (one worker takes two pools) and 3 workers, in slices of
+    # 2 rows, switching threads every microsecond, so each pool's draws
+    # interleave with the other workers'
+    exp = build_experiment(parse_config(_pools_task(tmp_path, mechanism, clients=9)))
+    monkeypatch.setattr(harness, "VALIDATE_SLICE_ELEMENTS", 24)
+    means = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+            means.append(harness._simulate_noise_aggregates(exp, 3 * 501))
+    finally:
+        sys.setswitchinterval(interval)
+    assert means[0] == means[1] == means[2] == _one_draw_per_pool(exp, 3 * 501)
+
+
+@pytest.mark.parametrize("failing_call", [1, 4, 9])
+def test_a_noise_worker_out_of_memory_is_one_error_line(
+        tmp_path, capsys, monkeypatch, failing_call):
+    # 3 pools of 10^4 / 3 draws on 2 workers, 10 rows a slice: the k-th slice
+    # drawn, in whichever worker, fails as numpy's allocator would
+    before = threading.active_count()
+    draw = harness.sample_noise
+    calls = itertools.count(1)
+
+    def fail_once(*args):
+        if next(calls) == failing_call:
+            raise MemoryError("Unable to allocate 2.00 MiB")
+        return draw(*args)
+
+    monkeypatch.setattr(harness, "sample_noise", fail_once)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "VALIDATE_SLICE_ELEMENTS", 120)
+    path = _pools_task(tmp_path, "laplace", clients=9)
+    code = cli_main(["validate", "--config", str(path), "--draws", str(10**4), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: out of memory: Unable to allocate 2.00 MiB"]
+    assert threading.active_count() == before
+
+
+def test_validate_holds_one_noise_slice_per_worker_not_a_noise_block(tmp_path, monkeypatch):
+    # b=10, p=20 and 10^4 draws per pool, on 2 workers: one draw per pool would
+    # be a 16 MB (10^4, b, p) block. tracemalloc sees numpy's data allocations
+    # on every thread. A worker holds one slice of 2^18 // (b p) = 1310 rows
+    # (2.1 MB) and its (1310, p) aggregate; the two workers peaked at 1.009x
+    # that pair, 0.29x the block.
     body = (
         "[federation]\nclients = 100\npool_size = 10\nclip_threshold = 2\nclip_norm = l2\n"
         "[dp]\nmechanism = gaussian\nepsilon = 8\ndelta = 1e-4\n[data]\nfeatures = 19\n"
     )
     exp = build_experiment(parse_config(write(tmp_path, body)))
-    harness._simulate_noise_aggregates(exp, 10**3, np.random.default_rng(0))  # first-use allocations
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    harness._simulate_noise_aggregates(exp, 10**4)  # first-use allocations
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        harness._simulate_noise_aggregates(exp, 10**5, np.random.default_rng(0))
+        harness._simulate_noise_aggregates(exp, 10**5)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    noise_block = 10**4 * 10 * 20 * 8
-    assert peak < noise_block
+    rows = harness.VALIDATE_SLICE_ELEMENTS // (10 * 20)
+    one_worker = (rows * 10 * 20 + rows * 20) * 8
+    assert peak < 2.1 * one_worker < 10**4 * 10 * 20 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -208,12 +208,16 @@ def test_one_unit_draw_of_several_rounds_is_their_draws_in_turn(kind):
 
 @pytest.mark.parametrize("seed", [0, 31, 2**32 + 5])
 def test_noise_stream_shares_no_word_with_the_data_or_validate_streams(seed):
-    # the data builders draw from default_rng(seed), validate from
-    # SeedSequence((seed, draws)) with draws >= 10^4
-    words = noise_stream(seed).bit_generator.random_raw(256)
-    for other in (np.random.default_rng(seed),
-                  np.random.default_rng(np.random.SeedSequence((seed, 10**4)))):
-        assert np.intersect1d(words, other.bit_generator.random_raw(256)).size == 0
+    # the data builders draw from default_rng(seed), and validate's pool t
+    # from the child with spawn key (t,) of SeedSequence((seed, draws)), with
+    # draws >= 10^4; no two of these streams share a word
+    pools = [np.random.default_rng(np.random.SeedSequence((seed, draws), spawn_key=(t,)))
+             for draws in (10**4, 10**6) for t in range(3)]
+    streams = [noise_stream(seed), np.random.default_rng(seed), *pools]
+    words = [stream.bit_generator.random_raw(256) for stream in streams]
+    for i, mine in enumerate(words):
+        for other in words[i + 1:]:
+            assert np.intersect1d(mine, other).size == 0
     c = ctx(p=3)
     noise = sample_noise(gaussian_spec(), c, noise_stream(seed), (4,))
     data = sample_noise(gaussian_spec(), c, np.random.default_rng(seed), (4,))
