@@ -103,7 +103,8 @@ def sorted_partition(
     extra record. The order is ``np.argsort(kind="stable")``'s, so ties keep
     their input order and the assignment is deterministic; it is taken from
     the faster default sort with only the tied keys sorted again
-    (``_stable_order``).
+    (``_stable_order``). With a bias the full rows are gathered once, with
+    ``np.take``, several times faster than fancy indexing.
     """
     if n_clients < 1:
         raise ConfigError("n_clients must be >= 1")
@@ -114,7 +115,7 @@ def sorted_partition(
     targets = records[order, -1]
     # one gather of the sorted rows: with a bias, their target column becomes the bias column
     if add_bias:
-        features = records[order]
+        features = np.take(records, order, axis=0)
         features[:, -1] = 1.0
     else:
         features = records[order, :-1]
@@ -265,45 +266,62 @@ def _plain_block(data: bytes, width: int, columns: list[int]):
     A line of exactly ``width`` non-empty cells of digits, signs, points and
     exponents goes to ``np.loadtxt`` with the others of the block; its parser
     is ``float``'s, so the values are the same bits. Every other line is read
-    on its own as ``csv.reader`` and ``float`` read it.
+    on its own as ``csv.reader`` and ``float`` read it. When none of those
+    other lines is kept, the records are loadtxt's cells, with no scatter
+    into a new array; only a pick of columns other than the first ones in
+    order copies them. When one is kept, each kept line's row is placed at
+    its rank among the kept lines.
     """
     text = _plain_text(data)
     if text is None:
         return None
     lines = text.split("\n")[:-1]
     kinds = np.frombuffer(data.translate(_BYTE_KINDS), dtype=np.uint8)
-    marks = np.flatnonzero(kinds)
+    # a boolean array's nonzero is numpy's fast path
+    marks = np.flatnonzero(kinds != 0)
     mark_kinds = kinds[marks]
-    seps = marks[mark_kinds < 3]
+    is_sep = mark_kinds < 3
+    seps = marks[is_sep]
     # the k-th line break is separator breaks[k]
-    breaks = np.flatnonzero(mark_kinds[mark_kinds < 3] == 2)
+    breaks = np.flatnonzero(mark_kinds[is_sep] == 2)
     ends = seps[breaks]
     if np.diff(ends, prepend=-1).max() > csv.field_size_limit():
         return None  # csv.reader refuses a field that long
     plain = np.diff(breaks, prepend=-1) == width
     # a byte no number has, or two adjacent separators (an empty cell or line)
-    odd = np.concatenate([marks[mark_kinds == 3], seps[1:][np.diff(seps) == 1]])
+    odd = np.concatenate([marks[~is_sep], seps[1:][np.diff(seps) == 1]])
     if kinds[0] in (1, 2):
         odd = np.append(odd, 0)
     plain[np.searchsorted(ends, odd)] = False
 
-    records = np.empty((len(lines), len(columns)))
+    k = len(columns)
+    cells = np.empty((0, k))
     if plain.any():
         try:
             cells = np.loadtxt(list(compress(lines, plain)), delimiter=",", comments=None,
                                quotechar=None, ndmin=2)
         except ValueError:
             return None  # a cell such as "1e": csv.reader's path skips its row
-        records[plain] = cells[:, columns]
-    kept = plain.copy()
+        # the first columns in order are a view, any other pick a copy
+        cells = cells[:, :k] if columns == list(range(k)) else cells[:, columns]
     pick = _cell_picker(columns)
+    salvaged, at = [], []
     for i in np.flatnonzero(~plain).tolist():
         try:
-            records[i] = tuple(map(float, pick(lines[i].split(",") if lines[i] else [])))
+            salvaged.append(tuple(map(float, pick(lines[i].split(",") if lines[i] else []))))
         except (ValueError, IndexError):
             continue
-        kept[i] = True
-    return records[kept], len(lines) - int(np.count_nonzero(kept))
+        at.append(i)
+    if not salvaged:
+        return cells, len(lines) - len(cells)
+    # each kept line's row is its rank among the kept lines
+    kept = plain.copy()
+    kept[at] = True
+    rank = np.cumsum(kept) - 1
+    records = np.empty((len(cells) + len(salvaged), k))
+    records[rank[plain]] = cells
+    records[rank[at]] = salvaged
+    return records, len(lines) - len(records)
 
 
 def _read_plain(path, target_column, feature_columns):
@@ -361,6 +379,8 @@ def load_csv(
 
     A plain file (no quotes or carriage returns) is parsed in bulk, block by
     block; any other goes through ``csv.reader``. Both give the same bytes.
+    The shuffle is one full-row gather with ``np.take``, several times faster
+    than fancy indexing.
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ConfigError("train_fraction must lie in (0, 1]")
@@ -375,6 +395,6 @@ def load_csv(
         raise ConfigError(f"{path}: no numeric rows after filtering")
 
     perm = default_rng(seed).permutation(records.shape[0])
-    records = records[perm]
+    records = np.take(records, perm, axis=0)
     n_train = int(round(train_fraction * records.shape[0]))
     return records[:n_train], records[n_train:]

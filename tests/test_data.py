@@ -649,3 +649,31 @@ def test_plain_reader_matches_csv_reader(tmp_path, body):
 def test_only_plain_files_take_the_bulk_parser(tmp_path, body, plain):
     path = write_csv(tmp_path, body)
     assert (data_module._read_plain(path, "y", None) is not None) == plain
+
+
+# salvaged lines (a cell float() reads but numpy's parser does not) before,
+# between and after plain ones, a skipped line, and a non-number in column c
+MIXED_BODY = ("a,b,c,y\n 3 ,1,2,3\n1,2,3,4\n1_0,5,6,7\n4,5,6,7\n,1,2,3\n8,9,x,11\n"
+              "8,9,10,11\n1, 3 ,2,1_0\n")
+# no plain line at all: in one block, a block of only salvaged and skipped lines
+NONPLAIN_BODY = "a,b,c,y\n 3 ,1,2,3\n1_0,5,6,7\n,1,2,3\n1, 3 ,2,1_0\n"
+
+
+@pytest.mark.parametrize("block", [4, 1 << 20])
+@pytest.mark.parametrize("body", [MIXED_BODY, NONPLAIN_BODY], ids=["mixed", "no-plain-line"])
+@pytest.mark.parametrize("target,features", [
+    ("a", None),
+    ("y", ["c", "a", "b"]),
+    ("y", ["b"]),
+    ("c", ["a", "b"]),
+    ("y", None),
+], ids=["target-first", "reordered-features", "feature-subset", "first-columns", "in-order"])
+def test_plain_reader_matches_csv_reader_on_a_column_selection(tmp_path, body, block, target,
+                                                              features):
+    path = write_csv(tmp_path, body)
+    expected = data_module._read_rows(path, target, features)
+    with mock.patch.object(data_module, "_PLAIN_BLOCK_BYTES", block):
+        got = data_module._read_plain(path, target, features)
+    assert got is not None
+    assert got[0].tobytes() == expected[0].tobytes() and got[0].shape == expected[0].shape
+    assert got[1:] == expected[1:]

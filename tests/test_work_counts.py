@@ -5,7 +5,8 @@ shard size, features, clip norm and mechanism) for a few rounds through the
 CLI drivers, and counts the work the program does through entry points that
 a restructure of the kernel keeps: local-step states built, dual-form K_l
 builds, norm passes per clip, noise draws and the threads that make them,
-client updates and aggregations. The counts are exact integers, but for the
+client updates and aggregations; and, for a CSV read, the bulk parser's
+calls and the row-by-row reader's. The counts are exact integers, but for the
 threads validate starts, which depend on timing (see
 ``test_bench_shapes_do_the_pinned_work``); a change that alters one states
 so where it is made.
@@ -13,9 +14,11 @@ so where it is made.
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from dpfedsim import engine, harness
+from dpfedsim import data, engine, harness
+from dpfedsim.data import load_csv
 from dpfedsim.harness import cmd_run, cmd_validate
 from dpfedsim.regression import PaddedShards, _DualSteps
 
@@ -155,6 +158,8 @@ def _counting(monkeypatch):
     count(engine, "aggregate", "aggregate")
     count(engine, "unit_noise", "run_noise", drawn=True)
     count(harness, "sample_noise", "validate_noise", drawn=True)
+    count(np, "loadtxt", "loadtxt")
+    count(data, "_read_rows", "read_rows")
 
     class Counted(threading.Thread):
         def start(self):
@@ -218,3 +223,31 @@ def test_bench_shapes_draw_their_noise_in_the_pinned_chunks(shape, tmp_path, mon
     cmd_run(config, tmp_path / "out", quiet=True)
     noise = {key: counts[key] for key in BENCH_NOISE_COUNTS[shape]}
     assert noise == BENCH_NOISE_COUNTS[shape]
+
+
+# a plain 6-column CSV of 5500 rows, like the run-many-clients input: about 1%
+# of the rows have one blank or n/a cell, and the file spans 3 read blocks
+INGEST_ROWS = 5500
+# one np.loadtxt call per block and no read_rows call: the csv.reader stream
+# reads the same records about twice as slowly
+INGEST_COUNTS = dict(loadtxt_calls=3)
+
+
+def _plain_csv(path):
+    rng = np.random.default_rng(31)
+    lines = [",".join(f"{v:.6f}" for v in row) for row in rng.standard_normal((INGEST_ROWS, 6))]
+    for row in np.flatnonzero(rng.random(INGEST_ROWS) < 0.01).tolist():
+        cells = lines[row].split(",")
+        cells[rng.integers(6)] = rng.choice(["", "n/a"])
+        lines[row] = ",".join(cells)
+    path.write_text("x1,x2,x3,x4,x5,y\n" + "\n".join(lines) + "\n")
+    return path
+
+
+def test_a_plain_csv_is_read_in_one_bulk_parse_per_block(tmp_path, monkeypatch):
+    path = _plain_csv(tmp_path / "input.csv")
+    assert 2 * data._PLAIN_BLOCK_BYTES < path.stat().st_size <= 3 * data._PLAIN_BLOCK_BYTES
+    counts = _counting(monkeypatch)
+    with pytest.warns(UserWarning, match="skipped 46 rows"):
+        load_csv(path, "y", seed=31)
+    assert dict(counts) == INGEST_COUNTS
