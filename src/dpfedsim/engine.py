@@ -18,7 +18,9 @@ repeat's bits independent of R are chosen in one place,
 as the next unit draw of its own stream, ``mechanisms.noise_stream(seed + r)``,
 built once per run, times the round's scale. The draws of a chunk of rounds
 are one call per repeat, made on the run's one worker thread while the
-rounds before them step; they are the values of one draw per round.
+rounds before them step; they are the values of one draw per round. A
+repeat that diverges reads on in its stream until the block ends, so no
+other repeat's draws move.
 Aggregation (``aggregate``) is one reduction per repeat in a fixed order, and the
 per-round metrics (the p x p pooled loss, y_k and the noise norm) take one
 dot product per repeat. Every repeat is bitwise the
@@ -30,7 +32,8 @@ kernel is tested against live in ``reference``, which nothing here imports.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -340,62 +343,41 @@ def client_update(
     return block, ok
 
 
-class _NoiseChunks:
-    """Each round's (A, b, p) noise of the A active repeats, drawn a chunk of rounds ahead.
+def _unit_noise_rounds(
+    config: FederationConfig, data: PaddedShards, seeds: list[int]
+) -> Iterator[np.ndarray]:
+    """Yield each round's (R, b, p) unit noise of the R repeats, drawn a chunk of rounds ahead.
 
     Repeat r's stream, ``noise_stream(seeds[r])``, draws the unit noise of a
     chunk of rounds in one (span, b, p) ``unit_noise`` call: the values of
-    span per-round (b, p) draws. A chunk is one round-major (span, A, b, p)
-    block, so a round's noise is a slice of it, scaled in place. Chunk 0 is
-    drawn on the calling thread. When a chunk is taken, the next one is
-    allocated for the repeats active then and handed to the run's one worker
-    thread, whose result the chunk's first round waits for: each stream is
-    read by one thread at a time, in order, at most the current and the next
-    chunk are held, and the worker calls nothing but ``unit_noise``.
-    ``close`` waits for a chunk still drawing and stops the worker; an
-    exception the worker raised is raised again by the round that waits for it.
+    span per-round (b, p) draws. A chunk is one round-major (span, R, b, p)
+    block for all R repeats, so a round's noise is a view of it, and a
+    repeat that has diverged just reads on in its own stream. Chunk 0 is
+    drawn on the calling thread; each later chunk is handed to one worker
+    thread when the chunk before it is taken, and its first round waits for
+    it. So each stream is read by one thread at a time, in order, at most
+    the current and the next chunk are held, and the worker calls nothing
+    but ``unit_noise``. Closing the generator waits for a chunk still
+    drawing and stops the worker; an exception the worker raised is raised
+    again by the round that waits for it.
     """
+    kind, rounds = config.mechanism.kind, config.global_iters
+    streams = [noise_stream(seed) for seed in seeds]
+    span = max(1, NOISE_CHUNK_ELEMENTS // (len(seeds) * config.pool_size * data.dim))
 
-    def __init__(self, config: FederationConfig, data: PaddedShards, seeds: list[int]):
-        self.config, self.data = config, data
-        self.streams = [noise_stream(seed) for seed in seeds]
-        self.span = max(1, NOISE_CHUNK_ELEMENTS // (len(seeds) * config.pool_size * data.dim))
-        self.start = self.stop = 0  # the rounds of the chunk held
-        self.chunk: tuple[list[int], np.ndarray] = ([], np.empty(0))  # its repeats and block
-        self.worker = ThreadPoolExecutor(max_workers=1)  # starts its thread on first use
-        self.next: Future | None = None  # the next chunk, while the worker draws it
+    def chunk(start: int) -> np.ndarray:
+        block = np.empty((min(span, rounds - start), len(seeds), config.pool_size, data.dim))
+        for r, stream in enumerate(streams):
+            block[:, r] = unit_noise(kind, stream, block[:, r].shape)
+        return block
 
-    def _empty(self, start: int, repeats: list[int]) -> tuple[list[int], np.ndarray]:
-        span = min(self.span, self.config.global_iters - start)
-        return repeats, np.empty((span, len(repeats), self.config.pool_size, self.data.dim))
-
-    def _fill(self, chunk: tuple[list[int], np.ndarray]) -> tuple[list[int], np.ndarray]:
-        repeats, block = chunk
-        for a, r in enumerate(repeats):
-            block[:, a] = unit_noise(self.config.mechanism.kind, self.streams[r],
-                                     block[:, a].shape)
-        return chunk
-
-    def close(self) -> None:
-        """Wait for the worker, if it is drawing, and stop its thread."""
-        self.worker.shutdown()
-
-    def take(self, t: int, active: list[int]) -> np.ndarray:
-        """Round t's (A, b, p) noise block, row a for repeat ``active[a]``; t counts up by one."""
-        if t == self.stop:
-            if self.next is None:
-                self.chunk = self._fill(self._empty(t, active))
-            else:
-                self.chunk = self.next.result()
-            self.start, self.stop = t, t + len(self.chunk[1])
-            self.next = (self.worker.submit(self._fill, self._empty(self.stop, active))
-                         if self.stop < self.config.global_iters else None)
-        repeats, block = self.chunk
-        noise = block[t - self.start]
-        if len(active) < len(repeats):
-            noise = noise[np.isin(repeats, active)]
-        noise *= noise_scale(self.config.mechanism, noise_context(self.config, self.data, t))
-        return noise
+    block = chunk(0)
+    with ThreadPoolExecutor(max_workers=1) as worker:  # starts its thread on first submit
+        for start in range(span, rounds, span):
+            ahead = worker.submit(chunk, start)
+            yield from block
+            block = ahead.result()
+        yield from block
 
 
 def noise_context(config: FederationConfig, data: PaddedShards, t: int) -> NoiseContext:
@@ -449,13 +431,15 @@ def _run_block(
     repeat whose local steps or aggregate leave PARAM_LIMIT in round t is
     marked diverged and leaves the block at the end of round t, keeping its
     records and parameters up to round t - 1. Round t's noise is the next
-    block of each active repeat's stream, drawn a chunk of rounds ahead on
-    the block's one worker thread while the rounds before it step
-    (``_NoiseChunks``); the worker is stopped before the block returns,
-    however it ends. A noise-free run builds no noise stream, no noise
-    block and no calibration context, starts no thread, and records a noise
-    norm of 0.0. ``on_grad`` sees each round's stack of clipped gradients
-    (see ``client_update``); with ``records`` false the runs keep no round
+    block of every repeat's stream, drawn a chunk of rounds ahead on the
+    block's one worker thread while the rounds before it step
+    (``_unit_noise_rounds``); once a repeat has diverged, the active
+    repeats' rows are picked out and its stream reads on unused. The
+    generator is closed, so its worker stopped, before the block returns,
+    however it ends. A noise-free run builds no noise stream, no noise block
+    and no calibration context, starts no thread, and records a noise norm
+    of 0.0. ``on_grad`` sees each round's stack of clipped gradients (see
+    ``client_update``); with ``records`` false the runs keep no round
     records.
     """
     dim = data.dim
@@ -471,14 +455,17 @@ def _run_block(
     theta = np.tile(theta_0, (len(seeds), 1))
     n_clients, b = config.n_clients, config.pool_size
     noisy = config.mechanism.kind != "none"
-    chunks = _NoiseChunks(config, data, seeds) if noisy else None
+    noise_rounds = _unit_noise_rounds(config, data, seeds) if noisy else None
     try:
         for t in range(config.global_iters):
             pool = pool_slice(t, n_clients, b)
             weights = data.weights[pool]
 
             if noisy:
-                noise = chunks.take(t, active)
+                noise = next(noise_rounds)
+                if len(active) < len(seeds):
+                    noise = noise[active]
+                noise *= noise_scale(config.mechanism, noise_context(config, data, t))
             # a diverged repeat steps on to the round's end: silence its overflow
             with np.errstate(over="ignore", invalid="ignore"):
                 local, ok = client_update(data, pool, theta, t, config, on_grad)
@@ -528,7 +515,7 @@ def _run_block(
                     runs[r].trajectory.append(theta[i])
     finally:
         if noisy:
-            chunks.close()
+            noise_rounds.close()
 
     for i, r in enumerate(active):
         runs[r].theta = theta[i]

@@ -626,14 +626,11 @@ def _simulate_noise_aggregates(exp: Experiment, draws: int) -> float:
             total += float(np.sum(np.square(agg[:m], out=agg[:m])))
         return total
 
-    workers = ThreadPoolExecutor(max_workers=min(n_pools, _cpu_count()))
-    try:
-        pools = [workers.submit(pool_total, t) for t in range(n_pools)]
-        total = 0.0
-        for pool in pools:
-            total += pool.result()
-    finally:
-        workers.shutdown(cancel_futures=True)
+    # not sum(): from Python 3.12 it adds floats with compensation
+    total = 0.0
+    with ThreadPoolExecutor(max_workers=min(n_pools, _cpu_count())) as workers:
+        for pool in workers.map(pool_total, range(n_pools)):
+            total += pool
     return total / (per_pool * n_pools)
 
 

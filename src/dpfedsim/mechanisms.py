@@ -162,12 +162,9 @@ def noise_stream(seed: int) -> np.random.Generator:
     and it is keyed apart from ``default_rng(seed)``, the generator the data
     builders use, and from the streams ``validate`` draws on: round-robin
     pool t's is the child with spawn key (t,) of ``SeedSequence((seed,
-    draws))``, draws >= 10^4. ``validate`` runs its pools on min(pools, CPUs)
-    threads, each holding one slice of at most 2^18 values (or one (b, p)
-    row) and its aggregates, and adds their totals in pool order, so its
-    bytes do not depend on the CPU count.
-    Round t's pool takes the (t+1)-th (b, p) block of ``unit_noise`` draws
-    on it; row i of the block belongs to client (t*b mod N) + i.
+    draws))``, draws >= 10^4. Round t's pool takes the (t+1)-th (b, p)
+    block of ``unit_noise`` draws on it; row i of the block belongs to client
+    (t*b mod N) + i.
     """
     if seed < 0:
         raise ConfigError("seed must be non-negative")

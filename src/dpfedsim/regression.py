@@ -33,8 +33,8 @@ CLIP_NORMS = ("l1", "l2")
 
 # the element count that bounds a work array built over many clients or
 # repeats: the engine's chunks of repeats, counting padded lanes (``engine``),
-# validate's blocks of noise (``harness``) and the client chunks of the
-# per-shard QR (``_local_optimum_losses``). Chunking changes no byte.
+# and the client chunks of the per-shard QR (``_local_optimum_losses``).
+# Chunking changes no byte.
 CHUNK_ELEMENTS = 4_000_000
 
 # the element count that bounds the chunk of Gram matrices whose conditioning

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -602,6 +603,31 @@ def test_a_noise_worker_out_of_memory_is_one_error_line(
     assert capsys.readouterr().err.splitlines() == [
         "error: out of memory: Unable to allocate 2.00 MiB"]
     assert threading.active_count() == before
+
+
+def test_a_failed_validate_pool_cancels_the_pools_not_started(tmp_path, monkeypatch):
+    # 3 pools of 2 slices on one worker: the first slice fails and every later
+    # draw takes 50 ms. The worker may take pool 1 before the caller cancels
+    # the pools left, so at most pools 0 and 1 draw; pool 2 never starts
+    before = threading.active_count()
+    draw = harness.sample_noise
+    drawn = []
+
+    def fail_first(spec, ctx, rng, size):
+        drawn.append(rng.bit_generator.seed_seq.spawn_key)
+        if len(drawn) == 1:
+            raise MemoryError("Unable to allocate 2.00 MiB")
+        time.sleep(0.05)
+        return draw(spec, ctx, rng, size)
+
+    monkeypatch.setattr(harness, "sample_noise", fail_first)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(harness, "VALIDATE_SLICE_ELEMENTS", 120)
+    exp = build_experiment(parse_config(_pools_task(tmp_path, "laplace", clients=9)))
+    with pytest.raises(MemoryError, match="Unable to allocate"):
+        harness._simulate_noise_aggregates(exp, 3 * 20)
+    assert threading.active_count() == before
+    assert drawn[0] == (0,) and set(drawn) <= {(0,), (1,)}
 
 
 def test_validate_holds_one_noise_slice_per_worker_not_a_noise_block(tmp_path, monkeypatch):

@@ -624,39 +624,45 @@ def _chunked_config(kind, repeats, monkeypatch, span=3):
 @pytest.mark.parametrize("kind", CHUNKED)
 def test_noise_drawn_in_chunks_is_one_sample_noise_draw_per_round(kind, repeats, monkeypatch):
     cfg, data = _chunked_config(kind, repeats, monkeypatch)
-    spans, taken = [], []
-    unit, take = engine.unit_noise, engine._NoiseChunks.take
+    spans, summed = [], []
+    unit, aggregate = engine.unit_noise, engine.aggregate
 
     def counted(kind, rng, size):
         spans.append(size[0])
         return unit(kind, rng, size)
 
-    def kept(self, t, active):
-        noise = take(self, t, active)
-        taken.append((t, list(active), noise.copy()))
-        return noise
+    def kept(block, *args):
+        summed.append(block.copy())
+        return aggregate(block, *args)
 
     monkeypatch.setattr(engine, "unit_noise", counted)
-    monkeypatch.setattr(engine._NoiseChunks, "take", kept)
+    monkeypatch.setattr(engine, "aggregate", kept)
     batch = run_federation(cfg, data)
     stops = [len(run.records) if run.diverged else cfg.global_iters for run in batch.runs]
     assert 0 < batch.diverged and all(t % 3 for t in stops if t < cfg.global_iters)
     if repeats > 1:
         assert batch.diverged < repeats
-    # chunks of rounds 0-2, 3-5, 6-8 and 9; each after the first is drawn for
-    # the repeats active when the chunk before it was taken
-    want = [3] * repeats
-    for start in (3, 6, 9):
-        want += [min(3, cfg.global_iters - start)] * sum(t >= start - 3 for t in stops)
+    # chunks of rounds 0-2, 3-5, 6-8 and 9, each drawn for every repeat, a
+    # diverged one included: chunk 0 in line, and each later one once the
+    # chunk before it is taken, until the block's last round
+    want = []
+    for start in (0, 3, 6, 9):
+        if max(stops) >= start - 3:
+            want += [min(3, cfg.global_iters - start)] * repeats
     assert spans == want
 
-    # each round's block is bitwise the next sample_noise draw of the repeat's stream
-    streams = [noise_stream(cfg.seed + r) for r in range(repeats)]
-    for t, active, noise in taken:
-        ctx = engine.noise_context(cfg, data, t)
-        for row, r in zip(noise, active):
-            want = sample_noise(cfg.mechanism, ctx, streams[r], (cfg.pool_size,))
-            assert row.tobytes() == want.tobytes()
+    # a round that completes aggregates its pool's parameters, then the
+    # scaled noise of the repeats still active: each repeat's row is bitwise
+    # the next sample_noise draw of its stream
+    noises = summed[1::2]
+    assert len(noises) == max(len(run.records) for run in batch.runs)
+    for r, run in enumerate(batch.runs):
+        stream = noise_stream(cfg.seed + r)
+        for t in range(len(run.records)):
+            active = [q for q, other in enumerate(batch.runs) if len(other.records) > t]
+            ctx = engine.noise_context(cfg, data, t)
+            want = sample_noise(cfg.mechanism, ctx, stream, (cfg.pool_size,))
+            assert noises[t][active.index(r)].tobytes() == want.tobytes()
 
     monkeypatch.setattr(engine, "NOISE_CHUNK_ELEMENTS", 1)  # one round per chunk
     for got, want in zip(batch.runs, run_federation(cfg, data).runs):

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from dpfedsim import data, engine, harness
+from dpfedsim.config import parse_config
 from dpfedsim.data import load_csv
-from dpfedsim.harness import cmd_run, cmd_validate
+from dpfedsim.harness import build_experiment, cmd_run, cmd_validate, run_repeats
 from dpfedsim.regression import PaddedShards, _DualSteps
 
 # each benchmark workload's shape at 4 rounds over 2 pools (run-many-clients
@@ -199,6 +200,36 @@ def test_bench_shapes_do_the_pinned_work(shape, tmp_path, monkeypatch):
     else:
         cmd_run(config, tmp_path / "out", quiet=True)
     assert dict(counts) == WORK_COUNTS[shape]
+
+
+# np.matmul calls of one run_repeats at 4 rounds, the set-up and the L1 pilot
+# excluded, taken from the code that drew the run's noise through a cursor
+# class. Each round's metrics make 5: the pooled loss's product and four row
+# dot products (``regression._row_dots``). Beyond them, run-default's Gram form
+# takes one GEMM per local step (20 steps); run-many-clients builds the Gram
+# statistics of every client once (2), then takes one GEMM per step (4) and
+# one row dot product per L2 norm pass (8); run-wide's dual form builds each
+# pool's K_l and dual start (8), takes two GEMMs per step, one for the clip's
+# norms and one for the step (40), and forms the parameters once a round (4)
+MATMUL_COUNTS = {"run-default": 40, "run-many-clients": 34, "run-wide": 72}
+
+
+@pytest.mark.parametrize("shape", MATMUL_COUNTS)
+def test_bench_shapes_make_the_pinned_matmul_calls(shape, tmp_path, monkeypatch):
+    config = tmp_path / "work.cfg"
+    config.write_text(WORK_SHAPES[shape])
+    experiment = build_experiment(parse_config(config))
+    calls = 0
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    run_repeats(experiment)
+    assert calls == MATMUL_COUNTS[shape]
 
 
 # the benchmark's own round counts: run-default's 100 rounds are chunks of 54

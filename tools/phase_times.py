@@ -9,7 +9,9 @@ the package in this checkout's ``src`` and BLAS threads pinned to 1:
 - the dataset phases: ``load_csv`` and ``sorted_partition`` for a CSV
   workload, ``synth_regression`` for a synthetic one;
 - ``problem_constants`` on that dataset;
-- ``build_experiment`` and, for a ``run`` workload, ``run_repeats``;
+- ``build_experiment`` and, for a ``run`` workload, ``run_repeats``, or for
+  a ``validate`` workload ``_simulate_noise_aggregates`` at the workload's
+  draw count;
 - ``cli.main`` on the workload's own argv, with ``--quiet``.
 
 Each phase runs N times in a row (default 15) after one untimed call; the
@@ -39,7 +41,9 @@ from workloads import WORKLOADS, prepare  # noqa: E402
 from dpfedsim import cli  # noqa: E402
 from dpfedsim.config import parse_config  # noqa: E402
 from dpfedsim.data import load_csv, sorted_partition, synth_regression  # noqa: E402
-from dpfedsim.harness import build_experiment, run_repeats  # noqa: E402
+from dpfedsim.harness import (  # noqa: E402
+    _simulate_noise_aggregates, build_experiment, run_repeats,
+)
 from dpfedsim.regression import problem_constants  # noqa: E402
 
 BENCH_SEED = 31
@@ -78,9 +82,12 @@ def phases(workload, run_dir: Path) -> dict:
     out["problem_constants"] = lambda: problem_constants(
         dataset, np.zeros(dataset.dim), fed["clip_threshold"])
     out["build_experiment"] = lambda: build_experiment(raw)
+    experiment = build_experiment(raw)
     if workload.command == "run":
-        experiment = build_experiment(raw)
         out["run_repeats"] = lambda: run_repeats(experiment)
+    else:
+        out["_simulate_noise_aggregates"] = lambda: _simulate_noise_aggregates(
+            experiment, workload.draws)
     out["cli.main"] = lambda: cli.main([*inputs.argv, "--quiet"])
     return out
 
@@ -95,10 +102,10 @@ def main(argv=None) -> None:
         warnings.simplefilter("ignore")
         calls = phases(WORKLOADS[args.workload], Path(tmp) / "run")
         print(f"{args.workload}, seed {BENCH_SEED}, best of {args.repeats}")
-        print(f"{'phase':<20}{'min ms':>10}{'median ms':>12}")
+        print(f"{'phase':<28}{'min ms':>10}{'median ms':>12}")
         for name, call in calls.items():
             low, mid = best_of(call, args.repeats)
-            print(f"{name:<20}{low:>10.1f}{mid:>12.1f}")
+            print(f"{name:<28}{low:>10.1f}{mid:>12.1f}")
 
 
 if __name__ == "__main__":
