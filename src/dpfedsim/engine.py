@@ -20,7 +20,9 @@ built once per run, times the round's scale. The draws of a chunk of rounds
 are one call per repeat, made on the run's one worker thread while the
 rounds before them step; they are the values of one draw per round. A
 repeat that diverges reads on in its stream until the block ends, so no
-other repeat's draws move.
+other repeat's draws move. In dual form the same worker builds each round's
+pool kernel K_l = X_l X_l' one round ahead. A run with neither noise nor
+dual-form steps starts no thread.
 Aggregation (``aggregate``) is one reduction per repeat in a fixed order, and the
 per-round metrics (the p x p pooled loss, y_k and the noise norm) take one
 dot product per repeat. Every repeat is bitwise the
@@ -35,6 +37,7 @@ import math
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .mechanisms import (
 )
 from .regression import (
     CHUNK_ELEMENTS, CLIP_NORMS, LANES, ConfigError, PaddedShards, ProblemConstants, _row_dots,
-    clip_gradient, mse_gradient,
+    clip_gradient, mse_gradient, pool_kernel,
 )
 
 __all__ = [
@@ -299,26 +302,30 @@ def client_update(
     t: int,
     config: FederationConfig,
     on_grad=None,
+    kernel=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Round t's E clipped full-batch steps for every client of the pool, in every repeat.
 
     ``theta`` is the (R, p) block of the repeats' server parameters and
     ``pool`` the round's block of client ids; each client starts from its
-    repeat's row. Returns the (R, b, p) pre-noise local parameters, one row per
-    client in ascending id order, and the (R,) mask of the repeats whose
-    parameters stayed within PARAM_LIMIT after every step. A repeat that leaves
-    the limit keeps stepping with the others until the round ends, or until no
-    repeat is left within it. ``on_grad`` is given, once the steps end, the
-    (S, R, b, p) stack of the clipped gradients of the S steps taken.
+    repeat's row. Returns the (R, b, p) pre-noise local parameters, a new
+    array the caller may write, one row per client in ascending id order, and
+    the (R,) mask of the repeats whose parameters stayed within PARAM_LIMIT
+    after every step. A repeat that leaves the limit keeps stepping with the
+    others until the round ends, or until no repeat is left within it.
+    ``on_grad`` is given, once the steps end, the (S, R, b, p) stack of the
+    clipped gradients of the S steps taken.
 
-    The steps are taken by ``data.local_steps``, which chooses their form.
-    The parameters are checked after every step only when the round could
-    leave PARAM_LIMIT: a clipped step moves no entry by more than its rate
-    times zeta (1 + 1e-10), so from max|theta| + (1 + 1e-9) zeta sum(rates)
-    below the limit only the last step is checked. A check costs a pass over
-    the block, and in dual form a matrix product to form the parameters.
+    The steps are taken by ``data.local_steps``, which chooses their form;
+    ``kernel``, when given, is the pool's ``pool_kernel`` built ahead for the
+    dual form. The parameters are checked after every step only when the
+    round could leave PARAM_LIMIT: a clipped step moves no entry by more than
+    its rate times zeta (1 + 1e-10), so from max|theta| + (1 + 1e-9) zeta
+    sum(rates) below the limit only the last step is checked. A check costs a
+    pass over the block, and in dual form a matrix product to form the
+    parameters.
     """
-    steps = data.local_steps(pool, theta, config.clip.norm)
+    steps = data.local_steps(pool, theta, config.clip.norm, kernel)
     k0, last = t * config.local_iters, config.local_iters - 1
     deferred = (float(np.abs(theta).max()) + (1 + 1e-9) * config.clip.zeta
                 * sum(config.schedule.rate(k0 + i) for i in range(config.local_iters))
@@ -343,8 +350,26 @@ def client_update(
     return block, ok
 
 
+def _ahead(worker: ThreadPoolExecutor, make, keys) -> Iterator:
+    """Yield ``make(key)`` for each of ``keys`` in order, each one made ahead on ``worker``.
+
+    The first is made on the calling thread. Each later one is handed to the
+    worker before the one before it is yielded, and is waited for when the
+    generator resumes; the generator keeps no item it has yielded, so while
+    the caller holds one, the next is the only other one alive. An exception
+    the worker raised is raised again by the ``next`` that waits for it.
+    """
+    keys = iter(keys)
+    made = [make(next(keys))]
+    for key in keys:
+        ahead = worker.submit(make, key)
+        yield made.pop()
+        made.append(ahead.result())
+    yield made.pop()
+
+
 def _unit_noise_rounds(
-    config: FederationConfig, data: PaddedShards, seeds: list[int]
+    config: FederationConfig, data: PaddedShards, seeds: list[int], worker: ThreadPoolExecutor
 ) -> Iterator[np.ndarray]:
     """Yield each round's (R, b, p) unit noise of the R repeats, drawn a chunk of rounds ahead.
 
@@ -353,13 +378,13 @@ def _unit_noise_rounds(
     span per-round (b, p) draws. A chunk is one round-major (span, R, b, p)
     block for all R repeats, so a round's noise is a view of it, and a
     repeat that has diverged just reads on in its own stream. Chunk 0 is
-    drawn on the calling thread; each later chunk is handed to one worker
-    thread when the chunk before it is taken, and its first round waits for
-    it. So each stream is read by one thread at a time, in order, at most
-    the current and the next chunk are held, and the worker calls nothing
-    but ``unit_noise``. Closing the generator waits for a chunk still
-    drawing and stops the worker; an exception the worker raised is raised
-    again by the round that waits for it.
+    drawn on the calling thread; each later chunk is handed to ``worker``,
+    the run's one worker thread, when the chunk before it is taken, and its
+    first round waits for it (``_ahead``). The worker runs what it is handed
+    in order, so each stream is read by one thread at a time, in order,
+    whatever else the run hands it; at most the current and the next chunk
+    are held, and the worker calls nothing of this generator's but
+    ``unit_noise``.
     """
     kind, rounds = config.mechanism.kind, config.global_iters
     streams = [noise_stream(seed) for seed in seeds]
@@ -371,12 +396,7 @@ def _unit_noise_rounds(
             block[:, r] = unit_noise(kind, stream, block[:, r].shape)
         return block
 
-    block = chunk(0)
-    with ThreadPoolExecutor(max_workers=1) as worker:  # starts its thread on first submit
-        for start in range(span, rounds, span):
-            ahead = worker.submit(chunk, start)
-            yield from block
-            block = ahead.result()
+    for block in _ahead(worker, chunk, range(0, rounds, span)):
         yield from block
 
 
@@ -431,14 +451,18 @@ def _run_block(
     repeat whose local steps or aggregate leave PARAM_LIMIT in round t is
     marked diverged and leaves the block at the end of round t, keeping its
     records and parameters up to round t - 1. Round t's noise is the next
-    block of every repeat's stream, drawn a chunk of rounds ahead on the
-    block's one worker thread while the rounds before it step
-    (``_unit_noise_rounds``); once a repeat has diverged, the active
-    repeats' rows are picked out and its stream reads on unused. The
-    generator is closed, so its worker stopped, before the block returns,
-    however it ends. A noise-free run builds no noise stream, no noise block
-    and no calibration context, starts no thread, and records a noise norm
-    of 0.0. ``on_grad`` sees each round's stack of clipped gradients (see
+    block of every repeat's stream, drawn a chunk of rounds ahead while the
+    rounds before it step (``_unit_noise_rounds``); once a repeat has
+    diverged, the active repeats' rows are picked out and its stream reads on
+    unused. In dual form (``PaddedShards.step_form``) round t + 1's pool
+    kernel is built while round t steps, round 0's in line (``_ahead``), and
+    round t's steps take it. Both are made on the block's one worker thread,
+    which the block owns in one ``with``: the worker runs them in the order
+    they are handed over, and the block waits for it, so no thread outlives
+    the block, however it ends. A noise-free run builds no noise stream, no
+    noise block and no calibration context, and records a noise norm of
+    0.0; a run with neither noise nor dual-form steps starts no thread.
+    ``on_grad`` sees each round's stack of clipped gradients (see
     ``client_update``); with ``records`` false the runs keep no round
     records.
     """
@@ -455,8 +479,11 @@ def _run_block(
     theta = np.tile(theta_0, (len(seeds), 1))
     n_clients, b = config.n_clients, config.pool_size
     noisy = config.mechanism.kind != "none"
-    noise_rounds = _unit_noise_rounds(config, data, seeds) if noisy else None
-    try:
+    dual = data.step_form(config.clip.norm) == "dual"
+    with ThreadPoolExecutor(max_workers=1) as worker:  # starts its thread on first submit
+        noise_rounds = _unit_noise_rounds(config, data, seeds, worker) if noisy else None
+        kernels = (_ahead(worker, lambda t: pool_kernel(data.x[pool_slice(t, n_clients, b)]),
+                          range(config.global_iters)) if dual else repeat(None))
         for t in range(config.global_iters):
             pool = pool_slice(t, n_clients, b)
             weights = data.weights[pool]
@@ -468,8 +495,10 @@ def _run_block(
                 noise *= noise_scale(config.mechanism, noise_context(config, data, t))
             # a diverged repeat steps on to the round's end: silence its overflow
             with np.errstate(over="ignore", invalid="ignore"):
-                local, ok = client_update(data, pool, theta, t, config, on_grad)
-                theta_new = aggregate(local + noise if noisy else local, weights, n_clients, b)
+                local, ok = client_update(data, pool, theta, t, config, on_grad, next(kernels))
+                if noisy:
+                    local += noise
+                theta_new = aggregate(local, weights, n_clients, b)
             ok &= _within_limit(theta_new)
             if not ok.all():
                 for i in np.flatnonzero(~ok):
@@ -513,9 +542,6 @@ def _run_block(
                 )
                 if record_trajectory:
                     runs[r].trajectory.append(theta[i])
-    finally:
-        if noisy:
-            noise_rounds.close()
 
     for i, r in enumerate(active):
         runs[r].theta = theta[i]

@@ -20,6 +20,7 @@ __all__ = [
     "ProblemConstants",
     "mse_gradient",
     "clip_gradient",
+    "pool_kernel",
     "problem_constants",
 ]
 
@@ -228,6 +229,19 @@ class _RowSteps:
         return self._block
 
 
+def pool_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every client's K_l = X_l X_l' for a pool's (b, n_max, p) slice of ``PaddedShards.x``, and slack.
+
+    The slack is (p + 2 n_max + 1) eps tr(K_l), as a (b, 1) column: the
+    bound on the rounding of g'K_l g per unit ||g||^2 that ``_DualSteps``
+    tests its norms against. The product depends on the pool alone, so the
+    engine builds the next round's kernel while the current round steps.
+    """
+    kernel = np.matmul(x, x.transpose(0, 2, 1))
+    trace = kernel.reshape(len(x), -1)[:, ::x.shape[1] + 1].sum(axis=1)
+    return kernel, ((x.shape[2] + 2 * x.shape[1] + 1) * np.finfo(float).eps * trace)[:, None]
+
+
 class _DualSteps:
     """A pool's L2-clipped local steps in the span of each client's rows, for p > max(n_l).
 
@@ -235,12 +249,13 @@ class _DualSteps:
     repeat's server row, so its gradient is X_l' g_l with the dual gradient
     g_l = (2/n_l)(X_l theta - y_l) of n_max entries, and a step a_l -= eta c_l,
     with c_l the clipped g_l, moves g_l by -eta (2/n_l) K_l c_l, where
-    K_l = X_l X_l' is built once per pool. So a step costs (n_max, n_max)
-    products per client where the residual form costs two (n_max, p) ones,
-    and the parameters cost one (n_max, p) product, formed only when
-    ``params`` asks. The repeats are the rows of C-contiguous (b, L, n_max)
-    blocks, zero in the pad rows, which the clip loop reads as they are, and
-    every product is one GEMM per client over them (why: ``local_steps``).
+    K_l = X_l X_l' comes from ``pool_kernel``: passed in when built ahead,
+    else built here. So a step costs (n_max, n_max) products per client where
+    the residual form costs two (n_max, p) ones, and the parameters cost one
+    (n_max, p) product, formed only when ``params`` asks. The repeats are the
+    rows of C-contiguous (b, L, n_max) blocks, zero in the pad rows, which the
+    clip loop reads as they are, and every product is one GEMM per client
+    over them (why: ``local_steps``).
 
     ``row_norms`` gives the clip loop the L2 norms of the gradients X_l' g_l
     from K_l: g'K g is ||X'g||^2 up to a rounding of at most
@@ -250,10 +265,11 @@ class _DualSteps:
     clipped gradient's norm is at most zeta (1 + 1e-10), not at most zeta.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, scale: np.ndarray, theta: np.ndarray):
+    def __init__(self, x: np.ndarray, y: np.ndarray, scale: np.ndarray, theta: np.ndarray,
+                 kernel: tuple[np.ndarray, np.ndarray] | None = None):
         self._repeats, dim = theta.shape
         self._x = x
-        self._kernel = np.matmul(x, x.transpose(0, 2, 1))
+        self._kernel, self._slack = pool_kernel(x) if kernel is None else kernel
         self._scale = scale[:, None, None]
         self._server = np.zeros((-(-self._repeats // LANES) * LANES, dim))
         self._server[:self._repeats] = theta
@@ -262,8 +278,6 @@ class _DualSteps:
         dual *= self._scale
         self._dual = dual
         self._coef = np.zeros_like(dual)
-        trace = self._kernel.reshape(len(x), -1)[:, ::x.shape[1] + 1].sum(axis=1)
-        self._slack = ((dim + 2 * x.shape[1] + 1) * np.finfo(float).eps * trace)[:, None]
         self._moves = None
 
     def gradient(self) -> np.ndarray:
@@ -322,8 +336,9 @@ class PaddedShards:
     ``losses`` expands around it. The local steps (``local_steps``) use
     ``local_stats`` only when p <= max(n_l), so a built one holds N * p^2
     floats for H, no more than ``x``. A store with shards shorter than p
-    never builds them: its steps read ``x``, and its L2 steps build each
-    pool's n_max x n_max matrices X_l X_l' afresh every round.
+    never builds them: its steps read ``x``, and its L2 steps use each
+    pool's n_max x n_max matrices X_l X_l' (``pool_kernel``), which the
+    engine builds one round ahead and keeps no longer than two rounds.
     """
 
     x: np.ndarray  # (N, n_max, p)
@@ -433,7 +448,14 @@ class PaddedShards:
         hess *= scale[:, :, None]
         return hess, scale * np.matmul(x_t, self.y[..., None])[..., 0]
 
-    def local_steps(self, pool: slice, theta: np.ndarray, norm_kind: str = "l2"):
+    def step_form(self, norm_kind: str) -> str:
+        """The form of ``local_steps`` under clip norm ``norm_kind``: "gram", "dual" or "residual"."""
+        if self.dim <= self.x.shape[1]:
+            return "gram"
+        return "dual" if norm_kind == "l2" else "residual"
+
+    def local_steps(self, pool: slice, theta: np.ndarray, norm_kind: str = "l2",
+                    kernel: tuple[np.ndarray, np.ndarray] | None = None):
         """The local-step state of the clients in ``pool``, each starting from its repeat's row of ``theta``.
 
         ``theta`` is the (R, p) block of the repeats' server parameters. The
@@ -443,14 +465,18 @@ class PaddedShards:
         (R, b, p) gradients (``primal``) and the (R, b, p) parameters
         (``params``), row i of a repeat for client ``pool.start + i``.
 
-        This is where the form of the steps is chosen. When p <= max(n_l) it
-        is the Gram form H_l theta - h_l, with the cached ``local_stats``, the
-        pool's slice of a stack no larger than the padded ``x``. Otherwise the
-        statistics would outgrow the shards and cost more per step than
-        reading them, so the steps read the pool's slice of ``x`` and build
-        nothing that is kept: under L2 clipping in the span of each client's
-        rows (``_DualSteps``), and under L1 clipping, whose norm needs every
-        gradient formed, in the residual form (2/n_l) X_l'(X_l theta - y_l).
+        This is where the form of the steps is chosen, by ``step_form``. When
+        p <= max(n_l) it is the Gram form H_l theta - h_l, with the cached
+        ``local_stats``, the pool's slice of a stack no larger than the padded
+        ``x``. Otherwise the statistics would outgrow the shards and cost more
+        per step than reading them, so the steps read the pool's slice of
+        ``x`` and build nothing that is kept: under L2 clipping in the span of
+        each client's rows (``_DualSteps``), and under L1 clipping, whose norm
+        needs every gradient formed, in the residual form
+        (2/n_l) X_l'(X_l theta - y_l).
+        The dual form takes the pool's ``pool_kernel(x[pool])`` as ``kernel``
+        when it was built ahead, and builds it in line when none is given; the
+        other forms ignore ``kernel``.
 
         Each matrix-vector product of a form is taken for all repeats at once,
         as one matrix product per client whose columns are the repeats. R is
@@ -464,13 +490,14 @@ class PaddedShards:
         O(L b (n_max^2 E + n_max p)) in dual form plus O(b n_max^2 p) for the
         pool's K_l, and O(L b n_max p E) in residual form.
         """
-        if self.dim <= self.x.shape[1]:
+        form = self.step_form(norm_kind)
+        if form == "gram":
             hess, lin = (stat[pool] for stat in self.local_stats)
             return _RowSteps(lambda lanes: np.matmul(hess, lanes),
                              lambda rows: np.subtract(rows, lin, order="C"), theta, len(hess))
         x, y, scale = self.x[pool], self.y[pool], 2.0 / self.sizes[pool]
-        if norm_kind == "l2":
-            return _DualSteps(x, y, scale, theta)
+        if form == "dual":
+            return _DualSteps(x, y, scale, theta, kernel)
         x_t = x.transpose(0, 2, 1)
 
         def residual_form(lanes: np.ndarray) -> np.ndarray:

@@ -30,7 +30,9 @@ from dpfedsim.engine import (
 )
 from dpfedsim.config import parse_config
 from dpfedsim.harness import build_experiment, cmd_run, cmd_sweep, run_repeats
-from dpfedsim.mechanisms import MechanismSpec, NoiseContext, noise_stream, sample_noise
+from dpfedsim.mechanisms import (
+    MechanismSpec, NoiseContext, noise_item_variance, noise_stream, sample_noise,
+)
 from dpfedsim.regression import (
     CLIP_NORMS,
     LANES,
@@ -694,18 +696,22 @@ def test_threaded_chunks_under_fast_switching_equal_one_chunk_drawn_alone(monkey
             _assert_same_run(got, want)
 
 
-def _slow_worker(monkeypatch, fail=None):
-    """Make every draw off the main thread last 20 ms, then raise ``fail`` if given."""
-    unit = engine.unit_noise
+def _slow_worker(monkeypatch, fail=None, name="unit_noise"):
+    """Make every call of ``engine.<name>`` off the main thread last 20 ms, then raise ``fail`` if given.
 
-    def slow(kind, rng, size):
+    The worker calls two: ``unit_noise`` for the noise chunks and
+    ``pool_kernel`` for the dual form's K_l.
+    """
+    original = getattr(engine, name)
+
+    def slow(*args):
         if threading.current_thread() is not threading.main_thread():
             time.sleep(0.02)
             if fail is not None:
                 raise fail
-        return unit(kind, rng, size)
+        return original(*args)
 
-    monkeypatch.setattr(engine, "unit_noise", slow)
+    monkeypatch.setattr(engine, name, slow)
 
 
 @pytest.mark.parametrize("case", ["finished", "all-diverged", "raised"])
@@ -752,6 +758,149 @@ def test_an_error_in_the_noise_worker_is_the_cli_error_line(
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [line]
     assert threading.active_count() == before
+
+
+def _dual_config(mechanism, repeats):
+    """A dual-form run of 10 rounds on SHAPES' wide store (p = 13 > max(n_l) = 7, L2), and its store."""
+    data = shards_of("wide")
+    assert data.step_form("l2") == "dual"
+    cfg = FederationConfig(
+        n_clients=data.n_clients, pool_size=3, local_iters=2, global_iters=10,
+        schedule=Schedule.constant(0.1), clip=ClipSpec(1.0, "l2"), mechanism=mechanism,
+        seed=4, repeats=repeats,
+    )
+    return cfg, data
+
+
+def test_kernels_built_ahead_under_fast_switching_equal_the_in_line_build(monkeypatch):
+    # each round's K_l after round 0's is built on the worker between its
+    # noise chunks, one per round, for three runs at once on threads of their
+    # own: more threads than cores, switching every microsecond. Of seeds
+    # 4..12, 5 and 12 stop at t = 8 and t = 6
+    cfg, data = _dual_config(CHUNKED["gaussian"][0], 9)
+    monkeypatch.setattr(engine, "NOISE_CHUNK_ELEMENTS", 1)
+    batches = []
+    runs = [threading.Thread(target=lambda: batches.append(run_federation(cfg, data)))
+            for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for run in runs:
+            run.start()
+        for run in runs:
+            run.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(run.is_alive() for run in runs) and len(batches) == 3
+    # the steps given no kernel: local_steps builds each one in line
+    steps = engine.client_update
+    monkeypatch.setattr(engine, "client_update", lambda *args: steps(*args[:6]))
+    alone = run_federation(cfg, data).runs
+    assert [len(run.records) for run in alone if run.diverged] == [8, 6]
+    for batch in batches:
+        for got, want in zip(batch.runs, alone):
+            _assert_same_run(got, want)
+
+
+def test_an_error_in_a_kernel_built_ahead_is_raised_by_the_round_that_waits_for_it(
+        monkeypatch):
+    # noise-free, so the worker's first task is round 1's K_l
+    before = threading.active_count()
+    cfg, data = _dual_config(MechanismSpec(), 3)
+    _slow_worker(monkeypatch, fail=RuntimeError("a kernel failed"), name="pool_kernel")
+    rounds = []
+    steps = engine.client_update
+    monkeypatch.setattr(engine, "client_update",
+                        lambda *args: rounds.append(args[3]) or steps(*args))
+    with pytest.raises(RuntimeError, match="a kernel failed"):
+        run_federation(cfg, data)
+    assert rounds == [0]
+    assert threading.active_count() == before
+
+
+def test_no_kernel_worker_outlives_a_dual_form_run_whose_repeats_all_diverge(monkeypatch):
+    # seeds 4, 5 and 6 leave the limit in rounds 3, 2 and 2, while the worker
+    # is building round 4's K_l
+    before = threading.active_count()
+    cfg, data = _dual_config(CHUNKED["laplace"][0], 3)
+    _slow_worker(monkeypatch, name="pool_kernel")
+    batch = run_federation(cfg, data)
+    assert batch.diverged == 3
+    assert [len(run.records) for run in batch.runs] == [3, 2, 2]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("error,line", [
+    (MemoryError(), "error: out of memory: the config asks for more than this process "
+                    "can allocate"),
+    (ConfigError("a worker refused the kernel"), "error: a worker refused the kernel"),
+])
+def test_an_error_in_a_kernel_built_ahead_is_the_cli_error_line(
+        error, line, tmp_path, capsys, monkeypatch):
+    # p = 12 > n_l = 8 under L2 clipping: the dual form, whose noise is one
+    # chunk, so the worker's first task is round 1's K_l
+    before = threading.active_count()
+    path = tmp_path / "task.cfg"
+    path.write_text(ROUNDS_TASK.format(repeats=2).replace("clip_norm = l1", "clip_norm = l2")
+                    .replace("features = 3", "features = 11"))
+    _slow_worker(monkeypatch, fail=error, name="pool_kernel")
+    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert threading.active_count() == before
+
+
+# criterion 1 for the engine's own draws, on the two noisy benchmark shapes
+# with equal shards (bench/workloads.py) at seed 1 and their benchmark repeat
+# counts: 20 x 100 rounds of run-default, 10 x 50 of run-wide. With equal
+# shards, noise_item_variance's cycle average b n_bar^2 is every pool's exact
+# sum of squared shard sizes, so each round's noise_l2^2 over the variance of
+# its own noise_context has mean 1. At these seeds the whole-run means read
+# z = -1.00 and -1.43 against the ratios' own standard error. The engine's
+# scale off by +5% reads z = 5.96 and 18.2, and off by -5% z = -9.1 and -24.3
+ENGINE_NOISE_TASK = """
+[federation]
+clients = {clients}
+pool_size = {pool_size}
+local_iters = 5
+global_iters = {rounds}
+clip_threshold = {zeta}
+clip_norm = {norm}
+repeats = {repeats}
+seed = 1
+
+[dp]
+mechanism = laplace
+epsilon = 3.0
+
+[data]
+n_per_client = {n_l}
+features = {features}
+seed = 1
+"""
+ENGINE_NOISE_SHAPES = {
+    "run-default": dict(clients=100, pool_size=10, rounds=100, zeta=150.0, norm="l1",
+                        repeats=20, n_l=20, features=5),
+    "run-wide": dict(clients=200, pool_size=20, rounds=50, zeta=1.0, norm="l2",
+                     repeats=10, n_l=50, features=199),
+}
+
+
+@pytest.mark.parametrize("shape", ENGINE_NOISE_SHAPES)
+def test_the_engine_noise_has_the_predicted_mean_squared_norm(shape, tmp_path):
+    path = tmp_path / "task.cfg"
+    path.write_text(ENGINE_NOISE_TASK.format(**ENGINE_NOISE_SHAPES[shape]))
+    experiment = build_experiment(parse_config(path))
+    cfg, data = experiment.config, experiment.dataset
+    assert (data.sizes == data.sizes[0]).all()
+    runs = run_repeats(experiment)
+    ratios = np.array([
+        rec.noise_l2 ** 2 / noise_item_variance(cfg.mechanism, engine.noise_context(cfg, data, rec.t))
+        for run in runs for rec in run.records
+    ])
+    assert len(ratios) == cfg.repeats * cfg.global_iters
+    z = (ratios.mean() - 1.0) / (ratios.std(ddof=1) / math.sqrt(len(ratios)))
+    assert abs(z) <= 4.0, f"mean ratio {ratios.mean():.4f}, z = {z:.2f}"
 
 
 # one store per lane-block form, wide enough that a GEMM's column count changes

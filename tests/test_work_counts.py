@@ -4,9 +4,9 @@ Each case runs a benchmark workload's shape (pool size, local steps, repeats,
 shard size, features, clip norm and mechanism) for a few rounds through the
 CLI drivers, and counts the work the program does through entry points that
 a restructure of the kernel keeps: local-step states built, dual-form K_l
-builds, norm passes per clip, noise draws and the threads that make them,
-client updates and aggregations; and, for a CSV read, the bulk parser's
-calls and the row-by-row reader's. The counts are exact integers, but for the
+builds (``pool_kernel``), norm passes per clip, noise draws and the threads
+that make them, client updates and aggregations; and, for a CSV read, the
+bulk parser's calls and the row-by-row reader's. The counts are exact integers, but for the
 threads validate starts, which depend on timing (see
 ``test_bench_shapes_do_the_pinned_work``); a change that alters one states
 so where it is made.
@@ -17,9 +17,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dpfedsim import data, engine, harness
+from dpfedsim import data, engine, harness, regression
 from dpfedsim.config import parse_config
 from dpfedsim.data import load_csv
+from dpfedsim.engine import pilot_gradient_bound
 from dpfedsim.harness import build_experiment, cmd_run, cmd_validate, run_repeats
 from dpfedsim.regression import PaddedShards, _DualSteps
 
@@ -110,11 +111,13 @@ seed = 31
 # step form, and the noise counts from the code that first drew in chunks.
 # run-default: 4 rounds of the run and 4 of its L1 pilot; a "clip_passes_k"
 # entry counts the clips that took k norm passes. run-wide builds its pool's
-# K_l once a round, in a _DualSteps. A run draws its noise with one
-# unit_noise call per repeat per chunk of rounds: 4 rounds are one chunk of
-# run-default's and run-many-clients' shapes, but 4 chunks of run-wide's,
-# whose one worker thread draws the last 3. validate draws each of its 10
-# pools' 1000 aggregations in one slice, which holds 2^18 // (10 * 20) = 1310 rows
+# K_l once a round, round 0's in line and the next 3 on the run's one worker
+# thread, and hands each to a _DualSteps; the Gram-form shapes build none. A
+# run draws its noise with one unit_noise call per repeat per chunk of
+# rounds: 4 rounds are one chunk of run-default's and run-many-clients'
+# shapes, so they start no thread, but 4 chunks of run-wide's, whose worker
+# draws the last 3. validate draws each of its 10 pools' 1000 aggregations
+# in one slice, which holds 2^18 // (10 * 20) = 1310 rows
 WORK_COUNTS = {
     "run-default": dict(local_steps_calls=8, client_update_calls=8, aggregate_calls=12,
                         clip_passes_1=25, clip_passes_2=15,
@@ -123,7 +126,7 @@ WORK_COUNTS = {
                              clip_passes_2=4, run_noise_calls=5, run_noise_values=12000),
     "run-wide": dict(local_steps_calls=4, client_update_calls=4, aggregate_calls=8,
                      clip_passes_2=20, run_noise_calls=40, run_noise_values=160000,
-                     dual_steps_init_calls=4, threads_started=1),
+                     dual_steps_init_calls=4, pool_kernel_calls=4, threads_started=1),
     # no engine call: validate draws its pool noise in the harness
     "validate-gaussian": dict(validate_noise_calls=10, validate_noise_values=2000000),
 }
@@ -155,6 +158,9 @@ def _counting(monkeypatch):
 
     count(PaddedShards, "local_steps", "local_steps")
     count(_DualSteps, "__init__", "dual_steps_init")
+    # the engine builds K_l ahead by its own name, local_steps in line by regression's
+    count(engine, "pool_kernel", "pool_kernel")
+    count(regression, "pool_kernel", "pool_kernel")
     count(engine, "client_update", "client_update")
     count(engine, "aggregate", "aggregate")
     count(engine, "unit_noise", "run_noise", drawn=True)
@@ -210,7 +216,9 @@ def test_bench_shapes_do_the_pinned_work(shape, tmp_path, monkeypatch):
 # statistics of every client once (2), then takes one GEMM per step (4) and
 # one row dot product per L2 norm pass (8); run-wide's dual form builds each
 # pool's K_l and dual start (8), takes two GEMMs per step, one for the clip's
-# norms and one for the step (40), and forms the parameters once a round (4)
+# norms and one for the step (40), and forms the parameters once a round (4).
+# run-wide's K_l products after round 0's are made on the worker thread, so
+# the count is taken under a lock
 MATMUL_COUNTS = {"run-default": 40, "run-many-clients": 34, "run-wide": 72}
 
 
@@ -220,11 +228,13 @@ def test_bench_shapes_make_the_pinned_matmul_calls(shape, tmp_path, monkeypatch)
     config.write_text(WORK_SHAPES[shape])
     experiment = build_experiment(parse_config(config))
     calls = 0
+    lock = threading.Lock()
     matmul = np.matmul
 
     def counted(*args, **kwargs):
         nonlocal calls
-        calls += 1
+        with lock:
+            calls += 1
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counted)
@@ -254,6 +264,23 @@ def test_bench_shapes_draw_their_noise_in_the_pinned_chunks(shape, tmp_path, mon
     cmd_run(config, tmp_path / "out", quiet=True)
     noise = {key: counts[key] for key in BENCH_NOISE_COUNTS[shape]}
     assert noise == BENCH_NOISE_COUNTS[shape]
+
+
+# the pilot runs noise-free under L1 clipping, so in Gram form (run-default)
+# and in residual form (run-wide's shape under L1) it builds no kernel and no
+# noise chunk, and starts no thread, at the benchmark's round counts
+@pytest.mark.parametrize("shape", ["run-default", "run-wide"])
+def test_the_noise_free_l1_pilot_builds_no_kernel_and_starts_no_thread(
+        shape, tmp_path, monkeypatch):
+    config = tmp_path / "work.cfg"
+    config.write_text(WORK_SHAPES[shape].replace("clip_norm = l2", "clip_norm = l1").replace(
+        "global_iters = 4", f"global_iters = {BENCH_ROUNDS[shape]}"))
+    experiment = build_experiment(parse_config(config))
+    counts = _counting(monkeypatch)
+    pilot_gradient_bound(experiment.config, experiment.dataset)
+    assert counts["local_steps_calls"] == BENCH_ROUNDS[shape]
+    assert counts["pool_kernel_calls"] == counts["run_noise_calls"] == 0
+    assert counts["threads_started"] == 0
 
 
 # a plain 6-column CSV of 5500 rows, like the run-many-clients input: about 1%

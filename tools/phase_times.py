@@ -12,6 +12,10 @@ the package in this checkout's ``src`` and BLAS threads pinned to 1:
 - ``build_experiment`` and, for a ``run`` workload, ``run_repeats``, or for
   a ``validate`` workload ``_simulate_noise_aggregates`` at the workload's
   draw count;
+- for a run whose steps take the dual form, ``pool_kernels``: its T_g pool
+  kernels K_l = X_l X_l', built one after another on the calling thread. A
+  run builds them one round ahead on its worker thread, so ``run_repeats``
+  no longer shows their cost;
 - ``cli.main`` on the workload's own argv, with ``--quiet``.
 
 Each phase runs N times in a row (default 15) after one untimed call; the
@@ -41,10 +45,11 @@ from workloads import WORKLOADS, prepare  # noqa: E402
 from dpfedsim import cli  # noqa: E402
 from dpfedsim.config import parse_config  # noqa: E402
 from dpfedsim.data import load_csv, sorted_partition, synth_regression  # noqa: E402
+from dpfedsim.engine import pool_slice  # noqa: E402
 from dpfedsim.harness import (  # noqa: E402
     _simulate_noise_aggregates, build_experiment, run_repeats,
 )
-from dpfedsim.regression import problem_constants  # noqa: E402
+from dpfedsim.regression import pool_kernel, problem_constants  # noqa: E402
 
 BENCH_SEED = 31
 
@@ -58,6 +63,13 @@ def best_of(call, repeats: int) -> tuple[float, float]:
         call()
         times.append(time.perf_counter() - start)
     return 1e3 * min(times), 1e3 * statistics.median(times)
+
+
+def pool_kernels(experiment) -> None:
+    """Build the pool kernel of every round of the experiment's run, in round order."""
+    config, dataset = experiment.config, experiment.dataset
+    for t in range(config.global_iters):
+        pool_kernel(dataset.x[pool_slice(t, config.n_clients, config.pool_size)])
 
 
 def phases(workload, run_dir: Path) -> dict:
@@ -84,6 +96,8 @@ def phases(workload, run_dir: Path) -> dict:
     out["build_experiment"] = lambda: build_experiment(raw)
     experiment = build_experiment(raw)
     if workload.command == "run":
+        if experiment.dataset.step_form(experiment.config.clip.norm) == "dual":
+            out["pool_kernels"] = lambda: pool_kernels(experiment)
         out["run_repeats"] = lambda: run_repeats(experiment)
     else:
         out["_simulate_noise_aggregates"] = lambda: _simulate_noise_aggregates(
