@@ -25,7 +25,10 @@ pool kernel K_l = X_l X_l' one round ahead. A run with neither noise nor
 dual-form steps starts no thread.
 Aggregation (``aggregate``) is one reduction per repeat in a fixed order, and the
 per-round metrics (the p x p pooled loss, y_k and the noise norm) take one
-dot product per repeat. Every repeat is bitwise the
+dot product per repeat. They are kept as columns, a (T_g, R) array per
+metric that each round fills with one vector assignment (``RoundColumns``);
+a run's ``RoundRecord``s are built from them only when its ``records`` is
+first read. Every repeat is bitwise the
 same whether it runs alone or in a block. The L1 pilot that measures the
 gradient bound is the same round loop run noise-free with one repeat,
 watching every step's clipped gradients. The per-client loops that the
@@ -37,6 +40,7 @@ import math
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -58,6 +62,7 @@ __all__ = [
     "ClipSpec",
     "FederationConfig",
     "RoundRecord",
+    "RoundColumns",
     "RunResult",
     "Repeats",
     "pool_slice",
@@ -217,12 +222,58 @@ class RoundRecord:
     noise_l2: float
 
 
+@dataclass(frozen=True)
+class RoundColumns:
+    """The per-round metrics of one block of runs, kept as columns.
+
+    Entry t of ``eta_k`` and ``bound_y_k`` is round t's, the same for every
+    run of the block; they hold the rounds that at least one run completed.
+    ``global_loss``, ``y_k`` and ``noise_l2`` are (T_g, R) arrays whose
+    column i is run i's, filled for the rounds that run completed. Round t's
+    ``k`` is (t + 1) * ``local_iters``.
+    """
+
+    local_iters: int
+    eta_k: list[float]
+    bound_y_k: list[float]
+    global_loss: np.ndarray
+    y_k: np.ndarray
+    noise_l2: np.ndarray
+
+
 @dataclass
 class RunResult:
-    records: list[RoundRecord]
+    """One run: its final parameters, whether it diverged, and its per-round metrics.
+
+    The run completed rounds 0 .. ``rounds`` - 1. Their metrics are column
+    ``column`` of its block's ``metrics`` (None for a run that keeps no
+    records, as the pilot's); ``series`` reads one of them, and ``records``
+    builds the rounds' ``RoundRecord``s on first access.
+    """
+
     theta: np.ndarray
     diverged: bool
     trajectory: list[np.ndarray] | None = None
+    rounds: int = 0
+    metrics: RoundColumns | None = None
+    column: int = 0
+
+    def series(self, name: str) -> np.ndarray:
+        """The run's ``name`` metric (global_loss, y_k or noise_l2) over its completed rounds."""
+        return getattr(self.metrics, name)[:self.rounds, self.column]
+
+    @cached_property
+    def records(self) -> list[RoundRecord]:
+        m = self.metrics
+        if m is None:
+            return []
+        return [
+            RoundRecord(t=t, k=(t + 1) * m.local_iters, eta_k=eta_k, global_loss=loss, y_k=y_k,
+                        bound_y_k=bound_y_k, noise_l2=noise_l2)
+            for t, eta_k, loss, y_k, bound_y_k, noise_l2 in zip(
+                range(self.rounds), m.eta_k, self.series("global_loss").tolist(),
+                self.series("y_k").tolist(), m.bound_y_k, self.series("noise_l2").tolist())
+        ]
 
 
 @dataclass
@@ -436,6 +487,22 @@ def run_bound_params(
                                config.global_iters, config.n_clients, config.pool_size)
 
 
+def _round_columns(config: FederationConfig, repeats: int) -> RoundColumns:
+    """Empty columns for the per-round metrics of ``repeats`` runs of ``config``.
+
+    A ``ConfigError`` names the sizes when the columns cannot be allocated.
+    """
+    shape = (config.global_iters, repeats)
+    try:
+        columns = [np.empty(shape) for _ in range(3)]
+    except (MemoryError, ValueError) as exc:  # ValueError: past the address space
+        raise ConfigError(
+            f"the per-round metrics of global_iters={config.global_iters} rounds x "
+            f"{repeats} repeats do not fit in memory ({exc})"
+        ) from None
+    return RoundColumns(config.local_iters, [], [], *columns)
+
+
 def _run_block(
     config: FederationConfig,
     data: PaddedShards,
@@ -450,7 +517,7 @@ def _run_block(
     The loop carries the (A, p) parameters of the A repeats still active. A
     repeat whose local steps or aggregate leave PARAM_LIMIT in round t is
     marked diverged and leaves the block at the end of round t, keeping its
-    records and parameters up to round t - 1. Round t's noise is the next
+    metrics and parameters up to round t - 1. Round t's noise is the next
     block of every repeat's stream, drawn a chunk of rounds ahead while the
     rounds before it step (``_unit_noise_rounds``); once a repeat has
     diverged, the active repeats' rows are picked out and its stream reads on
@@ -463,17 +530,23 @@ def _run_block(
     noise block and no calibration context, and records a noise norm of
     0.0; a run with neither noise nor dual-form steps starts no thread.
     ``on_grad`` sees each round's stack of clipped gradients (see
-    ``client_update``); with ``records`` false the runs keep no round
-    records.
+    ``client_update``).
+
+    The block's per-round metrics go to preallocated (T_g, R) columns
+    (``RoundColumns``), one vector assignment per metric and round, and each
+    run keeps its count of completed rounds; no ``RoundRecord`` is built
+    here. With ``records`` false no metric is computed and the runs have no
+    columns.
     """
     dim = data.dim
     theta_0 = _initial_theta(config, dim)
     bound_params = run_bound_params(config, constants)
+    metrics = _round_columns(config, len(seeds)) if records else None
 
     runs = [
-        RunResult(records=[], theta=theta_0, diverged=False,
+        RunResult(theta=theta_0, diverged=False, metrics=metrics, column=i,
                   trajectory=[theta_0.copy()] if record_trajectory else None)
-        for _ in seeds
+        for i in range(len(seeds))
     ]
     active = list(range(len(seeds)))
     theta = np.tile(theta_0, (len(seeds), 1))
@@ -504,6 +577,7 @@ def _run_block(
                 for i in np.flatnonzero(~ok):
                     runs[active[i]].theta = theta[i]
                     runs[active[i]].diverged = True
+                    runs[active[i]].rounds = t
                 active = [r for r, keep in zip(active, ok) if keep]
                 if not active:
                     break
@@ -511,40 +585,34 @@ def _run_block(
                 if noisy:
                     noise = noise[ok]
             theta = theta_new
+            if record_trajectory:
+                for i, r in enumerate(active):
+                    runs[r].trajectory.append(theta[i])
             if not records:
                 continue
 
             k = (t + 1) * config.local_iters
-            eta_k = config.schedule.rate(t * config.local_iters)
-            losses = data.losses(theta)
-            noise_l2 = np.zeros(len(active))
+            # round t's row of the columns, or its entries for the active repeats
+            row = t if len(active) == len(seeds) else (t, active)
+            metrics.eta_k.append(config.schedule.rate(t * config.local_iters))
+            metrics.global_loss[row] = data.losses(theta)
+            noise_l2 = 0.0
             if noisy:
                 noise_agg = aggregate(noise, weights, n_clients, b)
                 noise_l2 = np.sqrt(_row_dots(noise_agg, noise_agg))
-            y_k = np.full(len(active), math.nan)
-            bound_y_k = math.nan
+            metrics.noise_l2[row] = noise_l2
+            y_k = bound_y_k = math.nan
             if constants is not None:
                 diff = theta - constants.theta_star
                 y_k = _row_dots(diff, diff)
                 if bound_params is not None:
                     bound_y_k = bounds.convergence_bound(k, bound_params)
-            for i, r in enumerate(active):
-                runs[r].records.append(
-                    RoundRecord(
-                        t=t,
-                        k=k,
-                        eta_k=eta_k,
-                        global_loss=float(losses[i]),
-                        y_k=float(y_k[i]),
-                        bound_y_k=bound_y_k,
-                        noise_l2=float(noise_l2[i]),
-                    )
-                )
-                if record_trajectory:
-                    runs[r].trajectory.append(theta[i])
+            metrics.y_k[row] = y_k
+            metrics.bound_y_k.append(bound_y_k)
 
     for i, r in enumerate(active):
         runs[r].theta = theta[i]
+        runs[r].rounds = config.global_iters
     return runs
 
 

@@ -272,16 +272,17 @@ def _summarize(results: list[RunResult], echo: dict) -> RunSummary:
     final = None
     completed = [r for r in results if not r.diverged]
     if completed:
-        recs = [r.records[-1] for r in completed]
-        losses = np.array([rec.global_loss for rec in recs])
-        ys = np.array([rec.y_k for rec in recs])
+        # every completed run ends at round T_g - 1, whose bound all runs share
+        first = completed[0]
+        losses = np.array([r.series("global_loss")[-1] for r in completed])
+        ys = np.array([r.series("y_k")[-1] for r in completed])
         final = RoundStats(
-            t=recs[0].t,
+            t=first.rounds - 1,
             loss_mean=float(losses.mean()),
             loss_std=float(losses.std()),
             y_mean=float(ys.mean()),
             y_std=float(ys.std()),
-            bound=recs[0].bound_y_k,
+            bound=first.metrics.bound_y_k[first.rounds - 1],
         )
     return RunSummary(
         config_echo=echo,
@@ -309,15 +310,23 @@ def _echo(exp: Experiment) -> dict[str, Any]:
 
 
 def _rounds_csv(results: list[RunResult], base_seed: int) -> str:
-    # the columns' types are fixed, so each row is one f-string: ints as they
-    # are, floats by repr, exactly as _fmt writes them
+    """rounds.csv from the runs' metric columns: ints as they are, floats by repr.
+
+    Round t's ``t,k,eta_k,`` and its ``bound_y_k`` are the same in every run,
+    so each is formatted once, from the block of the run with the most
+    completed rounds, which holds them for every round a run completed.
+    """
+    m = max(results, key=lambda r: r.rounds).metrics
+    heads = [f"{t},{(t + 1) * m.local_iters},{eta_k!r}," for t, eta_k in enumerate(m.eta_k)]
+    tails = [f",{bound!r}," for bound in m.bound_y_k]
     lines = [ROUNDS_COLUMNS]
     for run_id, result in enumerate(results):
-        seed = base_seed + run_id
+        ids = f"{run_id},{base_seed + run_id},"
         lines += [
-            f"{run_id},{seed},{rec.t},{rec.k},{rec.eta_k!r},{rec.global_loss!r},"
-            f"{rec.y_k!r},{rec.bound_y_k!r},{rec.noise_l2!r}"
-            for rec in result.records
+            f"{ids}{head}{loss!r},{y_k!r}{tail}{noise_l2!r}"
+            for head, loss, y_k, tail, noise_l2 in zip(
+                heads, result.series("global_loss").tolist(), result.series("y_k").tolist(),
+                tails, result.series("noise_l2").tolist())
         ]
     return "\n".join(lines) + "\n"
 

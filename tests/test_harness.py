@@ -201,6 +201,91 @@ def test_run_rerun_is_byte_identical(tmp_path):
     ).read_bytes()
 
 
+def _rounds_csv_per_record(results, base_seed):
+    """rounds.csv written the way it was before the metric columns: one f-string per RoundRecord."""
+    lines = [harness.ROUNDS_COLUMNS]
+    for run_id, result in enumerate(results):
+        seed = base_seed + run_id
+        lines += [
+            f"{run_id},{seed},{rec.t},{rec.k},{rec.eta_k!r},{rec.global_loss!r},"
+            f"{rec.y_k!r},{rec.bound_y_k!r},{rec.noise_l2!r}"
+            for rec in result.records
+        ]
+    return "\n".join(lines) + "\n"
+
+
+# at this constant rate and Gaussian noise the 20 repeats of seed 0 diverge
+# after 8 to 19 rounds, and three complete all 20
+DIVERGING_TASK = SMALL_TASK.replace("clip_threshold = 20", "clip_threshold = 1.0").replace(
+    "repeats = 3", "repeats = 20") + """
+[schedule]
+kind = constant
+eta = 0.1
+
+[dp]
+mechanism = gaussian
+epsilon = 6e-12
+delta = 1e-4
+"""
+CSV_CASES = {
+    # the bound is NaN under the constant schedule; y_k is not
+    "diverging": (DIVERGING_TASK, True),
+    # noise_l2 is 0.0 in every row
+    "noise-free": (SMALL_TASK, True),
+    # without constants both y_k and bound_y_k are NaN
+    "no-constants": (SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 2.0\n", False),
+}
+
+
+@pytest.mark.parametrize("blocks", ["one-block", "lane-blocks"])
+@pytest.mark.parametrize("case", CSV_CASES)
+def test_rounds_csv_from_the_columns_equals_the_per_record_writer(
+        tmp_path, monkeypatch, case, blocks):
+    task, with_constants = CSV_CASES[case]
+    exp = build_experiment(parse_config(write(tmp_path, task)))
+    if blocks == "lane-blocks":
+        # a cap below one repeat's work array: one lane block of repeats per _run_block
+        monkeypatch.setattr("dpfedsim.engine.CHUNK_ELEMENTS", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the diverging repeats' overflow
+        results = run_federation(exp.config, exp.dataset,
+                                 exp.constants if with_constants else None).runs
+    metrics = {id(run.metrics) for run in results}
+    assert len(metrics) == (1 if blocks == "one-block" else -(-len(results) // 8))
+    rounds = {run.rounds for run in results}
+    if case == "diverging":
+        assert len(rounds) > 1 and exp.config.global_iters in rounds
+    else:
+        assert rounds == {exp.config.global_iters}
+    got = harness._rounds_csv(results, exp.config.seed)
+    want = _rounds_csv_per_record(results, exp.config.seed)
+    assert got == want
+    rows = [line.split(",") for line in got.splitlines()[1:]]
+    assert len(rows) == sum(run.rounds for run in results)
+    if case == "noise-free":
+        assert {row[-1] for row in rows} == {"0.0"}
+    if case == "no-constants":
+        assert {row[6] for row in rows} == {row[7] for row in rows} == {"nan"}
+    if case == "diverging":
+        assert {row[7] for row in rows} == {"nan"} and "nan" not in {row[6] for row in rows}
+
+
+@pytest.mark.parametrize("global_iters", [10**15, 10**30])
+def test_cli_metric_columns_that_cannot_be_allocated_are_one_error_line(
+        tmp_path, capsys, global_iters):
+    # (T_g, 3) float columns of 21 PiB and past numpy's dimension limit: numpy
+    # refuses both before any page is touched; b T_g is a multiple of N = 8
+    path = write(tmp_path, SMALL_TASK.replace("global_iters = 20",
+                                              f"global_iters = {global_iters}"))
+    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the per-round metrics of global_iters={global_iters} "
+                          "rounds x 3 repeats do not fit in memory (")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_single_repeat_has_zero_std(tmp_path):
     path = write(tmp_path, SMALL_TASK)
     summary = cmd_run(path, tmp_path / "out", repeats=1, quiet=True)

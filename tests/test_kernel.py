@@ -31,7 +31,7 @@ from dpfedsim.engine import (
 from dpfedsim.config import parse_config
 from dpfedsim.harness import build_experiment, cmd_run, cmd_sweep, run_repeats
 from dpfedsim.mechanisms import (
-    MechanismSpec, NoiseContext, noise_item_variance, noise_stream, sample_noise,
+    MechanismSpec, NoiseContext, noise_stream, sample_noise,
 )
 from dpfedsim.regression import (
     CLIP_NORMS,
@@ -246,6 +246,28 @@ def test_kernel_matches_reference_without_constants_and_full_pool():
     for got, want in zip(res.records, records):
         assert_close(dataclasses.astuple(got), dataclasses.astuple(want))
     assert_close(res.theta, theta)
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_records_built_from_the_columns_equal_the_reference_field_by_field(mechanism):
+    data = ragged_shards(seed=3)
+    cfg, pc = decay_config(data, "l2", 0.5, MECHANISMS[mechanism])
+    batch = run_federation(dataclasses.replace(cfg, repeats=3), data, constants=pc)
+    for r, run in enumerate(batch.runs):
+        assert run.rounds == cfg.global_iters
+        records, _, _ = reference_run(dataclasses.replace(cfg, seed=cfg.seed + r), data.shards,
+                                      constants=pc)
+        built = run.records
+        assert run.records is built  # built once, on first access
+        assert len(built) == len(records)
+        for got, want in zip(built, records):
+            assert [type(getattr(got, f.name)) for f in dataclasses.fields(RoundRecord)] == \
+                [int, int, float, float, float, float, float]
+            assert (got.t, got.k, got.eta_k, got.bound_y_k) == \
+                (want.t, want.k, want.eta_k, want.bound_y_k)
+            assert_close(dataclasses.astuple(got), dataclasses.astuple(want))
+        for name in ("global_loss", "y_k", "noise_l2"):
+            assert run.series(name).tolist() == [getattr(rec, name) for rec in built]
 
 
 def test_kernel_matches_reference_on_divergence():
@@ -852,17 +874,23 @@ def test_an_error_in_a_kernel_built_ahead_is_the_cli_error_line(
 
 # criterion 1 for the engine's own draws, on the two noisy benchmark shapes
 # with equal shards (bench/workloads.py) at seed 1 and their benchmark repeat
-# counts: 20 x 100 rounds of run-default, 10 x 50 of run-wide. With equal
-# shards, noise_item_variance's cycle average b n_bar^2 is every pool's exact
-# sum of squared shard sizes, so each round's noise_l2^2 over the variance of
-# its own noise_context has mean 1. At these seeds the whole-run means read
-# z = -1.00 and -1.43 against the ratios' own standard error. The engine's
-# scale off by +5% reads z = 5.96 and 18.2, and off by -5% z = -9.1 and -24.3
+# counts: 20 x 100 rounds of run-default, 10 x 50 of run-wide; and on one
+# shape with unequal shards, a sorted partition of a 1037-row CSV (830
+# training rows over 20 clients: 10 shards of 42 rows and 10 of 41) under
+# Gaussian noise, 20 x 200 rounds at seed 1, 5 clients a pool. Each round's
+# noise_l2^2 is divided by its own pool's prediction p u2 s_t^2 (N/b)^2
+# sum_{l in pool} w_l^2, where s_t is noise_scale at round t's
+# noise_context and u2 a unit draw's variance, 2 for Laplace and 1 for
+# Gaussian, so the ratios have mean 1 whether or not the shards are equal.
+# The gate is |z| <= 4 on the whole-run mean ratio against its own standard
+# error. At these seeds run-default, run-wide and unequal-csv read z = -1.00,
+# -1.43 and -0.55; the engine's scale off by +5% reads z = 5.96, 18.2 and
+# 9.77, and off by -5% z = -9.1, -24.3 and -12.5
 ENGINE_NOISE_TASK = """
 [federation]
 clients = {clients}
 pool_size = {pool_size}
-local_iters = 5
+local_iters = {local_iters}
 global_iters = {rounds}
 clip_threshold = {zeta}
 clip_norm = {norm}
@@ -870,34 +898,57 @@ repeats = {repeats}
 seed = 1
 
 [dp]
-mechanism = laplace
-epsilon = 3.0
+{dp}
 
 [data]
-n_per_client = {n_l}
-features = {features}
+{data}
 seed = 1
 """
+LAPLACE_3 = "mechanism = laplace\nepsilon = 3.0"
 ENGINE_NOISE_SHAPES = {
-    "run-default": dict(clients=100, pool_size=10, rounds=100, zeta=150.0, norm="l1",
-                        repeats=20, n_l=20, features=5),
-    "run-wide": dict(clients=200, pool_size=20, rounds=50, zeta=1.0, norm="l2",
-                     repeats=10, n_l=50, features=199),
+    "run-default": dict(clients=100, pool_size=10, local_iters=5, rounds=100, zeta=150.0,
+                        norm="l1", repeats=20, dp=LAPLACE_3,
+                        data="n_per_client = 20\nfeatures = 5"),
+    "run-wide": dict(clients=200, pool_size=20, local_iters=5, rounds=50, zeta=1.0, norm="l2",
+                     repeats=10, dp=LAPLACE_3, data="n_per_client = 50\nfeatures = 199"),
+    "unequal-csv": dict(clients=20, pool_size=5, local_iters=1, rounds=200, zeta=1.0,
+                        norm="l2", repeats=20,
+                        dp="mechanism = gaussian\nepsilon = 8.0\ndelta = 1e-4",
+                        data="kind = csv\npath = {path}\ntarget_column = y"),
 }
+UNEQUAL_CSV_ROWS = 1037
+
+
+def _unequal_csv(path):
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((UNEQUAL_CSV_ROWS, 5))
+    y = x @ rng.standard_normal(5) + 0.5 + 0.1 * rng.standard_normal(UNEQUAL_CSV_ROWS)
+    rows = [",".join(map(repr, row)) for row in np.column_stack([x, y]).tolist()]
+    path.write_text("x1,x2,x3,x4,x5,y\n" + "\n".join(rows) + "\n")
+    return path
 
 
 @pytest.mark.parametrize("shape", ENGINE_NOISE_SHAPES)
 def test_the_engine_noise_has_the_predicted_mean_squared_norm(shape, tmp_path):
     path = tmp_path / "task.cfg"
-    path.write_text(ENGINE_NOISE_TASK.format(**ENGINE_NOISE_SHAPES[shape]))
+    fields = dict(ENGINE_NOISE_SHAPES[shape])
+    if shape == "unequal-csv":
+        fields["data"] = fields["data"].format(path=_unequal_csv(tmp_path / "input.csv"))
+    path.write_text(ENGINE_NOISE_TASK.format(**fields))
     experiment = build_experiment(parse_config(path))
     cfg, data = experiment.config, experiment.dataset
-    assert (data.sizes == data.sizes[0]).all()
-    runs = run_repeats(experiment)
-    ratios = np.array([
-        rec.noise_l2 ** 2 / noise_item_variance(cfg.mechanism, engine.noise_context(cfg, data, rec.t))
-        for run in runs for rec in run.records
+    N, b = cfg.n_clients, cfg.pool_size
+    assert (len(set(data.sizes.tolist())) > 1) == (shape == "unequal-csv")
+    unit_variance = 2.0 if cfg.mechanism.kind == "laplace" else 1.0
+    predicted = np.array([
+        data.dim * unit_variance
+        * mechanisms.noise_scale(cfg.mechanism, engine.noise_context(cfg, data, t)) ** 2
+        * (N / b) ** 2 * float(np.sum(data.weights[engine.pool_slice(t, N, b)] ** 2))
+        for t in range(cfg.global_iters)
     ])
+    runs = run_repeats(experiment)
+    assert all(run.rounds == cfg.global_iters for run in runs)
+    ratios = np.concatenate([run.series("noise_l2") ** 2 / predicted for run in runs])
     assert len(ratios) == cfg.repeats * cfg.global_iters
     z = (ratios.mean() - 1.0) / (ratios.std(ddof=1) / math.sqrt(len(ratios)))
     assert abs(z) <= 4.0, f"mean ratio {ratios.mean():.4f}, z = {z:.2f}"

@@ -208,6 +208,36 @@ def test_bench_shapes_do_the_pinned_work(shape, tmp_path, monkeypatch):
     assert dict(counts) == WORK_COUNTS[shape]
 
 
+# a run keeps its per-round metrics as columns and writes rounds.csv from
+# them, so cmd_run builds no RoundRecord; the bound is still evaluated once a
+# round for all the repeats: the 4 rounds' k, on the module as the tracer
+# patches it. Every run shape uses the decay schedule from theta_0 = 0, so
+# each round has a bound; the L1 pilot has none
+RECORD_COUNTS = dict(round_record_calls=0, convergence_bound_calls=4)
+
+
+@pytest.mark.parametrize("shape", [shape for shape in WORK_SHAPES if shape.startswith("run")])
+def test_a_run_builds_no_round_record_and_bounds_each_round_once(shape, tmp_path, monkeypatch):
+    config = tmp_path / "work.cfg"
+    config.write_text(WORK_SHAPES[shape])
+    counts = Counter()
+    for owner, name, key in [(engine.RoundRecord, "__init__", "round_record_calls"),
+                             (engine.bounds, "convergence_bound", "convergence_bound_calls")]:
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _key=key, **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    summary = cmd_run(config, tmp_path / "out", quiet=True)
+    assert summary.divergence_count == 0
+    assert {key: counts[key] for key in RECORD_COUNTS} == RECORD_COUNTS
+    rows = (tmp_path / "out" / "rounds.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 * summary.repeats
+    assert "nan" not in {row.split(",")[7] for row in rows}
+
+
 # np.matmul calls of one run_repeats at 4 rounds, the set-up and the L1 pilot
 # excluded, taken from the code that drew the run's noise through a cursor
 # class. Each round's metrics make 5: the pooled loss's product and four row

@@ -16,6 +16,8 @@ the package in this checkout's ``src`` and BLAS threads pinned to 1:
   kernels K_l = X_l X_l', built one after another on the calling thread. A
   run builds them one round ahead on its worker thread, so ``run_repeats``
   no longer shows their cost;
+- for a run workload, ``rounds_csv``: ``_rounds_csv`` on one ``run_repeats``
+  result, the text of rounds.csv (the "CSV write" layer, no file written);
 - ``cli.main`` on the workload's own argv, with ``--quiet``.
 
 Each phase runs N times in a row (default 15) after one untimed call; the
@@ -47,7 +49,7 @@ from dpfedsim.config import parse_config  # noqa: E402
 from dpfedsim.data import load_csv, sorted_partition, synth_regression  # noqa: E402
 from dpfedsim.engine import pool_slice  # noqa: E402
 from dpfedsim.harness import (  # noqa: E402
-    _simulate_noise_aggregates, build_experiment, run_repeats,
+    _rounds_csv, _simulate_noise_aggregates, build_experiment, run_repeats,
 )
 from dpfedsim.regression import pool_kernel, problem_constants  # noqa: E402
 
@@ -99,6 +101,8 @@ def phases(workload, run_dir: Path) -> dict:
         if experiment.dataset.step_form(experiment.config.clip.norm) == "dual":
             out["pool_kernels"] = lambda: pool_kernels(experiment)
         out["run_repeats"] = lambda: run_repeats(experiment)
+        results = run_repeats(experiment)
+        out["rounds_csv"] = lambda: _rounds_csv(results, experiment.config.seed)
     else:
         out["_simulate_noise_aggregates"] = lambda: _simulate_noise_aggregates(
             experiment, workload.draws)
