@@ -30,16 +30,17 @@ metric that each round fills with one vector assignment (``RoundColumns``);
 a run's ``RoundRecord``s are built from them only when its ``records`` is
 first read. Every repeat is bitwise the
 same whether it runs alone or in a block. The L1 pilot that measures the
-gradient bound is the same round loop run noise-free with one repeat,
-watching every step's clipped gradients. The per-client loops that the
-kernel is tested against live in ``reference``, which nothing here imports.
+gradient bound (``pilot_gradient_bound``) is a loop of its own over the same
+local steps, clip and aggregate, noise-free with one repeat and no metrics.
+The per-client loops that the kernel is tested against live in
+``reference``, which nothing here imports.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 
@@ -246,17 +247,16 @@ class RunResult:
     """One run: its final parameters, whether it diverged, and its per-round metrics.
 
     The run completed rounds 0 .. ``rounds`` - 1. Their metrics are column
-    ``column`` of its block's ``metrics`` (None for a run that keeps no
-    records, as the pilot's); ``series`` reads one of them, and ``records``
-    builds the rounds' ``RoundRecord``s on first access.
+    ``column`` of its block's ``metrics``; ``series`` reads one of them, and
+    ``records`` builds the rounds' ``RoundRecord``s on first access.
     """
 
     theta: np.ndarray
     diverged: bool
+    metrics: RoundColumns
+    column: int
     trajectory: list[np.ndarray] | None = None
     rounds: int = 0
-    metrics: RoundColumns | None = None
-    column: int = 0
 
     def series(self, name: str) -> np.ndarray:
         """The run's ``name`` metric (global_loss, y_k or noise_l2) over its completed rounds."""
@@ -265,8 +265,6 @@ class RunResult:
     @cached_property
     def records(self) -> list[RoundRecord]:
         m = self.metrics
-        if m is None:
-            return []
         return [
             RoundRecord(t=t, k=(t + 1) * m.local_iters, eta_k=eta_k, global_loss=loss, y_k=y_k,
                         bound_y_k=bound_y_k, noise_l2=noise_l2)
@@ -346,13 +344,26 @@ def _initial_theta(config: FederationConfig, dim: int) -> np.ndarray:
     return theta
 
 
+def _first_check(theta: np.ndarray, t: int, config: FederationConfig) -> int:
+    """The first of round t's local steps from ``theta`` after which the parameters are checked.
+
+    A clipped step moves no entry by more than its rate times zeta
+    (1 + 1e-10), so from max|theta| + (1 + 1e-9) zeta sum(rates) below
+    PARAM_LIMIT no step before the last can leave the limit, and only the
+    last is checked; otherwise every step is.
+    """
+    k0, steps = t * config.local_iters, config.local_iters
+    reach = float(np.abs(theta).max()) + (1 + 1e-9) * config.clip.zeta * sum(
+        config.schedule.rate(k0 + i) for i in range(steps))
+    return steps - 1 if reach < PARAM_LIMIT else 0
+
+
 def client_update(
     data: PaddedShards,
     pool: slice,
     theta: np.ndarray,
     t: int,
     config: FederationConfig,
-    on_grad=None,
     kernel=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Round t's E clipped full-batch steps for every client of the pool, in every repeat.
@@ -364,40 +375,27 @@ def client_update(
     the (R,) mask of the repeats whose parameters stayed within PARAM_LIMIT
     after every step. A repeat that leaves the limit keeps stepping with the
     others until the round ends, or until no repeat is left within it.
-    ``on_grad`` is given, once the steps end, the (S, R, b, p) stack of the
-    clipped gradients of the S steps taken.
 
     The steps are taken by ``data.local_steps``, which chooses their form;
     ``kernel``, when given, is the pool's ``pool_kernel`` built ahead for the
     dual form. The parameters are checked after every step only when the
-    round could leave PARAM_LIMIT: a clipped step moves no entry by more than
-    its rate times zeta (1 + 1e-10), so from max|theta| + (1 + 1e-9) zeta
-    sum(rates) below the limit only the last step is checked. A check costs a
-    pass over the block, and in dual form a matrix product to form the
-    parameters.
+    round could leave PARAM_LIMIT (``_first_check``). A check costs a pass
+    over the block, and in dual form a matrix product to form the parameters.
     """
     steps = data.local_steps(pool, theta, config.clip.norm, kernel)
-    k0, last = t * config.local_iters, config.local_iters - 1
-    deferred = (float(np.abs(theta).max()) + (1 + 1e-9) * config.clip.zeta
-                * sum(config.schedule.rate(k0 + i) for i in range(config.local_iters))
-                < PARAM_LIMIT)
+    k0, first = t * config.local_iters, _first_check(theta, t, config)
     ok = np.ones(len(theta), dtype=bool)
-    grads = []
     for i in range(config.local_iters):
         grad = clip_gradient(steps.gradient(), config.clip.zeta, config.clip.norm,
                              steps.row_norms)
-        if on_grad is not None:
-            grads.append(steps.primal(grad))
         steps.step(config.schedule.rate(k0 + i), grad)
-        if not deferred or i == last:
+        if i >= first:
             block = steps.params()
             # one reduction over the whole block; the per-repeat mask only once it fails
             if not _all_within_limit(block):
                 ok &= _within_limit(block)
                 if not ok.any():
                     break
-    if on_grad is not None:
-        on_grad(np.stack(grads))
     return block, ok
 
 
@@ -509,8 +507,6 @@ def _run_block(
     constants: ProblemConstants | None,
     seeds: list[int],
     record_trajectory: bool,
-    on_grad=None,
-    records: bool = True,
 ) -> list[RunResult]:
     """T_g rounds of the runs with the given seeds, all in one round loop.
 
@@ -529,19 +525,16 @@ def _run_block(
     the block, however it ends. A noise-free run builds no noise stream, no
     noise block and no calibration context, and records a noise norm of
     0.0; a run with neither noise nor dual-form steps starts no thread.
-    ``on_grad`` sees each round's stack of clipped gradients (see
-    ``client_update``).
 
     The block's per-round metrics go to preallocated (T_g, R) columns
     (``RoundColumns``), one vector assignment per metric and round, and each
     run keeps its count of completed rounds; no ``RoundRecord`` is built
-    here. With ``records`` false no metric is computed and the runs have no
-    columns.
+    here.
     """
     dim = data.dim
     theta_0 = _initial_theta(config, dim)
     bound_params = run_bound_params(config, constants)
-    metrics = _round_columns(config, len(seeds)) if records else None
+    metrics = _round_columns(config, len(seeds))
 
     runs = [
         RunResult(theta=theta_0, diverged=False, metrics=metrics, column=i,
@@ -568,7 +561,7 @@ def _run_block(
                 noise *= noise_scale(config.mechanism, noise_context(config, data, t))
             # a diverged repeat steps on to the round's end: silence its overflow
             with np.errstate(over="ignore", invalid="ignore"):
-                local, ok = client_update(data, pool, theta, t, config, on_grad, next(kernels))
+                local, ok = client_update(data, pool, theta, t, config, next(kernels))
                 if noisy:
                     local += noise
                 theta_new = aggregate(local, weights, n_clients, b)
@@ -588,8 +581,6 @@ def _run_block(
             if record_trajectory:
                 for i, r in enumerate(active):
                     runs[r].trajectory.append(theta[i])
-            if not records:
-                continue
 
             k = (t + 1) * config.local_iters
             # round t's row of the columns, or its entries for the active repeats
@@ -651,27 +642,37 @@ def pilot_gradient_bound(config: FederationConfig, data: PaddedShards) -> float:
     Turns the unobservable gradient bound into a concrete number when
     clipping is done in the L1 norm. It measures G under L1 clipping only:
     under L2 clipping the threshold itself is the bound, and a config whose
-    clip norm is not L1 is a ``ConfigError``. The pilot is the round loop's
-    noise-free, one-repeat case, whatever mechanism, seed and repeat count
+    clip norm is not L1 is a ``ConfigError``. The pilot takes the run's
+    local steps (``data.local_steps`` on one repeat's row), clips and
+    aggregates, with no noise whatever mechanism, seed and repeat count
     ``config`` names, and stops where that run diverges: after a local step
     or an aggregate past PARAM_LIMIT. The pool's clients step in lockstep, so
     the maximum covers every pool client's steps up to and including the one
-    that diverged. It bounds only the steps of this noise-free pilot: noisy
-    runs leave its trajectory, and their clipped gradients can be far larger
-    (up to the threshold, which is the only hard bound on them).
+    that diverged; a step with a NaN norm is skipped whole. It bounds only
+    the steps of this noise-free pilot: noisy runs leave its trajectory, and
+    their clipped gradients can be far larger (up to the threshold, which is
+    the only hard bound on them).
     """
     if config.clip.norm != "l1":
         raise ConfigError(f"the pilot measures the gradient bound under l1 clipping only, "
                           f"not {config.clip.norm}: there the bound is the threshold")
     _check_clients(data, config.n_clients)
+    n_clients, b, E = config.n_clients, config.pool_size, config.local_iters
+    theta = _initial_theta(config, data.dim)[None]
     max_sq = 0.0
-
-    def keep_max(steps: np.ndarray) -> None:
-        nonlocal max_sq
-        # one maximum per step; a step with a NaN norm is skipped whole
-        for step_max in _row_dots(steps, steps).reshape(len(steps), -1).max(axis=1).tolist():
-            max_sq = max(max_sq, step_max)
-
-    noise_free = replace(config, mechanism=MechanismSpec())
-    _run_block(noise_free, data, None, [config.seed], False, keep_max, records=False)
+    # a diverging step overflows: the loop stops after it, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.global_iters):
+            pool = pool_slice(t, n_clients, b)
+            steps, first = data.local_steps(pool, theta, "l1"), _first_check(theta, t, config)
+            for i in range(E):
+                grad = clip_gradient(steps.gradient(), config.clip.zeta, "l1", steps.row_norms)
+                # max(x, nan) is x: a step with a NaN norm is skipped
+                max_sq = max(max_sq, float(_row_dots(grad, grad).max()))
+                steps.step(config.schedule.rate(t * E + i), grad)
+                if i >= first and not _all_within_limit(steps.params()):
+                    return math.sqrt(max_sq)
+            theta = aggregate(steps.params(), data.weights[pool], n_clients, b)
+            if not _all_within_limit(theta):
+                break
     return math.sqrt(max_sq)

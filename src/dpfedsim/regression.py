@@ -219,9 +219,6 @@ class _RowSteps:
         self._view[...] = self._block
         return self._finish(self._product(self._lanes)[..., :len(self._view)].transpose(2, 0, 1))
 
-    def primal(self, grad: np.ndarray) -> np.ndarray:
-        return grad
-
     def step(self, rate: float, grad: np.ndarray) -> None:
         self._block = self._block - rate * grad
 
@@ -299,9 +296,6 @@ class _DualSteps:
             formed = np.matmul(rows, self._x)
             quad = np.where(unsure, _row_dots(formed, formed), quad)
         return np.sqrt(quad)
-
-    def primal(self, grad: np.ndarray) -> np.ndarray:
-        return np.matmul(grad, self._x)[:, :self._repeats].transpose(1, 0, 2)
 
     def step(self, rate: float, grad: np.ndarray) -> None:
         self._coef -= rate * grad
@@ -461,9 +455,10 @@ class PaddedShards:
         ``theta`` is the (R, p) block of the repeats' server parameters. The
         state gives the clip loop a block of gradient rows (``gradient``) and
         the norms of the gradients they stand for (``row_norms``), takes a
-        clipped block as a step (``step``), and gives a clipped block's
-        (R, b, p) gradients (``primal``) and the (R, b, p) parameters
-        (``params``), row i of a repeat for client ``pool.start + i``.
+        clipped block as a step (``step``), and gives the (R, b, p)
+        parameters (``params``), row i of a repeat for client
+        ``pool.start + i``. In Gram and residual form a gradient row is the
+        gradient itself; in dual form it is its coordinates in X_l's rows.
 
         This is where the form of the steps is chosen, by ``step_form``. When
         p <= max(n_l) it is the Gram form H_l theta - h_l, with the cached

@@ -1004,13 +1004,20 @@ def test_lane_block_calls_return_new_arrays_and_keep_the_pad_lanes_zero(form):
     assert not any(np.shares_memory(grad, lanes) for grad in (first, second, third))
 
 
+def _formed(steps, grad, x, repeats):
+    """The (R, b, p) gradients of a clipped block: in dual form X_l'c, from the pool's slice x."""
+    if type(steps).__name__ != "_DualSteps":
+        return grad
+    return np.matmul(grad, x)[:, :repeats].transpose(1, 0, 2)
+
+
 def _local_trace(data, pool, theta, norm):
     """The clipped gradients and the parameters of three local steps of ``data.local_steps``."""
     steps = data.local_steps(pool, theta, norm)
     trace = []
     for _ in range(3):
         grad = clip_gradient(steps.gradient(), 1.0, norm, steps.row_norms)
-        trace.append(steps.primal(grad))
+        trace.append(_formed(steps, grad, data.x[pool], len(theta)))
         steps.step(0.05, grad)
         trace.append(steps.params())
     return trace
@@ -1151,7 +1158,7 @@ def test_dual_form_clip_bounds_the_formed_gradient_near_the_null_space_of_its_ke
     worst = 0.0
     for _ in range(20):
         grad = clip_gradient(steps.gradient(), zeta, "l2", steps.row_norms)
-        worst = max(worst, np.linalg.norm(steps.primal(grad), axis=-1).max())
+        worst = max(worst, np.linalg.norm(_formed(steps, grad, data.x[0:4], 3), axis=-1).max())
         steps.step(0.5, grad)
     assert zeta * (1 - 1e-6) < worst <= zeta * (1 + 1e-9)
     pc = problem_constants(data, np.zeros(data.dim), zeta)
@@ -1335,8 +1342,8 @@ def test_the_run_goes_through_the_kernel_entry_points(tmp_path, monkeypatch):
         monkeypatch.setattr(f"dpfedsim.engine.{name}", counting(name))
     cmd_run(path, tmp_path / "counted", quiet=True)
     rounds = 10
-    # one local-step call per round in the pilot and in the run; one aggregate
-    # per pilot round, and two per run round (parameters and noise)
-    assert calls == {"client_update": 2 * rounds, "aggregate": 3 * rounds}
+    # one client update per run round, the pilot steps on its own; one
+    # aggregate per pilot round, and two per run round (parameters and noise)
+    assert calls == {"client_update": rounds, "aggregate": 3 * rounds}
     assert ((tmp_path / "counted" / "rounds.csv").read_bytes()
             == (tmp_path / "plain" / "rounds.csv").read_bytes())

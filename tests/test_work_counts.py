@@ -109,8 +109,9 @@ seed = 31
 
 # taken from the code before local_steps became the one place that picks the
 # step form, and the noise counts from the code that first drew in chunks.
-# run-default: 4 rounds of the run and 4 of its L1 pilot; a "clip_passes_k"
-# entry counts the clips that took k norm passes. run-wide builds its pool's
+# run-default: 4 rounds of the run and 4 of its L1 pilot, which takes its
+# local steps without client_update; a "clip_passes_k" entry counts the clips
+# that took k norm passes. run-wide builds its pool's
 # K_l once a round, round 0's in line and the next 3 on the run's one worker
 # thread, and hands each to a _DualSteps; the Gram-form shapes build none. A
 # run draws its noise with one unit_noise call per repeat per chunk of
@@ -119,7 +120,7 @@ seed = 31
 # draws the last 3. validate draws each of its 10 pools' 1000 aggregations
 # in one slice, which holds 2^18 // (10 * 20) = 1310 rows
 WORK_COUNTS = {
-    "run-default": dict(local_steps_calls=8, client_update_calls=8, aggregate_calls=12,
+    "run-default": dict(local_steps_calls=8, client_update_calls=4, aggregate_calls=12,
                         clip_passes_1=25, clip_passes_2=15,
                         run_noise_calls=20, run_noise_values=4800),
     "run-many-clients": dict(local_steps_calls=4, client_update_calls=4, aggregate_calls=8,
@@ -296,21 +297,37 @@ def test_bench_shapes_draw_their_noise_in_the_pinned_chunks(shape, tmp_path, mon
     assert noise == BENCH_NOISE_COUNTS[shape]
 
 
+def _l1_experiment(shape, tmp_path):
+    """The experiment of a run shape under L1 clipping, at the benchmark's round count."""
+    config = tmp_path / "work.cfg"
+    config.write_text(WORK_SHAPES[shape].replace("clip_norm = l2", "clip_norm = l1").replace(
+        "global_iters = 4", f"global_iters = {BENCH_ROUNDS[shape]}"))
+    return build_experiment(parse_config(config))
+
+
 # the pilot runs noise-free under L1 clipping, so in Gram form (run-default)
 # and in residual form (run-wide's shape under L1) it builds no kernel and no
 # noise chunk, and starts no thread, at the benchmark's round counts
 @pytest.mark.parametrize("shape", ["run-default", "run-wide"])
 def test_the_noise_free_l1_pilot_builds_no_kernel_and_starts_no_thread(
         shape, tmp_path, monkeypatch):
-    config = tmp_path / "work.cfg"
-    config.write_text(WORK_SHAPES[shape].replace("clip_norm = l2", "clip_norm = l1").replace(
-        "global_iters = 4", f"global_iters = {BENCH_ROUNDS[shape]}"))
-    experiment = build_experiment(parse_config(config))
+    experiment = _l1_experiment(shape, tmp_path)
     counts = _counting(monkeypatch)
     pilot_gradient_bound(experiment.config, experiment.dataset)
     assert counts["local_steps_calls"] == BENCH_ROUNDS[shape]
     assert counts["pool_kernel_calls"] == counts["run_noise_calls"] == 0
     assert counts["threads_started"] == 0
+
+
+# the pilot's G, bit for bit, as the round loop measured it when the pilot ran
+# through it: in Gram form on run-default's shape and in residual form on
+# run-wide's (p = 200 > n_l = 50) under L1
+@pytest.mark.parametrize("shape,form,bound", [("run-default", "gram", "0x1.7f9703b22e4ffp+2"),
+                                              ("run-wide", "residual", "0x1.7be1ab6848d3cp-4")])
+def test_the_l1_pilot_measures_the_pinned_gradient_bound(shape, form, bound, tmp_path):
+    experiment = _l1_experiment(shape, tmp_path)
+    assert experiment.dataset.step_form("l1") == form
+    assert pilot_gradient_bound(experiment.config, experiment.dataset).hex() == bound
 
 
 # a plain 6-column CSV of 5500 rows, like the run-many-clients input: about 1%

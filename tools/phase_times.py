@@ -16,6 +16,9 @@ the package in this checkout's ``src`` and BLAS threads pinned to 1:
   kernels K_l = X_l X_l', built one after another on the calling thread. A
   run builds them one round ahead on its worker thread, so ``run_repeats``
   no longer shows their cost;
+- for a run workload clipped in L1, ``pilot``: ``pilot_gradient_bound``
+  alone, the noise-free run that measures the gradient bound G (the "L1
+  pilot run" layer; ``build_experiment`` includes it);
 - for a run workload, ``rounds_csv``: ``_rounds_csv`` on one ``run_repeats``
   result, the text of rounds.csv (the "CSV write" layer, no file written);
 - ``cli.main`` on the workload's own argv, with ``--quiet``.
@@ -47,7 +50,7 @@ from workloads import WORKLOADS, prepare  # noqa: E402
 from dpfedsim import cli  # noqa: E402
 from dpfedsim.config import parse_config  # noqa: E402
 from dpfedsim.data import load_csv, sorted_partition, synth_regression  # noqa: E402
-from dpfedsim.engine import pool_slice  # noqa: E402
+from dpfedsim.engine import pilot_gradient_bound, pool_slice  # noqa: E402
 from dpfedsim.harness import (  # noqa: E402
     _rounds_csv, _simulate_noise_aggregates, build_experiment, run_repeats,
 )
@@ -98,6 +101,8 @@ def phases(workload, run_dir: Path) -> dict:
     out["build_experiment"] = lambda: build_experiment(raw)
     experiment = build_experiment(raw)
     if workload.command == "run":
+        if experiment.config.clip.norm == "l1":
+            out["pilot"] = lambda: pilot_gradient_bound(experiment.config, experiment.dataset)
         if experiment.dataset.step_form(experiment.config.clip.norm) == "dual":
             out["pool_kernels"] = lambda: pool_kernels(experiment)
         out["run_repeats"] = lambda: run_repeats(experiment)
