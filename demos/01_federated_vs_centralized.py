@@ -25,7 +25,7 @@ dataset = synth_regression(
     n_clients=8, n_per_client=15, n_features=4, heterogeneity=0.4, noise_std=0.1,
     seed=7,
 )
-constants = problem_constants(dataset, np.zeros(dataset.dim), zeta=25.0)
+constants = problem_constants(dataset, zeta=25.0)
 schedule = Schedule.decay(constants, 1)
 
 config = FederationConfig(
@@ -34,7 +34,7 @@ config = FederationConfig(
 )
 
 result = run_federation(config, dataset, constants, record_trajectory=True).runs[0]
-oracle = centralized_gd_oracle(dataset.shards, T, schedule, config.clip, config.theta_0)
+oracle = centralized_gd_oracle(dataset.shards, T, schedule, config.clip)
 
 worst = max(float(np.max(np.abs(a - b))) for a, b in zip(result.trajectory, oracle))
 print(f"max per-coordinate gap over {T} iterations: {worst:.2e}")

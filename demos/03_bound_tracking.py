@@ -22,7 +22,7 @@ dataset = synth_regression(
     seed=3,
 )
 zeta = 8.0
-constants = problem_constants(dataset, np.zeros(dataset.dim), zeta)
+constants = problem_constants(dataset, zeta)
 E, T_g = 4, 50
 schedule = Schedule.decay(constants, E)
 

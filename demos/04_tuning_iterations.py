@@ -28,7 +28,7 @@ dataset = synth_regression(
     seed=0,
 )
 zeta = 0.3
-constants = problem_constants(dataset, np.zeros(dataset.dim), zeta)
+constants = problem_constants(dataset, zeta)
 
 
 def final_loss(pool_size, local_iters, global_iters, epsilon):

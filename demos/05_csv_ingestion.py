@@ -46,17 +46,17 @@ print(f"loaded {train.shape[0]} training and {holdout.shape[0]} holdout records"
 
 N = 8
 by_rate = sorted_partition(train, sort_key_index=-1, n_clients=N)
-gamma_sorted = problem_constants(by_rate, np.zeros(by_rate.dim), 10.0).gamma_noniid
+gamma_sorted = problem_constants(by_rate, 10.0).gamma_noniid
 
 # contrast: random assignment of the same records
 chunks = np.array_split(train, N)
 random_ds = PaddedShards.build(
     [ClientShard(i, with_bias(c[:, :-1]), c[:, -1]) for i, c in enumerate(chunks)]
 )
-gamma_random = problem_constants(random_ds, np.zeros(4), 10.0).gamma_noniid
+gamma_random = problem_constants(random_ds, 10.0).gamma_noniid
 print(f"non-IID degree: sorted {gamma_sorted:.4f} vs random {gamma_random:.4f}")
 
-constants = problem_constants(by_rate, np.zeros(by_rate.dim), 10.0)
+constants = problem_constants(by_rate, 10.0)
 schedule = Schedule.decay(constants, 2)
 config = FederationConfig(
     n_clients=N, pool_size=4, local_iters=2, global_iters=40,

@@ -69,6 +69,7 @@ __all__ = [
     "pool_slice",
     "noise_context",
     "run_bound_params",
+    "round_columns",
     "client_update",
     "aggregate",
     "run_federation",
@@ -159,7 +160,9 @@ class FederationConfig:
     The pool size must divide the client count so the round-robin cycle
     closes, and b*T_g must be a multiple of N so each client participates an
     exact integer number of rounds T_l = b*T_g/N. The experiment is the
-    ``repeats`` runs with seeds seed, seed + 1, ...
+    ``repeats`` runs with seeds seed, seed + 1, ..., each starting at
+    theta = 0. Every field is hashable, so equal configs compare and hash
+    equal.
     """
 
     n_clients: int
@@ -169,7 +172,6 @@ class FederationConfig:
     schedule: Schedule
     clip: ClipSpec
     mechanism: MechanismSpec = field(default_factory=MechanismSpec)
-    theta_0: np.ndarray | None = None
     seed: int = 0
     repeats: int = 1
 
@@ -210,8 +212,8 @@ class RoundRecord:
 
     ``k`` is the cumulative iteration index (t+1)*E at recording time and
     ``eta_k`` the first (largest) rate used inside the round, i.e. the rate
-    entering the round's sensitivities. ``y_k``/``bound_y_k`` are NaN when the
-    optimum or the bound constants are unavailable.
+    entering the round's sensitivities. ``bound_y_k`` is NaN when the bound is
+    undefined for the run (``run_bound_params``).
     """
 
     t: int
@@ -331,17 +333,6 @@ def _check_clients(data: PaddedShards, n_clients: int) -> None:
         raise ConfigError(
             f"config expects {n_clients} shards, dataset has {data.n_clients}"
         )
-
-
-def _initial_theta(config: FederationConfig, dim: int) -> np.ndarray:
-    theta = (
-        np.zeros(dim)
-        if config.theta_0 is None
-        else np.asarray(config.theta_0, dtype=float)
-    )
-    if theta.shape != (dim,):
-        raise ConfigError("theta_0 dimension does not match the dataset")
-    return theta
 
 
 def _first_check(theta: np.ndarray, t: int, config: FederationConfig) -> int:
@@ -465,30 +456,30 @@ def noise_context(config: FederationConfig, data: PaddedShards, t: int) -> Noise
 
 
 def run_bound_params(
-    config: FederationConfig, constants: ProblemConstants | None
+    config: FederationConfig, constants: ProblemConstants
 ) -> bounds.BoundParams | None:
     """The convergence bound's parameters for runs of ``config`` on the task of ``constants``.
 
-    None when the bound is undefined for those runs: no constants, a singular
-    pooled Hessian, a schedule other than
+    None when the bound is undefined for those runs: a singular pooled
+    Hessian, or a schedule other than
     ``Schedule.decay(constants, config.local_iters)``, the only one the bound
-    holds for, or a start ``config.theta_0`` whose squared distance to theta*
-    is not the ``constants.y0`` the bound starts from.
+    holds for. Every run starts at theta = 0, the start ``constants.y0``
+    measures.
     """
-    if (constants is None or not constants.assumptions_ok
+    if (not constants.assumptions_ok
             or config.schedule != Schedule.decay(constants, config.local_iters)):
-        return None
-    diff = _initial_theta(config, constants.theta_star.size) - constants.theta_star
-    if float(diff @ diff) != constants.y0:
         return None
     return bounds.bound_params(constants, config.mechanism, config.local_iters,
                                config.global_iters, config.n_clients, config.pool_size)
 
 
-def _round_columns(config: FederationConfig, repeats: int) -> RoundColumns:
+def round_columns(config: FederationConfig, repeats: int) -> RoundColumns:
     """Empty columns for the per-round metrics of ``repeats`` runs of ``config``.
 
     A ``ConfigError`` names the sizes when the columns cannot be allocated.
+    This is the one rule that refuses an absurd ``global_iters``: the L1
+    pilot and ``plan``, which loop over the rounds without these columns,
+    apply it to ``config.repeats`` runs before they start.
     """
     shape = (config.global_iters, repeats)
     try:
@@ -504,20 +495,20 @@ def _round_columns(config: FederationConfig, repeats: int) -> RoundColumns:
 def _run_block(
     config: FederationConfig,
     data: PaddedShards,
-    constants: ProblemConstants | None,
+    constants: ProblemConstants,
     seeds: list[int],
     record_trajectory: bool,
 ) -> list[RunResult]:
     """T_g rounds of the runs with the given seeds, all in one round loop.
 
-    The loop carries the (A, p) parameters of the A repeats still active. A
-    repeat whose local steps or aggregate leave PARAM_LIMIT in round t is
-    marked diverged and leaves the block at the end of round t, keeping its
-    metrics and parameters up to round t - 1. Round t's noise is the next
-    block of every repeat's stream, drawn a chunk of rounds ahead while the
-    rounds before it step (``_unit_noise_rounds``); once a repeat has
-    diverged, the active repeats' rows are picked out and its stream reads on
-    unused. In dual form (``PaddedShards.step_form``) round t + 1's pool
+    Every run starts at theta = 0, and the loop carries the (A, p)
+    parameters of the A repeats still active. A repeat whose local steps or
+    aggregate leave PARAM_LIMIT in round t is marked diverged and leaves the
+    block at the end of round t, keeping its metrics and parameters up to
+    round t - 1. Round t's noise is the next block of every repeat's stream,
+    drawn a chunk of rounds ahead while the rounds before it step
+    (``_unit_noise_rounds``); once a repeat has diverged, the active
+    repeats' rows are picked out and its stream reads on unused. In dual form (``PaddedShards.step_form``) round t + 1's pool
     kernel is built while round t steps, round 0's in line (``_ahead``), and
     round t's steps take it. Both are made on the block's one worker thread,
     which the block owns in one ``with``: the worker runs them in the order
@@ -526,23 +517,21 @@ def _run_block(
     noise block and no calibration context, and records a noise norm of
     0.0; a run with neither noise nor dual-form steps starts no thread.
 
-    The block's per-round metrics go to preallocated (T_g, R) columns
-    (``RoundColumns``), one vector assignment per metric and round, and each
-    run keeps its count of completed rounds; no ``RoundRecord`` is built
-    here.
+    The block's per-round metrics, y_k against ``constants.theta_star``
+    among them, go to preallocated (T_g, R) columns (``RoundColumns``), one
+    vector assignment per metric and round, and each run keeps its count of
+    completed rounds; no ``RoundRecord`` is built here.
     """
-    dim = data.dim
-    theta_0 = _initial_theta(config, dim)
     bound_params = run_bound_params(config, constants)
-    metrics = _round_columns(config, len(seeds))
+    metrics = round_columns(config, len(seeds))
 
+    theta = np.zeros((len(seeds), data.dim))
     runs = [
-        RunResult(theta=theta_0, diverged=False, metrics=metrics, column=i,
-                  trajectory=[theta_0.copy()] if record_trajectory else None)
+        RunResult(theta=theta[i], diverged=False, metrics=metrics, column=i,
+                  trajectory=[theta[i].copy()] if record_trajectory else None)
         for i in range(len(seeds))
     ]
     active = list(range(len(seeds)))
-    theta = np.tile(theta_0, (len(seeds), 1))
     n_clients, b = config.n_clients, config.pool_size
     noisy = config.mechanism.kind != "none"
     dual = data.step_form(config.clip.norm) == "dual"
@@ -592,14 +581,10 @@ def _run_block(
                 noise_agg = aggregate(noise, weights, n_clients, b)
                 noise_l2 = np.sqrt(_row_dots(noise_agg, noise_agg))
             metrics.noise_l2[row] = noise_l2
-            y_k = bound_y_k = math.nan
-            if constants is not None:
-                diff = theta - constants.theta_star
-                y_k = _row_dots(diff, diff)
-                if bound_params is not None:
-                    bound_y_k = bounds.convergence_bound(k, bound_params)
-            metrics.y_k[row] = y_k
-            metrics.bound_y_k.append(bound_y_k)
+            diff = theta - constants.theta_star
+            metrics.y_k[row] = _row_dots(diff, diff)
+            metrics.bound_y_k.append(
+                math.nan if bound_params is None else bounds.convergence_bound(k, bound_params))
 
     for i, r in enumerate(active):
         runs[r].theta = theta[i]
@@ -610,13 +595,14 @@ def _run_block(
 def run_federation(
     config: FederationConfig,
     data: PaddedShards,
-    constants: ProblemConstants | None = None,
+    constants: ProblemConstants,
     record_trajectory: bool = False,
 ) -> Repeats:
     """Execute T_g rounds of noisy federated averaging, ``config.repeats`` times.
 
-    ``data`` is the dataset's ``PaddedShards`` store. ``constants`` (when
-    given) supplies the optimum for the y_k column and, together with a decay
+    Every run starts at theta = 0. ``data`` is the dataset's
+    ``PaddedShards`` store and ``constants`` its problem constants: they
+    supply the optimum for the y_k column and, together with a decay
     schedule, the per-round convergence bound. ``runs[r]`` of the result is
     the run with seed config.seed + r, for r < config.repeats; the runs are
     computed as one block (in chunks that bound memory), and each is bitwise
@@ -651,14 +637,16 @@ def pilot_gradient_bound(config: FederationConfig, data: PaddedShards) -> float:
     that diverged; a step with a NaN norm is skipped whole. It bounds only
     the steps of this noise-free pilot: noisy runs leave its trajectory, and
     their clipped gradients can be far larger (up to the threshold, which is
-    the only hard bound on them).
+    the only hard bound on them). A config whose runs' per-round metrics
+    cannot be allocated (``round_columns``) is refused before the first round.
     """
     if config.clip.norm != "l1":
         raise ConfigError(f"the pilot measures the gradient bound under l1 clipping only, "
                           f"not {config.clip.norm}: there the bound is the threshold")
     _check_clients(data, config.n_clients)
+    round_columns(config, config.repeats)
     n_clients, b, E = config.n_clients, config.pool_size, config.local_iters
-    theta = _initial_theta(config, data.dim)[None]
+    theta = np.zeros((1, data.dim))
     max_sq = 0.0
     # a diverging step overflows: the loop stops after it, silently
     with np.errstate(over="ignore", invalid="ignore"):

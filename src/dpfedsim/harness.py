@@ -29,6 +29,7 @@ from .engine import (
     noise_context,
     pilot_gradient_bound,
     pool_slice,
+    round_columns,
     run_bound_params,
     run_federation,
 )
@@ -171,10 +172,7 @@ def _build_data(raw: RawConfig) -> tuple[PaddedShards, ProblemConstants]:
     Neither depends on a sweep axis, so a sweep builds them once.
     """
     dataset = _build_dataset(raw)
-    constants = problem_constants(
-        dataset, np.zeros(dataset.dim), raw.federation["clip_threshold"]
-    )
-    return dataset, constants
+    return dataset, problem_constants(dataset, raw.federation["clip_threshold"])
 
 
 def _configure(raw: RawConfig, dataset: PaddedShards,
@@ -195,7 +193,6 @@ def _configure(raw: RawConfig, dataset: PaddedShards,
         schedule=schedule,
         clip=ClipSpec(zeta, norm),
         mechanism=_mechanism_from(raw.dp),
-        theta_0=np.zeros(dataset.dim),
         seed=fed["seed"],
         repeats=fed["repeats"],
     )
@@ -504,6 +501,8 @@ def cmd_plan(config_path, out_dir=None, seed: int | None = None,
     """Report calibration values, the tuned E, and bound samples for a config."""
     exp = build_experiment(_load(config_path, seed))
     cfg = exp.config
+    # an absurd global_iters fails here, before the E* search and the bound curve
+    round_columns(cfg, cfg.repeats)
     mech = cfg.mechanism
     ctx = _round0_context(exp)
 

@@ -90,20 +90,20 @@ def centralized_gd_oracle(
     total_iters: int,
     schedule: Schedule,
     clip: ClipSpec,
-    theta_0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Plain full-batch gradient descent on the size-weighted global loss.
 
     The descent direction is the size-weighted sum of per-client clipped
     gradients (ascending client id), i.e. exactly the loss surface the
     federation descends. Returns the (T+1, p) trajectory including the start
-    point. Certifies the engine's b=N, E=1, noise-free special case.
+    theta = 0, where every run starts. Certifies the engine's b=N, E=1,
+    noise-free special case.
     """
     ordered = sorted(shards, key=lambda s: s.client_id)
     sizes = [s.n_l for s in ordered]
     n = sum(sizes)
     dim = ordered[0].dim
-    theta = np.zeros(dim) if theta_0 is None else np.asarray(theta_0, dtype=float)
+    theta = np.zeros(dim)
     out = np.empty((total_iters + 1, dim))
     out[0] = theta
     for k in range(total_iters):

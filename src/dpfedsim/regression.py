@@ -81,8 +81,8 @@ class ProblemConstants:
     (2/n) X^T X, ``gamma_noniid`` the gap between the global optimal loss and
     the size-weighted average of local optimal losses, ``g_bound`` the active
     bound on per-client gradient L2 norms, and ``y0`` the squared distance of
-    the start point from the global optimum. ``assumptions_ok`` is False when
-    the pooled Hessian is (numerically) singular, which disables bound
+    the start theta = 0 from the global optimum. ``assumptions_ok`` is False
+    when the pooled Hessian is (numerically) singular, which disables bound
     reporting downstream.
     """
 
@@ -607,7 +607,7 @@ def _local_optimum_losses(data: PaddedShards) -> np.ndarray:
     return resid_sq / data.sizes
 
 
-def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> ProblemConstants:
+def problem_constants(data: PaddedShards, zeta: float) -> ProblemConstants:
     """Compute curvature, heterogeneity and distance constants for a dataset.
 
     The pooled design, its Gram matrix and the per-shard optima are read from
@@ -617,9 +617,11 @@ def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> P
     within the forward error of ``lstsq`` on the pooled design; only a singular
     Hessian runs that ``lstsq`` on the n x p design, for its minimum-norm
     solution. gamma_noniid = f* - sum_l (n_l/n) f_l* (clamped at 0 against
-    rounding). The gradient bound is the clip threshold ``zeta``: exact under
-    L2 clipping, conservative under L1 since ||.||2 <= ||.||1. A tighter bound,
-    such as a measured pilot-run maximum, goes in with ``dataclasses.replace``.
+    rounding). y0 = theta* . theta* is the squared distance of every run's
+    start theta = 0 from theta*. The gradient bound is the clip threshold
+    ``zeta``: exact under L2 clipping, conservative under L1 since
+    ||.||2 <= ||.||1. A tighter bound, such as a measured pilot-run maximum,
+    goes in with ``dataclasses.replace``.
 
     The pooled Hessian counts as singular when lambda <= 0, when
     mu <= 1e-12 * lambda, or when mu^2 underflows to 0 (the bound divides by
@@ -633,10 +635,6 @@ def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> P
         raise ConfigError("clip threshold zeta must be > 0")
 
     n = data.n
-    theta_0 = np.asarray(theta_0, dtype=float)
-    if theta_0.shape != (data.dim,):
-        raise ConfigError("theta_0 dimension does not match the dataset")
-
     try:
         with np.errstate(over="ignore"):
             hessian = (2.0 / n) * data.gram
@@ -659,7 +657,6 @@ def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> P
     weighted_local = float(data.weights @ _local_optimum_losses(data))
     gamma_noniid = max(0.0, f_star - weighted_local)
 
-    diff = theta_0 - theta_star
     return ProblemConstants(
         mu=mu if assumptions_ok else 0.0,
         lam=lam,
@@ -667,6 +664,6 @@ def problem_constants(data: PaddedShards, theta_0: np.ndarray, zeta: float) -> P
         gamma_noniid=gamma_noniid,
         f_star=f_star,
         theta_star=theta_star,
-        y0=float(diff @ diff),
+        y0=float(theta_star @ theta_star),
         assumptions_ok=assumptions_ok,
     )

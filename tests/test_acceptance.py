@@ -150,7 +150,6 @@ def test_criterion_3_centralized_equivalence(tmp_path):
                            record_trajectory=True).runs
     traj = centralized_gd_oracle(
         exp.dataset.shards, 200, exp.config.schedule, exp.config.clip,
-        exp.config.theta_0,
     )
     assert not res.diverged and len(res.trajectory) == 201
     diff = max(float(np.max(np.abs(a - b))) for a, b in zip(res.trajectory, traj))

@@ -29,7 +29,7 @@ from dpfedsim.regression import ClientShard, ConfigError, PaddedShards, problem_
 def test_synth_iid_noise_free_is_exactly_realizable():
     ds = synth_regression(n_clients=5, n_per_client=10, n_features=3,
                           heterogeneity=0.0, noise_std=0.0, seed=0)
-    pc = problem_constants(ds, np.zeros(ds.dim), zeta=10.0)
+    pc = problem_constants(ds, zeta=10.0)
     assert pc.f_star <= 1e-20
     assert pc.gamma_noniid <= 1e-20
 
@@ -38,8 +38,8 @@ def test_synth_heterogeneity_increases_gamma():
     kwargs = dict(n_clients=6, n_per_client=15, n_features=3, noise_std=0.1, seed=7)
     ds0 = synth_regression(heterogeneity=0.0, **kwargs)
     ds1 = synth_regression(heterogeneity=1.0, **kwargs)
-    g0 = problem_constants(ds0, np.zeros(ds0.dim), 10.0).gamma_noniid
-    g1 = problem_constants(ds1, np.zeros(ds1.dim), 10.0).gamma_noniid
+    g0 = problem_constants(ds0, 10.0).gamma_noniid
+    g1 = problem_constants(ds1, 10.0).gamma_noniid
     assert g1 > g0
 
 
@@ -126,7 +126,7 @@ def test_store_costs_one_design_from_builder_to_constants():
         ds = synth_regression(40, 10, 59, 0.5, 0.1, seed=0)
         build_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
-        problem_constants(ds, np.zeros(ds.dim), 1.0)
+        problem_constants(ds, 1.0)
         constants_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -143,14 +143,14 @@ def test_constants_of_a_ragged_store_with_long_shards_hold_two_copies_of_x_y():
     # of 1.21x each. One more whole copy of [X y] would take it to 7.0x; the
     # bound sits between the two.
     warm = sorted_partition(np.random.default_rng(0).standard_normal((30, 4)), -1, 3)
-    problem_constants(warm, np.zeros(warm.dim), 1.0)  # first-use allocations of numpy
+    problem_constants(warm, 1.0)  # first-use allocations of numpy
     records = np.random.default_rng(8).standard_normal((4001, 7))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         ds = sorted_partition(records, -1, 250)
         tracemalloc.reset_peak()
-        problem_constants(ds, np.zeros(ds.dim), 1.0)
+        problem_constants(ds, 1.0)
         constants_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -264,7 +264,7 @@ def test_sorted_partition_more_heterogeneous_than_random():
     y = X @ np.array([2.0, -1.0]) + 0.2 * rng.standard_normal(120)
     records = np.column_stack([X, y])
     sorted_ds = sorted_partition(records, sort_key_index=2, n_clients=6)
-    g_sorted = problem_constants(sorted_ds, np.zeros(3), 10.0).gamma_noniid
+    g_sorted = problem_constants(sorted_ds, 10.0).gamma_noniid
     from dpfedsim.regression import ClientShard
 
     for shuffle_seed in range(20):
@@ -276,7 +276,7 @@ def test_sorted_partition_more_heterogeneous_than_random():
             ClientShard(i, np.column_stack([c[:, :-1], np.ones(len(c))]), c[:, -1])
             for i, c in enumerate(chunks)
         ]
-        g_random = problem_constants(PaddedShards.build(shards), np.zeros(3), 10.0).gamma_noniid
+        g_random = problem_constants(PaddedShards.build(shards), 10.0).gamma_noniid
         assert g_sorted >= g_random
 
 

@@ -39,7 +39,7 @@ def make_shards(rng, n_clients, n_per=10, d=3, spread=0.5):
 
 
 def decay_schedule_for(shards, local_iters, zeta=50.0):
-    pc = problem_constants(PaddedShards.build(shards), np.zeros(shards[0].dim), zeta)
+    pc = problem_constants(PaddedShards.build(shards), zeta)
     return Schedule.decay(pc, local_iters), pc
 
 
@@ -430,18 +430,18 @@ def test_bound_only_under_the_decay_schedule_it_was_derived_for(other):
                for r in res.records)
 
 
-def test_bound_only_from_the_start_its_constants_were_measured_at():
-    # noise-free with a clip that never binds, so only the start point can break the bound
+@pytest.mark.parametrize("repeats", [1, 3])
+def test_every_run_starts_at_zero_the_start_y0_measures(repeats):
+    # noise-free with a clip that never binds: the bound holds from the start
     data = synth_regression(20, 20, 3, 0.5, 0.1, seed=0)
-    pc = problem_constants(data, np.zeros(data.dim), 1e6)
+    pc = problem_constants(data, 1e6)
     cfg = FederationConfig(n_clients=20, pool_size=20, local_iters=1, global_iters=50,
-                           schedule=Schedule.decay(pc, 1), clip=ClipSpec(1e6, "l2"))
-    [res] = run_federation(cfg, data, constants=pc).runs
-    assert all(math.isfinite(r.bound_y_k) and r.y_k <= r.bound_y_k for r in res.records)
-    far = dataclasses.replace(cfg, theta_0=pc.theta_star + 30.0)
-    [res] = run_federation(far, data, constants=pc).runs
-    assert all(math.isfinite(r.y_k) and math.isnan(r.bound_y_k) for r in res.records)
-    assert run_bound_params(far, pc) is None
+                           schedule=Schedule.decay(pc, 1), clip=ClipSpec(1e6, "l2"),
+                           repeats=repeats)
+    runs = run_federation(cfg, data, pc, record_trajectory=True).runs
+    for res in runs:
+        assert res.trajectory[0].tobytes() == np.zeros(data.dim).tobytes()
+        assert all(math.isfinite(r.bound_y_k) and r.y_k <= r.bound_y_k for r in res.records)
 
 
 def test_noise_free_trajectory_ignores_seed():
@@ -463,7 +463,8 @@ def test_divergence_returns_partial_trajectory():
         n_clients=2, pool_size=2, local_iters=2, global_iters=50,
         schedule=Schedule.constant(50.0), clip=ClipSpec(1e30, "l2"),
     )
-    [res] = run_federation(cfg, PaddedShards.build(shards)).runs
+    data = PaddedShards.build(shards)
+    [res] = run_federation(cfg, data, problem_constants(data, 1e30)).runs
     assert res.diverged
     assert len(res.records) < 50
 

@@ -69,6 +69,14 @@ def test_build_experiment_default_synth(tmp_path):
     assert exp.constants.g_bound == 20.0  # L2 clipping: threshold is the bound
 
 
+def test_configs_built_from_one_file_compare_and_hash_equal(tmp_path):
+    path = write(tmp_path, SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 2.0\n")
+    first, second = (build_experiment(parse_config(path)).config for _ in range(2))
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+
+
 def test_l1_clipping_tightens_gradient_bound_via_pilot(tmp_path):
     body = SMALL_TASK.replace("clip_norm = l2", "clip_norm = l1")
     exp = build_experiment(parse_config(write(tmp_path, body)))
@@ -229,11 +237,9 @@ delta = 1e-4
 """
 CSV_CASES = {
     # the bound is NaN under the constant schedule; y_k is not
-    "diverging": (DIVERGING_TASK, True),
+    "diverging": DIVERGING_TASK,
     # noise_l2 is 0.0 in every row
-    "noise-free": (SMALL_TASK, True),
-    # without constants both y_k and bound_y_k are NaN
-    "no-constants": (SMALL_TASK + "\n[dp]\nmechanism = laplace\nepsilon = 2.0\n", False),
+    "noise-free": SMALL_TASK,
 }
 
 
@@ -241,15 +247,13 @@ CSV_CASES = {
 @pytest.mark.parametrize("case", CSV_CASES)
 def test_rounds_csv_from_the_columns_equals_the_per_record_writer(
         tmp_path, monkeypatch, case, blocks):
-    task, with_constants = CSV_CASES[case]
-    exp = build_experiment(parse_config(write(tmp_path, task)))
+    exp = build_experiment(parse_config(write(tmp_path, CSV_CASES[case])))
     if blocks == "lane-blocks":
         # a cap below one repeat's work array: one lane block of repeats per _run_block
         monkeypatch.setattr("dpfedsim.engine.CHUNK_ELEMENTS", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the diverging repeats' overflow
-        results = run_federation(exp.config, exp.dataset,
-                                 exp.constants if with_constants else None).runs
+        results = run_federation(exp.config, exp.dataset, exp.constants).runs
     metrics = {id(run.metrics) for run in results}
     assert len(metrics) == (1 if blocks == "one-block" else -(-len(results) // 8))
     rounds = {run.rounds for run in results}
@@ -264,22 +268,43 @@ def test_rounds_csv_from_the_columns_equals_the_per_record_writer(
     assert len(rows) == sum(run.rounds for run in results)
     if case == "noise-free":
         assert {row[-1] for row in rows} == {"0.0"}
-    if case == "no-constants":
-        assert {row[6] for row in rows} == {row[7] for row in rows} == {"nan"}
     if case == "diverging":
         assert {row[7] for row in rows} == {"nan"} and "nan" not in {row[6] for row in rows}
 
 
+def _cli_in_child(argv, timeout):
+    """Exit code and stderr of ``dpfedsim argv`` in a fresh interpreter stopped after ``timeout`` s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dpfedsim.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    return proc.returncode, proc.stderr
+
+
 @pytest.mark.parametrize("global_iters", [10**15, 10**30])
+@pytest.mark.parametrize("norm", ["l2", "l1"])
+@pytest.mark.parametrize("command", ["run", "sweep", "plan", "validate"])
 def test_cli_metric_columns_that_cannot_be_allocated_are_one_error_line(
-        tmp_path, capsys, global_iters):
+        tmp_path, capsys, command, norm, global_iters):
     # (T_g, 3) float columns of 21 PiB and past numpy's dimension limit: numpy
-    # refuses both before any page is touched; b T_g is a multiple of N = 8
+    # refuses both before any page is touched; b T_g is a multiple of N = 8.
+    # The L1 pilot and plan loop over the rounds without the columns, so they
+    # run in a child process under a timeout: a loop fails the test, not the
+    # suite. validate computes no per-round metric and runs no pilot under L2
     path = write(tmp_path, SMALL_TASK.replace("global_iters = 20",
-                                              f"global_iters = {global_iters}"))
-    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+                                              f"global_iters = {global_iters}")
+                 .replace("clip_norm = l2", f"clip_norm = {norm}")
+                 + "\n[sweep]\naxis = E\nvalues = 2\n")
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+    if command == "validate":
+        argv += ["--draws", "10000"]
+    if norm == "l1" or command == "plan":
+        code, err = _cli_in_child(argv, timeout=30)
+    else:
+        code, err = cli_main(argv), capsys.readouterr().err
+    if command == "validate" and norm == "l2":
+        assert (code, err) == (0, "")
+        return
     assert code == 1
-    err = capsys.readouterr().err
     assert err.startswith(f"error: the per-round metrics of global_iters={global_iters} "
                           "rounds x 3 repeats do not fit in memory (")
     assert len(err.splitlines()) == 1
@@ -751,7 +776,7 @@ def test_oracle_one_step_quadratic():
     shard = ClientShard(0, np.array([[1.0]]), np.array([1.0]))
     traj = centralized_gd_oracle(
         [shard], total_iters=1, schedule=Schedule.constant(0.25),
-        clip=ClipSpec(1e9, "l2"), theta_0=np.zeros(1),
+        clip=ClipSpec(1e9, "l2"),
     )
     assert traj[1] == pytest.approx([0.5])
 
@@ -765,7 +790,7 @@ def test_oracle_monotone_loss_under_small_rate():
     from dpfedsim.reference import global_loss
     from dpfedsim.regression import PaddedShards, problem_constants
 
-    pc = problem_constants(PaddedShards.build(shards), np.zeros(2), zeta=1e9)
+    pc = problem_constants(PaddedShards.build(shards), zeta=1e9)
     traj = centralized_gd_oracle(
         shards, 50, Schedule.constant(0.5 / pc.lam), ClipSpec(1e9, "l2")
     )
@@ -789,7 +814,7 @@ def test_oracle_matches_engine_special_case(tmp_path):
                          record_trajectory=True).runs[0]
     traj = centralized_gd_oracle(
         exp.dataset.shards, exp.config.global_iters, exp.config.schedule,
-        exp.config.clip, exp.config.theta_0,
+        exp.config.clip,
     )
     diff = max(
         float(np.max(np.abs(a - b))) for a, b in zip(res.trajectory, traj)
@@ -989,12 +1014,8 @@ def test_cli_warning_is_one_line_without_python_source(tmp_path):
     path = write(tmp_path, CSV_TASK.format(csv_path=csv_path) + "target_column = rate\n")
     argv = ["run", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
     # pytest records warnings in process, so the printed form needs its own interpreter
-    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "dpfedsim.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    assert proc.stderr == (
-        f"warning: {csv_path}: skipped 1 rows with missing or non-numeric cells\n"
+    assert _cli_in_child(argv, timeout=120) == (
+        0, f"warning: {csv_path}: skipped 1 rows with missing or non-numeric cells\n"
     )
     formatwarning = warnings.formatwarning
     with pytest.warns(UserWarning, match="skipped 1 rows"):

@@ -52,17 +52,12 @@ def _diverged(theta):
     return not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > PARAM_LIMIT
 
 
-def _start(config, dim):
-    return np.zeros(dim) if config.theta_0 is None else np.asarray(config.theta_0, float)
+def reference_run(config, shards, constants):
+    """One repeat from theta = 0, client by client: client_update, row i of
+    the round's noise block (the next draw of the run's one stream) for client
+    start + i, and aggregate over ascending client ids.
 
-
-def reference_run(config, shards, constants=None):
-    """One repeat, client by client: client_update, row i of the round's noise
-    block (the next draw of the run's one stream) for client start + i, and
-    aggregate over ascending client ids.
-
-    A bound is reported only for the decay schedule of ``constants`` and a
-    start at the squared distance ``constants.y0`` from theta*."""
+    A bound is reported only for the decay schedule of ``constants``."""
     shards = sorted(shards, key=lambda s: s.client_id)
     N, b, E = config.n_clients, config.pool_size, config.local_iters
     sizes = [s.n_l for s in shards]
@@ -70,12 +65,9 @@ def reference_run(config, shards, constants=None):
     n_bar_sq = sum(s * s for s in sizes) / N
     X, y = pooled_design(shards)
     dim = X.shape[1]
-    theta = _start(config, dim)
+    theta = np.zeros(dim)
     bound_params = None
-    if (constants is not None and constants.assumptions_ok
-            and config.schedule == Schedule.decay(constants, E)
-            and float((theta - constants.theta_star) @ (theta - constants.theta_star))
-            == constants.y0):
+    if constants.assumptions_ok and config.schedule == Schedule.decay(constants, E):
         bound_params = bounds.bound_params(
             constants, config.mechanism, local_iters=E,
             global_iters=config.global_iters, n_clients=N, pool_size=b,
@@ -105,12 +97,11 @@ def reference_run(config, shards, constants=None):
         theta = theta_new
         k = (t + 1) * E
         resid = X @ theta - y
-        y_k = bound_y_k = math.nan
-        if constants is not None:
-            diff = theta - constants.theta_star
-            y_k = float(diff @ diff)
-            if bound_params is not None:
-                bound_y_k = bounds.convergence_bound(k, bound_params)
+        diff = theta - constants.theta_star
+        y_k = float(diff @ diff)
+        bound_y_k = math.nan
+        if bound_params is not None:
+            bound_y_k = bounds.convergence_bound(k, bound_params)
         records.append(RoundRecord(
             t=t, k=k, eta_k=eta_tilde, global_loss=float(resid @ resid) / n, y_k=y_k,
             bound_y_k=bound_y_k, noise_l2=float(np.linalg.norm(aggregate(noises, N, b, n))),
@@ -128,7 +119,7 @@ def reference_pilot(config, shards):
     shards = sorted(shards, key=lambda s: s.client_id)
     N, b, E = config.n_clients, config.pool_size, config.local_iters
     n = sum(s.n_l for s in shards)
-    theta = _start(config, shards[0].dim)
+    theta = np.zeros(shards[0].dim)
     max_norm = 0.0
     for t in range(config.global_iters):
         pool = [shards[cid] for cid in sorted((t * b + j) % N for j in range(b))]
@@ -198,7 +189,7 @@ def shards_of(shape, **kwargs):
 
 
 def decay_config(data, norm, zeta, mechanism, E=3, b=3, T_g=8, seed=7):
-    pc = problem_constants(data, np.zeros(data.dim), zeta)
+    pc = problem_constants(data, zeta)
     schedule = Schedule.decay(pc, E)
     cfg = FederationConfig(
         n_clients=data.n_clients, pool_size=b, local_iters=E, global_iters=T_g,
@@ -237,12 +228,11 @@ def test_kernel_matches_per_client_reference(shape, norm, mechanism):
     assert_close(res.theta, theta)
 
 
-def test_kernel_matches_reference_without_constants_and_full_pool():
+def test_kernel_matches_reference_on_a_full_pool():
     data = ragged_shards(n_clients=4, rows=30, seed=1)
-    cfg, _ = decay_config(data, "l2", 0.3, MECHANISMS["gaussian"], E=2, b=4, T_g=5)
-    [res] = run_federation(cfg, data).runs
-    records, theta, _ = reference_run(cfg, data.shards)
-    assert all(math.isnan(r.y_k) and math.isnan(r.bound_y_k) for r in res.records)
+    cfg, pc = decay_config(data, "l2", 0.3, MECHANISMS["gaussian"], E=2, b=4, T_g=5)
+    [res] = run_federation(cfg, data, pc).runs
+    records, theta, _ = reference_run(cfg, data.shards, pc)
     for got, want in zip(res.records, records):
         assert_close(dataclasses.astuple(got), dataclasses.astuple(want))
     assert_close(res.theta, theta)
@@ -277,8 +267,9 @@ def test_kernel_matches_reference_on_divergence():
         schedule=Schedule.constant(50.0), clip=ClipSpec(1e30, "l2"),
         mechanism=MECHANISMS["laplace"], seed=3,
     )
-    [res] = run_federation(cfg, data).runs
-    records, theta, diverged = reference_run(cfg, data.shards)
+    pc = problem_constants(data, 1e30)
+    [res] = run_federation(cfg, data, pc).runs
+    records, theta, diverged = reference_run(cfg, data.shards, pc)
     assert res.diverged and diverged
     assert len(res.records) == len(records) < 50
     for got, want in zip(res.records, records):
@@ -297,7 +288,7 @@ def test_pilot_matches_per_client_reference(shape, case):
         zeta = 1e30
         cfg = dataclasses.replace(cfg, schedule=Schedule.constant(1.5 * 2 / pc.lam),
                                   clip=ClipSpec(zeta, "l1"))
-        assert run_federation(cfg, data).diverged
+        assert run_federation(cfg, data, pc).diverged
     elif case == "noisy-seed-5":
         cfg = dataclasses.replace(cfg, mechanism=MECHANISMS["laplace"], seed=5)
     with warnings.catch_warnings():
@@ -331,20 +322,18 @@ def test_pooled_loss_is_as_accurate_as_the_residual_form(offset):
     X, y = pooled_design(data.shards)
     n = len(y)
     theta_opt = np.linalg.lstsq(X, y, rcond=None)[0]
-    theta_0 = theta_opt + 0.05 * np.random.default_rng(5).standard_normal(X.shape[1])
-    cfg = FederationConfig(
-        n_clients=4, pool_size=4, local_iters=1, global_iters=5,
-        schedule=Schedule.constant(1e-3), clip=ClipSpec(1e30, "l2"), theta_0=theta_0,
-    )
-    [res] = run_federation(cfg, data, record_trajectory=True).runs
+    # near-optimal points, each 0.05 or less per coordinate off theta*;
+    # data.losses fills a run's global_loss column
+    near = theta_opt + 0.05 * np.random.default_rng(5).standard_normal((5, X.shape[1]))
+    losses = data.losses(near)
     rows = [([Fraction(v) for v in xi], Fraction(yi)) for xi, yi in zip(X.tolist(), y.tolist())]
     worst = {"engine": 0.0, "residual": 0.0, "naive": 0.0}
-    for rec, theta in zip(res.records, res.trajectory[1:]):
+    for loss, theta in zip(losses.tolist(), near):
         coef = [Fraction(v) for v in theta.tolist()]
         exact = sum((sum(a * c for a, c in zip(xi, coef)) - yi) ** 2 for xi, yi in rows) / n
         resid = X @ theta - y
         got = {
-            "engine": rec.global_loss,
+            "engine": loss,
             "residual": float(resid @ resid) / n,
             "naive": float(theta @ (X.T @ X) @ theta - 2 * (X.T @ y) @ theta + y @ y) / n,
         }
@@ -544,7 +533,7 @@ MIXED = {
 def test_mixed_divergence_matches_single_seed_runs(case):
     c = MIXED[case]
     data = ragged_shards(n_clients=6, rows=42, seed=6)
-    pc = problem_constants(data, np.zeros(data.dim), c["zeta"])
+    pc = problem_constants(data, c["zeta"])
     rate = c["rate"] * 2 / pc.lam if case == "unstable-rate" else c["rate"]
     cfg = FederationConfig(
         n_clients=6, pool_size=3, local_iters=c["E"], global_iters=c["T_g"],
@@ -579,9 +568,11 @@ def test_a_local_step_past_the_limit_diverges_though_the_aggregate_is_back_withi
         schedule=Schedule.constant(3 * 2 / lam), clip=ClipSpec(1e30, "l2"),
         mechanism=MECHANISMS["laplace"], seed=5,
     )
-    batch = run_federation(dataclasses.replace(cfg, repeats=3), data)
+    pc = problem_constants(data, 1e30)
+    batch = run_federation(dataclasses.replace(cfg, repeats=3), data, pc)
     for r, run in enumerate(batch.runs):
-        records, theta, diverged = reference_run(dataclasses.replace(cfg, seed=5 + r), shards)
+        records, theta, diverged = reference_run(dataclasses.replace(cfg, seed=5 + r), shards,
+                                                 pc)
         assert run.diverged and diverged
         assert run.records == records == []
         assert np.array_equal(run.theta, theta)
@@ -598,7 +589,7 @@ def test_overflow_of_a_diverging_repeat_stays_inside_the_kernel():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = run_federation(cfg, data)
+        batch = run_federation(cfg, data, problem_constants(data, 1e300))
     assert batch.diverged == 3 and batch.records == []
     assert all(np.array_equal(run.theta, np.zeros(data.dim)) for run in batch.runs)
 
@@ -632,7 +623,10 @@ CHUNKED = {
 
 
 def _chunked_config(kind, repeats, monkeypatch, span=3):
-    """A run of 10 rounds whose noise comes in chunks of ``span`` rounds, and its store."""
+    """A run of 10 rounds whose noise comes in chunks of ``span`` rounds.
+
+    Returns the config, its store and the store's constants.
+    """
     mechanism, stops = CHUNKED[kind]
     data = ragged_shards(n_clients=6, rows=42, seed=6)
     cfg = FederationConfig(
@@ -641,13 +635,13 @@ def _chunked_config(kind, repeats, monkeypatch, span=3):
         seed=4 if repeats > 1 else stops, repeats=repeats,
     )
     monkeypatch.setattr(engine, "NOISE_CHUNK_ELEMENTS", span * repeats * 3 * data.dim)
-    return cfg, data
+    return cfg, data, problem_constants(data, 1.0)
 
 
 @pytest.mark.parametrize("repeats", [1, 9])
 @pytest.mark.parametrize("kind", CHUNKED)
 def test_noise_drawn_in_chunks_is_one_sample_noise_draw_per_round(kind, repeats, monkeypatch):
-    cfg, data = _chunked_config(kind, repeats, monkeypatch)
+    cfg, data, pc = _chunked_config(kind, repeats, monkeypatch)
     spans, summed = [], []
     unit, aggregate = engine.unit_noise, engine.aggregate
 
@@ -661,7 +655,7 @@ def test_noise_drawn_in_chunks_is_one_sample_noise_draw_per_round(kind, repeats,
 
     monkeypatch.setattr(engine, "unit_noise", counted)
     monkeypatch.setattr(engine, "aggregate", kept)
-    batch = run_federation(cfg, data)
+    batch = run_federation(cfg, data, pc)
     stops = [len(run.records) if run.diverged else cfg.global_iters for run in batch.runs]
     assert 0 < batch.diverged and all(t % 3 for t in stops if t < cfg.global_iters)
     if repeats > 1:
@@ -689,17 +683,17 @@ def test_noise_drawn_in_chunks_is_one_sample_noise_draw_per_round(kind, repeats,
             assert noises[t][active.index(r)].tobytes() == want.tobytes()
 
     monkeypatch.setattr(engine, "NOISE_CHUNK_ELEMENTS", 1)  # one round per chunk
-    for got, want in zip(batch.runs, run_federation(cfg, data).runs):
+    for got, want in zip(batch.runs, run_federation(cfg, data, pc).runs):
         _assert_same_run(got, want)
-    _assert_matches_reference(batch, cfg, data, None)
+    _assert_matches_reference(batch, cfg, data, pc)
 
 
 def test_threaded_chunks_under_fast_switching_equal_one_chunk_drawn_alone(monkeypatch):
     # a chunk per round, so a worker per round, for three runs at once on
     # threads of their own: more threads than cores, switching every microsecond
-    cfg, data = _chunked_config("gaussian", 9, monkeypatch, span=1)
+    cfg, data, pc = _chunked_config("gaussian", 9, monkeypatch, span=1)
     batches = []
-    runs = [threading.Thread(target=lambda: batches.append(run_federation(cfg, data)))
+    runs = [threading.Thread(target=lambda: batches.append(run_federation(cfg, data, pc)))
             for _ in range(3)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -712,7 +706,7 @@ def test_threaded_chunks_under_fast_switching_equal_one_chunk_drawn_alone(monkey
         sys.setswitchinterval(interval)
     assert not any(run.is_alive() for run in runs) and len(batches) == 3
     monkeypatch.setattr(engine, "NOISE_CHUNK_ELEMENTS", 10**9)  # one chunk, no worker
-    alone = run_federation(cfg, data).runs
+    alone = run_federation(cfg, data, pc).runs
     for batch in batches:
         for got, want in zip(batch.runs, alone):
             _assert_same_run(got, want)
@@ -741,14 +735,14 @@ def test_no_noise_worker_outlives_the_run(case, monkeypatch):
     # the worker is drawing the next chunk when the run ends: at t = 2 when the
     # one repeat diverges, or at t = 1 when a local step raises
     before = threading.active_count()
-    cfg, data = _chunked_config("laplace", 1, monkeypatch)
+    cfg, data, pc = _chunked_config("laplace", 1, monkeypatch)
     _slow_worker(monkeypatch)
     if case == "finished":
         cfg = dataclasses.replace(cfg, mechanism=MechanismSpec(kind="laplace", epsilon=1.0,
                                                                xi1=1.0))
-        assert run_federation(cfg, data).diverged == 0
+        assert run_federation(cfg, data, pc).diverged == 0
     elif case == "all-diverged":
-        assert run_federation(cfg, data).diverged == 1
+        assert run_federation(cfg, data, pc).diverged == 1
     else:
         steps = engine.client_update
 
@@ -759,7 +753,7 @@ def test_no_noise_worker_outlives_the_run(case, monkeypatch):
 
         monkeypatch.setattr(engine, "client_update", fail_in_round_1)
         with pytest.raises(RuntimeError, match="a step failed"):
-            run_federation(cfg, data)
+            run_federation(cfg, data, pc)
     assert threading.active_count() == before
 
 
@@ -783,7 +777,10 @@ def test_an_error_in_the_noise_worker_is_the_cli_error_line(
 
 
 def _dual_config(mechanism, repeats):
-    """A dual-form run of 10 rounds on SHAPES' wide store (p = 13 > max(n_l) = 7, L2), and its store."""
+    """A dual-form run of 10 rounds on SHAPES' wide store (p = 13 > max(n_l) = 7, L2).
+
+    Returns the config, the store and its constants.
+    """
     data = shards_of("wide")
     assert data.step_form("l2") == "dual"
     cfg = FederationConfig(
@@ -791,7 +788,7 @@ def _dual_config(mechanism, repeats):
         schedule=Schedule.constant(0.1), clip=ClipSpec(1.0, "l2"), mechanism=mechanism,
         seed=4, repeats=repeats,
     )
-    return cfg, data
+    return cfg, data, problem_constants(data, 1.0)
 
 
 def test_kernels_built_ahead_under_fast_switching_equal_the_in_line_build(monkeypatch):
@@ -799,10 +796,10 @@ def test_kernels_built_ahead_under_fast_switching_equal_the_in_line_build(monkey
     # noise chunks, one per round, for three runs at once on threads of their
     # own: more threads than cores, switching every microsecond. Of seeds
     # 4..12, 5 and 12 stop at t = 8 and t = 6
-    cfg, data = _dual_config(CHUNKED["gaussian"][0], 9)
+    cfg, data, pc = _dual_config(CHUNKED["gaussian"][0], 9)
     monkeypatch.setattr(engine, "NOISE_CHUNK_ELEMENTS", 1)
     batches = []
-    runs = [threading.Thread(target=lambda: batches.append(run_federation(cfg, data)))
+    runs = [threading.Thread(target=lambda: batches.append(run_federation(cfg, data, pc)))
             for _ in range(3)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -817,7 +814,7 @@ def test_kernels_built_ahead_under_fast_switching_equal_the_in_line_build(monkey
     # the steps given no kernel: local_steps builds each one in line
     steps = engine.client_update
     monkeypatch.setattr(engine, "client_update", lambda *args: steps(*args[:6]))
-    alone = run_federation(cfg, data).runs
+    alone = run_federation(cfg, data, pc).runs
     assert [len(run.records) for run in alone if run.diverged] == [8, 6]
     for batch in batches:
         for got, want in zip(batch.runs, alone):
@@ -828,14 +825,14 @@ def test_an_error_in_a_kernel_built_ahead_is_raised_by_the_round_that_waits_for_
         monkeypatch):
     # noise-free, so the worker's first task is round 1's K_l
     before = threading.active_count()
-    cfg, data = _dual_config(MechanismSpec(), 3)
+    cfg, data, pc = _dual_config(MechanismSpec(), 3)
     _slow_worker(monkeypatch, fail=RuntimeError("a kernel failed"), name="pool_kernel")
     rounds = []
     steps = engine.client_update
     monkeypatch.setattr(engine, "client_update",
                         lambda *args: rounds.append(args[3]) or steps(*args))
     with pytest.raises(RuntimeError, match="a kernel failed"):
-        run_federation(cfg, data)
+        run_federation(cfg, data, pc)
     assert rounds == [0]
     assert threading.active_count() == before
 
@@ -844,9 +841,9 @@ def test_no_kernel_worker_outlives_a_dual_form_run_whose_repeats_all_diverge(mon
     # seeds 4, 5 and 6 leave the limit in rounds 3, 2 and 2, while the worker
     # is building round 4's K_l
     before = threading.active_count()
-    cfg, data = _dual_config(CHUNKED["laplace"][0], 3)
+    cfg, data, pc = _dual_config(CHUNKED["laplace"][0], 3)
     _slow_worker(monkeypatch, name="pool_kernel")
-    batch = run_federation(cfg, data)
+    batch = run_federation(cfg, data, pc)
     assert batch.diverged == 3
     assert [len(run.records) for run in batch.runs] == [3, 2, 2]
     assert threading.active_count() == before
@@ -1082,7 +1079,7 @@ def test_dual_form_on_singular_kernels_matches_the_reference():
     rows = np.concatenate([np.concatenate([part, part]) for part in np.split(distinct, 4)])
     data = PaddedShards.from_pooled(rows, rng.standard_normal(len(rows)), [6] * 4)
     assert data.dim > data.x.shape[1]
-    pc = problem_constants(data, np.zeros(data.dim), 100.0)
+    pc = problem_constants(data, 100.0)
     cfg = FederationConfig(
         n_clients=4, pool_size=2, local_iters=60, global_iters=4,
         schedule=Schedule.constant(1.5), clip=ClipSpec(100.0, "l2"),
@@ -1105,7 +1102,7 @@ def test_dual_form_checks_every_step_when_the_round_could_leave_the_limit():
     # its 40th step, and every repeat diverges in round 0 as in the reference
     data = ragged_shards(n_clients=4, rows=24, features=9, seed=5)
     assert data.dim > data.x.shape[1]  # p = 10 > n_l = 6
-    pc = problem_constants(data, np.zeros(data.dim), 1e30)
+    pc = problem_constants(data, 1e30)
     lam = max(np.linalg.eigvalsh(stat)[-1] for stat in data.local_stats[0])
     cfg = FederationConfig(
         n_clients=4, pool_size=2, local_iters=40, global_iters=2,
@@ -1126,7 +1123,7 @@ def test_row_form_checks_every_step_when_the_round_could_leave_the_limit():
     # repeat diverges in round 0 as in the reference
     data = ragged_shards(n_clients=4, rows=40, features=3, seed=5)
     assert data.dim <= data.x.shape[1]  # p = 4 <= n_l = 10
-    pc = problem_constants(data, np.zeros(data.dim), 1e30)
+    pc = problem_constants(data, 1e30)
     lam = max(np.linalg.eigvalsh(stat)[-1] for stat in data.local_stats[0])
     cfg = FederationConfig(
         n_clients=4, pool_size=2, local_iters=40, global_iters=2,
@@ -1161,7 +1158,7 @@ def test_dual_form_clip_bounds_the_formed_gradient_near_the_null_space_of_its_ke
         worst = max(worst, np.linalg.norm(_formed(steps, grad, data.x[0:4], 3), axis=-1).max())
         steps.step(0.5, grad)
     assert zeta * (1 - 1e-6) < worst <= zeta * (1 + 1e-9)
-    pc = problem_constants(data, np.zeros(data.dim), zeta)
+    pc = problem_constants(data, zeta)
     cfg = FederationConfig(
         n_clients=4, pool_size=2, local_iters=5, global_iters=6,
         schedule=Schedule.constant(0.5), clip=ClipSpec(zeta, "l2"),
@@ -1200,14 +1197,13 @@ def test_repeats_equal_their_single_seed_runs_under_two_blas_threads():
     # columns among its threads otherwise than a one-thread GEMM
     script = textwrap.dedent("""
         import dataclasses
-        import numpy as np
         from dpfedsim.data import synth_regression
         from dpfedsim.engine import ClipSpec, FederationConfig, Schedule, run_federation
         from dpfedsim.mechanisms import MechanismSpec
         from dpfedsim.regression import problem_constants
 
         data = synth_regression(40, 50, 199, 0.5, 0.1, seed=22)
-        pc = problem_constants(data, np.zeros(data.dim), 1.0)
+        pc = problem_constants(data, 1.0)
         cfg = FederationConfig(
             n_clients=40, pool_size=20, local_iters=2, global_iters=4,
             schedule=Schedule.decay(pc, 2), clip=ClipSpec(1.0, "l2"),
@@ -1255,13 +1251,11 @@ def test_config_repeats_sets_the_run_count_and_each_run_is_its_seed_alone(mechan
 def federations(draw):
     """A small federation: b | N and N | b*T_g, ragged shards, any clip, mechanism and rate.
 
-    p counts the bias column. The start is zeros or a nonzero vector; the
-    constants are measured at zeros, so a decay run from elsewhere has no
-    bound. Shard sizes fall on both sides of p, so the kernel runs in Gram
-    form (p <= max(n_l)) and in dual form (p > max(n_l)). A zeta of 0.1
-    binds, one of 100 binds only once a run drifts far, and one of 1e30 never
-    binds: at the unstable constant rate a noise-free run diverges, and its
-    noise sends a noisy run past PARAM_LIMIT at once.
+    p counts the bias column. Shard sizes fall on both sides of p, so the
+    kernel runs in Gram form (p <= max(n_l)) and in dual form (p > max(n_l)).
+    A zeta of 0.1 binds, one of 100 binds only once a run drifts far, and one
+    of 1e30 never binds: at the unstable constant rate a noise-free run
+    diverges, and its noise sends a noisy run past PARAM_LIMIT at once.
     """
     n_clients = draw(st.sampled_from([1, 2, 3, 4, 6]))
     pool_size = draw(st.sampled_from([b for b in range(1, n_clients + 1) if n_clients % b == 0]))
@@ -1269,8 +1263,6 @@ def federations(draw):
     sizes = draw(st.lists(st.integers(1, 7), min_size=n_clients, max_size=n_clients))
     return dict(
         n_clients=n_clients, pool_size=pool_size, p=p, sizes=sizes,
-        theta_0=draw(st.none() | st.lists(st.sampled_from([-1.0, 0.5, 2.0]),
-                                          min_size=p, max_size=p)),
         global_iters=n_clients // pool_size * draw(st.integers(1, 2)),
         local_iters=draw(st.integers(1, 4)),
         norm=draw(st.sampled_from(CLIP_NORMS)),
@@ -1290,7 +1282,7 @@ def test_kernel_matches_per_client_reference_on_drawn_federations(fed):
     x = rng.standard_normal((n, fed["p"] - 1))
     y = x @ rng.standard_normal(fed["p"] - 1) + 0.5 + 0.1 * rng.standard_normal(n)
     data = PaddedShards.from_pooled(np.column_stack([x, np.ones(n)]), y, fed["sizes"])
-    pc = problem_constants(data, np.zeros(data.dim), fed["zeta"])
+    pc = problem_constants(data, fed["zeta"])
     if fed["rate"] == "decay" and pc.assumptions_ok:
         schedule = Schedule.decay(pc, fed["local_iters"])
     else:
@@ -1300,7 +1292,6 @@ def test_kernel_matches_per_client_reference_on_drawn_federations(fed):
         global_iters=fed["global_iters"], schedule=schedule,
         clip=ClipSpec(fed["zeta"], fed["norm"]), mechanism=MECHANISMS[fed["mechanism"]],
         seed=fed["seed"], repeats=fed["repeats"],
-        theta_0=None if fed["theta_0"] is None else np.array(fed["theta_0"]),
     )
     batch = run_federation(cfg, data, constants=pc)
     single = _single_runs(dataclasses.replace(cfg, repeats=1), data, pc, cfg.repeats)

@@ -385,7 +385,7 @@ def test_identical_shards_have_zero_gamma():
     X = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
     shards = [ClientShard(i, X.copy(), y.copy()) for i in range(4)]
-    pc = problem_constants(PaddedShards.build(shards), np.zeros(2), zeta=10.0)
+    pc = problem_constants(PaddedShards.build(shards), zeta=10.0)
     assert pc.gamma_noniid <= 1e-12
 
 
@@ -395,7 +395,7 @@ def test_two_quadratics_closed_form():
     # local optima are exact, so gamma = f* - 0 = 1.
     s1 = ClientShard(0, np.array([[1.0]]), np.array([0.0]))
     s2 = ClientShard(1, np.array([[1.0]]), np.array([2.0]))
-    pc = problem_constants(PaddedShards.build([s1, s2]), np.zeros(1), zeta=10.0)
+    pc = problem_constants(PaddedShards.build([s1, s2]), zeta=10.0)
     assert pc.f_star == pytest.approx(1.0, rel=1e-12)
     assert pc.theta_star == pytest.approx([1.0], rel=1e-12)
     assert pc.gamma_noniid == pytest.approx(1.0, rel=1e-12)
@@ -411,14 +411,14 @@ def test_gamma_nonnegative_on_random_datasets():
             make_shard(rng, n=int(rng.integers(2, 8)), d=3, client_id=i)
             for i in range(int(rng.integers(2, 6)))
         ]
-        pc = problem_constants(PaddedShards.build(shards), np.zeros(3), zeta=10.0)
+        pc = problem_constants(PaddedShards.build(shards), zeta=10.0)
         assert pc.gamma_noniid >= 0.0
 
 
 def test_eigenvalue_extremes_match_dense_solver():
     rng = np.random.default_rng(11)
     shards = [make_shard(rng, n=20, d=4, client_id=i) for i in range(3)]
-    pc = problem_constants(PaddedShards.build(shards), np.zeros(4), zeta=10.0)
+    pc = problem_constants(PaddedShards.build(shards), zeta=10.0)
     X = np.concatenate([s.features for s in shards])
     hessian = (2.0 / X.shape[0]) * X.T @ X
     ev = np.linalg.eigvalsh(hessian)
@@ -429,13 +429,13 @@ def test_eigenvalue_extremes_match_dense_solver():
 
 def test_scaled_identity_hessian_gives_mu_equal_lambda():
     shard = ClientShard(0, np.eye(3) * 2.0, np.ones(3))
-    pc = problem_constants(PaddedShards.build([shard]), np.zeros(3), zeta=10.0)
+    pc = problem_constants(PaddedShards.build([shard]), zeta=10.0)
     assert pc.mu == pytest.approx(pc.lam, rel=1e-14)
 
 
 def test_rank_deficient_hessian_flags_assumptions():
     shard = ClientShard(0, np.array([[1.0, 2.0]]), np.array([1.0]))
-    pc = problem_constants(PaddedShards.build([shard]), np.zeros(2), zeta=10.0)
+    pc = problem_constants(PaddedShards.build([shard]), zeta=10.0)
     assert not pc.assumptions_ok
     assert pc.mu == 0.0
 
@@ -443,18 +443,21 @@ def test_rank_deficient_hessian_flags_assumptions():
 def test_g_bound_defaults_and_override():
     rng = np.random.default_rng(12)
     data = PaddedShards.build([make_shard(rng, client_id=0)])
-    pc = problem_constants(data, np.zeros(3), zeta=7.0)
+    pc = problem_constants(data, zeta=7.0)
     assert pc.g_bound == 7.0
     pc_over = dataclasses.replace(pc, g_bound=1.25)
     assert pc_over.g_bound == 1.25
 
 
-def test_y0_is_squared_start_distance():
+@pytest.mark.parametrize("rows", [30, 1])  # a Gram solve, and lstsq on a singular Hessian
+def test_y0_is_the_squared_distance_of_the_zero_start(rows):
     rng = np.random.default_rng(13)
-    shards = [make_shard(rng, n=30, d=2, client_id=0)]
-    theta_0 = np.array([1.0, -1.0])
-    pc = problem_constants(PaddedShards.build(shards), theta_0, zeta=5.0)
-    assert pc.y0 == pytest.approx(np.sum((theta_0 - pc.theta_star) ** 2), rel=1e-14)
+    shards = [make_shard(rng, n=rows, d=2, client_id=0)]
+    pc = problem_constants(PaddedShards.build(shards), zeta=5.0)
+    assert pc.assumptions_ok == (rows == 30)
+    assert pc.y0.hex() == float(pc.theta_star @ pc.theta_star).hex()
+    diff = np.zeros(2) - pc.theta_star  # negates theta* exactly: the same bits
+    assert pc.y0.hex() == float(diff @ diff).hex()
 
 
 def test_global_loss_is_weighted_shard_average():
@@ -479,7 +482,7 @@ def test_global_optimum_minimizes_weighted_loss():
 def test_hessian_whose_square_underflows_flags_assumptions():
     # mu = lambda ~ 7e-201 passes the ratio test, but the bound's 4/mu^2 divides by zero
     shard = ClientShard(0, np.eye(3) * 1e-100, np.ones(3))
-    pc = problem_constants(PaddedShards.build([shard]), np.zeros(3), zeta=10.0)
+    pc = problem_constants(PaddedShards.build([shard]), zeta=10.0)
     assert not pc.assumptions_ok
 
 
@@ -493,7 +496,7 @@ def test_refined_gram_solve_matches_lstsq_on_an_ill_conditioned_store():
     x = (u * np.logspace(0, -5, p)) @ v.T
     y = x @ rng.standard_normal(p) + 0.1 * rng.standard_normal(n)
     data = PaddedShards.from_pooled(x, y, [100, 120, 80, 100])
-    pc = problem_constants(data, np.zeros(p), zeta=10.0)
+    pc = problem_constants(data, zeta=10.0)
     theta_star, f_star = global_optimum(data.shards)
     assert pc.assumptions_ok
     assert np.linalg.norm(pc.theta_star - theta_star) <= 1e-9 * np.linalg.norm(theta_star)
@@ -505,7 +508,7 @@ def test_singular_hessian_keeps_the_min_norm_pooled_solution():
     x = rng.standard_normal((300, 3))
     x = np.column_stack([x, x[:, 0] + 1e-9 * rng.standard_normal(300)])
     data = PaddedShards.from_pooled(x, rng.standard_normal(300), [100, 120, 80])
-    pc = problem_constants(data, np.zeros(4), zeta=10.0)
+    pc = problem_constants(data, zeta=10.0)
     theta_star, f_star = global_optimum(data.shards)
     assert not pc.assumptions_ok
     assert np.array_equal(pc.theta_star, theta_star) and pc.f_star == f_star
@@ -522,7 +525,7 @@ def test_well_posed_constants_solve_only_on_the_gram(monkeypatch):
         return lstsq(a, b, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counting)
-    pc = problem_constants(data, np.zeros(3), zeta=10.0)
+    pc = problem_constants(data, zeta=10.0)
     assert pc.assumptions_ok
     assert rows == [3, 3]  # the Gram solve and its refinement, no n-row solve
 
@@ -573,7 +576,7 @@ def test_batched_local_optima_match_lstsq(case):
     shards = _optima_case(case, np.random.default_rng(40))
     reference = np.array([local_optimum(s)[1] for s in shards])
     data = PaddedShards.build(shards)
-    pc = problem_constants(data, np.zeros(data.dim), zeta=10.0)
+    pc = problem_constants(data, zeta=10.0)
     n = sum(s.n_l for s in shards)
     gamma_reference = max(0.0, pc.f_star - sum(s.n_l / n * f for s, f in zip(shards, reference)))
     assert pc.f_star > 1e-3
@@ -695,7 +698,7 @@ def test_one_rank_deficient_shard_among_well_conditioned_ones_matches_lstsq():
     shards[5] = ClientShard(5, rank_deficient, rng.standard_normal(9))
     data = PaddedShards.build(shards)
     reference = np.array([local_optimum(s)[1] for s in shards])
-    pc = problem_constants(data, np.zeros(data.dim), zeta=10.0)
+    pc = problem_constants(data, zeta=10.0)
     assert np.abs(_local_optimum_losses(data) - reference).max() <= 1e-12 * pc.f_star
 
 

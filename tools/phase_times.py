@@ -44,7 +44,6 @@ for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[name] = "1"  # before numpy is imported
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-import numpy as np  # noqa: E402
 from workloads import WORKLOADS, prepare  # noqa: E402
 
 from dpfedsim import cli  # noqa: E402
@@ -96,8 +95,7 @@ def phases(workload, run_dir: Path) -> dict:
             fed["clients"], d["n_per_client"], d["features"], d["heterogeneity"],
             d["noise_std"], d["seed"], add_bias=d["add_bias"])
         dataset = out["synth_regression"]()
-    out["problem_constants"] = lambda: problem_constants(
-        dataset, np.zeros(dataset.dim), fed["clip_threshold"])
+    out["problem_constants"] = lambda: problem_constants(dataset, fed["clip_threshold"])
     out["build_experiment"] = lambda: build_experiment(raw)
     experiment = build_experiment(raw)
     if workload.command == "run":
